@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay-forecasts", metavar="PATH",
                    help="re-inject forecast updates from a dump file")
     p.add_argument("--mrp-trace", metavar="PATH",
-                   help="write per-period netting rows to a CSV file")
+                   help="write per-period netting rows, each item's "
+                        "decision window only, to a CSV file")
     p.add_argument("--event-trace", metavar="PATH",
                    help="write shop-floor events to a CSV file")
     p.add_argument("--period-log", action="store_true",

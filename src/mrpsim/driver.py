@@ -5,9 +5,9 @@ One simulated period runs through a fixed sequence:
   1. forecast maintenance: open a stream for every due date entering the
      forecast range and apply this period's update to all open streams;
      streams reaching j = 0 firm into customer demands
-  2. MRP run on the fresh forecast picture (netting, lot sizing, scheduling,
-     component explosion); planned lots outside the release window are
-     discarded and rebuilt next period
+  2. MRP run on the fresh forecast picture over each item's decision window
+     (netting, lot sizing, scheduling, component explosion); planned lots
+     outside the release window are discarded and rebuilt next period
   3. order release: previously material-blocked orders retry first (FIFO),
      then the new release-set; product lots withdraw their component need
      atomically or stay blocked, components always release
@@ -32,7 +32,8 @@ from .forecast import (ForecastStream, ScenarioParams, advance,
                        long_term_forecast, stream_rng, substream_seed)
 from .inventory import CustomerDemand, StockLedger, fulfill_due_demands, try_release
 from .kpi import KpiTracker, PeriodSnapshot, RunSummary
-from .mrp import MrpItemState, PlanningParams, run_mrp, validate_horizon
+from .mrp import (MrpItemState, PlanningParams, decision_windows, run_mrp,
+                  validate_horizon)
 from .shopfloor import ProductionOrder, ShopFloor
 
 
@@ -96,8 +97,10 @@ class SimulationRun:
         self.shop = ShopFloor(system, shop_rng, warm_min, end_min, event_log)
         self.kpi = KpiTracker(config.run_length, config.warmup)
 
-        self.committed: dict[int, list[ProductionOrder]] = {
-            i: [] for i in system.items}
+        # Scheduled receipts per item, {planned completion period: pieces},
+        # of every committed order that has not completed yet.
+        self.receipt_book: dict[int, dict[int, int]] = {
+            i: {} for i in system.items}
         self.blocked: list[ProductionOrder] = []
         self.covered_until: dict[int, int] = {p: 0 for p in self.products}
         self._uid = 0
@@ -145,17 +148,25 @@ class SimulationRun:
 
     # -- planning ------------------------------------------------------------
 
-    def _receipt_period(self, order: ProductionOrder, t: int) -> int:
-        # Overdue receipts count in the current bucket.  Pushing them out
-        # instead makes netting order a duplicate lot for every period an
-        # order runs late, which snowballs once a machine is congested.
-        return max(order.planned_completion, t)
+    def _receipts(self, item: int, t: int, last: int) -> dict[int, int]:
+        """Scheduled receipts of one item bucketed for netting in [t, last].
+
+        Overdue receipts count in the current bucket.  Pushing them out
+        instead makes netting order a duplicate lot for every period an
+        order runs late, which snowballs once a machine is congested.
+        """
+        receipts: dict[int, int] = {}
+        for period, qty in self.receipt_book[item].items():
+            if period <= last:
+                bucket = max(period, t)
+                receipts[bucket] = receipts.get(bucket, 0) + qty
+        return receipts
 
     def _plan(self, t: int):
         system = self.system
-        params = self.params
-        horizon = system.horizon
         fh = self.scenario.horizon
+        product_last, component_last = (
+            t + w for w in decision_windows(self.params, system))
 
         product_states: dict[int, MrpItemState] = {}
         product_gross: dict[int, dict[int, int]] = {}
@@ -164,19 +175,16 @@ class SimulationRun:
             backlog = sum(d.qty for d in self.demands_open[product])
             if backlog:
                 gross[t] = backlog
-            for due in self._due_dates_within(product, t + 1, t + horizon):
+            for due in self._due_dates_within(product, t + 1, product_last):
                 stream = self.open_streams.get((product, due))
                 if stream is not None:
                     gross[due] = stream.value
                 elif due - t > fh:
                     gross[due] = self.x
-            receipts: dict[int, int] = {}
-            for order in self.committed[product]:
-                rp = self._receipt_period(order, t)
-                receipts[rp] = receipts.get(rp, 0) + order.qty
             product_gross[product] = gross
             product_states[product] = MrpItemState(
-                on_hand=self.ledger.on_hand[product], receipts=receipts,
+                on_hand=self.ledger.on_hand[product],
+                receipts=self._receipts(product, t, product_last),
                 safety_stock=self.safety,
                 covered_until=self.covered_until[product])
 
@@ -186,17 +194,14 @@ class SimulationRun:
             bucket = extra_gross[order.component]
             bucket[t] = bucket.get(t, 0) + order.component_need
         for comp in self.components:
-            receipts = {}
-            for order in self.committed[comp]:
-                rp = self._receipt_period(order, t)
-                receipts[rp] = receipts.get(rp, 0) + order.qty
             component_states[comp] = MrpItemState(
-                on_hand=self.ledger.on_hand[comp], receipts=receipts,
+                on_hand=self.ledger.on_hand[comp],
+                receipts=self._receipts(comp, t, component_last),
                 safety_stock=system.component_sst, covered_until=0)
 
         trace = [] if self.mrp_trace is not None else None
         result = run_mrp(product_states, product_gross, component_states,
-                         extra_gross, params, t, system, trace=trace)
+                         extra_gross, self.params, t, system, trace=trace)
         if trace is not None:
             self.mrp_trace.extend((t,) + row for row in trace)
         return result
@@ -232,10 +237,15 @@ class SimulationRun:
                 self._release(order, time)
         self.blocked = still_blocked
 
+    def _commit(self, order: ProductionOrder) -> None:
+        book = self.receipt_book[order.item]
+        period = order.planned_completion
+        book[period] = book.get(period, 0) + order.qty
+
     def _release_new(self, lots, t: int, time: float) -> None:
         for lot in lots:
             order = self._make_order(lot, t)
-            self.committed[order.item].append(order)
+            self._commit(order)
             if try_release(order, self.ledger, time):
                 self._release(order, time)
             else:
@@ -243,7 +253,11 @@ class SimulationRun:
 
     def _on_completion(self, order: ProductionOrder, time: float) -> None:
         self.ledger.receive(order.item, order.qty)
-        self.committed[order.item].remove(order)
+        book = self.receipt_book[order.item]
+        period = order.planned_completion
+        book[period] -= order.qty
+        if not book[period]:
+            del book[period]
         if order.component is not None:
             self.kpi.record_completion(self.pm, order.release_time, time)
         else:
@@ -293,6 +307,13 @@ class SimulationRun:
             raise AssertionError(
                 f"piece conservation broken in period {t}: wip+fgi={wip + fgi} "
                 f"vs dispatched-shipped-consumed={balance}")
+        booked = sum(sum(book.values()) for book in self.receipt_book.values())
+        outstanding = (self.shop.pieces_on_floor
+                       + sum(order.qty for order in self.blocked))
+        if booked != outstanding:
+            raise AssertionError(
+                f"receipt book out of step in period {t}: {booked} pieces "
+                f"booked vs {outstanding} on the floor or blocked")
         for streams in (self.open_streams,):
             for stream in streams.values():
                 if stream.value < 0:

@@ -2,8 +2,8 @@
 
 Each period the planner rebuilds the material plan from scratch (planned
 orders are never carried over; only released production orders persist).  For
-every item the projected on-hand balance is rolled forward over the planning
-horizon,
+every item the projected on-hand balance is rolled forward over the item's
+decision window (see `decision_windows`),
 
     projected[t] = projected[t-1] - gross[t] + receipts[t] + planned lots[t],
 
@@ -30,6 +30,10 @@ clamped to the current period (a late lot is simply released now and its
 receipt projected one planned lead time ahead).  Released product lots pull
 component demand at their planned start: the component gross requirement of
 a product lot of q pieces is q * BOM quantity, timed at the lot's start.
+
+Only lots that start in the current period are released; the rest are
+discarded and planned afresh next period.  The scan runs forward in time, so
+periods past the last one that can shape a released lot are never netted.
 """
 
 from __future__ import annotations
@@ -130,11 +134,26 @@ def backward_schedule(due: int, plt: int, current_period: int) -> tuple[int, int
     return start, start + plt
 
 
+def decision_windows(params: PlanningParams, system) -> tuple[int, int]:
+    """Look-ahead (products, components) in periods past the current one
+    that can change a lot released now.
+
+    A component lot releases only if due within component_plt periods.  The
+    component gross it nets comes from product lots starting by then, i.e.
+    due at most plt periods later, and an FOP product lot absorbs the
+    requirements of its P-1 following periods too.
+    """
+    lot_window = params.policy_param - 1 if params.policy == "FOP" else 0
+    component = system.component_plt
+    return params.plt + component + lot_window, component
+
+
 def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
               policy: str, policy_param: int, plt: int, current_period: int,
               horizon: int, extended: bool = False,
               trace: list | None = None) -> list[PlannedLot]:
-    """Net one item over the horizon and size the covering lots.
+    """Net one item over `horizon` periods past `current_period` and size
+    the covering lots.
 
     Only periods with demand or scheduled receipts can change the projection,
     so the scan touches just those.
@@ -212,18 +231,20 @@ def run_mrp(product_states: dict[int, MrpItemState],
             component_extra_gross: dict[int, dict[int, int]],
             params: PlanningParams, current_period: int, system,
             trace: list | None = None) -> MrpResult:
-    """One full planning run: products first, then exploded components.
+    """One planning run over the decision windows: products first, then
+    exploded components.  Lots due past the windows are never planned.
 
     `component_extra_gross` carries demand that is not visible through the
     fresh product plan, e.g. withdrawals still pending for committed product
     orders that wait for material.
     """
     extended = params.mode == "extended"
+    product_window, component_window = decision_windows(params, system)
     product_lots: list[PlannedLot] = []
     for pid in sorted(product_states):
         lots = plan_item(product_states[pid], product_gross.get(pid, {}), pid,
                          params.policy, params.policy_param, params.plt,
-                         current_period, system.horizon, extended=extended,
+                         current_period, product_window, extended=extended,
                          trace=trace)
         product_lots.extend(lots)
 
@@ -237,7 +258,7 @@ def run_mrp(product_states: dict[int, MrpItemState],
     for cid in sorted(component_states):
         lots = plan_item(component_states[cid], component_gross.get(cid, {}),
                          cid, "FOQ", params.component_lot, system.component_plt,
-                         current_period, system.horizon, extended=False,
+                         current_period, component_window, extended=False,
                          trace=trace)
         component_lots.extend(lots)
 
@@ -256,8 +277,10 @@ def update_covered_until(state: MrpItemState, lot_covered_end: int) -> None:
 
 
 def validate_horizon(params: PlanningParams, system) -> None:
-    """The horizon must span lead time, lot window, component lead time and
-    the forecast range, otherwise planned coverage is silently truncated."""
+    """The planning horizon bounds the look-ahead: it must span lead time,
+    lot window, component lead time and the forecast range.  That contains
+    every decision window (`decision_windows`), which alone sets how far
+    each netting scan runs."""
     from .forecast import HORIZON as FORECAST_HORIZON
     window = params.policy_param if params.policy == "FOP" else 1
     needed = params.plt + window + system.component_plt + FORECAST_HORIZON

@@ -1,10 +1,13 @@
 """Plant description, demand pattern, overrides, planned utilization."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from mrpsim.config import (
+    _DEFAULT_OVERRIDES,
     DemandPattern,
     build_system,
     load_overrides,
@@ -133,3 +136,11 @@ def test_load_overrides(tmp_path):
     bad.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError, match="JSON object"):
         load_overrides(str(bad))
+
+
+def test_readme_config_example_is_the_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Config overrides", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    assert json.loads(block) == _DEFAULT_OVERRIDES

@@ -7,6 +7,7 @@ import pytest
 from mrpsim.driver import SimulationRun, make_config
 from mrpsim.forecast import load_replay, dump_streams
 from mrpsim.mrp import PlanningParams
+from mrpsim.shopfloor import ProductionOrder
 
 FOP1 = PlanningParams(0.0, 1, "FOP", 1)
 
@@ -90,6 +91,40 @@ def test_firmed_demands_match_stream_values():
         assert demand.qty == stream.value
         # the final update fixes the order quantity
         assert stream.history[-1] == (0, 0)
+
+
+def test_receipt_book_buckets_and_completion():
+    run = SimulationRun(make_config(params=FOP1, run_length=30, warmup=5))
+    comp = run.system.items[20]
+    overdue = ProductionOrder(1, comp, 800, 3, 3, 1, 1, planned_completion=3)
+    future = ProductionOrder(2, comp, 1600, 9, 9, 5, 6, planned_completion=9)
+    twin = ProductionOrder(3, comp, 800, 9, 9, 5, 6, planned_completion=9)
+    for order in (overdue, future, twin):
+        run._commit(order)
+
+    # overdue pieces count in the current bucket, later ones keep their
+    # period, and receipts past the window are left out
+    assert run._receipts(20, 5, 12) == {5: 800, 9: 2400}
+    assert run._receipts(20, 5, 8) == {5: 800}
+    assert run._receipts(21, 5, 12) == {}
+
+    run._on_completion(future, 0.0)
+    assert run.receipt_book[20] == {3: 800, 9: 800}
+    run._on_completion(overdue, 0.0)
+    assert run.receipt_book[20] == {9: 800}
+    assert run.ledger.on_hand[20] == 2400
+
+
+def test_debug_checks_catch_receipt_book_drift():
+    cfg = make_config(alpha=0.06, params=FOP1, run_length=30, warmup=5,
+                      debug_checks=True)
+    run = SimulationRun(cfg)
+    for t in range(1, 21):
+        run.step(t)
+    book = next(book for book in run.receipt_book.values() if book)
+    book[next(iter(book))] += 1
+    with pytest.raises(AssertionError, match="receipt book"):
+        run.step(21)
 
 
 def test_conservation_checks_pass_on_noisy_run():

@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrpsim.config import build_system
 from mrpsim.mrp import (
     COMPONENT_LOTS,
     FOP_PERIODS,
     FOQ_QUANTITIES,
+    MODES,
     PLT_VALUES,
+    POLICIES,
     SST_FACTORS,
     MrpItemState,
     PlanningParams,
@@ -267,14 +271,22 @@ def test_run_mrp_plans_products_then_components():
     product_states = {10: MrpItemState(on_hand=0)}
     component_states = {20: MrpItemState(on_hand=0), 21: MrpItemState(on_hand=0)}
     result = run_mrp(product_states, {10: {8: 800}}, component_states,
-                     {}, params, current_period=3, system=system)
+                     {}, params, current_period=4, system=system)
 
     assert [(l.item, l.due, l.qty, l.start) for l in result.product_lots] == [
         (10, 8, 800, 7)]
     # exploded demand 1600 at start 7, component plt 3 -> start 4
     assert [(l.item, l.due, l.qty, l.start) for l in result.component_lots] == [
         (20, 7, 1600, 4)]
-    # nothing starts at period 3, so nothing is released
+    # the product lot starts later; its component lot starts now
+    assert result.release_products == []
+    assert result.release_components == result.component_lots
+
+    # one period earlier the lot is due past the product decision window
+    # (3 + plt 1 + component plt 3 = 7): it cannot shape any release now
+    result = run_mrp(product_states, {10: {8: 800}}, component_states,
+                     {}, params, current_period=3, system=system)
+    assert result.product_lots == [] and result.component_lots == []
     assert result.release_products == []
     assert result.release_components == []
 
@@ -311,8 +323,86 @@ def test_run_mrp_component_lots_use_component_lot_size():
     product_states = {10: MrpItemState(on_hand=0)}
     component_states = {20: MrpItemState(on_hand=0), 21: MrpItemState(on_hand=0)}
     result = run_mrp(product_states, {10: {8: 800}}, component_states,
-                     {}, params, current_period=3, system=system)
+                     {}, params, current_period=4, system=system)
     assert result.component_lots[0].qty == 1600
+
+
+def _lot_rows(lots):
+    return [(l.item, l.due, l.qty, l.start, l.completion, l.covered_end)
+            for l in lots]
+
+
+def _full_horizon_releases(product_states, product_gross, component_states,
+                           extra_gross, params, t, system):
+    """Reference plan: every item netted over the whole planning horizon."""
+    extended = params.mode == "extended"
+    products = [lot for pid in sorted(product_states)
+                for lot in plan_item(product_states[pid],
+                                     product_gross.get(pid, {}), pid,
+                                     params.policy, params.policy_param,
+                                     params.plt, t, system.horizon,
+                                     extended=extended)]
+    gross = explode(products, system)
+    for cid, extra in extra_gross.items():
+        for period, qty in extra.items():
+            gross[cid][period] = gross[cid].get(period, 0) + qty
+    components = [lot for cid in sorted(component_states)
+                  for lot in plan_item(component_states[cid], gross[cid], cid,
+                                       "FOQ", params.component_lot,
+                                       system.component_plt, t, system.horizon)]
+    return ([l for l in products if l.start <= t],
+            [l for l in components if l.start <= t])
+
+
+_SYSTEM = build_system("low")
+
+
+@st.composite
+def _params(draw):
+    policy = draw(st.sampled_from(POLICIES))
+    lot_values = FOP_PERIODS if policy == "FOP" else FOQ_QUANTITIES
+    return PlanningParams(sst_factor=draw(st.sampled_from(SST_FACTORS)),
+                          plt=draw(st.sampled_from(PLT_VALUES)), policy=policy,
+                          policy_param=draw(st.sampled_from(lot_values)),
+                          component_lot=draw(st.sampled_from(COMPONENT_LOTS)),
+                          mode=draw(st.sampled_from(MODES)))
+
+
+_buckets = st.dictionaries(st.integers(0, 29), st.integers(0, 1600),
+                           max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=_params(), t=st.integers(1, 60), data=st.data())
+def test_decision_window_releases_equal_full_horizon_plan(params, t, data):
+    system = _SYSTEM
+    safety = params.safety_stock(system.demand.expected_amount)
+
+    def shifted(buckets):
+        return {t + k: qty for k, qty in buckets.items()}
+
+    product_states, product_gross = {}, {}
+    for pid in sorted(system.final_products):
+        product_states[pid] = MrpItemState(
+            on_hand=data.draw(st.integers(-800, 2400)),
+            receipts=shifted(data.draw(_buckets)), safety_stock=safety,
+            covered_until=t + data.draw(st.integers(-2, 20)))
+        product_gross[pid] = shifted(data.draw(_buckets))
+    component_states, extra_gross = {}, {}
+    for cid in sorted(system.components):
+        component_states[cid] = MrpItemState(
+            on_hand=data.draw(st.integers(-1600, 6400)),
+            receipts=shifted(data.draw(_buckets)),
+            safety_stock=system.component_sst)
+        extra_gross[cid] = shifted(data.draw(_buckets))
+
+    result = run_mrp(product_states, product_gross, component_states,
+                     extra_gross, params, t, system)
+    products, components = _full_horizon_releases(
+        product_states, product_gross, component_states, extra_gross,
+        params, t, system)
+    assert _lot_rows(result.release_products) == _lot_rows(products)
+    assert _lot_rows(result.release_components) == _lot_rows(components)
 
 
 # ------------------------------------------------------------- parameters
