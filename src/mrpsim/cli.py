@@ -22,7 +22,7 @@ from . import __version__
 from .config import (load_overrides, build_system, validate_system,
                      planned_utilization_table, UTILIZATION_LEVELS)
 from .driver import SimulationRun, make_config
-from .forecast import SCHEDULES, BIASED_SCHEDULES, dump_streams, load_replay
+from .forecast import SCHEDULES, BIASED_SCHEDULES, dump_tape, load_replay
 from .mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES, SST_FACTORS,
                   COMPONENT_LOTS, PlanningParams)
 from .experiment import (PRESETS, ExperimentError, default_workers, run_grid,
@@ -90,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--debug-checks", action="store_true",
                    help="verify conservation invariants every period")
     p.add_argument("--dump-forecasts", metavar="PATH",
-                   help="write every forecast update to a CSV file")
+                   help="write the run's forecast tape to a CSV file")
     p.add_argument("--replay-forecasts", metavar="PATH",
-                   help="re-inject forecast updates from a dump file")
+                   help="build the forecast tape from a dump file's updates")
     p.add_argument("--mrp-trace", metavar="PATH",
                    help="write per-period netting rows, each item's "
                         "decision window only, to a CSV file")
@@ -224,7 +224,7 @@ def cmd_simulate(args) -> int:
                   f"released {e.released_orders:2d}  shipped {e.shipped_demands}")
         print()
     if args.dump_forecasts:
-        dump_streams(sim.all_streams, args.dump_forecasts)
+        dump_tape(sim.tape, config.scenario, args.dump_forecasts)
     if args.mrp_trace:
         _write_csv(args.mrp_trace,
                    ("period", "item", "bucket", "gross", "receipts",

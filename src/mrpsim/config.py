@@ -110,14 +110,14 @@ class DemandPattern:
     expected_amount: int = EXPECTED_ORDER_AMOUNT
 
     def first_due(self, item_id: int) -> int:
-        offset = self.offsets[item_id]
-        p = self.first_delay + (offset - self.first_delay) % self.interval
-        return p if p > self.first_delay else p + self.interval
+        return self.due_dates(item_id, 0, self.first_delay + self.interval)[0]
 
-    def is_due(self, item_id: int, period: int) -> bool:
-        offset = self.offsets[item_id]
-        return (period > self.first_delay
-                and (period - offset) % self.interval == 0)
+    def due_dates(self, item_id: int, start: int, end: int) -> range:
+        """Due dates of one product in [start, end]: every interval-th
+        period on the product's offset, none at or before the delay."""
+        start = max(start, self.first_delay + 1)
+        first = start + (self.offsets[item_id] - start) % self.interval
+        return range(first, end + 1, self.interval)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,8 @@
 
 One simulated period runs through a fixed sequence:
 
-  1. forecast maintenance: open a stream for every due date entering the
-     forecast range and apply this period's update to all open streams;
-     streams reaching j = 0 firm into customer demands
-  2. MRP run on the fresh forecast picture over each item's decision window
+  1. customer orders due this period firm at their final forecast value
+  2. MRP run on this period's forecast picture over each item's decision window
      (netting, lot sizing, scheduling, component explosion); planned lots
      outside the release window are discarded and rebuilt next period
   3. order release: previously material-blocked orders retry first (FIFO),
@@ -16,9 +14,10 @@ One simulated period runs through a fixed sequence:
   5. due and backordered demands ship all-or-nothing from final-goods stock
   6. end-of-period snapshot prices WIP, FGI and open demand
 
-Releases use common-random-number forecast substreams, so demand histories
-are identical across planning parameters and netting modes of the same
-replication; setup-time randomness lives in a separate substream.
+Steps 1 and 2 read the forecast tape (`build_tape`): every forecast value of one
+(seed, replication, instance), drawn from common-random-number substreams
+before the first period, so demand histories are identical across planning
+parameters and netting modes.  Setup times use a separate substream.
 """
 
 from __future__ import annotations
@@ -60,12 +59,37 @@ class PeriodLogEntry:
     shipped_demands: int
 
 
+Tape = dict[tuple[int, int], tuple[int, ...]]
+
+
+def build_tape(config: RunConfig) -> Tape:
+    """Every forecast value a run of `config` reads, keyed (product, due):
+    a stream's values in order of rising j, one per update from j = min(H,
+    due - 1) down to j = max(0, due - run_length).  Planning parameters
+    never enter, so runs that differ only in them can share one tape."""
+    scenario, last, replay = config.scenario, config.run_length, config.replay
+    tape: Tape = {}
+    for product in sorted(config.system.final_products):
+        for due in config.system.demand.due_dates(product, 1, last + scenario.horizon):
+            stream = ForecastStream(product, due, long_term_forecast(scenario))
+            rng = stream_rng(config.base_seed, config.replication, product, due)
+            values = []
+            for j in range(min(scenario.horizon, due - 1), max(0, due - last) - 1, -1):
+                advance(stream, j, scenario, rng,
+                        replay.get((product, due, j)) if replay else None)
+                values.append(stream.value)
+            tape[product, due] = tuple(reversed(values))
+    return tape
+
+
 class SimulationRun:
-    """State of one replication; `run()` executes it and returns KPIs."""
+    """State of one replication; `run()` executes it and returns KPIs.
+    Runs that share a forecast tape pass one `tape` dict, which the first
+    finds empty and fills; without one a run builds its own."""
 
     def __init__(self, config: RunConfig, mrp_trace: list | None = None,
                  event_log: list | None = None,
-                 period_log: list | None = None):
+                 period_log: list | None = None, tape: Tape | None = None):
         validate_horizon(config.params, config.system)
         self.config = config
         system = config.system
@@ -78,9 +102,9 @@ class SimulationRun:
         self.x = long_term_forecast(config.scenario)
         self.safety = config.params.safety_stock(system.demand.expected_amount)
 
-        self.open_streams: dict[tuple[int, int], ForecastStream] = {}
-        self.stream_rngs: dict[tuple[int, int], random.Random] = {}
-        self.all_streams: dict[tuple[int, int], ForecastStream] = {}
+        self.tape: Tape = {} if tape is None else tape
+        if not self.tape:
+            self.tape.update(build_tape(config))
         self.demands_open: dict[int, deque] = {p: deque() for p in self.products}
         self.demands_all: list[CustomerDemand] = []
 
@@ -110,41 +134,14 @@ class SimulationRun:
         self.period_log = period_log
         self._released_this_period = 0
 
-    # -- forecast handling ---------------------------------------------------
+    # -- demand ----------------------------------------------------------------
 
-    def _due_dates_within(self, product: int, start: int, end: int):
-        """Due dates of one product in [start, end]."""
-        demand = self.system.demand
-        offset = demand.offsets[product]
-        first = start + (offset - start) % demand.interval
-        for due in range(first, end + 1, demand.interval):
-            if due > demand.first_delay:
-                yield due
-
-    def _update_forecasts(self, t: int) -> None:
-        horizon = self.scenario.horizon
-        replay = self.config.replay
+    def _firm_demands(self, t: int) -> None:
         for product in self.products:
-            for due in self._due_dates_within(product, t, t + horizon):
-                key = (product, due)
-                stream = self.open_streams.get(key)
-                if stream is None:
-                    stream = ForecastStream(product, due, self.x)
-                    self.open_streams[key] = stream
-                    self.all_streams[key] = stream
-                    self.stream_rngs[key] = stream_rng(
-                        self.config.base_seed, self.config.replication,
-                        product, due)
-                j = due - t
-                injected = replay.get((product, due, j)) if replay else None
-                advance(stream, j, self.scenario, self.stream_rngs[key],
-                        injected_eps=injected)
-                if j == 0:
-                    demand = CustomerDemand(product, t, stream.value)
-                    self.demands_open[product].append(demand)
-                    self.demands_all.append(demand)
-                    del self.open_streams[key]
-                    del self.stream_rngs[key]
+            for due in self.system.demand.due_dates(product, t, t):
+                demand = CustomerDemand(product, t, self.tape[product, due][0])
+                self.demands_open[product].append(demand)
+                self.demands_all.append(demand)
 
     # -- planning ------------------------------------------------------------
 
@@ -165,6 +162,7 @@ class SimulationRun:
     def _plan(self, t: int):
         system = self.system
         fh = self.scenario.horizon
+        rl = self.config.run_length
         product_last, component_last = (
             t + w for w in decision_windows(self.params, system))
 
@@ -175,12 +173,10 @@ class SimulationRun:
             backlog = sum(d.qty for d in self.demands_open[product])
             if backlog:
                 gross[t] = backlog
-            for due in self._due_dates_within(product, t + 1, product_last):
-                stream = self.open_streams.get((product, due))
-                if stream is not None:
-                    gross[due] = stream.value
-                elif due - t > fh:
-                    gross[due] = self.x
+            for due in system.demand.due_dates(product, t + 1, product_last):
+                # tape entries start at j = max(0, due - run_length)
+                gross[due] = (self.x if due - t > fh else
+                              self.tape[product, due][min(due, rl) - t])
             product_gross[product] = gross
             product_states[product] = MrpItemState(
                 on_hand=self.ledger.on_hand[product],
@@ -271,7 +267,7 @@ class SimulationRun:
         minute_end = t * self.pm
         self._released_this_period = 0
 
-        self._update_forecasts(t)
+        self._firm_demands(t)
         result = self._plan(t)
         self._retry_blocked(minute_start)
         self._release_new(result.release_products, t, minute_start)
@@ -314,10 +310,6 @@ class SimulationRun:
             raise AssertionError(
                 f"receipt book out of step in period {t}: {booked} pieces "
                 f"booked vs {outstanding} on the floor or blocked")
-        for streams in (self.open_streams,):
-            for stream in streams.values():
-                if stream.value < 0:
-                    raise AssertionError("negative forecast value")
 
     def run(self) -> RunSummary:
         for t in range(1, self.config.run_length + 1):

@@ -13,19 +13,21 @@ full study is
 Cells are independent runs: execution order and worker count cannot change
 any result because every cell derives its random numbers from (base seed,
 replication, stream) alone, and rows are always reduced in enumeration
-order.  Desk-scale presets cover the same machinery in minutes.
+order.  The cells of one (instance, replication) share its forecast tape.
+Desk-scale presets cover the same machinery in minutes.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import __version__
 from .forecast import BIASED_SCHEDULES, SCHEDULES, ScenarioParams
 from .config import build_system
-from .driver import RunConfig, SimulationRun
+from .driver import RunConfig, SimulationRun, Tape
 from .mrp import (COMPONENT_LOTS, FOP_PERIODS, FOQ_QUANTITIES, MODES,
                   PLT_VALUES, SST_FACTORS, PlanningParams)
 
@@ -178,19 +180,18 @@ def enumerate_cells(spec: GridSpec) -> list[Cell]:
 
 
 def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
-             overrides: dict | None = None) -> dict:
-    """Execute one cell and flatten its KPIs into a result row."""
+             overrides: dict | None = None, tape: Tape | None = None) -> dict:
+    """Execute one cell and flatten its KPIs into a result row.  `tape` is
+    shared by the cells of one (instance, replication), see `SimulationRun`."""
     system = build_system(cell.instance.utilization, overrides)
-    params = PlanningParams(cell.params.sst_factor, cell.params.plt,
-                            cell.params.policy, cell.params.policy_param,
-                            cell.params.component_lot, mode=cell.mode)
     config = RunConfig(system=system,
                        scenario=cell.instance.scenario(
                            system.demand.expected_amount),
-                       params=params, base_seed=base_seed,
+                       params=replace(cell.params, mode=cell.mode),
+                       base_seed=base_seed,
                        replication=cell.replication, run_length=run_length,
                        warmup=warmup)
-    summary = SimulationRun(config).run()
+    summary = SimulationRun(config, tape=tape).run()
     inst = cell.instance
     return {
         "instance_id": inst.instance_id, "alpha": inst.alpha,
@@ -211,16 +212,31 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
     }
 
 
-def _run_cell_task(task):
-    (index, util, alpha, beta, bias, mode, sst, plt, policy, value, comp_lot,
-     rep, base_seed, run_length, warmup, overrides) = task
-    cell = Cell(index, Instance(util, alpha, beta, bias),
-                PlanningParams(sst, plt, policy, value, comp_lot), mode, rep)
-    try:
-        return index, run_cell(cell, base_seed, run_length, warmup, overrides), None
-    except Exception as exc:  # propagate with cell identity, keep siblings running
-        return index, None, f"cell {index} ({cell.instance.instance_id} " \
-                            f"{cell.params.label()} {mode} rep {rep}): {exc}"
+def _describe(cell: Cell) -> str:
+    params = replace(cell.params, mode=cell.mode)
+    return (f"cell {cell.index} ({cell.instance.instance_id} "
+            f"{params.label()} rep {cell.replication})")
+
+
+def _run_cells(cells: list[Cell], base_seed: int, run_length: int,
+               warmup: int, overrides: dict | None):
+    """Yield (index, row, error) per cell, in order.  Consecutive cells of
+    one (instance, replication) share a tape; the next pair's empty tape
+    drops the old one before it is built."""
+    key, tape = None, {}
+    for cell in cells:
+        if (cell.instance, cell.replication) != key:
+            key, tape = (cell.instance, cell.replication), {}
+        try:
+            row, error = run_cell(cell, base_seed, run_length, warmup,
+                                  overrides, tape), None
+        except Exception as exc:
+            row, error = None, f"{_describe(cell)}: {exc}"
+        yield cell.index, row, error
+
+
+def _run_slice(cells: list[Cell], **settings) -> list:
+    return list(_run_cells(cells, **settings))
 
 
 class ExperimentError(RuntimeError):
@@ -236,24 +252,24 @@ def default_workers() -> int:
 
 def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
              overrides: dict | None = None, progress=None) -> list[dict]:
-    """Run every cell of the grid; rows come back in enumeration order."""
+    """Run every cell of the grid; rows come back in enumeration order.
+    Cells execute grouped by (instance, replication), each pool task a
+    contiguous slice of that order, so tapes are shared within a slice."""
     cells = enumerate_cells(spec)
-    tasks = [(c.index, c.instance.utilization, c.instance.alpha,
-              c.instance.beta, c.instance.bias, c.mode,
-              c.params.sst_factor, c.params.plt, c.params.policy,
-              c.params.policy_param, c.params.component_lot, c.replication,
-              base_seed, spec.run_length, spec.warmup, overrides)
-             for c in cells]
+    rank = {instance: i for i, instance in enumerate(spec.instances())}
+    order = sorted(cells, key=lambda c: (rank[c.instance], c.replication))
+    settings = dict(base_seed=base_seed, run_length=spec.run_length,
+                    warmup=spec.warmup, overrides=overrides)
     workers = workers or default_workers()
     results: list = [None] * len(cells)
-    errors: list[str] = []
+    errors: dict[int, str] = {}
     done = 0
 
     def _collect(outcome) -> None:
         nonlocal done
         index, row, error = outcome
         if error is not None:
-            errors.append(error)
+            errors[index] = error
         else:
             results[index] = row
         done += 1
@@ -261,16 +277,24 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
             progress(done, len(cells))
 
     if workers <= 1 or len(cells) <= 1:
-        for task in tasks:
-            _collect(_run_cell_task(task))
+        for outcome in _run_cells(order, **settings):
+            _collect(outcome)
     else:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(_run_cell_task, tasks, chunksize=chunk):
-                _collect(outcome)
+        chunk = max(1, len(order) // (workers * 8))
+        slices = [order[i:i + chunk] for i in range(0, len(order), chunk)]
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for outcomes in pool.map(partial(_run_slice, **settings), slices):
+                    for outcome in outcomes:
+                        _collect(outcome)
+        except BrokenProcessPool as exc:
+            lost = [c for c in cells if results[c.index] is None and c.index not in errors]
+            listed = "\n  ".join(_describe(c) for c in lost[:10])
+            raise ExperimentError(f"{len(lost)} of {len(cells)} cells were not collected, "
+                                  f"a worker process died ({exc}):\n  {listed}") from exc
 
     if errors:
-        listed = "\n  ".join(errors[:10])
+        listed = "\n  ".join(errors[i] for i in sorted(errors)[:10])
         raise ExperimentError(f"{len(errors)} of {len(cells)} cells failed:\n"
                               f"  {listed}")
     return results
@@ -359,8 +383,9 @@ def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
         f"periods: {spec.run_length} (warmup {spec.warmup})",
         f"base seed: {base_seed}",
         f"workers: {workers} (worker count never affects results)",
-        "random numbers: demand substreams keyed by (seed, replication, "
-        "product, due date); identical demand across parameter sets and modes",
+        "random numbers: one forecast tape per (seed, replication, instance), "
+        "built from demand substreams keyed by (seed, replication, product, "
+        "due date) and shared by every parameter set and mode",
         f"config overrides: {overrides_path or 'none'}",
     ]
     with open(path, "w", encoding="utf-8") as fh:

@@ -27,7 +27,10 @@ drifts toward the true expectation as updates arrive.
 Sampling for each (replication, product, due date) uses an isolated RNG
 substream derived by hashing, so demand realizations are identical across
 planning-parameter settings and netting modes (common random numbers), and
-independent of the order in which streams are advanced.
+independent of the order in which streams are advanced.  Runs read every
+value from a forecast tape (`driver.build_tape`), built once per (seed,
+replication, instance); `dump_tape` writes one and `load_replay` reads it
+back as epsilons to inject.
 """
 
 from __future__ import annotations
@@ -140,23 +143,20 @@ def sample_update(prev_value: int, mean: float, std: float,
 
 
 class ForecastStream:
-    """Mutable forecast trajectory of one customer order."""
+    """Mutable forecast value of one customer order."""
 
-    __slots__ = ("product", "due", "long_term", "value", "history")
+    __slots__ = ("product", "due", "value")
 
     def __init__(self, product: int, due: int, long_term: int):
         self.product = product
         self.due = due
-        self.long_term = long_term
         self.value = long_term
-        self.history: list[tuple[int, int]] = []   # (j, epsilon) applied
 
     def apply(self, j: int, eps: int) -> None:
         self.value += eps
         if self.value < 0:
             raise ValueError(f"forecast of product {self.product} due {self.due} "
                              f"went negative at j={j}")
-        self.history.append((j, eps))
 
 
 def advance(stream: ForecastStream, j: int, scenario: ScenarioParams,
@@ -192,45 +192,26 @@ def stream_rng(base_seed: int, replication: int, product: int,
                                         product, due))
 
 
-def gross_requirements(streams: dict[tuple[int, int], ForecastStream],
-                       product: int, current_period: int, horizon: int,
-                       scenario: ScenarioParams, pattern) -> dict[int, int]:
-    """Forecast-based gross requirements of one product.
-
-    Returns {due period: forecast value} for every due date within the
-    planning horizon; due dates beyond the forecast range carry the
-    long-term value, non-due periods carry nothing.
-    """
-    x = long_term_forecast(scenario)
-    reqs: dict[int, int] = {}
-    for period in range(current_period, current_period + horizon + 1):
-        if not pattern.is_due(product, period):
-            continue
-        stream = streams.get((product, period))
-        reqs[period] = stream.value if stream is not None else x
-    return reqs
-
-
 DUMP_HEADER = ("product", "due_date", "j", "epsilon", "value")
 
 
-def dump_streams(streams, path: str) -> None:
-    """Write full forecast trajectories as CSV (one row per applied update,
-    plus the long-term starting value at j = H + 1)."""
-    items = sorted(streams.values(), key=lambda s: (s.product, s.due))
+def dump_tape(tape: dict, scenario: ScenarioParams, path: str) -> None:
+    """Write a forecast tape (`driver.build_tape`) as CSV: per stream the
+    long-term starting value at j = H + 1, then one row per update."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(DUMP_HEADER)
-        for s in items:
-            w.writerow([s.product, s.due, HORIZON + 1, 0, s.long_term])
-            value = s.long_term
-            for j, eps in s.history:
-                value += eps
-                w.writerow([s.product, s.due, j, eps, value])
+        for (product, due), values in sorted(tape.items()):
+            prev = long_term_forecast(scenario)
+            w.writerow([product, due, HORIZON + 1, 0, prev])
+            for j, value in zip(range(min(scenario.horizon, due - 1), -1, -1),
+                                reversed(values)):
+                w.writerow([product, due, j, value - prev, value])
+                prev = value
 
 
 def load_replay(path: str) -> dict[tuple[int, int, int], int]:
-    """Read a stream dump back as {(product, due, j): epsilon} for replay."""
+    """Read a tape dump back as {(product, due, j): epsilon} for replay."""
     replay: dict[tuple[int, int, int], int] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, file side effects."""
 
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,21 @@ def test_simulate_dump_and_replay_roundtrip(tmp_path, capsys):
     orig_cost = [l for l in out_orig.splitlines() if "overall cost" in l]
     replay_cost = [l for l in out_replay.splitlines() if "overall cost" in l]
     assert orig_cost == replay_cost
+
+
+def test_simulate_dump_bytes_are_pinned(tmp_path, capsys):
+    # streams opened with j < H (first_delay 3) and streams the run leaves
+    # before delivery (due past period 40) both appear in this dump
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"demand": {"first_delay": 3}}))
+    dump = tmp_path / "tape.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--alpha", "0.08", "--bias",
+                         "temporary_overbooking", "--periods", "40",
+                         "--warmup", "5", "--rep", "1", "--seed", "7",
+                         "--config", str(config), "--dump-forecasts", str(dump))
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == \
+        "58771d25f25561129282a20e1122f182cc48330cc659922870673abfbb3ad2c0"
 
 
 def test_simulate_trace_files(tmp_path, capsys):

@@ -82,18 +82,23 @@ def test_demand_pattern_first_dues():
     assert pattern.first_due(17) == 16
 
 
-def test_demand_pattern_is_due():
+def test_demand_pattern_due_dates():
     pattern = DemandPattern()
     # two products per line are due each period from 13 on
     for period in range(13, 41):
-        due_products = [p for p in range(10, 18) if pattern.is_due(p, period)]
+        due_products = [p for p in range(10, 18)
+                        if list(pattern.due_dates(p, period, period)) == [period]]
         assert len(due_products) == 2
     # nothing before or at the initial delay
     for period in range(0, 13):
-        assert not any(pattern.is_due(p, period) for p in range(10, 18))
-    assert pattern.is_due(10, 13)
-    assert pattern.is_due(10, 17)
-    assert not pattern.is_due(10, 14)
+        assert not any(pattern.due_dates(p, period, period)
+                       for p in range(10, 18))
+    assert list(pattern.due_dates(10, 13, 13)) == [13]
+    assert list(pattern.due_dates(10, 17, 17)) == [17]
+    assert not pattern.due_dates(10, 14, 14)
+    # a window lists every due date in it, and none at or before the delay
+    assert list(pattern.due_dates(10, 1, 23)) == [13, 17, 21]
+    assert list(pattern.due_dates(13, 13, 23)) == [16, 20]
 
 
 def test_overrides_change_values():

@@ -3,9 +3,11 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mrpsim.driver import SimulationRun, make_config
-from mrpsim.forecast import load_replay, dump_streams
+from mrpsim.driver import SimulationRun, build_tape, make_config
+from mrpsim.forecast import (SCHEDULES, ForecastStream, advance, dump_tape,
+                             load_replay, long_term_forecast, stream_rng)
 from mrpsim.mrp import PlanningParams
 from mrpsim.shopfloor import ProductionOrder
 
@@ -86,11 +88,58 @@ def test_firmed_demands_match_stream_values():
     cfg = make_config(alpha=0.08, params=FOP1, run_length=60, warmup=12)
     run = SimulationRun(cfg)
     run.run()
-    for demand in run.demands_all:
-        stream = run.all_streams[(demand.product, demand.due)]
-        assert demand.qty == stream.value
-        # the final update fixes the order quantity
-        assert stream.history[-1] == (0, 0)
+    firmed = {(d.product, d.due): d.qty for d in run.demands_all}
+    due_in_run = {key: values for key, values in run.tape.items()
+                  if key[1] <= 60}
+    assert firmed.keys() == due_in_run.keys()
+    for key, values in due_in_run.items():
+        # the j = 0 value is the final forecast; its update is always zero
+        assert firmed[key] == values[0] == values[1]
+
+
+def _reference_tape(cfg):
+    """Forecast values by (product, due, j) as a period-by-period loop that
+    opens each stream when its due date enters the forecast range and
+    advances every open stream once per period."""
+    demand, scenario = cfg.system.demand, cfg.scenario
+    horizon = scenario.horizon
+    long_term = long_term_forecast(scenario)
+    streams, rngs, values = {}, {}, {}
+    for t in range(1, cfg.run_length + 1):
+        for product in sorted(demand.offsets):
+            for due in range(t, t + horizon + 1):
+                if due <= demand.first_delay or \
+                        (due - demand.offsets[product]) % demand.interval:
+                    continue
+                key = (product, due)
+                if key not in streams:
+                    streams[key] = ForecastStream(product, due, long_term)
+                    rngs[key] = stream_rng(cfg.base_seed, cfg.replication,
+                                           product, due)
+                advance(streams[key], due - t, scenario, rngs[key])
+                values[product, due, due - t] = streams[key].value
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), replication=st.integers(0, 30),
+       alpha=st.sampled_from((0.0, 0.02, 0.06, 0.12)),
+       bias=st.sampled_from(sorted(SCHEDULES)),
+       run_length=st.integers(1, 45), first_delay=st.integers(0, 14))
+def test_tape_equals_period_by_period_streams(seed, replication, alpha, bias,
+                                               run_length, first_delay):
+    cfg = make_config(alpha=alpha, beta=int(bias != "unbiased"), bias=bias,
+                      base_seed=seed, replication=replication,
+                      run_length=run_length, warmup=0,
+                      overrides={"demand": {"first_delay": first_delay}})
+    reference = _reference_tape(cfg)
+    tape = build_tape(cfg)
+    got = {}
+    for (product, due), values in tape.items():
+        lo = max(0, due - run_length)
+        for offset, value in enumerate(values):
+            got[product, due, lo + offset] = value
+    assert got == reference
 
 
 def test_receipt_book_buckets_and_completion():
@@ -140,7 +189,7 @@ def test_replay_reproduces_run_without_sampling(tmp_path):
     original = SimulationRun(cfg)
     summary_a = original.run()
     path = tmp_path / "streams.csv"
-    dump_streams(original.all_streams, str(path))
+    dump_tape(original.tape, cfg.scenario, str(path))
 
     # alpha=0 would normally freeze all forecasts; the replay file re-injects
     # the recorded updates, so the original run comes back exactly
@@ -177,3 +226,18 @@ def test_backorders_accrue_when_capacity_is_gone():
     s = summarize(cfg)
     assert s.service_level < 1.0
     assert s.backorder_cost > 0
+
+
+def test_runs_share_a_tape_and_leave_it_unchanged():
+    cfg = make_config(alpha=0.10, params=FOP1, run_length=60, warmup=12)
+    alone = summary_tuple(summarize(cfg))
+    tape = {}
+    first = SimulationRun(cfg, tape=tape)
+    assert tape and first.tape is tape
+    snapshot = dict(tape)
+    first.run()
+    other = dataclasses.replace(
+        cfg, params=PlanningParams(0.4, 3, "FOQ", 400, mode="extended"))
+    summarize(other, tape=tape)
+    assert tape == snapshot == build_tape(cfg)
+    assert summary_tuple(summarize(cfg, tape=tape)) == alone

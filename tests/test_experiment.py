@@ -1,9 +1,11 @@
 """Experiment harness: grid enumeration, execution, result files, analysis."""
 
 import copy
+import os
 
 import pytest
 
+from mrpsim import experiment
 from mrpsim.experiment import (
     PRESETS,
     BestCell,
@@ -14,6 +16,7 @@ from mrpsim.experiment import (
     compare_modes,
     enumerate_cells,
     read_results,
+    run_cell,
     run_grid,
     significance_stars,
     write_manifest,
@@ -94,6 +97,38 @@ def test_run_grid_reports_failing_cells():
                       replications=1, run_length=10, warmup=40)
     with pytest.raises(ExperimentError, match="low-a0-b0-unbiased"):
         run_grid(broken, workers=1)
+
+
+SHARED = GridSpec(name="shared", alphas=(0.04, 0.10), sst_factors=(0.2,),
+                  plts=(1, 3), fop_periods=(1,), foq_quantities=(),
+                  component_lots=(800,), replications=2, run_length=40,
+                  warmup=5)
+
+
+def test_run_grid_shared_tapes_match_cells_run_alone():
+    # 2 instances x 2 replications x 2 parameter sets x 2 modes: each
+    # (instance, replication) tape serves four cells
+    cells = enumerate_cells(SHARED)
+    assert len(cells) == 16
+    alone = [run_cell(c, 11, SHARED.run_length, SHARED.warmup) for c in cells]
+    assert run_grid(SHARED, base_seed=11, workers=1) == alone
+    assert run_grid(SHARED, base_seed=11, workers=2) == alone
+
+
+def _dies_on_cell_5(cell, *args, **kwargs):
+    if cell.index == 5:
+        os._exit(3)
+    return _real_run_cell(cell, *args, **kwargs)
+
+
+_real_run_cell = run_cell
+
+
+def test_dead_worker_becomes_experiment_error(monkeypatch):
+    monkeypatch.setattr(experiment, "run_cell", _dies_on_cell_5)
+    with pytest.raises(ExperimentError, match="not collected") as info:
+        run_grid(SHARED, base_seed=11, workers=2)
+    assert "cell 5 (" in str(info.value)
 
 
 def test_progress_callback():

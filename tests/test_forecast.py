@@ -6,7 +6,7 @@ import statistics
 
 import pytest
 
-from mrpsim.config import DemandPattern
+from mrpsim.driver import build_tape, make_config
 from mrpsim.forecast import (
     BIASED_SCHEDULES,
     HORIZON,
@@ -14,8 +14,7 @@ from mrpsim.forecast import (
     ForecastStream,
     ScenarioParams,
     advance,
-    dump_streams,
-    gross_requirements,
+    dump_tape,
     load_replay,
     long_term_forecast,
     sample_update,
@@ -55,7 +54,7 @@ def test_replay_trajectories(schedule, beta, start, eps, values):
     advance(stream, 0, scenario, rng)
     assert stream.value == 739
     # trajectory identity: firmed value = start + sum of updates
-    assert stream.value == start + sum(e for _, e in stream.history)
+    assert stream.value == start + sum(eps)
 
 
 def test_long_term_forecast_values():
@@ -146,18 +145,20 @@ def test_advance_outside_horizon_is_noop():
     scen = ScenarioParams(alpha=0.1)
     stream = ForecastStream(10, 40, 800)
     rng = random.Random(2)
+    state = rng.getstate()
     assert advance(stream, 11, scen, rng) == 0
     assert stream.value == 800
-    assert stream.history == []
+    assert rng.getstate() == state
 
 
 def test_advance_final_update_is_zero():
     scen = ScenarioParams(alpha=0.1)
     stream = ForecastStream(10, 40, 800)
     rng = random.Random(2)
+    state = rng.getstate()
     assert advance(stream, 0, scen, rng) == 0
     assert stream.value == 800
-    assert stream.history == [(0, 0)]
+    assert rng.getstate() == state
 
 
 def test_negative_forecast_rejected():
@@ -215,26 +216,26 @@ def test_substream_seed_is_stable_and_distinct():
 
 
 def test_dump_and_replay_roundtrip(tmp_path):
-    scen = ScenarioParams(alpha=0.08, beta=0)
-    streams = {}
-    for p, due in [(10, 21), (11, 22)]:
-        rng = stream_rng(7, 0, p, due)
-        stream = ForecastStream(p, due, 800)
-        for j in range(10, -1, -1):
-            advance(stream, j, scen, rng)
-        streams[(p, due)] = stream
-
-    path = tmp_path / "streams.csv"
-    dump_streams(streams, str(path))
+    # alpha = 0 never samples, so the replayed tape can only come from the
+    # injected epsilons; run_length 30 leaves streams unfinished at the end
+    cfg = make_config(alpha=0.08, run_length=30, warmup=5,
+                      overrides={"demand": {"first_delay": 3}})
+    tape = build_tape(cfg)
+    path = tmp_path / "tape.csv"
+    dump_tape(tape, cfg.scenario, str(path))
     replay = load_replay(str(path))
 
-    for (p, due), stream in streams.items():
-        replayed = ForecastStream(p, due, stream.long_term)
-        rng = random.Random(0)
-        for j in range(10, -1, -1):
-            advance(replayed, j, scen, rng, injected_eps=replay[(p, due, j)])
-        assert replayed.value == stream.value
-        assert replayed.history == stream.history
+    frozen = make_config(alpha=0.0, run_length=30, warmup=5, replay=replay,
+                         overrides={"demand": {"first_delay": 3}})
+    assert build_tape(frozen) == tape
+    assert len(replay) == sum(len(values) for values in tape.values())
+
+    lines = path.read_text().splitlines()
+    assert lines[0] == "product,due_date,j,epsilon,value"
+    # product 10 (offset 1) is first due at 5: opened at j = 4, firmed at 0
+    assert [line.split(",")[2] for line in lines[1:7]] == \
+        ["11", "4", "3", "2", "1", "0"]
+    assert lines[1] == "10,5,11,0,800"
 
 
 def test_load_replay_rejects_bad_header(tmp_path):
@@ -249,31 +250,3 @@ def test_load_replay_rejects_bad_row(tmp_path):
     path.write_text("product,due_date,j,epsilon,value\n10,21,xyz,12,812\n")
     with pytest.raises(ValueError, match="line 2"):
         load_replay(str(path))
-
-
-def test_gross_requirements_window():
-    pattern = DemandPattern()
-    scen = ScenarioParams(alpha=0.05, beta=0)
-    streams = {
-        (10, 13): ForecastStream(10, 13, 800),
-        (10, 17): ForecastStream(10, 17, 800),
-    }
-    streams[(10, 13)].apply(5, 24)
-    streams[(10, 17)].apply(9, -15)
-
-    reqs = gross_requirements(streams, 10, 13, 10, scen, pattern)
-    # dues of product 10 in [13, 23]: 13, 17, 21; 21 has no stream yet and
-    # carries the long-term value
-    assert reqs == {13: 824, 17: 785, 21: 800}
-
-    # window before the first due date is empty
-    assert gross_requirements({}, 10, 1, 10, scen, pattern) == {}
-
-
-def test_gross_requirements_respects_offsets():
-    pattern = DemandPattern()
-    scen = ScenarioParams()
-    reqs = gross_requirements({}, 13, 13, 10, scen, pattern)
-    # product 13 has offset 4: dues 16, 20 within [13, 23]
-    assert sorted(reqs) == [16, 20]
-    assert all(v == 800 for v in reqs.values())
