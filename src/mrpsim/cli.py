@@ -160,10 +160,7 @@ def cmd_validate(args) -> int:
     print(header)
     for name in ("full", "desk", "null-anchor", "bias"):
         spec = PRESETS[name]
-        unbiased = (len(spec.utilizations) * len(spec.alphas)
-                    if spec.include_unbiased else 0)
-        biased = (len(spec.utilizations) * len(spec.alphas)
-                  * len(spec.biased_schedules))
+        unbiased, biased = spec.instance_counts
         print(f"  {name:<12}{spec.n_parameter_sets:>11}{unbiased:>10}"
               f"{biased:>8}{len(spec.modes):>7}{spec.replications:>6}"
               f"{spec.n_cells:>10}")
@@ -244,10 +241,7 @@ def cmd_simulate(args) -> int:
 def cmd_grid(args) -> int:
     overrides = _load_config(args)
     spec = PRESETS[args.preset]
-    unbiased = (len(spec.utilizations) * len(spec.alphas)
-                if spec.include_unbiased else 0)
-    biased = (len(spec.utilizations) * len(spec.alphas)
-              * len(spec.biased_schedules))
+    unbiased, biased = spec.instance_counts
     workers = args.workers or default_workers()
     print(f"grid {spec.name}: {spec.n_parameter_sets} parameter sets per "
           f"instance")

@@ -54,7 +54,6 @@ BACKORDER_COST = 19.0            # CU per piece and period of unfilled due deman
 
 COMPONENT_PLT = 3                # planned lead time for component orders
 COMPONENT_SST = 0                # components run without safety stock
-PLANNING_HORIZON = 30            # MRP look-ahead in periods
 
 RUN_LENGTH = 400                 # simulated periods per replication
 WARMUP = 40                      # periods excluded from all KPIs
@@ -132,9 +131,7 @@ class SystemConfig:
     bom_quantity: int = BOM_QUANTITY
     component_plt: int = COMPONENT_PLT
     component_sst: int = COMPONENT_SST
-    horizon: int = PLANNING_HORIZON
     period_minutes: float = PERIOD_MINUTES
-    setup_cv: float = SETUP_CV
 
     @property
     def final_products(self) -> tuple[int, ...]:
@@ -189,8 +186,7 @@ def build_system(utilization: str = "low",
                           machines=machines, cost_rates=rates, demand=demand,
                           bom_quantity=bom_qty,
                           component_plt=o["planning"]["component_plt"],
-                          horizon=o["planning"]["horizon"],
-                          period_minutes=cap, setup_cv=cv)
+                          period_minutes=cap)
     validate_system(system)
     return system
 
@@ -205,7 +201,7 @@ _DEFAULT_OVERRIDES = {
               "high": PRODUCT_SETUP_MIN["high"], "component": COMPONENT_SETUP_MIN,
               "cv": SETUP_CV},
     "bom": {"quantity": BOM_QUANTITY},
-    "planning": {"component_plt": COMPONENT_PLT, "horizon": PLANNING_HORIZON},
+    "planning": {"component_plt": COMPONENT_PLT},
     "capacity": {"period_minutes": PERIOD_MINUTES},
 }
 

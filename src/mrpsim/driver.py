@@ -31,8 +31,7 @@ from .forecast import (ForecastStream, ScenarioParams, advance,
                        long_term_forecast, stream_rng, substream_seed)
 from .inventory import CustomerDemand, StockLedger, fulfill_due_demands, try_release
 from .kpi import KpiTracker, PeriodSnapshot, RunSummary
-from .mrp import (MrpItemState, PlanningParams, decision_windows, run_mrp,
-                  validate_horizon)
+from .mrp import MrpItemState, PlanningParams, decision_windows, run_mrp
 from .shopfloor import ProductionOrder, ShopFloor
 
 
@@ -90,7 +89,6 @@ class SimulationRun:
     def __init__(self, config: RunConfig, mrp_trace: list | None = None,
                  event_log: list | None = None,
                  period_log: list | None = None, tape: Tape | None = None):
-        validate_horizon(config.params, config.system)
         self.config = config
         system = config.system
         self.system = system
@@ -204,11 +202,10 @@ class SimulationRun:
 
     # -- releasing and material flow ------------------------------------------
 
-    def _make_order(self, lot, t: int) -> ProductionOrder:
+    def _make_order(self, lot) -> ProductionOrder:
         self._uid += 1
         return ProductionOrder(self._uid, self.system.items[lot.item], lot.qty,
-                               lot.due, lot.covered_end, t, lot.start,
-                               lot.completion)
+                               lot.covered_end, lot.completion)
 
     def _release(self, order: ProductionOrder, time: float) -> None:
         self.shop.dispatch(order, time)
@@ -238,9 +235,9 @@ class SimulationRun:
         period = order.planned_completion
         book[period] = book.get(period, 0) + order.qty
 
-    def _release_new(self, lots, t: int, time: float) -> None:
+    def _release_new(self, lots, time: float) -> None:
         for lot in lots:
-            order = self._make_order(lot, t)
+            order = self._make_order(lot)
             self._commit(order)
             if try_release(order, self.ledger, time):
                 self._release(order, time)
@@ -270,8 +267,8 @@ class SimulationRun:
         self._firm_demands(t)
         result = self._plan(t)
         self._retry_blocked(minute_start)
-        self._release_new(result.release_products, t, minute_start)
-        self._release_new(result.release_components, t, minute_start)
+        self._release_new(result.release_products, minute_start)
+        self._release_new(result.release_components, minute_start)
         self.shop.advance(minute_end, self._on_completion)
         shipped = fulfill_due_demands(self.demands_open, self.ledger, t)
         self._shipped_pieces += sum(d.qty for d in shipped)
@@ -316,8 +313,7 @@ class SimulationRun:
             self.step(t)
         window_min = (self.config.run_length - self.config.warmup) * self.pm
         return self.kpi.summarize(self.system.cost_rates, self.demands_all,
-                                  self.shop.utilization(window_min),
-                                  self.shop.piece_minutes)
+                                  self.shop.utilization(window_min))
 
 
 def run(config: RunConfig) -> RunSummary:

@@ -122,10 +122,15 @@ class GridSpec:
                 * len(self.component_lots))
 
     @property
+    def instance_counts(self) -> tuple[int, int]:
+        """(unbiased, biased) instance counts."""
+        per_schedule = len(self.utilizations) * len(self.alphas)
+        return (per_schedule if self.include_unbiased else 0,
+                per_schedule * len(self.biased_schedules))
+
+    @property
     def n_instances(self) -> int:
-        biased = len(self.biased_schedules)
-        per_util = len(self.alphas) * ((1 if self.include_unbiased else 0) + biased)
-        return len(self.utilizations) * per_util
+        return sum(self.instance_counts)
 
     @property
     def n_cells(self) -> int:

@@ -16,10 +16,6 @@ class CustomerDemand:
         self.qty = qty
         self.fulfilled_period: int | None = None
 
-    @property
-    def open(self) -> bool:
-        return self.fulfilled_period is None
-
 
 class StockLedger:
     """Physical on-hand per item with conservation counters."""
@@ -30,12 +26,10 @@ class StockLedger:
             for item, qty in initial.items():
                 self.on_hand[item] = qty
         self.initial: dict[int, int] = dict(self.on_hand)
-        self.received: dict[int, int] = {i: 0 for i in item_ids}
         self.withdrawn: dict[int, int] = {i: 0 for i in item_ids}
 
     def receive(self, item: int, qty: int) -> None:
         self.on_hand[item] += qty
-        self.received[item] += qty
 
     def withdraw(self, item: int, qty: int) -> None:
         if self.on_hand[item] < qty:
@@ -55,7 +49,6 @@ def try_release(order, ledger: StockLedger, time: float) -> bool:
         if ledger.on_hand[order.component] < order.component_need:
             return False
         ledger.withdraw(order.component, order.component_need)
-    order.status = "released"
     order.release_time = time
     return True
 

@@ -21,12 +21,6 @@ class PeriodSnapshot:
     backorder_pieces: int
 
 
-def accrue(snapshot: PeriodSnapshot, rates) -> float:
-    return (snapshot.wip_pieces * rates.wip
-            + snapshot.fgi_pieces * rates.fgi
-            + snapshot.backorder_pieces * rates.backorder)
-
-
 @dataclass
 class RunSummary:
     """KPI vector of one simulation run (costs are CU per period)."""
@@ -45,7 +39,6 @@ class RunSummary:
     machine_utilization: dict[int, float] = field(default_factory=dict)
     demands_total: int = 0
     demands_on_time: int = 0
-    floor_piece_minutes: float = 0.0
 
 
 class KpiTracker:
@@ -76,8 +69,8 @@ class KpiTracker:
         if completion_time >= self.warmup * period_minutes:
             self.leadtimes.append((completion_time - release_time) / period_minutes)
 
-    def summarize(self, rates, demands, machine_utilization: dict[int, float],
-                  floor_piece_minutes: float = 0.0) -> RunSummary:
+    def summarize(self, rates, demands,
+                  machine_utilization: dict[int, float]) -> RunSummary:
         measured = [s for s in self.snapshots if s.period > self.warmup]
         if len(measured) != self.measured_periods:
             raise ValueError(f"expected {self.measured_periods} measured "
@@ -114,7 +107,6 @@ class KpiTracker:
             machine_utilization=dict(machine_utilization),
             demands_total=len(in_window),
             demands_on_time=on_time,
-            floor_piece_minutes=floor_piece_minutes,
         )
         summary.overall_cost = (summary.wip_cost + summary.fgi_cost
                                 + summary.backorder_cost)

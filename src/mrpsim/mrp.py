@@ -21,9 +21,11 @@ projection at or above the safety stock everywhere.  Extended netting splits
 the horizon at the newest due period already covered by a released order
 ("covered_until"): inside that range the threshold drops to zero, so safety
 stock absorbs short-term forecast swings instead of triggering nervous
-re-orders, while beyond it the safety stock is planned as usual.  Final
-products track covered_until at every release; components never carry safety
-stock, which makes both modes identical for them.
+re-orders, while beyond it the safety stock is planned as usual.  One rule,
+`net_requirement_extended`, nets both modes; standard netting passes it an
+empty covered range.  The driver advances covered_until at every product
+release; components never carry safety stock, which makes both modes
+identical for them.
 
 Lots are scheduled backward from their due period by the planned lead time,
 clamped to the current period (a late lot is simply released now and its
@@ -86,25 +88,21 @@ class PlanningParams:
                 f"{self.policy}:{self.policy_param} comp={self.component_lot}")
 
 
-def net_requirement_standard(prev_on_hand: float, gross: float,
-                             receipts: float, safety: float) -> float:
-    """Requirement that lifts the projection back to the safety stock."""
-    return max(safety - (prev_on_hand - gross + receipts), 0)
-
-
-def net_requirement_covered(prev_on_hand: float, gross: float,
-                            receipts: float) -> float:
-    """Requirement inside the already-covered horizon: only an actual
-    projected shortage below zero triggers, safety stock may be consumed."""
-    return max(-prev_on_hand + gross - receipts, 0)
-
-
 def net_requirement_extended(prev_on_hand: float, gross: float, receipts: float,
                              safety: float, period: int,
                              covered_until: int) -> float:
-    if period <= covered_until:
-        return net_requirement_covered(prev_on_hand, gross, receipts)
-    return net_requirement_standard(prev_on_hand, gross, receipts, safety)
+    """Requirement that lifts the projection back to the netting threshold:
+    zero inside the covered horizon (safety stock may be consumed, only a
+    shortage below zero triggers), the safety stock beyond it."""
+    threshold = 0 if period <= covered_until else safety
+    return max(threshold - (prev_on_hand - gross + receipts), 0)
+
+
+def net_requirement_standard(prev_on_hand: float, gross: float,
+                             receipts: float, safety: float) -> float:
+    """Requirement that lifts the projection back to the safety stock: the
+    extended rule with nothing covered."""
+    return net_requirement_extended(prev_on_hand, gross, receipts, safety, 0, -1)
 
 
 @dataclass
@@ -173,13 +171,13 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
     for period in periods:
         g = gross.get(period, 0)
         r = receipts.get(period, 0)
-        on_hand = on_hand - g + r
-        threshold = 0 if (extended and period <= covered_until) else safety
         # Requirements exist only where demand does.  A projection resting
         # below the safety level between demands must not spawn a refill lot
         # of its own (and its own setup); the next demand-period lot absorbs
         # the gap instead.
-        net = max(threshold - on_hand, 0) if g > 0 else 0
+        net = (net_requirement_extended(on_hand, g, r, safety, period,
+                                        covered_until) if g > 0 else 0)
+        on_hand = on_hand - g + r
         added = 0
         if net > 0:
             net = int(net)
@@ -268,24 +266,3 @@ def run_mrp(product_states: dict[int, MrpItemState],
         release_products=[l for l in product_lots if l.start <= current_period],
         release_components=[l for l in component_lots if l.start <= current_period],
     )
-
-
-def update_covered_until(state: MrpItemState, lot_covered_end: int) -> None:
-    """Advance the covered-horizon marker when a product order is released."""
-    if lot_covered_end > state.covered_until:
-        state.covered_until = lot_covered_end
-
-
-def validate_horizon(params: PlanningParams, system) -> None:
-    """The planning horizon bounds the look-ahead: it must span lead time,
-    lot window, component lead time and the forecast range.  That contains
-    every decision window (`decision_windows`), which alone sets how far
-    each netting scan runs."""
-    from .forecast import HORIZON as FORECAST_HORIZON
-    window = params.policy_param if params.policy == "FOP" else 1
-    needed = params.plt + window + system.component_plt + FORECAST_HORIZON
-    if system.horizon < needed:
-        raise ValueError(
-            f"planning horizon {system.horizon} too short for plt={params.plt}, "
-            f"lot window {window}, component plt {system.component_plt} and "
-            f"forecast range {FORECAST_HORIZON}: needs at least {needed}")

@@ -7,8 +7,8 @@ to the next routing stage only as a whole.  Time is continuous in minutes;
 the driver advances the floor period by period.
 
 The floor also keeps the bookkeeping the KPIs need: setup+processing busy
-minutes per machine clipped to the measurement window, and the time integral
-of pieces on the floor (for Little's-law style checks).
+minutes per machine clipped to the measurement window, and the count of
+pieces on the floor.
 """
 
 from __future__ import annotations
@@ -25,23 +25,17 @@ _DONE = 1
 class ProductionOrder:
     """One released or material-blocked lot on its way through the plant."""
 
-    __slots__ = ("uid", "item", "qty", "due", "covered_end", "created_period",
-                 "planned_start", "planned_completion", "status",
+    __slots__ = ("uid", "item", "qty", "covered_end", "planned_completion",
                  "release_time", "completion_time", "stage", "routing",
                  "proc_min", "component", "component_need")
 
-    def __init__(self, uid: int, item_cfg, qty: int, due: int,
-                 covered_end: int, created_period: int, planned_start: int,
+    def __init__(self, uid: int, item_cfg, qty: int, covered_end: int,
                  planned_completion: int):
         self.uid = uid
         self.item = item_cfg.id
         self.qty = qty
-        self.due = due
         self.covered_end = covered_end
-        self.created_period = created_period
-        self.planned_start = planned_start
         self.planned_completion = planned_completion
-        self.status = "planned"            # -> released -> in_process -> completed
         self.release_time = -1.0
         self.completion_time = -1.0
         self.stage = 0
@@ -89,10 +83,7 @@ class ShopFloor:
         self._seq = 0
         self.window = (window_start_min, window_end_min)
         self.event_log = event_log
-        # time integral of pieces on the floor, for Little's-law checks
         self.pieces_on_floor = 0
-        self.piece_minutes = 0.0
-        self._cursor = 0.0
 
     def _push(self, time: float, kind: int, order: ProductionOrder) -> None:
         self._seq += 1
@@ -101,20 +92,11 @@ class ShopFloor:
     def dispatch(self, order: ProductionOrder, time: float) -> None:
         """Send a released order to the first machine of its routing."""
         order.stage = 0
-        self.pieces_on_floor_changed(time, order.qty)
+        self.pieces_on_floor += order.qty
         self._push(time, _ARRIVE, order)
         if self.event_log is not None:
             self.event_log.append((time, "release", order.uid, order.item,
                                    "", order.qty))
-
-    def pieces_on_floor_changed(self, time: float, delta: int) -> None:
-        self._integrate(time)
-        self.pieces_on_floor += delta
-
-    def _integrate(self, time: float) -> None:
-        if time > self._cursor:
-            self.piece_minutes += self.pieces_on_floor * (time - self._cursor)
-            self._cursor = time
 
     def _record_busy(self, start: float, end: float, machine: _MachineState) -> None:
         lo, hi = self.window
@@ -126,8 +108,6 @@ class ShopFloor:
         if machine.busy or not machine.queue:
             return
         order = machine.queue.popleft()
-        if order.status == "released":
-            order.status = "in_process"
         setup = sample_setup(self.rng, machine.setup_mean, machine.setup_cv)
         duration = setup + order.qty * order.proc_min
         machine.busy = True
@@ -157,13 +137,11 @@ class ShopFloor:
                 if order.stage < len(order.routing):
                     self._push(time, _ARRIVE, order)
                 else:
-                    order.status = "completed"
                     order.completion_time = time
-                    self.pieces_on_floor_changed(time, -order.qty)
+                    self.pieces_on_floor -= order.qty
                     if on_completion is not None:
                         on_completion(order, time)
                 self._try_start(machine, time)
-        self._integrate(until)
 
     def utilization(self, window_minutes: float) -> dict[int, float]:
         return {mid: m.busy_window_min / window_minutes

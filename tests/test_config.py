@@ -66,7 +66,6 @@ def test_system_structure():
     assert system.cost_rates.fgi == 1.0
     assert system.cost_rates.backorder == 19.0
     assert system.component_plt == 3
-    assert system.horizon == 30
     validate_system(system)   # no raise
 
 
@@ -103,9 +102,9 @@ def test_demand_pattern_due_dates():
 
 def test_overrides_change_values():
     system = build_system("low", {"costs": {"backorder": 25.0},
-                                  "planning": {"horizon": 40}})
+                                  "planning": {"component_plt": 2}})
     assert system.cost_rates.backorder == 25.0
-    assert system.horizon == 40
+    assert system.component_plt == 2
     # untouched values keep defaults
     assert system.cost_rates.wip == 0.5
 
@@ -118,6 +117,9 @@ def test_overrides_reject_unknown_section():
 def test_overrides_reject_unknown_key():
     with pytest.raises(ValueError, match="unknown config key costs.markup"):
         build_system("low", {"costs": {"markup": 1.0}})
+    # the decision windows are the whole look-ahead: no planning horizon
+    with pytest.raises(ValueError, match="unknown config key planning.horizon"):
+        build_system("low", {"planning": {"horizon": 30}})
 
 
 def test_overrides_reject_non_numbers():
@@ -135,7 +137,7 @@ def test_load_overrides(tmp_path):
     data = load_overrides(str(path))
     assert data == {"setup": {"cv": 0.0}}
     system = build_system("low", data)
-    assert system.setup_cv == 0.0
+    assert {m.setup_cv for m in system.machines.values()} == {0.0}
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([1, 2]))

@@ -145,9 +145,9 @@ def test_tape_equals_period_by_period_streams(seed, replication, alpha, bias,
 def test_receipt_book_buckets_and_completion():
     run = SimulationRun(make_config(params=FOP1, run_length=30, warmup=5))
     comp = run.system.items[20]
-    overdue = ProductionOrder(1, comp, 800, 3, 3, 1, 1, planned_completion=3)
-    future = ProductionOrder(2, comp, 1600, 9, 9, 5, 6, planned_completion=9)
-    twin = ProductionOrder(3, comp, 800, 9, 9, 5, 6, planned_completion=9)
+    overdue = ProductionOrder(1, comp, 800, 3, planned_completion=3)
+    future = ProductionOrder(2, comp, 1600, 9, planned_completion=9)
+    twin = ProductionOrder(3, comp, 800, 9, planned_completion=9)
     for order in (overdue, future, twin):
         run._commit(order)
 
@@ -162,6 +162,17 @@ def test_receipt_book_buckets_and_completion():
     run._on_completion(overdue, 0.0)
     assert run.receipt_book[20] == {9: 800}
     assert run.ledger.on_hand[20] == 2400
+
+
+def test_covered_until_never_moves_back():
+    run = SimulationRun(make_config(params=FOP1, run_length=30, warmup=5))
+    product = run.system.items[10]
+    seen = []
+    for uid, covered_end in enumerate((9, 5, 12), start=1):
+        run._release(ProductionOrder(uid, product, 800, covered_end,
+                                     planned_completion=covered_end), 0.0)
+        seen.append(run.covered_until[10])
+    assert seen == [9, 9, 12]
 
 
 def test_debug_checks_catch_receipt_book_drift():

@@ -16,8 +16,7 @@ from mrpsim.shopfloor import ProductionOrder
 
 def make_order(system, item_id, qty):
     return ProductionOrder(uid=1, item_cfg=system.items[item_id], qty=qty,
-                           due=10, covered_end=10, created_period=1,
-                           planned_start=1, planned_completion=2)
+                           covered_end=10, planned_completion=2)
 
 
 def test_ledger_receive_withdraw():
@@ -27,7 +26,6 @@ def test_ledger_receive_withdraw():
     ledger.receive(20, 800)
     ledger.withdraw(20, 300)
     assert ledger.on_hand[20] == 500
-    assert ledger.received[20] == 800
     assert ledger.withdrawn[20] == 300
 
 
@@ -44,7 +42,6 @@ def test_component_orders_always_release():
     ledger = StockLedger([10, 20])
     order = make_order(system, 20, 1600)
     assert try_release(order, ledger, 5.0)
-    assert order.status == "released"
     assert order.release_time == 5.0
 
 
@@ -54,7 +51,7 @@ def test_product_release_withdraws_components_atomically():
     order = make_order(system, 10, 800)   # needs 1600 component pieces
     assert try_release(order, ledger, 3.0)
     assert ledger.on_hand[20] == 400
-    assert order.status == "released"
+    assert order.release_time == 3.0
 
 
 def test_product_release_blocks_without_material():
@@ -62,7 +59,7 @@ def test_product_release_blocks_without_material():
     ledger = StockLedger([10, 20], initial={20: 1599})
     order = make_order(system, 10, 800)
     assert not try_release(order, ledger, 3.0)
-    assert order.status == "planned"
+    assert order.release_time == -1.0
     assert ledger.on_hand[20] == 1599   # nothing withdrawn
 
     ledger.receive(20, 1)
@@ -92,12 +89,12 @@ def test_fulfillment_all_or_nothing():
     demand = CustomerDemand(10, due=13, qty=739)
     queue = {10: deque([demand])}
     assert fulfill_due_demands(queue, ledger, period=13) == []
-    assert demand.open
+    assert demand.fulfilled_period is None
 
     ledger.receive(10, 800)
     shipped = fulfill_due_demands(queue, ledger, period=13)
     assert shipped == [demand]
-    assert not demand.open
+    assert demand.fulfilled_period == 13
     # surplus stays as finished-goods inventory
     assert ledger.on_hand[10] == 122
 

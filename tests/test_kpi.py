@@ -6,21 +6,26 @@ import pytest
 
 from mrpsim.config import CostRates
 from mrpsim.inventory import CustomerDemand
-from mrpsim.kpi import KpiTracker, PeriodSnapshot, accrue
+from mrpsim.kpi import KpiTracker, PeriodSnapshot
+
+
+def period_cost(wip, fgi, backorder):
+    """Cost of one measured period holding the given pieces."""
+    tracker = KpiTracker(run_length=2, warmup=1)
+    tracker.record_snapshot(PeriodSnapshot(1, 0, 0, 0))
+    tracker.record_snapshot(PeriodSnapshot(2, wip, fgi, backorder))
+    return tracker.summarize(CostRates(), demands=[],
+                             machine_utilization={}).overall_cost
 
 
 def test_accrue_cost_rates():
-    rates = CostRates()
-    snap = PeriodSnapshot(period=50, wip_pieces=200, fgi_pieces=100,
-                          backorder_pieces=50)
     # 200*0.5 + 100*1.0 + 50*19.0
-    assert accrue(snap, rates) == 1150.0
-    assert accrue(PeriodSnapshot(1, 0, 0, 0), rates) == 0.0
+    assert period_cost(200, 100, 50) == 1150.0
+    assert period_cost(0, 0, 0) == 0.0
 
 
 def test_accrue_backorder_dominates():
-    rates = CostRates()
-    assert accrue(PeriodSnapshot(1, 0, 0, 800), rates) == 15200.0
+    assert period_cost(0, 0, 800) == 15200.0
 
 
 def test_warmup_must_end_before_run():

@@ -1,4 +1,4 @@
-"""MRP core: netting rules, lot sizing, scheduling, explosion, covered horizon."""
+"""MRP core: netting rule, lot sizing, scheduling, explosion, covered horizon."""
 
 import random
 
@@ -16,6 +16,7 @@ from mrpsim.mrp import (
     POLICIES,
     SST_FACTORS,
     MrpItemState,
+    PlannedLot,
     PlanningParams,
     backward_schedule,
     explode,
@@ -23,8 +24,6 @@ from mrpsim.mrp import (
     net_requirement_standard,
     plan_item,
     run_mrp,
-    update_covered_until,
-    validate_horizon,
 )
 
 
@@ -208,15 +207,69 @@ def test_standard_mode_ignores_covered_until():
     assert [(l.due, l.qty) for l in lots] == [(4, 60)]
 
 
-def test_update_covered_until_is_monotone():
-    state = MrpItemState(on_hand=0, covered_until=2)
-    update_covered_until(state, 5)
-    assert state.covered_until == 5
-    update_covered_until(state, 3)
-    assert state.covered_until == 5
-    state = MrpItemState(on_hand=0, covered_until=9)
-    update_covered_until(state, 5)
-    assert state.covered_until == 9
+def _dense_plan(state, gross, item, policy, policy_param, plt, current_period,
+                horizon, extended):
+    """Reference scan: visits every period of the horizon and nets each one
+    through `net_requirement_extended`, where demand exists.  Trace rows are
+    kept for the periods `plan_item` visits, those with a bucket."""
+    covered_until = state.covered_until if extended else -1
+    on_hand = state.on_hand
+    lots, rows = [], []
+    for period in range(current_period, current_period + horizon + 1):
+        g = gross.get(period, 0)
+        r = state.receipts.get(period, 0)
+        net = 0
+        if g > 0:
+            net = int(net_requirement_extended(on_hand, g, r, state.safety_stock,
+                                               period, covered_until))
+        on_hand += r - g
+        added = 0
+        if net and policy == "FOP":
+            if lots and period <= lots[-1].covered_end:
+                lots[-1].qty += net
+            else:
+                lots.append(PlannedLot(item, period, net,
+                                       covered_end=period + policy_param - 1))
+            added = net
+        elif net:
+            added = -(-net // policy_param) * policy_param
+            lots.append(PlannedLot(item, period, added, covered_end=period))
+        if period in gross or period in state.receipts:
+            rows.append((item, period, g, r, on_hand, net, added))
+        on_hand += added
+    for lot in lots:
+        lot.start, lot.completion = backward_schedule(lot.due, plt, current_period)
+    return lots, rows
+
+
+_offsets = st.dictionaries(st.integers(-3, 33), st.integers(0, 1600),
+                           max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(policy=st.sampled_from(POLICIES), mode=st.sampled_from(MODES),
+       data=st.data())
+def test_sparse_plan_item_equals_dense_netting_scan(policy, mode, data):
+    policy_param = data.draw(st.sampled_from(
+        FOP_PERIODS if policy == "FOP" else FOQ_QUANTITIES))
+    plt = data.draw(st.sampled_from(PLT_VALUES))
+    t = data.draw(st.integers(1, 40))
+    horizon = data.draw(st.integers(0, 30))
+    state = MrpItemState(
+        on_hand=data.draw(st.integers(-800, 2400)),
+        receipts={t + k: q for k, q in data.draw(_offsets).items()},
+        safety_stock=data.draw(st.sampled_from((0, 160, 480, 1600))),
+        covered_until=t + data.draw(st.integers(-3, 20)))
+    gross = {t + k: q for k, q in data.draw(_offsets).items()}
+    extended = mode == "extended"
+
+    trace = []
+    lots = plan_item(state, gross, 10, policy, policy_param, plt, t, horizon,
+                     extended=extended, trace=trace)
+    ref_lots, ref_rows = _dense_plan(state, gross, 10, policy, policy_param,
+                                     plt, t, horizon, extended)
+    assert _lot_rows(lots) == _lot_rows(ref_lots)
+    assert trace == ref_rows
 
 
 # ------------------------------------------------------------- scheduling
@@ -332,15 +385,19 @@ def _lot_rows(lots):
             for l in lots]
 
 
+# Longer than every decision window of the grid (at most 8 + 3 + 9 - 1).
+_FULL_HORIZON = 30
+
+
 def _full_horizon_releases(product_states, product_gross, component_states,
                            extra_gross, params, t, system):
-    """Reference plan: every item netted over the whole planning horizon."""
+    """Reference plan: every item netted over a horizon past every window."""
     extended = params.mode == "extended"
     products = [lot for pid in sorted(product_states)
                 for lot in plan_item(product_states[pid],
                                      product_gross.get(pid, {}), pid,
                                      params.policy, params.policy_param,
-                                     params.plt, t, system.horizon,
+                                     params.plt, t, _FULL_HORIZON,
                                      extended=extended)]
     gross = explode(products, system)
     for cid, extra in extra_gross.items():
@@ -349,7 +406,7 @@ def _full_horizon_releases(product_states, product_gross, component_states,
     components = [lot for cid in sorted(component_states)
                   for lot in plan_item(component_states[cid], gross[cid], cid,
                                        "FOQ", params.component_lot,
-                                       system.component_plt, t, system.horizon)]
+                                       system.component_plt, t, _FULL_HORIZON)]
     return ([l for l in products if l.start <= t],
             [l for l in components if l.start <= t])
 
@@ -434,20 +491,3 @@ def test_planning_params_helpers():
     assert PlanningParams(sst_factor=1.5, plt=1, policy="FOP",
                           policy_param=1).safety_stock(800) == 1200
 
-
-def test_validate_horizon_accepts_whole_grid():
-    system = build_system("low")
-    for plt in PLT_VALUES:
-        for p in FOP_PERIODS:
-            validate_horizon(PlanningParams(sst_factor=0.0, plt=plt,
-                                            policy="FOP", policy_param=p), system)
-        for q in FOQ_QUANTITIES:
-            validate_horizon(PlanningParams(sst_factor=0.0, plt=plt,
-                                            policy="FOQ", policy_param=q), system)
-
-
-def test_validate_horizon_rejects_short_horizon():
-    system = build_system("low", {"planning": {"horizon": 20}})
-    params = PlanningParams(sst_factor=0.0, plt=4, policy="FOP", policy_param=6)
-    with pytest.raises(ValueError, match="horizon"):
-        validate_horizon(params, system)

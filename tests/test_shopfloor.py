@@ -12,9 +12,7 @@ from mrpsim.shopfloor import ProductionOrder, ShopFloor, sample_setup
 
 def make_order(system, item_id, qty, uid=1):
     order = ProductionOrder(uid=uid, item_cfg=system.items[item_id], qty=qty,
-                            due=10, covered_end=10, created_period=1,
-                            planned_start=1, planned_completion=2)
-    order.status = "released"
+                            covered_end=10, planned_completion=2)
     order.release_time = 0.0
     return order
 
@@ -52,7 +50,6 @@ def test_single_lot_operation_time():
     floor.advance(5000.0, lambda o, t: done.append((o.uid, t)))
     # two stages back to back: completes at 2592
     assert done == [(1, 2592.0)]
-    assert order.status == "completed"
     assert order.completion_time == 2592.0
 
 
@@ -108,13 +105,16 @@ def test_busy_minutes_clipped_to_window():
     assert util[201] == 0.0
 
 
-def test_piece_minutes_integral():
+def test_pieces_on_floor_count_released_lots_until_completion():
     system = deterministic_system()
     floor = ShopFloor(system, random.Random(0))
-    floor.dispatch(make_order(system, 10, 800), 0.0)
+    floor.dispatch(make_order(system, 10, 800, uid=1), 0.0)
+    floor.dispatch(make_order(system, 20, 1600, uid=2), 0.0)
+    assert floor.pieces_on_floor == 2400
+    # the component lot completes at 1182, the product lot at 2592
+    floor.advance(2000.0)
+    assert floor.pieces_on_floor == 800
     floor.advance(3000.0)
-    # 800 pieces on the floor from 0 until completion at 2592
-    assert floor.piece_minutes == pytest.approx(800 * 2592.0)
     assert floor.pieces_on_floor == 0
 
 
