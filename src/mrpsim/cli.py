@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=int, default=400)
     p.add_argument("--warmup", type=int, default=40)
     p.add_argument("--debug-checks", action="store_true",
-                   help="verify conservation invariants every period")
+                   help="verify conservation and planner bookkeeping every period")
     p.add_argument("--dump-forecasts", metavar="PATH",
                    help="write the run's forecast tape to a CSV file")
     p.add_argument("--replay-forecasts", metavar="PATH",
@@ -273,9 +273,7 @@ def cmd_grid(args) -> int:
 
 
 def _read_rows(indir: str) -> list[dict]:
-    path = indir
-    if os.path.isdir(path):
-        path = os.path.join(path, RESULTS_NAME)
+    path = os.path.join(indir, RESULTS_NAME) if os.path.isdir(indir) else indir
     if not os.path.exists(path):
         raise UsageError(f"no results file at {path}")
     return read_results(path)
@@ -284,12 +282,10 @@ def _read_rows(indir: str) -> list[dict]:
 def cmd_analyze(args) -> int:
     rows = _read_rows(args.indir)
     table = TABLES["mode-comparison"](rows, args.paired, args.csv)
+    print(table)
     if table.count("\n") <= 4 and not args.csv:
         modes = sorted({r["mode"] for r in rows})
-        print(table)
         print(f"(no instance has both modes; results contain {modes})")
-        return 0
-    print(table)
     return 0
 
 
@@ -337,13 +333,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExperimentError as exc:

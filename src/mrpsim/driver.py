@@ -14,17 +14,19 @@ One simulated period runs through a fixed sequence:
   5. due and backordered demands ship all-or-nothing from final-goods stock
   6. end-of-period snapshot prices WIP, FGI and open demand
 
-Steps 1 and 2 read the forecast tape (`build_tape`): every forecast value of one
-(seed, replication, instance), drawn from common-random-number substreams
-before the first period, so demand histories are identical across planning
-parameters and netting modes.  Setup times use a separate substream.
+Steps 1 and 2 read the forecast tape (`build_tape`), per product a list indexed
+by due period that holds every forecast value of one (seed, replication,
+instance), drawn from common-random-number substreams before the first period,
+so demand histories are identical across planning parameters and netting
+modes.  Setup times use a separate substream.  Step 2 nets each item's receipt
+book as it is, through one `MrpItemState` per item that lives all run.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import SystemConfig, build_system
 from .forecast import (ForecastStream, ScenarioParams, advance,
@@ -58,17 +60,19 @@ class PeriodLogEntry:
     shipped_demands: int
 
 
-Tape = dict[tuple[int, int], tuple[int, ...]]
+Tape = dict[int, list[tuple[int, ...] | None]]
 
 
 def build_tape(config: RunConfig) -> Tape:
-    """Every forecast value a run of `config` reads, keyed (product, due):
-    a stream's values in order of rising j, one per update from j = min(H,
+    """Every forecast value a run of `config` reads: per product a list
+    indexed by due period, None where no order is due.  An entry holds one
+    stream's values in order of rising j, one per update from j = min(H,
     due - 1) down to j = max(0, due - run_length).  Planning parameters
     never enter, so runs that differ only in them can share one tape."""
     scenario, last, replay = config.scenario, config.run_length, config.replay
     tape: Tape = {}
     for product in sorted(config.system.final_products):
+        column = tape[product] = [None] * (last + scenario.horizon + 1)
         for due in config.system.demand.due_dates(product, 1, last + scenario.horizon):
             stream = ForecastStream(product, due, long_term_forecast(scenario))
             rng = stream_rng(config.base_seed, config.replication, product, due)
@@ -77,7 +81,7 @@ def build_tape(config: RunConfig) -> Tape:
                 advance(stream, j, scenario, rng,
                         replay.get((product, due, j)) if replay else None)
                 values.append(stream.value)
-            tape[product, due] = tuple(reversed(values))
+            column[due] = tuple(reversed(values))
     return tape
 
 
@@ -92,18 +96,20 @@ class SimulationRun:
         self.config = config
         system = config.system
         self.system = system
-        self.scenario = config.scenario
-        self.params = config.params
         self.pm = system.period_minutes
         self.products = sorted(system.final_products)
         self.components = sorted(system.components)
         self.x = long_term_forecast(config.scenario)
         self.safety = config.params.safety_stock(system.demand.expected_amount)
+        self.product_window = decision_windows(config.params, system)[0]
 
         self.tape: Tape = {} if tape is None else tape
         if not self.tape:
             self.tape.update(build_tape(config))
+        # the first due period of each product that has not firmed yet
+        self.next_due = {p: system.demand.first_due(p) for p in self.products}
         self.demands_open: dict[int, deque] = {p: deque() for p in self.products}
+        self.backlog = {p: 0 for p in self.products}   # open demand pieces
         self.demands_all: list[CustomerDemand] = []
 
         # The run starts at its planning target: final-product stock equals
@@ -121,10 +127,14 @@ class SimulationRun:
 
         # Scheduled receipts per item, {planned completion period: pieces},
         # of every committed order that has not completed yet.
-        self.receipt_book: dict[int, dict[int, int]] = {
-            i: {} for i in system.items}
+        self.receipt_book: dict[int, dict[int, int]] = {i: {} for i in system.items}
+        self.product_states = {p: MrpItemState(0, self.receipt_book[p], self.safety)
+                               for p in self.products}
+        self.component_states = {
+            c: MrpItemState(0, self.receipt_book[c], system.component_sst)
+            for c in self.components}
         self.blocked: list[ProductionOrder] = []
-        self.covered_until: dict[int, int] = {p: 0 for p in self.products}
+        self.period = 0   # the receipt books' current bucket, see _fold_receipts
         self._uid = 0
         self._dispatched_pieces = 0
         self._shipped_pieces = 0
@@ -136,66 +146,53 @@ class SimulationRun:
 
     def _firm_demands(self, t: int) -> None:
         for product in self.products:
-            for due in self.system.demand.due_dates(product, t, t):
-                demand = CustomerDemand(product, t, self.tape[product, due][0])
+            if self.next_due[product] == t:
+                demand = CustomerDemand(product, t, self.tape[product][t][0])
                 self.demands_open[product].append(demand)
                 self.demands_all.append(demand)
+                self.backlog[product] += demand.qty
+                self.next_due[product] = t + self.system.demand.interval
 
     # -- planning ------------------------------------------------------------
 
-    def _receipts(self, item: int, t: int, last: int) -> dict[int, int]:
-        """Scheduled receipts of one item bucketed for netting in [t, last].
-
-        Overdue receipts count in the current bucket.  Pushing them out
-        instead makes netting order a duplicate lot for every period an
-        order runs late, which snowballs once a machine is congested.
-        """
-        receipts: dict[int, int] = {}
-        for period, qty in self.receipt_book[item].items():
-            if period <= last:
-                bucket = max(period, t)
-                receipts[bucket] = receipts.get(bucket, 0) + qty
-        return receipts
+    def _fold_receipts(self, t: int) -> None:
+        """Move each book's overdue bucket, period t - 1, into period t: pushed
+        out, late receipts would order a duplicate lot every late period."""
+        self.period = t
+        for book in self.receipt_book.values():
+            overdue = book.pop(t - 1, 0)
+            if overdue:
+                book[t] = book.get(t, 0) + overdue
 
     def _plan(self, t: int):
-        system = self.system
-        fh = self.scenario.horizon
+        fh = self.config.scenario.horizon
         rl = self.config.run_length
-        product_last, component_last = (
-            t + w for w in decision_windows(self.params, system))
+        interval = self.system.demand.interval
+        product_last = t + self.product_window
+        on_hand = self.ledger.on_hand
 
-        product_states: dict[int, MrpItemState] = {}
         product_gross: dict[int, dict[int, int]] = {}
-        for product in self.products:
-            gross: dict[int, int] = {}
-            backlog = sum(d.qty for d in self.demands_open[product])
-            if backlog:
-                gross[t] = backlog
-            for due in system.demand.due_dates(product, t + 1, product_last):
+        for product, state in self.product_states.items():
+            state.on_hand = on_hand[product]
+            gross = {t: self.backlog[product]} if self.backlog[product] else {}
+            column = self.tape[product]
+            for due in range(self.next_due[product], product_last + 1, interval):
                 # tape entries start at j = max(0, due - run_length)
                 gross[due] = (self.x if due - t > fh else
-                              self.tape[product, due][min(due, rl) - t])
+                              column[due][min(due, rl) - t])
             product_gross[product] = gross
-            product_states[product] = MrpItemState(
-                on_hand=self.ledger.on_hand[product],
-                receipts=self._receipts(product, t, product_last),
-                safety_stock=self.safety,
-                covered_until=self.covered_until[product])
 
-        component_states: dict[int, MrpItemState] = {}
         extra_gross: dict[int, dict[int, int]] = {c: {} for c in self.components}
         for order in self.blocked:
             bucket = extra_gross[order.component]
             bucket[t] = bucket.get(t, 0) + order.component_need
-        for comp in self.components:
-            component_states[comp] = MrpItemState(
-                on_hand=self.ledger.on_hand[comp],
-                receipts=self._receipts(comp, t, component_last),
-                safety_stock=system.component_sst, covered_until=0)
+        for comp, state in self.component_states.items():
+            state.on_hand = on_hand[comp]
 
         trace = [] if self.mrp_trace is not None else None
-        result = run_mrp(product_states, product_gross, component_states,
-                         extra_gross, self.params, t, system, trace=trace)
+        result = run_mrp(self.product_states, product_gross,
+                         self.component_states, extra_gross, self.config.params, t,
+                         self.system, trace=trace)
         if trace is not None:
             self.mrp_trace.extend((t,) + row for row in trace)
         return result
@@ -213,8 +210,9 @@ class SimulationRun:
         self._released_this_period += 1
         if order.component is not None:
             # a released final-product lot extends the covered horizon
-            if order.covered_end > self.covered_until[order.item]:
-                self.covered_until[order.item] = order.covered_end
+            state = self.product_states[order.item]
+            if order.covered_end > state.covered_until:
+                state.covered_until = order.covered_end
             self.kpi.record_release(self.pm, time)
 
     def _retry_blocked(self, time: float) -> None:
@@ -247,7 +245,8 @@ class SimulationRun:
     def _on_completion(self, order: ProductionOrder, time: float) -> None:
         self.ledger.receive(order.item, order.qty)
         book = self.receipt_book[order.item]
-        period = order.planned_completion
+        # an overdue order's pieces were folded into the current bucket
+        period = max(order.planned_completion, self.period)
         book[period] -= order.qty
         if not book[period]:
             del book[period]
@@ -264,6 +263,7 @@ class SimulationRun:
         minute_end = t * self.pm
         self._released_this_period = 0
 
+        self._fold_receipts(t)
         self._firm_demands(t)
         result = self._plan(t)
         self._retry_blocked(minute_start)
@@ -271,13 +271,14 @@ class SimulationRun:
         self._release_new(result.release_components, minute_start)
         self.shop.advance(minute_end, self._on_completion)
         shipped = fulfill_due_demands(self.demands_open, self.ledger, t)
-        self._shipped_pieces += sum(d.qty for d in shipped)
+        for demand in shipped:
+            self.backlog[demand.product] -= demand.qty
+            self._shipped_pieces += demand.qty
 
-        ledger = self.ledger
-        fgi = sum(ledger.on_hand[p] for p in self.products)
-        comp_stock = sum(ledger.on_hand[c] for c in self.components)
-        wip = self.shop.pieces_on_floor + comp_stock
-        backorder = sum(d.qty for q in self.demands_open.values() for d in q)
+        on_hand = self.ledger.on_hand
+        fgi = sum(on_hand[p] for p in self.products)
+        wip = self.shop.pieces_on_floor + sum(on_hand[c] for c in self.components)
+        backorder = sum(self.backlog.values())
         self.kpi.record_snapshot(PeriodSnapshot(t, wip, fgi, backorder))
 
         if self.period_log is not None:
@@ -300,6 +301,15 @@ class SimulationRun:
             raise AssertionError(
                 f"piece conservation broken in period {t}: wip+fgi={wip + fgi} "
                 f"vs dispatched-shipped-consumed={balance}")
+        for product, queue in self.demands_open.items():
+            if self.backlog[product] != sum(d.qty for d in queue):
+                raise AssertionError(
+                    f"backlog of product {product} out of step in period {t}")
+        for item, book in self.receipt_book.items():
+            if book and min(book) < t:
+                raise AssertionError(
+                    f"receipt book of item {item} holds period {min(book)} "
+                    f"before period {t}")
         booked = sum(sum(book.values()) for book in self.receipt_book.values())
         outstanding = (self.shop.pieces_on_floor
                        + sum(order.qty for order in self.blocked))

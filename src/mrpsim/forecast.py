@@ -196,12 +196,15 @@ DUMP_HEADER = ("product", "due_date", "j", "epsilon", "value")
 
 
 def dump_tape(tape: dict, scenario: ScenarioParams, path: str) -> None:
-    """Write a forecast tape (`driver.build_tape`) as CSV: per stream the
-    long-term starting value at j = H + 1, then one row per update."""
+    """Write a forecast tape (`driver.build_tape`, indexed by due period) as
+    CSV by product and due date: per stream the long-term starting value at
+    j = H + 1, then one row per update."""
+    streams = [(product, due, values) for product, column in sorted(tape.items())
+               for due, values in enumerate(column) if values is not None]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(DUMP_HEADER)
-        for (product, due), values in sorted(tape.items()):
+        for product, due, values in streams:
             prev = long_term_forecast(scenario)
             w.writerow([product, due, HORIZON + 1, 0, prev])
             for j, value in zip(range(min(scenario.horizon, due - 1), -1, -1),

@@ -26,7 +26,7 @@ class ProductionOrder:
     """One released or material-blocked lot on its way through the plant."""
 
     __slots__ = ("uid", "item", "qty", "covered_end", "planned_completion",
-                 "release_time", "completion_time", "stage", "routing",
+                 "release_time", "stage", "routing",
                  "proc_min", "component", "component_need")
 
     def __init__(self, uid: int, item_cfg, qty: int, covered_end: int,
@@ -37,7 +37,6 @@ class ProductionOrder:
         self.covered_end = covered_end
         self.planned_completion = planned_completion
         self.release_time = -1.0
-        self.completion_time = -1.0
         self.stage = 0
         self.routing = item_cfg.routing
         self.proc_min = item_cfg.processing_min
@@ -45,28 +44,30 @@ class ProductionOrder:
         self.component_need = qty * item_cfg.component_qty
 
 
-def sample_setup(rng: random.Random, mean: float, cv: float) -> float:
-    """Lognormal setup time with given mean and coefficient of variation."""
-    if mean <= 0:
-        return 0.0
-    if cv <= 0:
-        return mean
-    sigma2 = math.log(1.0 + cv * cv)
-    mu = math.log(mean) - sigma2 / 2.0
-    return rng.lognormvariate(mu, math.sqrt(sigma2))
-
-
 class _MachineState:
-    __slots__ = ("id", "setup_mean", "setup_cv", "queue", "busy",
-                 "busy_window_min")
+    __slots__ = ("id", "setup_mean", "setup_mu", "setup_sigma", "queue",
+                 "busy", "busy_window_min")
 
     def __init__(self, machine_cfg):
         self.id = machine_cfg.id
-        self.setup_mean = machine_cfg.setup_mean_min
-        self.setup_cv = machine_cfg.setup_cv
+        mean, cv = machine_cfg.setup_mean_min, machine_cfg.setup_cv
+        # lognormal (mu, sigma) of the given mean and coefficient of
+        # variation; sigma None marks a fixed setup that draws nothing
+        self.setup_mean = max(mean, 0.0)
+        self.setup_mu = self.setup_sigma = None
+        if mean > 0 and cv > 0:
+            sigma2 = math.log(1.0 + cv * cv)
+            self.setup_mu = math.log(mean) - sigma2 / 2.0
+            self.setup_sigma = math.sqrt(sigma2)
         self.queue: deque = deque()
         self.busy = False
         self.busy_window_min = 0.0
+
+    def draw_setup(self, rng: random.Random) -> float:
+        """One setup time: a lognormal draw, or the fixed mean without one."""
+        if self.setup_sigma is not None:
+            return rng.lognormvariate(self.setup_mu, self.setup_sigma)
+        return self.setup_mean
 
 
 class ShopFloor:
@@ -76,7 +77,6 @@ class ShopFloor:
                  window_start_min: float = 0.0,
                  window_end_min: float = float("inf"),
                  event_log: list | None = None):
-        self.system = system
         self.rng = rng
         self.machines = {mid: _MachineState(m) for mid, m in system.machines.items()}
         self.events: list = []
@@ -108,8 +108,7 @@ class ShopFloor:
         if machine.busy or not machine.queue:
             return
         order = machine.queue.popleft()
-        setup = sample_setup(self.rng, machine.setup_mean, machine.setup_cv)
-        duration = setup + order.qty * order.proc_min
+        duration = machine.draw_setup(self.rng) + order.qty * order.proc_min
         machine.busy = True
         self._record_busy(time, time + duration, machine)
         self._push(time + duration, _DONE, order)
@@ -122,12 +121,11 @@ class ShopFloor:
         events = self.events
         while events and events[0][0] <= until:
             time, _, kind, order = heapq.heappop(events)
+            machine = self.machines[order.routing[order.stage]]
             if kind == _ARRIVE:
-                machine = self.machines[order.routing[order.stage]]
                 machine.queue.append(order)
                 self._try_start(machine, time)
             else:
-                machine = self.machines[order.routing[order.stage]]
                 machine.busy = False
                 if self.event_log is not None:
                     self.event_log.append((time, "finish_op", order.uid,
@@ -137,7 +135,6 @@ class ShopFloor:
                 if order.stage < len(order.routing):
                     self._push(time, _ARRIVE, order)
                 else:
-                    order.completion_time = time
                     self.pieces_on_floor -= order.qty
                     if on_completion is not None:
                         on_completion(order, time)

@@ -53,7 +53,7 @@ from mrpsim.mrp import (
     net_requirement_standard,
     plan_item,
 )
-from mrpsim.shopfloor import sample_setup
+from mrpsim.shopfloor import ShopFloor
 
 SERIAL_SCALE = 8
 
@@ -414,8 +414,10 @@ def test_c10_sampler_moments():
     start_time = time.perf_counter()
     n = 100_000
 
-    rng = random.Random(77)
-    setups = [sample_setup(rng, 216.0, 0.2) for _ in range(n)]
+    # a low-utilization product machine: setup mean 216 min, cv 0.2
+    floor = ShopFloor(build_system("low"), random.Random(77))
+    machine = floor.machines[102]
+    setups = [machine.draw_setup(floor.rng) for _ in range(n)]
     setup_mean = statistics.fmean(setups)
     assert setup_mean == pytest.approx(216.0, rel=0.01)
     assert statistics.stdev(setups) / setup_mean == pytest.approx(0.2, rel=0.02)

@@ -1,14 +1,17 @@
 """Full simulation runs: determinism, CRN, conservation, golden steady state."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mrpsim import driver
 from mrpsim.driver import SimulationRun, build_tape, make_config
 from mrpsim.forecast import (SCHEDULES, ForecastStream, advance, dump_tape,
                              load_replay, long_term_forecast, stream_rng)
-from mrpsim.mrp import PlanningParams
+from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
+                        PlanningParams, decision_windows)
 from mrpsim.shopfloor import ProductionOrder
 
 FOP1 = PlanningParams(0.0, 1, "FOP", 1)
@@ -89,12 +92,35 @@ def test_firmed_demands_match_stream_values():
     run = SimulationRun(cfg)
     run.run()
     firmed = {(d.product, d.due): d.qty for d in run.demands_all}
-    due_in_run = {key: values for key, values in run.tape.items()
+    due_in_run = {key: values for key, values in _keyed(run.tape).items()
                   if key[1] <= 60}
     assert firmed.keys() == due_in_run.keys()
     for key, values in due_in_run.items():
         # the j = 0 value is the final forecast; its update is always zero
         assert firmed[key] == values[0] == values[1]
+
+
+def _keyed(tape):
+    """An indexed tape's streams keyed (product, due)."""
+    return {(product, due): values for product, column in tape.items()
+            for due, values in enumerate(column) if values is not None}
+
+
+def _keyed_tape(cfg):
+    """The forecast tape keyed (product, due), built stream by stream over
+    `DemandPattern.due_dates`."""
+    scenario, last = cfg.scenario, cfg.run_length
+    tape = {}
+    for product in sorted(cfg.system.final_products):
+        for due in cfg.system.demand.due_dates(product, 1, last + scenario.horizon):
+            stream = ForecastStream(product, due, long_term_forecast(scenario))
+            rng = stream_rng(cfg.base_seed, cfg.replication, product, due)
+            values = []
+            for j in range(min(scenario.horizon, due - 1), max(0, due - last) - 1, -1):
+                advance(stream, j, scenario, rng)
+                values.append(stream.value)
+            tape[product, due] = tuple(reversed(values))
+    return tape
 
 
 def _reference_tape(cfg):
@@ -134,8 +160,12 @@ def test_tape_equals_period_by_period_streams(seed, replication, alpha, bias,
                       overrides={"demand": {"first_delay": first_delay}})
     reference = _reference_tape(cfg)
     tape = build_tape(cfg)
+    assert sorted(tape) == sorted(cfg.system.final_products)
+    # one slot per due period the run can read, None where nothing is due
+    assert {len(column) for column in tape.values()} == \
+        {run_length + cfg.scenario.horizon + 1}
     got = {}
-    for (product, due), values in tape.items():
+    for (product, due), values in _keyed(tape).items():
         lo = max(0, due - run_length)
         for offset, value in enumerate(values):
             got[product, due, lo + offset] = value
@@ -145,22 +175,29 @@ def test_tape_equals_period_by_period_streams(seed, replication, alpha, bias,
 def test_receipt_book_buckets_and_completion():
     run = SimulationRun(make_config(params=FOP1, run_length=30, warmup=5))
     comp = run.system.items[20]
-    overdue = ProductionOrder(1, comp, 800, 3, planned_completion=3)
+    late = ProductionOrder(1, comp, 800, 3, planned_completion=3)
     future = ProductionOrder(2, comp, 1600, 9, planned_completion=9)
     twin = ProductionOrder(3, comp, 800, 9, planned_completion=9)
-    for order in (overdue, future, twin):
+    for order in (late, future, twin):
         run._commit(order)
+    book = run.receipt_book[20]
+    assert book == {3: 800, 9: 2400}
+    # the book is the receipts dict MRP nets, for the whole run
+    assert run.component_states[20].receipts is book
+    assert run.product_states[10].receipts is run.receipt_book[10]
 
-    # overdue pieces count in the current bucket, later ones keep their
-    # period, and receipts past the window are left out
-    assert run._receipts(20, 5, 12) == {5: 800, 9: 2400}
-    assert run._receipts(20, 5, 8) == {5: 800}
-    assert run._receipts(21, 5, 12) == {}
+    # each period folds the overdue bucket into the current one; later
+    # receipts keep their period
+    run._fold_receipts(4)
+    run._fold_receipts(5)
+    assert book == {5: 800, 9: 2400}
+    assert run.receipt_book[21] == {}
 
     run._on_completion(future, 0.0)
-    assert run.receipt_book[20] == {3: 800, 9: 800}
-    run._on_completion(overdue, 0.0)
-    assert run.receipt_book[20] == {9: 800}
+    assert book == {5: 800, 9: 800}
+    # an overdue order completes out of the current bucket
+    run._on_completion(late, 0.0)
+    assert book == {9: 800}
     assert run.ledger.on_hand[20] == 2400
 
 
@@ -171,19 +208,43 @@ def test_covered_until_never_moves_back():
     for uid, covered_end in enumerate((9, 5, 12), start=1):
         run._release(ProductionOrder(uid, product, 800, covered_end,
                                      planned_completion=covered_end), 0.0)
-        seen.append(run.covered_until[10])
+        seen.append(run.product_states[10].covered_until)
     assert seen == [9, 9, 12]
 
 
-def test_debug_checks_catch_receipt_book_drift():
+def _checked_run_at(period):
     cfg = make_config(alpha=0.06, params=FOP1, run_length=30, warmup=5,
                       debug_checks=True)
     run = SimulationRun(cfg)
-    for t in range(1, 21):
+    for t in range(1, period + 1):
         run.step(t)
+    return run
+
+
+def test_debug_checks_catch_receipt_book_drift():
+    run = _checked_run_at(20)
     book = next(book for book in run.receipt_book.values() if book)
     book[next(iter(book))] += 1
-    with pytest.raises(AssertionError, match="receipt book"):
+    with pytest.raises(AssertionError, match="receipt book out of step"):
+        run.step(21)
+
+
+def test_debug_checks_catch_backlog_drift():
+    run = _checked_run_at(20)
+    run.backlog[10] += 1
+    with pytest.raises(AssertionError, match="backlog of product 10"):
+        run.step(21)
+
+
+def test_debug_checks_catch_unfolded_receipt_book():
+    run = _checked_run_at(20)
+    # a bucket two periods overdue escapes the one-bucket fold; moving a
+    # piece there keeps the booked total right
+    item, book = next((i, b) for i, b in run.receipt_book.items() if b)
+    book[next(iter(book))] -= 1
+    book[18] = 1
+    with pytest.raises(AssertionError,
+                       match=f"item {item} holds period 18 before period 21"):
         run.step(21)
 
 
@@ -245,10 +306,90 @@ def test_runs_share_a_tape_and_leave_it_unchanged():
     tape = {}
     first = SimulationRun(cfg, tape=tape)
     assert tape and first.tape is tape
-    snapshot = dict(tape)
+    snapshot = {product: list(column) for product, column in tape.items()}
     first.run()
     other = dataclasses.replace(
         cfg, params=PlanningParams(0.4, 3, "FOQ", 400, mode="extended"))
     summarize(other, tape=tape)
     assert tape == snapshot == build_tape(cfg)
+    # the indexed tape holds the streams of the keyed one and nothing else
+    assert _keyed(tape) == _keyed_tape(cfg)
     assert summary_tuple(summarize(cfg, tape=tape)) == alone
+
+
+_POLICIES = ([("FOP", p) for p in FOP_PERIODS]
+             + [("FOQ", q) for q in FOQ_QUANTITIES])
+
+
+@settings(max_examples=60, deadline=None)
+@given(utilization=st.sampled_from(("low", "high")),
+       alpha=st.sampled_from((0.0, 0.06, 0.12)),
+       bias=st.sampled_from(sorted(SCHEDULES)),
+       first_delay=st.integers(0, 14), run_length=st.integers(1, 70),
+       sst=st.sampled_from((0.0, 0.6, 2.0)), plt=st.sampled_from(PLT_VALUES),
+       policy=st.sampled_from(_POLICIES), mode=st.sampled_from(MODES))
+@example(utilization="high", alpha=0.12, bias="unbiased", first_delay=12,
+         run_length=70, sst=0.0, plt=1, policy=("FOP", 1), mode="standard")
+def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
+                                                 first_delay, run_length, sst,
+                                                 plt, policy, mode):
+    """Every period, MRP receives the gross and receipt dicts the planner
+    built from scratch before they were kept live: gross from
+    `due_dates` and a keyed tape, receipts from the outstanding orders
+    bucketed at max(planned completion, now)."""
+    params = PlanningParams(sst, plt, policy[0], policy[1], mode=mode)
+    cfg = make_config(utilization=utilization, alpha=alpha,
+                      beta=int(bias != "unbiased"), bias=bias, params=params,
+                      run_length=run_length, warmup=0,
+                      overrides={"demand": {"first_delay": first_delay}})
+    system, scenario = cfg.system, cfg.scenario
+    keyed = _keyed_tape(cfg)
+    x = long_term_forecast(scenario)
+    window = decision_windows(params, system)[0]
+    run = SimulationRun(cfg)
+
+    made, completed, released = [], set(), []
+    make, complete, dispatch = (run._make_order, run._on_completion,
+                                run.shop.dispatch)
+    run._make_order = lambda lot: made.append(make(lot)) or made[-1]
+    run._on_completion = lambda order, time: (completed.add(order.uid),
+                                              complete(order, time))
+    run.shop.dispatch = lambda order, time: (released.append(order),
+                                             dispatch(order, time))
+
+    planned_periods = []
+    real_run_mrp = driver.run_mrp
+
+    def checked_run_mrp(product_states, product_gross, component_states,
+                        extra_gross, params_, t, system_, trace=None):
+        for product in sorted(system.final_products):
+            gross = {}
+            backlog = sum(d.qty for d in run.demands_open[product])
+            if backlog:
+                gross[t] = backlog
+            for due in system.demand.due_dates(product, t + 1, t + window):
+                gross[due] = (x if due - t > scenario.horizon else
+                              keyed[product, due][min(due, run_length) - t])
+            assert product_gross[product] == gross
+            covered = max((o.covered_end for o in released
+                           if o.item == product), default=0)
+            assert product_states[product].covered_until == covered
+            assert product_states[product].safety_stock == \
+                params.safety_stock(system.demand.expected_amount)
+        outstanding = [o for o in made if o.uid not in completed]
+        for item, state in {**product_states, **component_states}.items():
+            receipts = {}
+            for order in outstanding:
+                if order.item == item:
+                    bucket = max(order.planned_completion, t)
+                    receipts[bucket] = receipts.get(bucket, 0) + order.qty
+            assert state.receipts == receipts
+            assert state.on_hand == run.ledger.on_hand[item]
+        planned_periods.append(t)
+        return real_run_mrp(product_states, product_gross, component_states,
+                            extra_gross, params_, t, system_, trace=trace)
+
+    with mock.patch.object(driver, "run_mrp", checked_run_mrp):
+        for t in range(1, run_length + 1):
+            run.step(t)
+    assert planned_periods == list(range(1, run_length + 1))

@@ -1,6 +1,7 @@
 """Experiment harness: grid enumeration, execution, result files, analysis."""
 
 import copy
+import hashlib
 import os
 
 import pytest
@@ -113,6 +114,25 @@ def test_run_grid_shared_tapes_match_cells_run_alone():
     alone = [run_cell(c, 11, SHARED.run_length, SHARED.warmup) for c in cells]
     assert run_grid(SHARED, base_seed=11, workers=1) == alone
     assert run_grid(SHARED, base_seed=11, workers=2) == alone
+
+
+# One unbiased and one biased instance, plt 1 and 4, FOP 9 and FOQ 400,
+# both modes, two replications: 64 short cells.
+PINNED_GRID = GridSpec(name="pinned", utilizations=("medium",), alphas=(0.08,),
+                       biased_schedules=("permanent_underbooking",),
+                       sst_factors=(0.2, 1.0), plts=(1, 4), fop_periods=(9,),
+                       foq_quantities=(400,), component_lots=(800,),
+                       replications=2, run_length=80, warmup=10)
+PINNED_SHA256 = "a91434c1db3656e74ca44ad92e3cce3e66f70d9d97c69f56182d02c4b875d485"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_grid_results_bytes_are_pinned(tmp_path, workers):
+    assert PINNED_GRID.n_cells == 64
+    path = tmp_path / "results.csv"
+    write_results(run_grid(PINNED_GRID, base_seed=42, workers=workers),
+                  str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
 
 
 def _dies_on_cell_5(cell, *args, **kwargs):

@@ -1,13 +1,13 @@
 """Job shop: setup sampling, FIFO machines, staged routing, busy accounting."""
 
-import math
+import dataclasses
 import random
 import statistics
 
 import pytest
 
 from mrpsim.config import build_system
-from mrpsim.shopfloor import ProductionOrder, ShopFloor, sample_setup
+from mrpsim.shopfloor import ProductionOrder, ShopFloor
 
 
 def make_order(system, item_id, qty, uid=1):
@@ -21,10 +21,19 @@ def deterministic_system():
     return build_system("low", {"setup": {"cv": 0.0}})
 
 
+def setup_draws(mean, cv, n, seed=1):
+    """n setups drawn by the shop floor's own machine state for one product
+    machine set to the given setup mean and coefficient of variation."""
+    system = build_system("low")
+    machine = dataclasses.replace(system.machines[102], setup_mean_min=mean,
+                                  setup_cv=cv)
+    floor = ShopFloor(dataclasses.replace(system, machines={102: machine}),
+                      random.Random(seed))
+    return [floor.machines[102].draw_setup(floor.rng) for _ in range(n)]
+
+
 def test_sample_setup_moments():
-    rng = random.Random(2024)
-    n = 100000
-    draws = [sample_setup(rng, 216.0, 0.2) for _ in range(n)]
+    draws = setup_draws(216.0, 0.2, 100000, seed=2024)
     mean = statistics.fmean(draws)
     cv = statistics.stdev(draws) / mean
     assert mean == pytest.approx(216.0, rel=0.01)
@@ -33,10 +42,15 @@ def test_sample_setup_moments():
 
 
 def test_sample_setup_edge_cases():
-    rng = random.Random(1)
-    assert sample_setup(rng, 0.0, 0.2) == 0.0
-    assert sample_setup(rng, -5.0, 0.2) == 0.0
-    assert sample_setup(rng, 216.0, 0.0) == 216.0
+    assert setup_draws(0.0, 0.2, 3) == [0.0] * 3
+    assert setup_draws(-5.0, 0.2, 3) == [0.0] * 3
+    assert setup_draws(216.0, 0.0, 3) == [216.0] * 3
+    # a fixed setup draws nothing from the floor's stream
+    system = build_system("low", {"setup": {"cv": 0.0}})
+    floor = ShopFloor(system, random.Random(5))
+    state = floor.rng.getstate()
+    floor.machines[101].draw_setup(floor.rng)
+    assert floor.rng.getstate() == state
 
 
 def test_single_lot_operation_time():
@@ -47,10 +61,10 @@ def test_single_lot_operation_time():
     floor.dispatch(order, 0.0)
 
     done = []
-    floor.advance(5000.0, lambda o, t: done.append((o.uid, t)))
+    floor.advance(5000.0, lambda o, t: done.append((o, t)))
     # two stages back to back: completes at 2592
-    assert done == [(1, 2592.0)]
-    assert order.completion_time == 2592.0
+    assert done == [(order, 2592.0)]
+    assert floor.pieces_on_floor == 0
 
 
 def test_component_single_stage():
