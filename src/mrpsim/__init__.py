@@ -14,16 +14,16 @@ __version__ = "0.1.0"
 from .config import SystemConfig, build_system, planned_utilization
 from .forecast import ScenarioParams, SCHEDULES
 from .mrp import PlanningParams
-from .driver import RunConfig, SimulationRun, make_config, run
+from .driver import RunConfig, SimulationRun
 from .kpi import RunSummary
-from .experiment import GridSpec, Instance, PRESETS, run_grid
+from .experiment import GridSpec, Instance, PRESETS, make_config, run_grid
 
 __all__ = [
     "__version__",
     "SystemConfig", "build_system", "planned_utilization",
     "ScenarioParams", "SCHEDULES",
     "PlanningParams",
-    "RunConfig", "SimulationRun", "make_config", "run",
+    "RunConfig", "SimulationRun",
     "RunSummary",
-    "GridSpec", "Instance", "PRESETS", "run_grid",
+    "GridSpec", "Instance", "PRESETS", "make_config", "run_grid",
 ]

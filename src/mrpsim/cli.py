@@ -8,8 +8,9 @@ Subcommands:
     analyze    compare extended vs standard netting with significance tests
     tables     render summary tables from a results file
 
-Every command accepts --seed and --config; outputs are deterministic given
-flags plus seed.  Exit codes: 0 success, 1 any cell failure, 2 usage error.
+--seed is taken by simulate and grid, --config by validate, simulate and
+grid; outputs are deterministic given flags plus seed.  Exit codes: 0
+success, 1 any cell failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ import os
 import sys
 
 from . import __version__
-from .config import (load_overrides, build_system, validate_system,
-                     planned_utilization_table, UTILIZATION_LEVELS)
-from .driver import SimulationRun, make_config
-from .forecast import SCHEDULES, BIASED_SCHEDULES, dump_tape, load_replay
-from .mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES, SST_FACTORS,
-                  COMPONENT_LOTS, PlanningParams)
-from .experiment import (PRESETS, ExperimentError, default_workers, run_grid,
-                         read_results, write_results, write_manifest)
+from .config import (RUN_LENGTH, WARMUP, load_overrides, build_system,
+                     validate_system, planned_utilization_table,
+                     UTILIZATION_LEVELS)
+from .driver import SimulationRun
+from .forecast import BIASED_SCHEDULES, dump_tape, load_replay
+from .mrp import MODES, PlanningParams
+from .experiment import (PRESETS, ExperimentError, default_workers,
+                         make_config, run_grid, read_results, write_results,
+                         write_manifest)
 from .tables import TABLES
 
 RESULTS_NAME = "results.csv"
@@ -48,9 +50,12 @@ def _parse_policy(text: str) -> tuple[str, int]:
         raise UsageError(f"policy parameter must be an integer, got {value!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42,
                         help="base random seed (default 42)")
+
+
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON file overriding system constants")
 
@@ -66,10 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate",
                        help="check configuration, print utilization and "
                             "grid-count tables")
-    _add_common(p)
+    _add_config(p)
 
     p = sub.add_parser("simulate", help="run a single replication")
-    _add_common(p)
+    _add_seed(p)
+    _add_config(p)
     p.add_argument("--alpha", type=float, default=0.0,
                    help="forecast update std as fraction of expected demand")
     p.add_argument("--bias", choices=BIASED_SCHEDULES,
@@ -85,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--util", choices=UTILIZATION_LEVELS, default="low",
                    help="planned utilization level")
     p.add_argument("--rep", type=int, default=0, help="replication index")
-    p.add_argument("--periods", type=int, default=400)
-    p.add_argument("--warmup", type=int, default=40)
+    p.add_argument("--periods", type=int, default=RUN_LENGTH)
+    p.add_argument("--warmup", type=int, default=WARMUP)
     p.add_argument("--debug-checks", action="store_true",
                    help="verify conservation and planner bookkeeping every period")
     p.add_argument("--dump-forecasts", metavar="PATH",
@@ -102,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print one line per period")
 
     p = sub.add_parser("grid", help="run an experiment grid")
-    _add_common(p)
+    _add_seed(p)
+    _add_config(p)
     p.add_argument("--preset", choices=sorted(PRESETS), required=True)
     p.add_argument("--out", metavar="DIR",
                    help="directory for results.csv and manifest.txt")
@@ -114,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze",
                        help="best-vs-best netting-mode comparison with "
                             "significance stars")
-    _add_common(p)
     p.add_argument("--in", dest="indir", required=True, metavar="DIR",
                    help="results directory or CSV file")
     p.add_argument("--paired", action="store_true",
@@ -123,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="CSV instead of text")
 
     p = sub.add_parser("tables", help="render summary tables")
-    _add_common(p)
     p.add_argument("--in", dest="indir", required=True, metavar="DIR")
     p.add_argument("--table", action="append", choices=sorted(TABLES),
                    help="table name (repeatable; default: all non-empty)")
@@ -158,8 +163,7 @@ def cmd_validate(args) -> int:
     header = f"  {'preset':<12}{'param sets':>11}{'unbiased':>10}" \
              f"{'biased':>8}{'modes':>7}{'reps':>6}{'cells':>10}"
     print(header)
-    for name in ("full", "desk", "null-anchor", "bias"):
-        spec = PRESETS[name]
+    for name, spec in PRESETS.items():
         unbiased, biased = spec.instance_counts
         print(f"  {name:<12}{spec.n_parameter_sets:>11}{unbiased:>10}"
               f"{biased:>8}{len(spec.modes):>7}{spec.replications:>6}"
@@ -199,11 +203,10 @@ def cmd_simulate(args) -> int:
     params = PlanningParams(sst_factor=args.sst, plt=args.plt, policy=policy,
                             policy_param=value, component_lot=args.comp_lot,
                             mode=args.mode)
-    beta = 1 if args.bias else 0
     bias = args.bias or "unbiased"
     replay = load_replay(args.replay_forecasts) if args.replay_forecasts else None
-    config = make_config(utilization=args.util, alpha=args.alpha, beta=beta,
-                         bias=bias, params=params, base_seed=args.seed,
+    config = make_config(utilization=args.util, alpha=args.alpha, bias=bias,
+                         params=params, base_seed=args.seed,
                          replication=args.rep, run_length=args.periods,
                          warmup=args.warmup, overrides=overrides,
                          debug_checks=args.debug_checks, replay=replay)

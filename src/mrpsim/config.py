@@ -27,7 +27,7 @@ Every constant here can be overridden through a JSON config file, see
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 PERIOD_MINUTES = 1440.0          # one period is one day of available machine time
 
@@ -53,7 +53,6 @@ FGI_COST = 1.0                   # CU per piece and period in final-goods stock
 BACKORDER_COST = 19.0            # CU per piece and period of unfilled due demand
 
 COMPONENT_PLT = 3                # planned lead time for component orders
-COMPONENT_SST = 0                # components run without safety stock
 
 RUN_LENGTH = 400                 # simulated periods per replication
 WARMUP = 40                      # periods excluded from all KPIs
@@ -87,7 +86,6 @@ class Item:
 @dataclass(frozen=True)
 class Machine:
     id: int
-    capacity_min: float
     setup_mean_min: float
     setup_cv: float
 
@@ -123,14 +121,12 @@ class DemandPattern:
 class SystemConfig:
     """Immutable description of plant, demand pattern and cost rates."""
 
-    utilization: str
     items: dict[int, Item]
     machines: dict[int, Machine]
     cost_rates: CostRates
     demand: DemandPattern
     bom_quantity: int = BOM_QUANTITY
     component_plt: int = COMPONENT_PLT
-    component_sst: int = COMPONENT_SST
     period_minutes: float = PERIOD_MINUTES
 
     @property
@@ -167,14 +163,13 @@ def build_system(utilization: str = "low",
                           processing_min=o["processing"]["component_min"],
                           routing=_ROUTINGS[cid])
 
-    cap = o["capacity"]["period_minutes"]
     cv = o["setup"]["cv"]
     product_setup = o["setup"][utilization]
     machines: dict[int, Machine] = {}
     for mid in (101, 102, 111, 112):
-        machines[mid] = Machine(mid, cap, product_setup, cv)
+        machines[mid] = Machine(mid, product_setup, cv)
     for mid in (201, 202):
-        machines[mid] = Machine(mid, cap, o["setup"]["component"], cv)
+        machines[mid] = Machine(mid, o["setup"]["component"], cv)
 
     demand = DemandPattern(interval=o["demand"]["interval"],
                            first_delay=o["demand"]["first_delay"],
@@ -182,11 +177,10 @@ def build_system(utilization: str = "low",
     rates = CostRates(wip=o["costs"]["wip"], fgi=o["costs"]["fgi"],
                       backorder=o["costs"]["backorder"])
 
-    system = SystemConfig(utilization=utilization, items=items,
-                          machines=machines, cost_rates=rates, demand=demand,
-                          bom_quantity=bom_qty,
+    system = SystemConfig(items=items, machines=machines, cost_rates=rates,
+                          demand=demand, bom_quantity=bom_qty,
                           component_plt=o["planning"]["component_plt"],
-                          period_minutes=cap)
+                          period_minutes=o["capacity"]["period_minutes"])
     validate_system(system)
     return system
 
@@ -281,7 +275,7 @@ def planned_utilization(system: SystemConfig, machine_id: int,
     if proc is None:
         raise KeyError(f"no item routed over machine {machine_id}")
     busy = pieces_per_period * proc + lots_per_period * machine.setup_mean_min
-    return busy / machine.capacity_min
+    return busy / system.period_minutes
 
 
 def planned_utilization_table(overrides: dict | None = None) -> list[tuple[str, str, float]]:

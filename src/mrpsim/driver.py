@@ -19,7 +19,8 @@ by due period that holds every forecast value of one (seed, replication,
 instance), drawn from common-random-number substreams before the first period,
 so demand histories are identical across planning parameters and netting
 modes.  Setup times use a separate substream.  Step 2 nets each item's receipt
-book as it is, through one `MrpItemState` per item that lives all run.
+book as it is, through one `MrpItemState` per item that lives all run.  A
+run's settings arrive as one `RunConfig`, built only by `experiment.make_config`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .config import SystemConfig, build_system
-from .forecast import (ForecastStream, ScenarioParams, advance,
+from .config import SystemConfig
+from .forecast import (HORIZON, ForecastStream, ScenarioParams, advance,
                        long_term_forecast, stream_rng, substream_seed)
 from .inventory import CustomerDemand, StockLedger, fulfill_due_demands, try_release
 from .kpi import KpiTracker, PeriodSnapshot, RunSummary
@@ -39,15 +40,17 @@ from .shopfloor import ProductionOrder, ShopFloor
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Everything one replication reads; `experiment.make_config` builds it."""
+
     system: SystemConfig
     scenario: ScenarioParams
     params: PlanningParams
-    base_seed: int = 42
-    replication: int = 0
-    run_length: int = 400
-    warmup: int = 40
-    debug_checks: bool = False
-    replay: dict | None = None          # {(product, due, j): epsilon}
+    base_seed: int
+    replication: int
+    run_length: int
+    warmup: int
+    debug_checks: bool
+    replay: dict | None                 # {(product, due, j): epsilon}
 
 
 @dataclass
@@ -72,12 +75,12 @@ def build_tape(config: RunConfig) -> Tape:
     scenario, last, replay = config.scenario, config.run_length, config.replay
     tape: Tape = {}
     for product in sorted(config.system.final_products):
-        column = tape[product] = [None] * (last + scenario.horizon + 1)
-        for due in config.system.demand.due_dates(product, 1, last + scenario.horizon):
+        column = tape[product] = [None] * (last + HORIZON + 1)
+        for due in config.system.demand.due_dates(product, 1, last + HORIZON):
             stream = ForecastStream(product, due, long_term_forecast(scenario))
             rng = stream_rng(config.base_seed, config.replication, product, due)
             values = []
-            for j in range(min(scenario.horizon, due - 1), max(0, due - last) - 1, -1):
+            for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
                 advance(stream, j, scenario, rng,
                         replay.get((product, due, j)) if replay else None)
                 values.append(stream.value)
@@ -130,9 +133,8 @@ class SimulationRun:
         self.receipt_book: dict[int, dict[int, int]] = {i: {} for i in system.items}
         self.product_states = {p: MrpItemState(0, self.receipt_book[p], self.safety)
                                for p in self.products}
-        self.component_states = {
-            c: MrpItemState(0, self.receipt_book[c], system.component_sst)
-            for c in self.components}
+        self.component_states = {c: MrpItemState(0, self.receipt_book[c])
+                                 for c in self.components}
         self.blocked: list[ProductionOrder] = []
         self.period = 0   # the receipt books' current bucket, see _fold_receipts
         self._uid = 0
@@ -165,7 +167,6 @@ class SimulationRun:
                 book[t] = book.get(t, 0) + overdue
 
     def _plan(self, t: int):
-        fh = self.config.scenario.horizon
         rl = self.config.run_length
         interval = self.system.demand.interval
         product_last = t + self.product_window
@@ -178,7 +179,7 @@ class SimulationRun:
             column = self.tape[product]
             for due in range(self.next_due[product], product_last + 1, interval):
                 # tape entries start at j = max(0, due - run_length)
-                gross[due] = (self.x if due - t > fh else
+                gross[due] = (self.x if due - t > HORIZON else
                               column[due][min(due, rl) - t])
             product_gross[product] = gross
 
@@ -325,26 +326,3 @@ class SimulationRun:
         return self.kpi.summarize(self.system.cost_rates, self.demands_all,
                                   self.shop.utilization(window_min))
 
-
-def run(config: RunConfig) -> RunSummary:
-    return SimulationRun(config).run()
-
-
-def make_config(utilization: str = "low", alpha: float = 0.0, beta: int = 0,
-                bias: str = "unbiased", params: PlanningParams | None = None,
-                base_seed: int = 42, replication: int = 0,
-                run_length: int = 400, warmup: int = 40,
-                overrides: dict | None = None, debug_checks: bool = False,
-                replay: dict | None = None) -> RunConfig:
-    """Convenience constructor used by the CLI and the experiment harness."""
-    from .forecast import SCHEDULES
-    system = build_system(utilization, overrides)
-    scenario = ScenarioParams(alpha=alpha, beta=beta, schedule=SCHEDULES[bias],
-                              expected_amount=system.demand.expected_amount)
-    if params is None:
-        params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP",
-                                policy_param=1)
-    return RunConfig(system=system, scenario=scenario, params=params,
-                     base_seed=base_seed, replication=replication,
-                     run_length=run_length, warmup=warmup,
-                     debug_checks=debug_checks, replay=replay)

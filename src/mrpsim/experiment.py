@@ -1,10 +1,11 @@
-"""Factorial experiment harness: grids, parallel execution, result files.
+"""Factorial experiment harness: run configs, grids, parallel execution,
+result files.
 
 A test instance fixes the demand environment (utilization level, forecast
-noise alpha, bias switch beta and bias schedule); the inner grid crosses the
-planning parameters (safety stock factor, planned lead time, lot policy and
-parameter, component lot size), the netting mode and the replications.  The
-full study is
+noise alpha and bias schedule; the bias switch beta is 1 exactly when the
+schedule is not "unbiased"); the inner grid crosses the planning parameters
+(safety stock factor, planned lead time, lot policy and parameter, component
+lot size, netting mode) and the replications.  The full study is
 
     instances:  3 utilizations x 7 alphas x (1 unbiased + 4 biased) = 105
     parameters: 8 SST x 6 PLT x (5 FOP + 5 FOQ) x 2 component lots  = 960
@@ -14,7 +15,8 @@ Cells are independent runs: execution order and worker count cannot change
 any result because every cell derives its random numbers from (base seed,
 replication, stream) alone, and rows are always reduced in enumeration
 order.  The cells of one (instance, replication) share its forecast tape.
-Desk-scale presets cover the same machinery in minutes.
+Desk-scale presets cover the same machinery in minutes.  `make_config` is the
+one builder of a run's `RunConfig`, for grid cells and the CLI alike.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import partial
 
 from . import __version__
 from .forecast import BIASED_SCHEDULES, SCHEDULES, ScenarioParams
-from .config import build_system
+from .config import RUN_LENGTH, WARMUP, build_system
 from .driver import RunConfig, SimulationRun, Tape
 from .mrp import (COMPONENT_LOTS, FOP_PERIODS, FOQ_QUANTITIES, MODES,
                   PLT_VALUES, SST_FACTORS, PlanningParams)
@@ -51,25 +53,40 @@ class Instance:
 
     utilization: str
     alpha: float
-    beta: int
     bias: str = "unbiased"
 
     def __post_init__(self) -> None:
-        if self.beta == 0 and self.bias != "unbiased":
-            raise ValueError("beta=0 instances must use the unbiased schedule")
-        if self.beta == 1 and self.bias == "unbiased":
-            raise ValueError("beta=1 instances need a bias schedule")
         if self.bias not in SCHEDULES:
             raise ValueError(f"unknown bias schedule {self.bias!r}")
+
+    @property
+    def beta(self) -> int:
+        return int(self.bias != "unbiased")
 
     @property
     def instance_id(self) -> str:
         return f"{self.utilization}-a{self.alpha:g}-b{self.beta}-{self.bias}"
 
-    def scenario(self, expected_amount: int = 800) -> ScenarioParams:
-        return ScenarioParams(alpha=self.alpha, beta=self.beta,
-                              schedule=SCHEDULES[self.bias],
-                              expected_amount=expected_amount)
+
+def make_config(utilization: str = "low", alpha: float = 0.0,
+                bias: str = "unbiased", params: PlanningParams | None = None,
+                base_seed: int = 42, replication: int = 0,
+                run_length: int = RUN_LENGTH, warmup: int = WARMUP,
+                overrides: dict | None = None, debug_checks: bool = False,
+                replay: dict | None = None) -> RunConfig:
+    """The one constructor of `RunConfig`, for grid cells and the CLI alike;
+    beta follows from `bias`."""
+    beta = Instance(utilization, alpha, bias).beta
+    system = build_system(utilization, overrides)
+    scenario = ScenarioParams(alpha=alpha, beta=beta, schedule=SCHEDULES[bias],
+                              expected_amount=system.demand.expected_amount)
+    if params is None:
+        params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP",
+                                policy_param=1)
+    return RunConfig(system=system, scenario=scenario, params=params,
+                     base_seed=base_seed, replication=replication,
+                     run_length=run_length, warmup=warmup,
+                     debug_checks=debug_checks, replay=replay)
 
 
 @dataclass(frozen=True)
@@ -88,19 +105,19 @@ class GridSpec:
     component_lots: tuple[int, ...] = COMPONENT_LOTS
     modes: tuple[str, ...] = MODES
     replications: int = 20
-    run_length: int = 400
-    warmup: int = 40
+    run_length: int = RUN_LENGTH
+    warmup: int = WARMUP
 
     def instances(self) -> list[Instance]:
         out = []
         if self.include_unbiased:
             for util in self.utilizations:
                 for alpha in self.alphas:
-                    out.append(Instance(util, alpha, 0))
+                    out.append(Instance(util, alpha))
         for util in self.utilizations:
             for alpha in self.alphas:
                 for bias in self.biased_schedules:
-                    out.append(Instance(util, alpha, 1, bias))
+                    out.append(Instance(util, alpha, bias))
         return out
 
     def parameter_sets(self) -> list[PlanningParams]:
@@ -117,20 +134,17 @@ class GridSpec:
 
     @property
     def n_parameter_sets(self) -> int:
-        return (len(self.sst_factors) * len(self.plts)
-                * (len(self.fop_periods) + len(self.foq_quantities))
-                * len(self.component_lots))
+        return len(self.parameter_sets())
 
     @property
     def instance_counts(self) -> tuple[int, int]:
         """(unbiased, biased) instance counts."""
-        per_schedule = len(self.utilizations) * len(self.alphas)
-        return (per_schedule if self.include_unbiased else 0,
-                per_schedule * len(self.biased_schedules))
+        biased = sum(i.beta for i in self.instances())
+        return self.n_instances - biased, biased
 
     @property
     def n_instances(self) -> int:
-        return sum(self.instance_counts)
+        return len(self.instances())
 
     @property
     def n_cells(self) -> int:
@@ -167,20 +181,24 @@ PRESETS: dict[str, GridSpec] = {
 class Cell:
     index: int
     instance: Instance
-    params: PlanningParams
-    mode: str
+    params: PlanningParams     # carries the netting mode
     replication: int
+
+    @property
+    def mode(self) -> str:
+        return self.params.mode
 
 
 def enumerate_cells(spec: GridSpec) -> list[Cell]:
+    settings = [replace(params, mode=mode) for params in spec.parameter_sets()
+                for mode in spec.modes]
     cells = []
     index = 0
     for instance in spec.instances():
-        for params in spec.parameter_sets():
-            for mode in spec.modes:
-                for rep in range(spec.replications):
-                    cells.append(Cell(index, instance, params, mode, rep))
-                    index += 1
+        for params in settings:
+            for rep in range(spec.replications):
+                cells.append(Cell(index, instance, params, rep))
+                index += 1
     return cells
 
 
@@ -188,16 +206,13 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
              overrides: dict | None = None, tape: Tape | None = None) -> dict:
     """Execute one cell and flatten its KPIs into a result row.  `tape` is
     shared by the cells of one (instance, replication), see `SimulationRun`."""
-    system = build_system(cell.instance.utilization, overrides)
-    config = RunConfig(system=system,
-                       scenario=cell.instance.scenario(
-                           system.demand.expected_amount),
-                       params=replace(cell.params, mode=cell.mode),
-                       base_seed=base_seed,
-                       replication=cell.replication, run_length=run_length,
-                       warmup=warmup)
-    summary = SimulationRun(config, tape=tape).run()
     inst = cell.instance
+    config = make_config(utilization=inst.utilization, alpha=inst.alpha,
+                         bias=inst.bias, params=cell.params,
+                         base_seed=base_seed, replication=cell.replication,
+                         run_length=run_length, warmup=warmup,
+                         overrides=overrides)
+    summary = SimulationRun(config, tape=tape).run()
     return {
         "instance_id": inst.instance_id, "alpha": inst.alpha,
         "beta": inst.beta, "bias": inst.bias,
@@ -218,9 +233,8 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
 
 
 def _describe(cell: Cell) -> str:
-    params = replace(cell.params, mode=cell.mode)
     return (f"cell {cell.index} ({cell.instance.instance_id} "
-            f"{params.label()} rep {cell.replication})")
+            f"{cell.params.label()} rep {cell.replication})")
 
 
 def _run_cells(cells: list[Cell], base_seed: int, run_length: int,
@@ -307,7 +321,7 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
 
 # -- result files -------------------------------------------------------------
 
-def _format_value(column: str, value) -> str:
+def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -355,7 +369,7 @@ def write_results(rows: list[dict], path: str, append: bool = False) -> None:
         if mode == "w":
             fh.write(",".join(RESULT_COLUMNS) + "\n")
         for row in new_rows:
-            fh.write(",".join(_format_value(c, row[c])
+            fh.write(",".join(_format_value(row[c])
                               for c in RESULT_COLUMNS) + "\n")
 
 
@@ -422,9 +436,7 @@ class BestCell:
     mean_fgi: float = 0.0
     mean_backorder: float = 0.0
     mean_service: float = 0.0
-    mean_orders: float = 0.0
     mean_leadtime: float = 0.0
-    mean_leadtime_sd: float = 0.0
 
     @property
     def policy_label(self) -> str:
@@ -435,8 +447,7 @@ def _aggregate(group: list[dict]) -> dict:
     n = len(group)
     agg = {k: sum(r[k] for r in group) / n
            for k in ("overall_cost", "wip_cost", "fgi_cost", "backorder_cost",
-                     "service_level", "n_final_orders", "leadtime_mean",
-                     "leadtime_sd")}
+                     "service_level", "leadtime_mean")}
     agg["costs"] = tuple(r["overall_cost"]
                          for r in sorted(group, key=lambda r: r["replication"]))
     return agg
@@ -479,9 +490,7 @@ def best_per_instance(rows: list[dict]) -> dict[tuple[str, str], BestCell]:
             mean_wip=agg["wip_cost"], mean_fgi=agg["fgi_cost"],
             mean_backorder=agg["backorder_cost"],
             mean_service=agg["service_level"],
-            mean_orders=agg["n_final_orders"],
-            mean_leadtime=agg["leadtime_mean"],
-            mean_leadtime_sd=agg["leadtime_sd"])
+            mean_leadtime=agg["leadtime_mean"])
     return best
 
 

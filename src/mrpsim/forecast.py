@@ -53,7 +53,6 @@ class BiasSchedule:
 
     name: str
     b: tuple[float, ...]      # b[j-1] is the factor applied j periods before delivery
-    permanent: bool = False
 
     def factor(self, j: int) -> float:
         return self.b[j - 1] if 1 <= j <= len(self.b) else 0.0
@@ -72,9 +71,9 @@ SCHEDULES: dict[str, BiasSchedule] = {
     "temporary_overbooking": _temp("temporary_overbooking", 1.0),
     "temporary_underbooking": _temp("temporary_underbooking", -1.0),
     "permanent_overbooking": BiasSchedule("permanent_overbooking",
-                                          (-0.04,) * HORIZON, permanent=True),
+                                          (-0.04,) * HORIZON),
     "permanent_underbooking": BiasSchedule("permanent_underbooking",
-                                           (0.04,) * HORIZON, permanent=True),
+                                           (0.04,) * HORIZON),
 }
 BIASED_SCHEDULES = ("temporary_overbooking", "temporary_underbooking",
                     "permanent_overbooking", "permanent_underbooking")
@@ -87,7 +86,6 @@ class ScenarioParams:
     alpha: float = 0.0
     beta: int = 0
     schedule: BiasSchedule = SCHEDULES["unbiased"]
-    horizon: int = HORIZON
     expected_amount: int = 800
 
     def __post_init__(self) -> None:
@@ -166,7 +164,7 @@ def advance(stream: ForecastStream, j: int, scenario: ScenarioParams,
     An injected epsilon (replay) bypasses sampling.  j = 0 always applies a
     zero term, firming the order at its final forecast value.
     """
-    if j > scenario.horizon:
+    if j > HORIZON:
         return 0
     if injected_eps is not None:
         eps = injected_eps
@@ -207,7 +205,7 @@ def dump_tape(tape: dict, scenario: ScenarioParams, path: str) -> None:
         for product, due, values in streams:
             prev = long_term_forecast(scenario)
             w.writerow([product, due, HORIZON + 1, 0, prev])
-            for j, value in zip(range(min(scenario.horizon, due - 1), -1, -1),
+            for j, value in zip(range(min(HORIZON, due - 1), -1, -1),
                                 reversed(values)):
                 w.writerow([product, due, j, value - prev, value])
                 prev = value

@@ -8,10 +8,7 @@ loaded elsewhere.
 
 from __future__ import annotations
 
-from .experiment import (BestCell, ModeComparison, best_per_instance,
-                         compare_modes)
-
-_COST_COLUMNS = ("mean_cost", "mean_wip", "mean_fgi", "mean_backorder")
+from .experiment import BestCell, best_per_instance, compare_modes
 
 
 def _fmt(value, decimals: int = 0) -> str:

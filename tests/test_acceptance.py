@@ -23,13 +23,14 @@ from scipy import stats
 
 from mrpsim.cli import main
 from mrpsim.config import build_system, planned_utilization_table
-from mrpsim.driver import SimulationRun, make_config
+from mrpsim.driver import SimulationRun
 from mrpsim.experiment import (
     FULL_ALPHAS,
     PRESETS,
     GridSpec,
     best_per_instance,
     compare_modes,
+    make_config,
     run_grid,
     write_results,
 )
@@ -385,8 +386,7 @@ def test_c09_conservation_and_determinism(tmp_path):
                            "permanent_underbooking"))
         config = make_config(
             utilization=rng.choice(("low", "medium", "high")),
-            alpha=rng.choice(FULL_ALPHAS),
-            beta=0 if bias == "unbiased" else 1, bias=bias, params=params,
+            alpha=rng.choice(FULL_ALPHAS), bias=bias, params=params,
             replication=rng.randrange(20), debug_checks=True)
         SimulationRun(config).run()   # raises on any conservation violation
 

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mrpsim.cli import main
-from mrpsim.experiment import GridSpec, run_grid, write_results
+from mrpsim.experiment import (Cell, GridSpec, Instance, run_cell, run_grid,
+                               write_results)
+from mrpsim.mrp import PlanningParams
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +176,23 @@ def test_simulate_trace_files(tmp_path, capsys):
     assert "period    1" in out
 
 
+def test_simulate_matches_grid_cell(capsys):
+    # the CLI and the grid build a run through the same make_config
+    code, out, _ = run_cli(capsys, "simulate", "--util", "medium", "--bias",
+                           "permanent_underbooking", "--alpha", "0.06",
+                           "--mode", "extended", "--sst", "0.4", "--plt", "3",
+                           "--policy", "FOQ:200", "--rep", "1", "--seed", "7",
+                           "--periods", "40", "--warmup", "5")
+    assert code == 0
+    params = PlanningParams(0.4, 3, "FOQ", 200, mode="extended")
+    cell = Cell(0, Instance("medium", 0.06, "permanent_underbooking"),
+                params, 1)
+    row = run_cell(cell, 7, 40, 5)
+    assert f"overall cost   {row['overall_cost']:10.1f} CU per period" in out
+    assert f"final orders   {row['n_final_orders']:10d}" in out
+    assert "medium alpha=0.06 permanent_underbooking" in out
+
+
 def test_simulate_debug_checks(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--alpha", "0.1",
                            "--periods", "30", "--warmup", "5",
@@ -244,3 +267,26 @@ def test_version(capsys):
 def test_missing_command(capsys):
     code, out, err = run_cli(capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--seed", "1"),
+    ("analyze", "--in", "results", "--seed", "1"),
+    ("tables", "--in", "results", "--seed", "1"),
+    ("analyze", "--in", "results", "--config", "/nonexistent.json"),
+    ("tables", "--in", "results", "--config", "/nonexistent.json"),
+])
+def test_options_a_command_ignores_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "mrpsim", "--version"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("mrpsim ")

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mrpsim import driver
-from mrpsim.driver import SimulationRun, build_tape, make_config
-from mrpsim.forecast import (SCHEDULES, ForecastStream, advance, dump_tape,
-                             load_replay, long_term_forecast, stream_rng)
+from mrpsim.driver import SimulationRun, build_tape
+from mrpsim.experiment import make_config
+from mrpsim.forecast import (HORIZON, SCHEDULES, ForecastStream, advance,
+                             dump_tape, load_replay, long_term_forecast,
+                             stream_rng)
 from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
                         PlanningParams, decision_windows)
 from mrpsim.shopfloor import ProductionOrder
@@ -112,11 +114,11 @@ def _keyed_tape(cfg):
     scenario, last = cfg.scenario, cfg.run_length
     tape = {}
     for product in sorted(cfg.system.final_products):
-        for due in cfg.system.demand.due_dates(product, 1, last + scenario.horizon):
+        for due in cfg.system.demand.due_dates(product, 1, last + HORIZON):
             stream = ForecastStream(product, due, long_term_forecast(scenario))
             rng = stream_rng(cfg.base_seed, cfg.replication, product, due)
             values = []
-            for j in range(min(scenario.horizon, due - 1), max(0, due - last) - 1, -1):
+            for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
                 advance(stream, j, scenario, rng)
                 values.append(stream.value)
             tape[product, due] = tuple(reversed(values))
@@ -128,12 +130,11 @@ def _reference_tape(cfg):
     opens each stream when its due date enters the forecast range and
     advances every open stream once per period."""
     demand, scenario = cfg.system.demand, cfg.scenario
-    horizon = scenario.horizon
     long_term = long_term_forecast(scenario)
     streams, rngs, values = {}, {}, {}
     for t in range(1, cfg.run_length + 1):
         for product in sorted(demand.offsets):
-            for due in range(t, t + horizon + 1):
+            for due in range(t, t + HORIZON + 1):
                 if due <= demand.first_delay or \
                         (due - demand.offsets[product]) % demand.interval:
                     continue
@@ -154,16 +155,15 @@ def _reference_tape(cfg):
        run_length=st.integers(1, 45), first_delay=st.integers(0, 14))
 def test_tape_equals_period_by_period_streams(seed, replication, alpha, bias,
                                                run_length, first_delay):
-    cfg = make_config(alpha=alpha, beta=int(bias != "unbiased"), bias=bias,
-                      base_seed=seed, replication=replication,
-                      run_length=run_length, warmup=0,
+    cfg = make_config(alpha=alpha, bias=bias, base_seed=seed,
+                      replication=replication, run_length=run_length, warmup=0,
                       overrides={"demand": {"first_delay": first_delay}})
     reference = _reference_tape(cfg)
     tape = build_tape(cfg)
     assert sorted(tape) == sorted(cfg.system.final_products)
     # one slot per due period the run can read, None where nothing is due
     assert {len(column) for column in tape.values()} == \
-        {run_length + cfg.scenario.horizon + 1}
+        {run_length + HORIZON + 1}
     got = {}
     for (product, due), values in _keyed(tape).items():
         lo = max(0, due - run_length)
@@ -338,9 +338,8 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
     `due_dates` and a keyed tape, receipts from the outstanding orders
     bucketed at max(planned completion, now)."""
     params = PlanningParams(sst, plt, policy[0], policy[1], mode=mode)
-    cfg = make_config(utilization=utilization, alpha=alpha,
-                      beta=int(bias != "unbiased"), bias=bias, params=params,
-                      run_length=run_length, warmup=0,
+    cfg = make_config(utilization=utilization, alpha=alpha, bias=bias,
+                      params=params, run_length=run_length, warmup=0,
                       overrides={"demand": {"first_delay": first_delay}})
     system, scenario = cfg.system, cfg.scenario
     keyed = _keyed_tape(cfg)
@@ -368,7 +367,7 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
             if backlog:
                 gross[t] = backlog
             for due in system.demand.due_dates(product, t + 1, t + window):
-                gross[due] = (x if due - t > scenario.horizon else
+                gross[due] = (x if due - t > HORIZON else
                               keyed[product, due][min(due, run_length) - t])
             assert product_gross[product] == gross
             covered = max((o.covered_end for o in released

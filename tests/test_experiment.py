@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import os
+from collections import Counter
 
 import pytest
 
@@ -57,12 +58,12 @@ def test_instance_ids_are_unique():
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError, match="unbiased"):
-        Instance("low", 0.06, 0, "permanent_overbooking")
-    with pytest.raises(ValueError, match="bias schedule"):
-        Instance("low", 0.06, 1, "unbiased")
     with pytest.raises(ValueError, match="unknown bias"):
-        Instance("low", 0.06, 1, "sinusoidal")
+        Instance("low", 0.06, "sinusoidal")
+    assert Instance("low", 0.06).beta == 0
+    assert Instance("low", 0.06, "permanent_overbooking").beta == 1
+    assert Instance("low", 0.06, "temporary_underbooking").instance_id == \
+        "low-a0.06-b1-temporary_underbooking"
 
 
 def test_enumeration_is_deterministic():
@@ -72,6 +73,19 @@ def test_enumeration_is_deterministic():
             for c in a] == [(c.index, c.instance, c.params, c.mode,
                              c.replication) for c in b]
     assert [c.index for c in a] == list(range(2160))
+
+
+def test_cells_carry_their_mode_in_params():
+    spec = PRESETS["desk"]
+    cells = enumerate_cells(spec)
+    assert all(c.params.mode == c.mode for c in cells)
+    assert Counter(c.params.mode for c in cells) == \
+        {"standard": 1080, "extended": 1080}
+    # each parameter set runs its modes in spec order, replications innermost
+    assert [c.params.mode for c in cells[:2 * spec.replications]] == \
+        ["standard"] * spec.replications + ["extended"] * spec.replications
+    row = run_cell(cells[spec.replications], 3, 30, 5)
+    assert row["mode"] == "extended"
 
 
 # ---------------------------------------------------------------- running

@@ -6,7 +6,8 @@ import statistics
 
 import pytest
 
-from mrpsim.driver import build_tape, make_config
+from mrpsim.driver import build_tape
+from mrpsim.experiment import make_config
 from mrpsim.forecast import (
     BIASED_SCHEDULES,
     HORIZON,
@@ -74,10 +75,8 @@ def test_schedule_shapes():
     assert all(b == 0.0 for b in SCHEDULES["unbiased"].b)
     for name in ("temporary_overbooking", "temporary_underbooking"):
         assert math.isclose(sum(SCHEDULES[name].b), 0.0, abs_tol=1e-12)
-        assert not SCHEDULES[name].permanent
     assert SCHEDULES["permanent_overbooking"].b == (-0.04,) * 10
     assert SCHEDULES["permanent_underbooking"].b == (0.04,) * 10
-    assert SCHEDULES["permanent_overbooking"].permanent
     assert set(BIASED_SCHEDULES) == set(SCHEDULES) - {"unbiased"}
     # factors outside the update range contribute nothing
     sched = SCHEDULES["permanent_underbooking"]

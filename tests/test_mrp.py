@@ -449,8 +449,7 @@ def test_decision_window_releases_equal_full_horizon_plan(params, t, data):
     for cid in sorted(system.components):
         component_states[cid] = MrpItemState(
             on_hand=data.draw(st.integers(-1600, 6400)),
-            receipts=shifted(data.draw(_buckets)),
-            safety_stock=system.component_sst)
+            receipts=shifted(data.draw(_buckets)))
         extra_gross[cid] = shifted(data.draw(_buckets))
 
     result = run_mrp(product_states, product_gross, component_states,
