@@ -3,7 +3,9 @@
 Subcommands:
 
     validate   print the planned-utilization table and grid cardinalities
-    simulate   run one replication and print its KPI summary
+    simulate   run one replication and print its KPI summary (standard
+               mode also prints the first period extended netting would
+               have planned differently)
     grid       run an experiment preset and write result/manifest files
     analyze    compare extended vs standard netting with significance tests
     tables     render summary tables from a results file
@@ -238,6 +240,10 @@ def cmd_simulate(args) -> int:
                    f"{args.util} alpha={args.alpha:g} {bias} | {params.label()}"
                    f" | seed {args.seed} rep {args.rep} | "
                    f"{args.periods} periods (warmup {args.warmup})")
+    if params.mode == "standard":
+        period = sim.divergence_period
+        print("extended netting first nets differently: "
+              + ("never" if period is None else f"period {period}"))
     return 0
 
 

@@ -21,6 +21,9 @@ so demand histories are identical across planning parameters and netting
 modes.  Setup times use a separate substream.  Step 2 nets each item's receipt
 book as it is, through one `MrpItemState` per item that lives all run.  A
 run's settings arrive as one `RunConfig`, built only by `experiment.make_config`.
+A standard run records the first period whose MRP run met a bucket that
+extended netting would net differently (`divergence_period`); while it is
+None the run's extended twin is this same run.
 """
 
 from __future__ import annotations
@@ -143,6 +146,8 @@ class SimulationRun:
         self.mrp_trace = mrp_trace
         self.period_log = period_log
         self._released_this_period = 0
+        # the first period extended netting would have planned differently
+        self.divergence_period: int | None = None
 
     # -- demand ----------------------------------------------------------------
 
@@ -267,6 +272,8 @@ class SimulationRun:
         self._fold_receipts(t)
         self._firm_demands(t)
         result = self._plan(t)
+        if self.divergence_period is None and result.divergent_bucket is not None:
+            self.divergence_period = t
         self._retry_blocked(minute_start)
         self._release_new(result.release_products, minute_start)
         self._release_new(result.release_components, minute_start)

@@ -14,7 +14,10 @@ lot size, netting mode) and the replications.  The full study is
 Cells are independent runs: execution order and worker count cannot change
 any result because every cell derives its random numbers from (base seed,
 replication, stream) alone, and rows are always reduced in enumeration
-order.  The cells of one (instance, replication) share its forecast tape.
+order.  The cells of one (instance, replication) share its forecast tape, and
+an extended cell whose standard twin never met a bucket where extended netting
+nets differently takes that twin's run instead of simulating its own (the two
+would be identical, see `mrp`).
 Desk-scale presets cover the same machinery in minutes.  `make_config` is the
 one builder of a run's `RunConfig`, for grid cells and the CLI alike.
 """
@@ -203,16 +206,28 @@ def enumerate_cells(spec: GridSpec) -> list[Cell]:
 
 
 def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
-             overrides: dict | None = None, tape: Tape | None = None) -> dict:
-    """Execute one cell and flatten its KPIs into a result row.  `tape` is
-    shared by the cells of one (instance, replication), see `SimulationRun`."""
+             overrides: dict | None = None, tape: Tape | None = None,
+             twins: dict | None = None) -> dict:
+    """Execute one cell and flatten its KPIs into a result row.  `tape` and
+    `twins` are shared by the cells of one (instance, replication): see
+    `SimulationRun` for the tape.  A standard run that never met a bucket
+    where extended netting nets differently leaves its summary in `twins`,
+    and its extended twin takes it from there instead of simulating."""
     inst = cell.instance
-    config = make_config(utilization=inst.utilization, alpha=inst.alpha,
-                         bias=inst.bias, params=cell.params,
-                         base_seed=base_seed, replication=cell.replication,
-                         run_length=run_length, warmup=warmup,
-                         overrides=overrides)
-    summary = SimulationRun(config, tape=tape).run()
+    summary = None
+    if twins is not None and cell.mode == "extended":
+        summary = twins.pop(replace(cell.params, mode="standard"), None)
+    if summary is None:
+        config = make_config(utilization=inst.utilization, alpha=inst.alpha,
+                             bias=inst.bias, params=cell.params,
+                             base_seed=base_seed, replication=cell.replication,
+                             run_length=run_length, warmup=warmup,
+                             overrides=overrides)
+        run = SimulationRun(config, tape=tape)
+        summary = run.run()
+        if (twins is not None and cell.mode == "standard"
+                and run.divergence_period is None):
+            twins[cell.params] = summary
     return {
         "instance_id": inst.instance_id, "alpha": inst.alpha,
         "beta": inst.beta, "bias": inst.bias,
@@ -240,18 +255,27 @@ def _describe(cell: Cell) -> str:
 def _run_cells(cells: list[Cell], base_seed: int, run_length: int,
                warmup: int, overrides: dict | None):
     """Yield (index, row, error) per cell, in order.  Consecutive cells of
-    one (instance, replication) share a tape; the next pair's empty tape
-    drops the old one before it is built."""
-    key, tape = None, {}
+    one (instance, replication) share a tape and their twins' runs; the next
+    pair's empty tape drops the old one before it is built."""
+    key, tape, twins = None, {}, {}
     for cell in cells:
         if (cell.instance, cell.replication) != key:
-            key, tape = (cell.instance, cell.replication), {}
+            key, tape, twins = (cell.instance, cell.replication), {}, {}
         try:
             row, error = run_cell(cell, base_seed, run_length, warmup,
-                                  overrides, tape), None
+                                  overrides, tape, twins), None
         except Exception as exc:
             row, error = None, f"{_describe(cell)}: {exc}"
         yield cell.index, row, error
+
+
+def _slices(order: list[Cell], workers: int, n_modes: int) -> list[list[Cell]]:
+    """Contiguous pool tasks of about len / (8 * workers) cells.  A group
+    of `order` runs its parameter sets' modes back to back, so a length
+    that is a multiple of `n_modes` never parts a cell from its twin."""
+    chunk = max(1, len(order) // (workers * 8))
+    chunk = -(-chunk // n_modes) * n_modes
+    return [order[i:i + chunk] for i in range(0, len(order), chunk)]
 
 
 def _run_slice(cells: list[Cell], **settings) -> list:
@@ -299,8 +323,7 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
         for outcome in _run_cells(order, **settings):
             _collect(outcome)
     else:
-        chunk = max(1, len(order) // (workers * 8))
-        slices = [order[i:i + chunk] for i in range(0, len(order), chunk)]
+        slices = _slices(order, workers, len(spec.modes))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for outcomes in pool.map(partial(_run_slice, **settings), slices):
@@ -404,7 +427,9 @@ def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
         f"workers: {workers} (worker count never affects results)",
         "random numbers: one forecast tape per (seed, replication, instance), "
         "built from demand substreams keyed by (seed, replication, product, "
-        "due date) and shared by every parameter set and mode",
+        "due date) and shared by every parameter set and mode; twins share "
+        "runs: an extended cell whose standard twin never met a bucket that "
+        "extended netting nets differently reuses that twin's run",
         f"config overrides: {overrides_path or 'none'}",
     ]
     with open(path, "w", encoding="utf-8") as fh:

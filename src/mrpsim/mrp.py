@@ -27,6 +27,14 @@ empty covered range.  The driver advances covered_until at every product
 release; components never carry safety stock, which makes both modes
 identical for them.
 
+The modes can part only where that threshold matters: a demand bucket inside
+the covered range whose projection lies below a positive safety stock.  A
+standard-mode `run_mrp` reports the first product bucket where the extended
+threshold would give another net (`MrpResult.divergent_bucket`).  Until one
+occurs, a standard run and its extended twin on the same random numbers plan,
+release and cost exactly alike, so the grid reuses a standard run that never
+met one as its twin's result.
+
 Lots are scheduled backward from their due period by the planned lead time,
 clamped to the current period (a late lot is simply released now and its
 receipt projected one planned lead time ahead).  Released product lots pull
@@ -149,15 +157,21 @@ def decision_windows(params: PlanningParams, system) -> tuple[int, int]:
 def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
               policy: str, policy_param: int, plt: int, current_period: int,
               horizon: int, extended: bool = False,
-              trace: list | None = None) -> list[PlannedLot]:
+              trace: list | None = None,
+              divergent: list | None = None) -> list[PlannedLot]:
     """Net one item over `horizon` periods past `current_period` and size
     the covering lots.
 
     Only periods with demand or scheduled receipts can change the projection,
-    so the scan touches just those.
+    so the scan touches just those.  A `divergent` list receives the first
+    demand bucket, if any, where the other netting mode would net
+    differently: one up to `state.covered_until` whose projection lies below
+    a positive safety stock.
     """
     safety = state.safety_stock
     covered_until = state.covered_until if extended else -1
+    watch_until = (state.covered_until if divergent is not None and safety > 0
+                   else -1)
     receipts = state.receipts
     last = current_period + horizon
 
@@ -178,6 +192,9 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
         net = (net_requirement_extended(on_hand, g, r, safety, period,
                                         covered_until) if g > 0 else 0)
         on_hand = on_hand - g + r
+        if period <= watch_until and g > 0 and on_hand < safety:
+            divergent.append(period)
+            watch_until = -1
         added = 0
         if net > 0:
             net = int(net)
@@ -221,6 +238,9 @@ class MrpResult:
     component_lots: list[PlannedLot]
     release_products: list[PlannedLot]
     release_components: list[PlannedLot]
+    # standard mode: the first product bucket extended netting would net
+    # differently, None if there is none
+    divergent_bucket: int | None = None
 
 
 def run_mrp(product_states: dict[int, MrpItemState],
@@ -237,13 +257,14 @@ def run_mrp(product_states: dict[int, MrpItemState],
     orders that wait for material.
     """
     extended = params.mode == "extended"
+    divergent = None if extended else []
     product_window, component_window = decision_windows(params, system)
     product_lots: list[PlannedLot] = []
     for pid in sorted(product_states):
         lots = plan_item(product_states[pid], product_gross.get(pid, {}), pid,
                          params.policy, params.policy_param, params.plt,
                          current_period, product_window, extended=extended,
-                         trace=trace)
+                         trace=trace, divergent=divergent)
         product_lots.extend(lots)
 
     component_gross = explode(product_lots, system)
@@ -265,4 +286,5 @@ def run_mrp(product_states: dict[int, MrpItemState],
         component_lots=component_lots,
         release_products=[l for l in product_lots if l.start <= current_period],
         release_components=[l for l in component_lots if l.start <= current_period],
+        divergent_bucket=min(divergent) if divergent else None,
     )

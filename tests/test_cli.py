@@ -193,6 +193,21 @@ def test_simulate_matches_grid_cell(capsys):
     assert "medium alpha=0.06 permanent_underbooking" in out
 
 
+def test_simulate_reports_where_extended_netting_diverges(capsys):
+    cell = ("simulate", "--util", "medium", "--alpha", "0.06", "--sst", "0.6",
+            "--policy", "FOQ:200", "--periods", "80", "--warmup", "10")
+    # plt 1 with FOQ plans on firmed orders: the netting modes tie
+    code, out, _ = run_cli(capsys, *cell, "--plt", "1")
+    assert code == 0
+    assert "extended netting first nets differently: never" in out
+    code, out, _ = run_cli(capsys, *cell, "--plt", "3")
+    assert code == 0
+    assert "extended netting first nets differently: period 13" in out
+    code, out, _ = run_cli(capsys, *cell, "--plt", "3", "--mode", "extended")
+    assert code == 0
+    assert "nets differently" not in out
+
+
 def test_simulate_debug_checks(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--alpha", "0.1",
                            "--periods", "30", "--warmup", "5",

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from mrpsim import driver
 from mrpsim.driver import SimulationRun, build_tape
-from mrpsim.experiment import make_config
+from mrpsim.experiment import FULL_ALPHAS, make_config
 from mrpsim.forecast import (HORIZON, SCHEDULES, ForecastStream, advance,
                              dump_tape, load_replay, long_term_forecast,
                              stream_rng)
 from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
-                        PlanningParams, decision_windows)
+                        SST_FACTORS, PlanningParams, decision_windows)
 from mrpsim.shopfloor import ProductionOrder
 
 FOP1 = PlanningParams(0.0, 1, "FOP", 1)
@@ -392,3 +392,62 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
         for t in range(1, run_length + 1):
             run.step(t)
     assert planned_periods == list(range(1, run_length + 1))
+
+
+def _first_difference(a: dict, b: dict) -> int | None:
+    """The first period whose entries differ between two {period: [...]}."""
+    return min((t for t in a.keys() | b.keys() if a.get(t) != b.get(t)),
+               default=None)
+
+
+def _by_period(rows, period_of) -> dict:
+    out: dict = {}
+    for row in rows:
+        out.setdefault(period_of(row), []).append(row)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), replication=st.integers(0, 30),
+       utilization=st.sampled_from(("low", "medium", "high")),
+       alpha=st.sampled_from(FULL_ALPHAS),
+       bias=st.sampled_from(sorted(SCHEDULES)),
+       sst=st.sampled_from(SST_FACTORS), plt=st.sampled_from(PLT_VALUES),
+       policy=st.sampled_from([("FOP", p) for p in (1, 2, 5, 9)]
+                              + [("FOQ", q) for q in FOQ_QUANTITIES]),
+       run_length=st.integers(2, 80))
+@example(seed=42, replication=0, utilization="medium", alpha=0.06,
+         bias="unbiased", sst=0.6, plt=1, policy=("FOQ", 200), run_length=80)
+@example(seed=42, replication=0, utilization="medium", alpha=0.06,
+         bias="unbiased", sst=0.6, plt=3, policy=("FOQ", 200), run_length=80)
+def test_divergence_period_marks_where_the_netting_twins_part(
+        seed, replication, utilization, alpha, bias, sst, plt, policy,
+        run_length):
+    """A standard run's `divergence_period` is the first period whose MRP
+    plan its extended twin makes differently.  Without one the twins'
+    summaries are equal, and their releases never differ before it."""
+    runs = {}
+    for mode in MODES:
+        params = PlanningParams(sst, plt, policy[0], policy[1], mode=mode)
+        cfg = make_config(utilization=utilization, alpha=alpha, bias=bias,
+                          params=params, base_seed=seed,
+                          replication=replication, run_length=run_length,
+                          warmup=run_length // 4)
+        trace, events = [], []
+        run = SimulationRun(cfg, mrp_trace=trace, event_log=events)
+        summary = run.run()
+        pm = cfg.system.period_minutes
+        releases = [e for e in events if e[1] == "release"]
+        runs[mode] = (run, summary, _by_period(trace, lambda row: row[0]),
+                      _by_period(releases, lambda e: int(e[0] // pm) + 1))
+    (standard, std_summary, std_plans, std_releases) = runs["standard"]
+    (extended, ext_summary, ext_plans, ext_releases) = runs["extended"]
+
+    flagged = standard.divergence_period
+    assert extended.divergence_period is None   # only standard runs watch
+    assert flagged == _first_difference(std_plans, ext_plans)
+    if flagged is None:
+        assert std_summary == ext_summary
+    released_apart = _first_difference(std_releases, ext_releases)
+    if released_apart is not None:
+        assert flagged is not None and flagged <= released_apart

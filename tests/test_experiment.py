@@ -4,6 +4,7 @@ import copy
 import hashlib
 import os
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -128,6 +129,63 @@ def test_run_grid_shared_tapes_match_cells_run_alone():
     alone = [run_cell(c, 11, SHARED.run_length, SHARED.warmup) for c in cells]
     assert run_grid(SHARED, base_seed=11, workers=1) == alone
     assert run_grid(SHARED, base_seed=11, workers=2) == alone
+
+
+def test_extended_twins_reuse_standard_runs_that_never_diverge(monkeypatch):
+    cells = enumerate_cells(SHARED)
+    diverging = set()
+    for cell in cells:
+        if cell.mode == "standard":
+            inst = cell.instance
+            run = experiment.SimulationRun(experiment.make_config(
+                utilization=inst.utilization, alpha=inst.alpha,
+                bias=inst.bias, params=cell.params, base_seed=11,
+                replication=cell.replication, run_length=SHARED.run_length,
+                warmup=SHARED.warmup))
+            run.run()
+            if run.divergence_period is not None:
+                diverging.add(cell.index)
+    reusable = sum(c.mode == "standard" and c.index not in diverging
+                   for c in cells)
+    assert 0 < reusable < len(cells) // 2
+
+    simulated = []
+
+    class CountingRun(experiment.SimulationRun):
+        def run(self):
+            simulated.append(self.config.params)
+            return super().run()
+
+    monkeypatch.setattr(experiment, "SimulationRun", CountingRun)
+    # the rows equal cells run alone, see the test above
+    run_grid(SHARED, base_seed=11, workers=1)
+    assert len(simulated) == len(cells) - reusable
+
+
+# analyze-full's grid in perfbench: 3 groups of 16 cells, each
+# (instance, replication) a group, both modes
+_TWIN_GRIDS = (
+    GridSpec(name="analyze-full", alphas=(0.02, 0.06, 0.10),
+             sst_factors=(0.2, 1.5), plts=(1, 4), fop_periods=(1,),
+             foq_quantities=(400,), component_lots=(800,), replications=1),
+    SHARED, PRESETS["desk"])
+
+
+@pytest.mark.parametrize("spec", _TWIN_GRIDS, ids=lambda s: s.name)
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_pool_slices_never_split_a_twin_pair(spec, workers):
+    cells = enumerate_cells(spec)
+    rank = {instance: i for i, instance in enumerate(spec.instances())}
+    order = sorted(cells, key=lambda c: (rank[c.instance], c.replication))
+    slices = experiment._slices(order, workers, len(spec.modes))
+    assert [c for part in slices for c in part] == order
+    twin = lambda c: (c.instance, c.replication,  # noqa: E731
+                      replace(c.params, mode="standard"))
+    for part, following in zip(slices, slices[1:]):
+        last, first = part[-1], following[0]
+        assert twin(last) != twin(first), (
+            f"a slice boundary parts cell {last.index} from its twin, "
+            f"cell {first.index}")
 
 
 # One unbiased and one biased instance, plt 1 and 4, FOP 9 and FOQ 400,

@@ -272,6 +272,51 @@ def test_sparse_plan_item_equals_dense_netting_scan(policy, mode, data):
     assert trace == ref_rows
 
 
+@settings(max_examples=300, deadline=None)
+@given(policy=st.sampled_from(POLICIES), data=st.data())
+def test_divergent_bucket_is_where_extended_netting_first_nets_differently(
+        policy, data):
+    policy_param = data.draw(st.sampled_from(
+        FOP_PERIODS if policy == "FOP" else FOQ_QUANTITIES))
+    t = data.draw(st.integers(1, 40))
+    horizon = data.draw(st.integers(0, 30))
+    state = MrpItemState(
+        on_hand=data.draw(st.integers(-800, 2400)),
+        receipts={t + k: q for k, q in data.draw(_offsets).items()},
+        safety_stock=data.draw(st.sampled_from((0, 160, 480, 1600))),
+        covered_until=t + data.draw(st.integers(-3, 20)))
+    gross = {t + k: q for k, q in data.draw(_offsets).items()}
+
+    rows = {}
+    divergent = []
+    for extended in (False, True):
+        trace = rows[extended] = []
+        plan_item(state, gross, 10, policy, policy_param, 2, t, horizon,
+                  extended=extended, trace=trace,
+                  divergent=None if extended else divergent)
+    # both traces visit the same buckets; the first unequal row is the
+    # first net the extended threshold changes
+    apart = [row[1] for row, other in zip(rows[False], rows[True])
+             if row != other]
+    assert divergent == apart[:1]
+
+
+def test_run_mrp_reports_the_first_divergent_product_bucket():
+    system = build_system("low")
+    params = PlanningParams(0.2, 1, "FOP", 1)
+    states = {10: MrpItemState(on_hand=500, safety_stock=160, covered_until=9),
+              11: MrpItemState(on_hand=500, safety_stock=160, covered_until=9)}
+    gross = {10: {8: 400}, 11: {6: 400}}
+    result = run_mrp(states, gross, {}, {}, params, 5, system)
+    assert result.divergent_bucket == 6
+    extended = PlanningParams(0.2, 1, "FOP", 1, mode="extended")
+    assert run_mrp(states, gross, {}, {}, extended, 5,
+                   system).divergent_bucket is None
+    states[11].covered_until = 5
+    assert run_mrp(states, gross, {}, {}, params, 5,
+                   system).divergent_bucket == 8
+
+
 # ------------------------------------------------------------- scheduling
 
 def test_backward_schedule():
