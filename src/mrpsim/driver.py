@@ -272,7 +272,7 @@ class SimulationRun:
         self._fold_receipts(t)
         self._firm_demands(t)
         result = self._plan(t)
-        if self.divergence_period is None and result.divergent_bucket is not None:
+        if self.divergence_period is None and result.diverges:
             self.divergence_period = t
         self._retry_blocked(minute_start)
         self._release_new(result.release_products, minute_start)

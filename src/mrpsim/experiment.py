@@ -207,16 +207,19 @@ def enumerate_cells(spec: GridSpec) -> list[Cell]:
 
 def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
              overrides: dict | None = None, tape: Tape | None = None,
-             twins: dict | None = None) -> dict:
-    """Execute one cell and flatten its KPIs into a result row.  `tape` and
-    `twins` are shared by the cells of one (instance, replication): see
-    `SimulationRun` for the tape.  A standard run that never met a bucket
-    where extended netting nets differently leaves its summary in `twins`,
-    and its extended twin takes it from there instead of simulating."""
+             twin: list | None = None) -> dict:
+    """Execute one cell and flatten its KPIs into a result row.  `tape` is
+    shared by the cells of one (instance, replication), see `SimulationRun`.
+    `twin` is a one-entry slot handed from cell to cell: a standard run that
+    never met a bucket where extended netting nets differently leaves
+    (params, summary) there, and the next cell, if it is that run's extended
+    twin, takes the summary instead of simulating.  Every call empties it."""
     inst = cell.instance
     summary = None
-    if twins is not None and cell.mode == "extended":
-        summary = twins.pop(replace(cell.params, mode="standard"), None)
+    if twin:
+        params, standard = twin.pop()
+        if cell.params == replace(params, mode="extended"):
+            summary = standard
     if summary is None:
         config = make_config(utilization=inst.utilization, alpha=inst.alpha,
                              bias=inst.bias, params=cell.params,
@@ -225,9 +228,9 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
                              overrides=overrides)
         run = SimulationRun(config, tape=tape)
         summary = run.run()
-        if (twins is not None and cell.mode == "standard"
+        if (twin is not None and cell.mode == "standard"
                 and run.divergence_period is None):
-            twins[cell.params] = summary
+            twin.append((cell.params, summary))
     return {
         "instance_id": inst.instance_id, "alpha": inst.alpha,
         "beta": inst.beta, "bias": inst.bias,
@@ -255,15 +258,15 @@ def _describe(cell: Cell) -> str:
 def _run_cells(cells: list[Cell], base_seed: int, run_length: int,
                warmup: int, overrides: dict | None):
     """Yield (index, row, error) per cell, in order.  Consecutive cells of
-    one (instance, replication) share a tape and their twins' runs; the next
+    one (instance, replication) share a tape and a twin slot; the next
     pair's empty tape drops the old one before it is built."""
-    key, tape, twins = None, {}, {}
+    key, tape, twin = None, {}, []
     for cell in cells:
         if (cell.instance, cell.replication) != key:
-            key, tape, twins = (cell.instance, cell.replication), {}, {}
+            key, tape, twin = (cell.instance, cell.replication), {}, []
         try:
             row, error = run_cell(cell, base_seed, run_length, warmup,
-                                  overrides, tape, twins), None
+                                  overrides, tape, twin), None
         except Exception as exc:
             row, error = None, f"{_describe(cell)}: {exc}"
         yield cell.index, row, error

@@ -30,7 +30,7 @@ identical for them.
 The modes can part only where that threshold matters: a demand bucket inside
 the covered range whose projection lies below a positive safety stock.  A
 standard-mode `run_mrp` reports the first product bucket where the extended
-threshold would give another net (`MrpResult.divergent_bucket`).  Until one
+threshold would give another net (`MrpResult.diverges`).  Until one
 occurs, a standard run and its extended twin on the same random numbers plan,
 release and cost exactly alike, so the grid reuses a standard run that never
 met one as its twin's result.
@@ -238,9 +238,9 @@ class MrpResult:
     component_lots: list[PlannedLot]
     release_products: list[PlannedLot]
     release_components: list[PlannedLot]
-    # standard mode: the first product bucket extended netting would net
-    # differently, None if there is none
-    divergent_bucket: int | None = None
+    # standard mode: some product bucket would net differently under
+    # extended netting
+    diverges: bool = False
 
 
 def run_mrp(product_states: dict[int, MrpItemState],
@@ -286,5 +286,5 @@ def run_mrp(product_states: dict[int, MrpItemState],
         component_lots=component_lots,
         release_products=[l for l in product_lots if l.start <= current_period],
         release_components=[l for l in component_lots if l.start <= current_period],
-        divergent_bucket=min(divergent) if divergent else None,
+        diverges=bool(divergent),
     )

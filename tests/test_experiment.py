@@ -162,6 +162,18 @@ def test_extended_twins_reuse_standard_runs_that_never_diverge(monkeypatch):
     assert len(simulated) == len(cells) - reusable
 
 
+def test_twin_slot_never_crosses_a_group():
+    # extended before standard, one sst-0 parameter set (its standard run
+    # never diverges) and two replications: a group ends on a reusable
+    # standard run whose parameters match the next group's first cell
+    spec = replace(SHARED, alphas=(0.04,), sst_factors=(0.0,), plts=(1,),
+                   modes=("extended", "standard"))
+    cells = enumerate_cells(spec)
+    assert len(cells) == 4
+    alone = [run_cell(c, 11, spec.run_length, spec.warmup) for c in cells]
+    assert run_grid(spec, base_seed=11, workers=1) == alone
+
+
 # analyze-full's grid in perfbench: 3 groups of 16 cells, each
 # (instance, replication) a group, both modes
 _TWIN_GRIDS = (

@@ -301,20 +301,20 @@ def test_divergent_bucket_is_where_extended_netting_first_nets_differently(
     assert divergent == apart[:1]
 
 
-def test_run_mrp_reports_the_first_divergent_product_bucket():
+def test_run_mrp_reports_whether_a_product_bucket_diverges():
     system = build_system("low")
     params = PlanningParams(0.2, 1, "FOP", 1)
     states = {10: MrpItemState(on_hand=500, safety_stock=160, covered_until=9),
               11: MrpItemState(on_hand=500, safety_stock=160, covered_until=9)}
     gross = {10: {8: 400}, 11: {6: 400}}
     result = run_mrp(states, gross, {}, {}, params, 5, system)
-    assert result.divergent_bucket == 6
+    assert result.diverges
     extended = PlanningParams(0.2, 1, "FOP", 1, mode="extended")
-    assert run_mrp(states, gross, {}, {}, extended, 5,
-                   system).divergent_bucket is None
+    assert not run_mrp(states, gross, {}, {}, extended, 5, system).diverges
     states[11].covered_until = 5
-    assert run_mrp(states, gross, {}, {}, params, 5,
-                   system).divergent_bucket == 8
+    assert run_mrp(states, gross, {}, {}, params, 5, system).diverges
+    states[10].covered_until = 7
+    assert not run_mrp(states, gross, {}, {}, params, 5, system).diverges
 
 
 # ------------------------------------------------------------- scheduling
