@@ -22,9 +22,8 @@ import os
 import sys
 
 from . import __version__
-from .config import (RUN_LENGTH, WARMUP, load_overrides, build_system,
-                     validate_system, planned_utilization_table,
-                     UTILIZATION_LEVELS)
+from .config import (RUN_LENGTH, WARMUP, load_overrides,
+                     planned_utilization_table, UTILIZATION_LEVELS)
 from .driver import SimulationRun
 from .forecast import BIASED_SCHEDULES, dump_tape, load_replay
 from .mrp import MODES, PlanningParams
@@ -50,6 +49,16 @@ def _parse_policy(text: str) -> tuple[str, int]:
         return name.upper(), int(value)
     except ValueError:
         raise UsageError(f"policy parameter must be an integer, got {value!r}")
+
+
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -115,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(PRESETS), required=True)
     p.add_argument("--out", metavar="DIR",
                    help="directory for results.csv and manifest.txt")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: MRPSIM_WORKERS or CPUs)")
+    p.add_argument("--workers", type=_worker_count, default=None,
+                   help="worker processes, at least 1 (default: one per CPU)")
     p.add_argument("--dry-run", action="store_true",
                    help="print cell counts without running anything")
 
@@ -151,8 +160,6 @@ def _load_config(args) -> dict | None:
 
 def cmd_validate(args) -> int:
     overrides = _load_config(args)
-    for level in UTILIZATION_LEVELS:
-        validate_system(build_system(level, overrides))
     print("configuration valid\n")
     print("planned utilization")
     for machine, level, value in planned_utilization_table(overrides):

@@ -9,10 +9,11 @@ machine each:
     component 20:     M201
     component 21:     M202
 
-Each final product piece consumes BOM_QUANTITY component pieces.  Demand
-arrives as one customer order per product every DEMAND_INTERVAL periods with
-an expected quantity of EXPECTED_ORDER_AMOUNT pieces; the eight products are
-staggered so that two of them (one per line) are due every period.
+Each final product piece consumes `bom.quantity` component pieces.  Demand
+arrives as one customer order per product every `demand.interval` periods
+with an expected quantity of `demand.expected_amount` pieces; the eight
+products are staggered so that two of them (one per line) are due every
+period.
 
 Machine load is tuned through the setup time of the product machines: with
 one 800-piece lot per day and machine, setup means of 216 / 288 / 331.2
@@ -20,46 +21,57 @@ minutes put the product machines at 90% / 95% / 98% planned utilization.
 Component machines always run a 94-minute setup; their planned utilization is
 88.6% with 800-piece component lots and 82.1% with 1600-piece lots.
 
-Every constant here can be overridden through a JSON config file, see
-`load_overrides` and README for the key schema.
+`_DEFAULT_OVERRIDES` is the one home of every plant number: `build_system`
+reads each value from it, and a JSON config file (`load_overrides`, README)
+overrides any of them within the bounds `_merge_overrides` checks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-
-PERIOD_MINUTES = 1440.0          # one period is one day of available machine time
+import math
+from dataclasses import dataclass
 
 FINAL_PRODUCTS = (10, 11, 12, 13, 14, 15, 16, 17)
 COMPONENTS = (20, 21)
-
-FINAL_PROCESSING_MIN = 1.35      # minutes per final-product piece, each stage
-COMPONENT_PROCESSING_MIN = 0.68  # minutes per component piece
-BOM_QUANTITY = 2                 # component pieces per final-product piece
-
-EXPECTED_ORDER_AMOUNT = 800      # pieces per customer order
-DEMAND_INTERVAL = 4              # periods between two orders of one product
-FIRST_DEMAND_DELAY = 12          # no due dates during the first 12 periods
-
-# Setup time means (minutes per lot).  The product-machine value selects the
-# utilization level of the whole system; components always use the same mean.
-PRODUCT_SETUP_MIN = {"low": 216.0, "medium": 288.0, "high": 331.2}
-COMPONENT_SETUP_MIN = 94.0
-SETUP_CV = 0.2                   # coefficient of variation of lognormal setups
-
-WIP_COST = 0.5                   # CU per piece and period, released and component stock
-FGI_COST = 1.0                   # CU per piece and period in final-goods stock
-BACKORDER_COST = 19.0            # CU per piece and period of unfilled due demand
-
-COMPONENT_PLT = 3                # planned lead time for component orders
 
 RUN_LENGTH = 400                 # simulated periods per replication
 WARMUP = 40                      # periods excluded from all KPIs
 
 UTILIZATION_LEVELS = ("low", "medium", "high")
 
-# Product k is due in periods p > FIRST_DEMAND_DELAY with p % 4 == offset % 4.
+# Every overridable plant number, in the sections and keys of a JSON config
+# file.  README's "Config overrides" block must equal this table.
+_DEFAULT_OVERRIDES = {
+    # CU per piece and period: released pieces and component stock (wip),
+    # final-goods stock (fgi), unfilled due demand (backorder)
+    "costs": {"wip": 0.5, "fgi": 1.0, "backorder": 19.0},
+    # pieces per customer order, periods between two orders of one product,
+    # and no due dates during the first first_delay periods
+    "demand": {"expected_amount": 800, "interval": 4, "first_delay": 12},
+    # minutes per piece: final products at each stage, components
+    "processing": {"final_min": 1.35, "component_min": 0.68},
+    # Setup time means (minutes per lot).  The product-machine value selects
+    # the utilization level of the whole system; components always use the
+    # same mean.  cv is the coefficient of variation of lognormal setups.
+    "setup": {"low": 216.0, "medium": 288.0, "high": 331.2,
+              "component": 94.0, "cv": 0.2},
+    # component pieces per final-product piece
+    "bom": {"quantity": 2},
+    # planned lead time (periods) of component orders
+    "planning": {"component_plt": 3},
+    # one period is one day of available machine time
+    "capacity": {"period_minutes": 1440.0},
+}
+
+# Every value must be >= 0, and these three must exceed 0: a demand interval
+# of 0 or a period of no minutes divides by zero, and every product consumes
+# its component.  Keys whose default is an int take integral numbers only.
+_LOWER_BOUNDS = {"demand.interval": (1, ">="), "bom.quantity": (1, ">="),
+                 "capacity.period_minutes": (0, ">")}
+
+# Product k is due in periods p > demand.first_delay with
+# p % interval == offset % interval.
 DEMAND_OFFSETS = {10: 1, 14: 1, 11: 2, 15: 2, 12: 3, 16: 3, 13: 4, 17: 4}
 
 _ROUTINGS = {
@@ -92,19 +104,19 @@ class Machine:
 
 @dataclass(frozen=True)
 class CostRates:
-    wip: float = WIP_COST
-    fgi: float = FGI_COST
-    backorder: float = BACKORDER_COST
+    wip: float
+    fgi: float
+    backorder: float
 
 
 @dataclass(frozen=True)
 class DemandPattern:
     """Cyclic customer-order schedule for the final products."""
 
-    interval: int = DEMAND_INTERVAL
-    offsets: dict[int, int] = field(default_factory=lambda: dict(DEMAND_OFFSETS))
-    first_delay: int = FIRST_DEMAND_DELAY
-    expected_amount: int = EXPECTED_ORDER_AMOUNT
+    interval: int
+    offsets: dict[int, int]
+    first_delay: int
+    expected_amount: int
 
     def first_due(self, item_id: int) -> int:
         return self.due_dates(item_id, 0, self.first_delay + self.interval)[0]
@@ -125,9 +137,9 @@ class SystemConfig:
     machines: dict[int, Machine]
     cost_rates: CostRates
     demand: DemandPattern
-    bom_quantity: int = BOM_QUANTITY
-    component_plt: int = COMPONENT_PLT
-    period_minutes: float = PERIOD_MINUTES
+    bom_quantity: int
+    component_plt: int
+    period_minutes: float
 
     @property
     def final_products(self) -> tuple[int, ...]:
@@ -143,7 +155,8 @@ def build_system(utilization: str = "low",
     """Assemble the default plant at one of the three utilization levels.
 
     `overrides` takes the (already parsed) JSON override mapping; unknown
-    sections or keys raise ValueError so typos cannot silently change a run.
+    sections or keys and out-of-range values raise ValueError so typos
+    cannot silently change a run.
     """
     o = _merge_overrides(overrides)
     if utilization not in UTILIZATION_LEVELS:
@@ -172,32 +185,16 @@ def build_system(utilization: str = "low",
         machines[mid] = Machine(mid, o["setup"]["component"], cv)
 
     demand = DemandPattern(interval=o["demand"]["interval"],
+                           offsets=dict(DEMAND_OFFSETS),
                            first_delay=o["demand"]["first_delay"],
                            expected_amount=o["demand"]["expected_amount"])
     rates = CostRates(wip=o["costs"]["wip"], fgi=o["costs"]["fgi"],
                       backorder=o["costs"]["backorder"])
 
-    system = SystemConfig(items=items, machines=machines, cost_rates=rates,
-                          demand=demand, bom_quantity=bom_qty,
-                          component_plt=o["planning"]["component_plt"],
-                          period_minutes=o["capacity"]["period_minutes"])
-    validate_system(system)
-    return system
-
-
-_DEFAULT_OVERRIDES = {
-    "costs": {"wip": WIP_COST, "fgi": FGI_COST, "backorder": BACKORDER_COST},
-    "demand": {"expected_amount": EXPECTED_ORDER_AMOUNT,
-               "interval": DEMAND_INTERVAL, "first_delay": FIRST_DEMAND_DELAY},
-    "processing": {"final_min": FINAL_PROCESSING_MIN,
-                   "component_min": COMPONENT_PROCESSING_MIN},
-    "setup": {"low": PRODUCT_SETUP_MIN["low"], "medium": PRODUCT_SETUP_MIN["medium"],
-              "high": PRODUCT_SETUP_MIN["high"], "component": COMPONENT_SETUP_MIN,
-              "cv": SETUP_CV},
-    "bom": {"quantity": BOM_QUANTITY},
-    "planning": {"component_plt": COMPONENT_PLT},
-    "capacity": {"period_minutes": PERIOD_MINUTES},
-}
+    return SystemConfig(items=items, machines=machines, cost_rates=rates,
+                        demand=demand, bom_quantity=bom_qty,
+                        component_plt=o["planning"]["component_plt"],
+                        period_minutes=o["capacity"]["period_minutes"])
 
 
 def _merge_overrides(overrides: dict | None) -> dict:
@@ -212,10 +209,22 @@ def _merge_overrides(overrides: dict | None) -> dict:
             if key not in merged[section]:
                 raise ValueError(f"unknown config key {section}.{key}; known: "
                                  f"{sorted(merged[section])}")
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ValueError(f"config key {section}.{key} must be a number")
-            merged[section][key] = type(merged[section][key])(val)
+            merged[section][key] = _checked(f"{section}.{key}", val,
+                                            type(merged[section][key]))
     return merged
+
+
+def _checked(name: str, val, kind: type):
+    """`val` as the default's type, once it is a number within bounds."""
+    if (not isinstance(val, (int, float)) or isinstance(val, bool)
+            or (isinstance(val, float) and not math.isfinite(val))):
+        raise ValueError(f"config key {name} must be a number")
+    if kind is int and isinstance(val, float) and not val.is_integer():
+        raise ValueError(f"config key {name} must be an integer, got {val}")
+    low, op = _LOWER_BOUNDS.get(name, (0, ">="))
+    if not (val > low if op == ">" else val >= low):
+        raise ValueError(f"config key {name} must be {op} {low}, got {val}")
+    return kind(val)
 
 
 def load_overrides(path: str) -> dict:
@@ -226,35 +235,6 @@ def load_overrides(path: str) -> dict:
         raise ValueError("config file must contain a JSON object")
     _merge_overrides(data)   # validation only
     return data
-
-
-def validate_system(system: SystemConfig) -> None:
-    """Structural invariants of the plant description."""
-    first_stage = set()
-    second_stage = set()
-    for item in system.items.values():
-        if item.kind == "final":
-            if len(item.routing) != 2:
-                raise ValueError(f"final product {item.id} needs a two-stage routing")
-            first_stage.add(item.routing[0])
-            second_stage.add(item.routing[1])
-            if item.component not in system.items:
-                raise ValueError(f"product {item.id} consumes unknown component")
-            if item.component_qty <= 0:
-                raise ValueError(f"product {item.id} has non-positive BOM quantity")
-        else:
-            if len(item.routing) != 1:
-                raise ValueError(f"component {item.id} needs a one-stage routing")
-        for mid in item.routing:
-            if mid not in system.machines:
-                raise ValueError(f"item {item.id} routed over unknown machine {mid}")
-    if first_stage & second_stage:
-        raise ValueError("first and second stage machine sets must be disjoint")
-    for pid in system.final_products:
-        if pid not in system.demand.offsets:
-            raise ValueError(f"product {pid} has no demand offset")
-        if system.demand.first_due(pid) <= system.demand.first_delay:
-            raise ValueError("first due date must lie after the demand delay")
 
 
 def planned_utilization(system: SystemConfig, machine_id: int,

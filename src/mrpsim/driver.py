@@ -36,7 +36,7 @@ from .config import SystemConfig
 from .forecast import (HORIZON, ForecastStream, ScenarioParams, advance,
                        long_term_forecast, stream_rng, substream_seed)
 from .inventory import CustomerDemand, StockLedger, fulfill_due_demands, try_release
-from .kpi import KpiTracker, PeriodSnapshot, RunSummary
+from .kpi import KpiTracker, RunSummary
 from .mrp import MrpItemState, PlanningParams, decision_windows, run_mrp
 from .shopfloor import ProductionOrder, ShopFloor
 
@@ -287,7 +287,7 @@ class SimulationRun:
         fgi = sum(on_hand[p] for p in self.products)
         wip = self.shop.pieces_on_floor + sum(on_hand[c] for c in self.components)
         backorder = sum(self.backlog.values())
-        self.kpi.record_snapshot(PeriodSnapshot(t, wip, fgi, backorder))
+        self.kpi.record_snapshot(t, wip, fgi, backorder)
 
         if self.period_log is not None:
             self.period_log.append(PeriodLogEntry(

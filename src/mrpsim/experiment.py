@@ -290,9 +290,6 @@ class ExperimentError(RuntimeError):
 
 
 def default_workers() -> int:
-    env = os.environ.get("MRPSIM_WORKERS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 

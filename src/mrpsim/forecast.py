@@ -41,6 +41,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .config import _DEFAULT_OVERRIDES
+
 HORIZON = 10  # forecast updates start H periods before delivery
 
 _TEMP_OVER_B = {10: 0.0, 9: 0.0, 8: 0.04, 7: 0.04, 6: 0.08,
@@ -86,7 +88,7 @@ class ScenarioParams:
     alpha: float = 0.0
     beta: int = 0
     schedule: BiasSchedule = SCHEDULES["unbiased"]
-    expected_amount: int = 800
+    expected_amount: int = _DEFAULT_OVERRIDES["demand"]["expected_amount"]
 
     def __post_init__(self) -> None:
         if self.alpha < 0:

@@ -13,14 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class PeriodSnapshot:
-    period: int
-    wip_pieces: int
-    fgi_pieces: int
-    backorder_pieces: int
-
-
 @dataclass
 class RunSummary:
     """KPI vector of one simulation run (costs are CU per period)."""
@@ -42,14 +34,18 @@ class RunSummary:
 
 
 class KpiTracker:
-    """Collects snapshots and order/demand outcomes during a run."""
+    """Sums the measured periods' snapshots and collects order/demand
+    outcomes during a run."""
 
     def __init__(self, run_length: int, warmup: int):
         if warmup >= run_length:
             raise ValueError("warmup must end before the run does")
         self.run_length = run_length
         self.warmup = warmup
-        self.snapshots: list[PeriodSnapshot] = []
+        self.n_snapshots = 0     # measured periods recorded so far
+        self.wip_sum = 0
+        self.fgi_sum = 0
+        self.backorder_sum = 0
         self.leadtimes: list[float] = []
         self.n_final_orders = 0
 
@@ -57,8 +53,14 @@ class KpiTracker:
     def measured_periods(self) -> int:
         return self.run_length - self.warmup
 
-    def record_snapshot(self, snapshot: PeriodSnapshot) -> None:
-        self.snapshots.append(snapshot)
+    def record_snapshot(self, period: int, wip: int, fgi: int,
+                        backorder: int) -> None:
+        """Pieces held at the end of `period`; warmup periods do not count."""
+        if period > self.warmup:
+            self.n_snapshots += 1
+            self.wip_sum += wip
+            self.fgi_sum += fgi
+            self.backorder_sum += backorder
 
     def record_release(self, period_minutes: float, release_time: float) -> None:
         if release_time >= self.warmup * period_minutes:
@@ -71,14 +73,13 @@ class KpiTracker:
 
     def summarize(self, rates, demands,
                   machine_utilization: dict[int, float]) -> RunSummary:
-        measured = [s for s in self.snapshots if s.period > self.warmup]
-        if len(measured) != self.measured_periods:
+        n = self.n_snapshots
+        if n != self.measured_periods:
             raise ValueError(f"expected {self.measured_periods} measured "
-                             f"snapshots, got {len(measured)}")
-        n = len(measured)
-        wip = sum(s.wip_pieces for s in measured) / n
-        fgi = sum(s.fgi_pieces for s in measured) / n
-        backorder = sum(s.backorder_pieces for s in measured) / n
+                             f"snapshots, got {n}")
+        wip = self.wip_sum / n
+        fgi = self.fgi_sum / n
+        backorder = self.backorder_sum / n
 
         in_window = [d for d in demands
                      if self.warmup < d.due <= self.run_length]

@@ -61,6 +61,24 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("overrides", [
+    {"demand": {"interval": 0}},
+    {"capacity": {"period_minutes": 0}},
+    {"planning": {"component_plt": -1}},
+    {"demand": {"interval": 4.7}},
+    {"bom": {"quantity": 2.9}},
+], ids=["interval-0", "period-0", "plt-negative", "interval-4.7",
+        "quantity-2.9"])
+def test_out_of_range_config_is_a_usage_error(tmp_path, capsys, command,
+                                              overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 # -------------------------------------------------------------------- grid
 
 def test_grid_dry_run_counts(capsys):
@@ -81,6 +99,15 @@ def test_grid_requires_out_dir(capsys):
     code, out, err = run_cli(capsys, "grid", "--preset", "desk")
     assert code == 2
     assert "--out" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_grid_rejects_worker_counts_below_one(tmp_path, capsys, workers):
+    code, out, err = run_cli(capsys, "grid", "--preset", "null-anchor",
+                             "--out", str(tmp_path), "--workers", workers)
+    assert code == 2
+    assert "--workers" in err
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 def test_grid_rejects_unknown_preset(capsys):

@@ -8,12 +8,10 @@ import pytest
 
 from mrpsim.config import (
     _DEFAULT_OVERRIDES,
-    DemandPattern,
     build_system,
     load_overrides,
     planned_utilization,
     planned_utilization_table,
-    validate_system,
 )
 
 
@@ -66,11 +64,10 @@ def test_system_structure():
     assert system.cost_rates.fgi == 1.0
     assert system.cost_rates.backorder == 19.0
     assert system.component_plt == 3
-    validate_system(system)   # no raise
 
 
 def test_demand_pattern_first_dues():
-    pattern = DemandPattern()
+    pattern = build_system().demand
     assert pattern.first_due(10) == 13
     assert pattern.first_due(14) == 13
     assert pattern.first_due(11) == 14
@@ -82,7 +79,7 @@ def test_demand_pattern_first_dues():
 
 
 def test_demand_pattern_due_dates():
-    pattern = DemandPattern()
+    pattern = build_system().demand
     # two products per line are due each period from 13 on
     for period in range(13, 41):
         due_products = [p for p in range(10, 18)
@@ -129,6 +126,31 @@ def test_overrides_reject_non_numbers():
         build_system("low", {"costs": {"wip": True}})
     with pytest.raises(ValueError, match="must be an object"):
         build_system("low", {"costs": 3})
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"demand": {"interval": 0}}, "demand.interval must be >= 1"),
+    ({"bom": {"quantity": 0}}, "bom.quantity must be >= 1"),
+    ({"capacity": {"period_minutes": 0}}, "capacity.period_minutes must be > 0"),
+    ({"planning": {"component_plt": -1}}, "component_plt must be >= 0"),
+    ({"costs": {"backorder": -19.0}}, "costs.backorder must be >= 0"),
+    ({"demand": {"interval": 4.7}}, "demand.interval must be an integer"),
+    ({"bom": {"quantity": 2.9}}, "bom.quantity must be an integer"),
+    ({"setup": {"cv": float("nan")}}, "setup.cv must be a number"),
+])
+def test_overrides_reject_out_of_range_values(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        build_system("low", overrides)
+
+
+def test_overrides_accept_bounds_and_integral_floats():
+    system = build_system("low", {"planning": {"component_plt": 0},
+                                  "demand": {"first_delay": 0, "interval": 4.0},
+                                  "bom": {"quantity": 1}})
+    assert system.component_plt == 0
+    assert system.demand.first_delay == 0
+    assert system.demand.interval == 4 and type(system.demand.interval) is int
+    assert system.bom_quantity == 1
 
 
 def test_load_overrides(tmp_path):

@@ -4,17 +4,19 @@ import math
 
 import pytest
 
-from mrpsim.config import CostRates
+from mrpsim.config import build_system
 from mrpsim.inventory import CustomerDemand
-from mrpsim.kpi import KpiTracker, PeriodSnapshot
+from mrpsim.kpi import KpiTracker
+
+RATES = build_system().cost_rates
 
 
 def period_cost(wip, fgi, backorder):
     """Cost of one measured period holding the given pieces."""
     tracker = KpiTracker(run_length=2, warmup=1)
-    tracker.record_snapshot(PeriodSnapshot(1, 0, 0, 0))
-    tracker.record_snapshot(PeriodSnapshot(2, wip, fgi, backorder))
-    return tracker.summarize(CostRates(), demands=[],
+    tracker.record_snapshot(1, 0, 0, 0)
+    tracker.record_snapshot(2, wip, fgi, backorder)
+    return tracker.summarize(RATES, demands=[],
                              machine_utilization={}).overall_cost
 
 
@@ -38,13 +40,13 @@ def test_warmup_must_end_before_run():
 def fill_tracker(run_length=10, warmup=2, wip=100, fgi=50, backorder=10):
     tracker = KpiTracker(run_length=run_length, warmup=warmup)
     for period in range(1, run_length + 1):
-        tracker.record_snapshot(PeriodSnapshot(period, wip, fgi, backorder))
+        tracker.record_snapshot(period, wip, fgi, backorder)
     return tracker
 
 
 def test_summarize_averages_and_decomposition():
     tracker = fill_tracker(wip=100, fgi=50, backorder=10)
-    summary = tracker.summarize(CostRates(), demands=[],
+    summary = tracker.summarize(RATES, demands=[],
                                 machine_utilization={101: 0.9})
     assert summary.avg_wip_pieces == 100
     assert summary.avg_fgi_pieces == 50
@@ -61,19 +63,19 @@ def test_summarize_averages_and_decomposition():
 def test_summarize_requires_full_measurement_window():
     tracker = KpiTracker(run_length=10, warmup=2)
     for period in range(1, 10):   # one snapshot short
-        tracker.record_snapshot(PeriodSnapshot(period, 0, 0, 0))
+        tracker.record_snapshot(period, 0, 0, 0)
     with pytest.raises(ValueError, match="snapshots"):
-        tracker.summarize(CostRates(), [], {})
+        tracker.summarize(RATES, [], {})
 
 
 def test_warmup_snapshots_do_not_count():
     tracker = KpiTracker(run_length=10, warmup=2)
     # expensive warmup, empty afterwards
     for period in range(1, 3):
-        tracker.record_snapshot(PeriodSnapshot(period, 10000, 10000, 10000))
+        tracker.record_snapshot(period, 10000, 10000, 10000)
     for period in range(3, 11):
-        tracker.record_snapshot(PeriodSnapshot(period, 0, 0, 0))
-    summary = tracker.summarize(CostRates(), [], {})
+        tracker.record_snapshot(period, 0, 0, 0)
+    summary = tracker.summarize(RATES, [], {})
     assert summary.overall_cost == 0.0
 
 
@@ -84,7 +86,7 @@ def test_service_level():
         d = CustomerDemand(10, due=3 + (i % 8), qty=800)
         d.fulfilled_period = d.due if i < 18 else d.due + 2
         demands.append(d)
-    summary = tracker.summarize(CostRates(), demands, {})
+    summary = tracker.summarize(RATES, demands, {})
     assert summary.service_level == pytest.approx(0.90)
     assert summary.demands_total == 20
     assert summary.demands_on_time == 18
@@ -96,14 +98,14 @@ def test_service_level_ignores_demands_outside_window():
     inside.fulfilled_period = 5
     warmup_due = CustomerDemand(10, due=2, qty=800)       # never fulfilled
     beyond_run = CustomerDemand(10, due=11, qty=800)      # never fulfilled
-    summary = tracker.summarize(CostRates(), [inside, warmup_due, beyond_run], {})
+    summary = tracker.summarize(RATES, [inside, warmup_due, beyond_run], {})
     assert summary.service_level == 1.0
     assert summary.demands_total == 1
 
 
 def test_service_level_empty_is_one():
     tracker = fill_tracker()
-    assert tracker.summarize(CostRates(), [], {}).service_level == 1.0
+    assert tracker.summarize(RATES, [], {}).service_level == 1.0
 
 
 def test_lead_time_in_periods():
@@ -119,7 +121,7 @@ def test_lead_time_mean_and_sample_sd():
     pm = 1440.0
     tracker.record_completion(pm, 4 * pm, 6 * pm)    # 2.0
     tracker.record_completion(pm, 5 * pm, 9 * pm)    # 4.0
-    summary = tracker.summarize(CostRates(), [], {})
+    summary = tracker.summarize(RATES, [], {})
     assert summary.leadtime_mean == pytest.approx(3.0)
     assert summary.leadtime_sd == pytest.approx(math.sqrt(2.0))
 
