@@ -7,6 +7,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrpsim import experiment
 from mrpsim.experiment import (
@@ -391,3 +393,144 @@ def test_significance_stars():
     assert significance_stars(0.04) == "*"
     assert significance_stars(0.06) == ""
     assert significance_stars(0.05) == ""
+
+
+# ------------------------------------------------------ pinned analysis bytes
+
+def analysis_rows(seed: int = 2024) -> list[dict]:
+    """Seeded rows shaped like a small study: four instances (two unbiased,
+    two biased) x 8 parameter sets x both modes x 3 replications.  In
+    (low-a0.02, standard) two parameter sets tie exactly for the lowest
+    mean cost, so the tie-break decides the winner."""
+    import random
+
+    rng = random.Random(seed)
+    instances = [Instance("low", 0.02), Instance("medium", 0.06),
+                 Instance("low", 0.06, "permanent_overbooking"),
+                 Instance("high", 0.02, "permanent_underbooking")]
+    params = [(sst, plt, policy, value) for sst in (0.2, 0.6)
+              for plt in (1, 3) for policy, value in (("FOP", 1), ("FOQ", 400))]
+    rows = []
+    for inst in instances:
+        for mode in ("standard", "extended"):
+            for sst, plt, policy, value in params:
+                for rep in range(3):
+                    wip = rng.uniform(4000.0, 9000.0)
+                    fgi = rng.uniform(300.0, 6000.0)
+                    backorder = rng.uniform(0.0, 4000.0) * rng.random()
+                    rows.append({
+                        "instance_id": inst.instance_id, "alpha": inst.alpha,
+                        "beta": inst.beta, "bias": inst.bias,
+                        "utilization": inst.utilization, "mode": mode,
+                        "sst_factor": sst, "plt": plt, "policy": policy,
+                        "policy_param": value, "comp_lot": 800,
+                        "replication": rep, "seed": seed,
+                        "overall_cost": wip + fgi + backorder,
+                        "wip_cost": wip, "fgi_cost": fgi,
+                        "backorder_cost": backorder,
+                        "service_level": rng.uniform(0.8, 1.0),
+                        "n_final_orders": rng.randint(600, 900),
+                        "leadtime_mean": rng.uniform(1.0, 6.0),
+                        "leadtime_sd": rng.uniform(0.1, 2.0),
+                    })
+    tied = [r for r in rows if r["instance_id"] == "low-a0.02-b0-unbiased"
+            and r["mode"] == "standard"]
+    for r in tied:
+        if r["plt"] == 1 and r["policy"] == "FOP":
+            r["overall_cost"] = 1000.0 + r["replication"]
+    return rows
+
+
+ANALYSIS_SHA256 = \
+    "0ebe086230c500257d166abaf338b287a005801b1d350b6546f09460d73098ca"
+
+
+def test_analysis_bytes_are_pinned():
+    """`compare_modes` (Welch and paired) and every table renderer, text and
+    CSV, render the same bytes as when this digest was pinned."""
+    from mrpsim.tables import TABLES
+
+    rows = analysis_rows()
+    best = best_per_instance(rows)
+    tied = best[("low-a0.02-b0-unbiased", "standard")]
+    assert (tied.sst_factor, tied.mean_cost) == (0.2, 1001.0)
+    digest = hashlib.sha256()
+    for paired in (False, True):
+        digest.update(repr(compare_modes(rows, paired=paired)).encode())
+        for name in sorted(TABLES):
+            for csv in (False, True):
+                digest.update(TABLES[name](rows, paired, csv).encode())
+    assert digest.hexdigest() == ANALYSIS_SHA256
+
+
+def reference_best_per_instance(rows: list[dict]) -> dict:
+    """`best_per_instance` as first written: every group fully aggregated,
+    a `BestCell` built whenever a group beats the current best."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        key = (row["instance_id"], row["mode"], row["sst_factor"], row["plt"],
+               row["policy"], row["policy_param"], row["comp_lot"])
+        groups.setdefault(key, []).append(row)
+    counts = {len(g) for g in groups.values()}
+    if len(counts) > 1:
+        raise ValueError("unbalanced replication counts per parameter set")
+    best: dict[tuple[str, str], BestCell] = {}
+    order: dict[tuple[str, str], tuple] = {}
+    for key, group in groups.items():
+        instance_id, mode, sst, plt, policy, value, comp_lot = key
+        n = len(group)
+        agg = {k: sum(r[k] for r in group) / n
+               for k in ("overall_cost", "wip_cost", "fgi_cost",
+                         "backorder_cost", "service_level", "leadtime_mean")}
+        rank = (agg["overall_cost"], sst, plt, policy, value, comp_lot)
+        bkey = (instance_id, mode)
+        if bkey in best and order[bkey] <= rank:
+            continue
+        order[bkey] = rank
+        first = group[0]
+        best[bkey] = BestCell(
+            instance_id=instance_id, utilization=first["utilization"],
+            alpha=first["alpha"], beta=first["beta"], bias=first["bias"],
+            mode=mode, sst_factor=sst, plt=plt, policy=policy,
+            policy_param=value, comp_lot=comp_lot, replications=n,
+            costs=tuple(r["overall_cost"] for r in
+                        sorted(group, key=lambda r: r["replication"])),
+            mean_cost=agg["overall_cost"], mean_wip=agg["wip_cost"],
+            mean_fgi=agg["fgi_cost"], mean_backorder=agg["backorder_cost"],
+            mean_service=agg["service_level"],
+            mean_leadtime=agg["leadtime_mean"])
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_best_per_instance_matches_reference_on_shuffled_ties(data):
+    """Costs drawn from a few values make exact and near ties common (0.1 +
+    0.2 + 0.3 sums differently in another order); in any row order the
+    winners, their fields and the key order equal the reference's."""
+    values = st.sampled_from((0.1, 0.2, 0.3, 1.0, 2.0))
+    rows = []
+    for iid, util in (("low-a0-b0-unbiased", "low"),
+                      ("high-a0-b1-permanent_overbooking", "high")):
+        for mode in ("standard", "extended"):
+            for sst in (0.0, 0.4):
+                for policy, value in (("FOP", 1), ("FOQ", 800)):
+                    for rep in range(3):
+                        rows.append({
+                            "instance_id": iid, "alpha": 0.0, "beta": 0,
+                            "bias": "unbiased", "utilization": util,
+                            "mode": mode, "sst_factor": sst, "plt": 1,
+                            "policy": policy, "policy_param": value,
+                            "comp_lot": 800, "replication": rep, "seed": 1,
+                            "overall_cost": data.draw(values),
+                            "wip_cost": data.draw(values),
+                            "fgi_cost": 0.5, "backorder_cost": 0.0,
+                            "service_level": data.draw(values),
+                            "n_final_orders": 700, "leadtime_mean": 2.0,
+                            "leadtime_sd": 0.5,
+                        })
+    rows = data.draw(st.permutations(rows))
+    expected = reference_best_per_instance(rows)
+    best = best_per_instance(rows)
+    assert list(best) == list(expected)
+    assert best == expected
