@@ -2,7 +2,8 @@
 
 Subcommands:
 
-    validate   print the planned-utilization table and grid cardinalities
+    validate   print the planned-utilization table and grid cardinalities;
+               a machine planned at 100% or more is a usage error
     simulate   run one replication and print its KPI summary (standard
                mode also prints the first period extended netting would
                have planned differently)
@@ -22,7 +23,7 @@ import os
 import sys
 
 from . import __version__
-from .config import (RUN_LENGTH, WARMUP, load_overrides,
+from .config import (RUN_LENGTH, WARMUP, build_system, load_overrides,
                      planned_utilization_table, UTILIZATION_LEVELS)
 from .driver import SimulationRun
 from .forecast import BIASED_SCHEDULES, dump_tape, load_replay
@@ -160,14 +161,26 @@ def _load_config(args) -> dict | None:
 
 def cmd_validate(args) -> int:
     overrides = _load_config(args)
-    print("configuration valid\n")
+    table = planned_utilization_table(overrides)
+    overloaded = [f"{machine} {level} ({value:.2f})"
+                  for machine, level, value in table if value >= 1]
+    if not overloaded:
+        print("configuration valid\n")
     print("planned utilization")
-    for machine, level, value in planned_utilization_table(overrides):
+    for machine, level, value in table:
         exact = f"  ({value})" if machine in ("M201", "M202") else ""
         print(f"  {machine} {level} {value:.2f}{exact}")
+    minutes = build_system("low", overrides).period_minutes
     print("  note: component utilizations are exact setup+run fractions of")
-    print("  the 1440-minute day; the familiar rounded figures 88% and 81.5%")
-    print("  sit about 0.6 percentage points below them.\n")
+    if overrides:
+        print(f"  the {minutes:g}-minute period.\n")
+    else:
+        print(f"  the {minutes:g}-minute period; the familiar rounded figures "
+              "88% and 81.5%")
+        print("  sit about 0.6 percentage points below them.\n")
+    if overloaded:
+        raise UsageError("planned utilization is 100% or more on "
+                         + ", ".join(overloaded))
     print("experiment grids")
     header = f"  {'preset':<12}{'param sets':>11}{'unbiased':>10}" \
              f"{'biased':>8}{'modes':>7}{'reps':>6}{'cells':>10}"

@@ -28,6 +28,7 @@ import os
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import itemgetter
 
 from . import __version__
 from .forecast import BIASED_SCHEDULES, SCHEDULES, ScenarioParams
@@ -297,13 +298,17 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
              overrides: dict | None = None, progress=None) -> list[dict]:
     """Run every cell of the grid; rows come back in enumeration order.
     Cells execute grouped by (instance, replication), each pool task a
-    contiguous slice of that order, so tapes are shared within a slice."""
+    contiguous slice of that order, so tapes are shared within a slice.
+    `workers` defaults to one per CPU; 1 runs in this process."""
+    if workers is None:
+        workers = default_workers()
+    elif workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = enumerate_cells(spec)
     rank = {instance: i for i, instance in enumerate(spec.instances())}
     order = sorted(cells, key=lambda c: (rank[c.instance], c.replication))
     settings = dict(base_seed=base_seed, run_length=spec.run_length,
                     warmup=spec.warmup, overrides=overrides)
-    workers = workers or default_workers()
     results: list = [None] * len(cells)
     errors: dict[int, str] = {}
     done = 0
@@ -348,19 +353,22 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _parse_row(row: list[str], lineno: int) -> dict:
+class _Shared(dict):
+    """Hands back the first string seen that equals the one looked up."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = text
+        return text
+
+
+def _parse_row(row: list[str], lineno: int, parsers: tuple) -> dict:
     if len(row) != len(RESULT_COLUMNS):
         raise ValueError(f"results line {lineno}: expected "
                          f"{len(RESULT_COLUMNS)} fields, got {len(row)}")
     out = {}
-    for column, text in zip(RESULT_COLUMNS, row):
+    for column, parse, text in zip(RESULT_COLUMNS, parsers, row):
         try:
-            if column in _STR_COLUMNS:
-                out[column] = text
-            elif column in _INT_COLUMNS:
-                out[column] = int(text)
-            else:
-                out[column] = float(text)
+            out[column] = parse(text)
         except ValueError as exc:
             raise ValueError(f"results line {lineno}, column {column}: "
                              f"{text!r}") from exc
@@ -397,8 +405,15 @@ def write_results(rows: list[dict], path: str, append: bool = False) -> None:
 
 
 def read_results(path: str) -> list[dict]:
+    """Rows of a results CSV as dicts keyed by `RESULT_COLUMNS`.  The string
+    columns repeat a few values over millions of rows, so each distinct
+    value is one string object shared by every row of this call."""
     import csv
 
+    shared = _Shared().__getitem__
+    parsers = tuple(shared if c in _STR_COLUMNS else
+                    int if c in _INT_COLUMNS else float
+                    for c in RESULT_COLUMNS)
     rows = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -408,7 +423,7 @@ def read_results(path: str) -> list[dict]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            rows.append(_parse_row(row, lineno))
+            rows.append(_parse_row(row, lineno, parsers))
     return rows
 
 
@@ -468,55 +483,58 @@ class BestCell:
         return f"{self.policy} {self.policy_param}"
 
 
-def _aggregate(group: list[dict]) -> dict:
+_GROUP_KEY = itemgetter("instance_id", "mode", "sst_factor", "plt", "policy",
+                        "policy_param", "comp_lot")
+_REPLICATION = itemgetter("replication")
+_COST = itemgetter("overall_cost")
+
+
+def _aggregate(rank: tuple, group: list[dict]) -> BestCell:
+    """Average one winning group; its mean cost comes with `rank`."""
+    mean_cost, sst, plt, policy, value, comp_lot = rank
     n = len(group)
-    agg = {k: sum(r[k] for r in group) / n
-           for k in ("overall_cost", "wip_cost", "fgi_cost", "backorder_cost",
-                     "service_level", "leadtime_mean")}
-    agg["costs"] = tuple(r["overall_cost"]
-                         for r in sorted(group, key=lambda r: r["replication"]))
-    return agg
+    wip, fgi, backorder, service, leadtime = (
+        sum(map(itemgetter(k), group)) / n
+        for k in ("wip_cost", "fgi_cost", "backorder_cost", "service_level",
+                  "leadtime_mean"))
+    first = group[0]
+    return BestCell(
+        instance_id=first["instance_id"], utilization=first["utilization"],
+        alpha=first["alpha"], beta=first["beta"], bias=first["bias"],
+        mode=first["mode"], sst_factor=sst, plt=plt, policy=policy,
+        policy_param=value, comp_lot=comp_lot, replications=n,
+        costs=tuple(map(_COST, sorted(group, key=_REPLICATION))),
+        mean_cost=mean_cost, mean_wip=wip, mean_fgi=fgi,
+        mean_backorder=backorder, mean_service=service,
+        mean_leadtime=leadtime)
 
 
 def best_per_instance(rows: list[dict]) -> dict[tuple[str, str], BestCell]:
     """Pick the cheapest parameter set per (instance, mode).
 
-    Every parameter set must carry the same number of replications;
-    incomplete groups indicate a broken results file.
+    Groups rank by (mean cost, sst, plt, policy, value, comp lot), so an
+    exact tie in cost goes to the smaller parameters.  Only the winner of
+    each (instance, mode) is averaged over its other KPIs.  Every
+    parameter set must carry the same number of replications; incomplete
+    groups indicate a broken results file.
     """
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = (row["instance_id"], row["mode"], row["sst_factor"], row["plt"],
-               row["policy"], row["policy_param"], row["comp_lot"])
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(_GROUP_KEY(row), []).append(row)
 
     counts = {len(g) for g in groups.values()}
     if len(counts) > 1:
         raise ValueError(f"unbalanced replication counts per parameter set: "
                          f"{sorted(counts)}")
 
-    best: dict[tuple[str, str], BestCell] = {}
-    order: dict[tuple[str, str], tuple] = {}
+    winners: dict[tuple, tuple[tuple, list[dict]]] = {}
     for key, group in groups.items():
-        instance_id, mode, sst, plt, policy, value, comp_lot = key
-        agg = _aggregate(group)
-        rank = (agg["overall_cost"], sst, plt, policy, value, comp_lot)
-        bkey = (instance_id, mode)
-        if bkey in best and order[bkey] <= rank:
-            continue
-        order[bkey] = rank
-        first = group[0]
-        best[bkey] = BestCell(
-            instance_id=instance_id, utilization=first["utilization"],
-            alpha=first["alpha"], beta=first["beta"], bias=first["bias"],
-            mode=mode, sst_factor=sst, plt=plt, policy=policy,
-            policy_param=value, comp_lot=comp_lot, replications=len(group),
-            costs=agg["costs"], mean_cost=agg["overall_cost"],
-            mean_wip=agg["wip_cost"], mean_fgi=agg["fgi_cost"],
-            mean_backorder=agg["backorder_cost"],
-            mean_service=agg["service_level"],
-            mean_leadtime=agg["leadtime_mean"])
-    return best
+        rank = (sum(map(_COST, group)) / len(group), *key[2:])
+        held = winners.get(key[:2])
+        if held is None or not held[0] <= rank:
+            winners[key[:2]] = (rank, group)
+    return {bkey: _aggregate(rank, group)
+            for bkey, (rank, group) in winners.items()}
 
 
 @dataclass

@@ -53,6 +53,30 @@ def test_validate_accepts_config_override(tmp_path, capsys):
     assert "M101 low 0.91" in out
 
 
+def test_validate_rejects_overloaded_plant(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"capacity": {"period_minutes": 720}}))
+    code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+    assert code == 2
+    assert "configuration valid" not in out
+    assert "M101 low 1.80" in out
+    assert "the 720-minute period." in out
+    assert "88%" not in out
+    assert err.startswith("error: ")
+    assert "M101 low (1.80)" in err
+
+
+def test_validate_note_follows_the_overrides(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"capacity": {"period_minutes": 2880}}))
+    code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+    assert code == 0
+    assert "configuration valid" in out
+    assert "M101 low 0.45" in out
+    assert "the 2880-minute period." in out
+    assert "0.6 percentage points" not in out
+
+
 def test_validate_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"setup": {"turbo": 1.0}}))

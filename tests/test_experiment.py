@@ -237,6 +237,22 @@ def test_dead_worker_becomes_experiment_error(monkeypatch):
     assert "cell 5 (" in str(info.value)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_grid_rejects_worker_counts_below_one(monkeypatch, workers):
+    real_pool, opened = experiment.ProcessPoolExecutor, []
+
+    def counting_pool(max_workers):
+        opened.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", counting_pool)
+    with pytest.raises(ValueError, match="at least 1"):
+        run_grid(TINY, workers=workers)
+    assert opened == []
+    run_grid(TINY, workers=2)
+    assert opened == [2]
+
+
 def test_progress_callback():
     seen = []
     run_grid(TINY, workers=1, progress=lambda done, total: seen.append((done, total)))
@@ -249,7 +265,11 @@ def test_write_read_roundtrip(tmp_path):
     rows = run_grid(TINY, workers=1)
     path = tmp_path / "results.csv"
     write_results(rows, str(path))
-    assert read_results(str(path)) == rows
+    read = read_results(str(path))
+    assert read == rows
+    # one string object per distinct value, across the rows of one read
+    for column in ("instance_id", "bias", "utilization", "mode", "policy"):
+        assert read[0][column] is read[1][column]
 
 
 def test_append_skips_identical_duplicates(tmp_path):
