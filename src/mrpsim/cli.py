@@ -29,9 +29,9 @@ from .driver import SimulationRun
 from .forecast import BIASED_SCHEDULES, dump_tape, load_replay
 from .mrp import MODES, PlanningParams
 from .experiment import (PRESETS, ExperimentError, default_workers,
-                         make_config, run_grid, read_results, write_results,
-                         write_manifest)
-from .tables import TABLES
+                         make_config, run_grid, read_results, write_csv,
+                         write_results, write_manifest)
+from .tables import TABLES, has_rows
 
 RESULTS_NAME = "results.csv"
 MANIFEST_NAME = "manifest.txt"
@@ -212,13 +212,6 @@ def _print_summary(summary, label: str) -> None:
     print(f"  utilization    {util}")
 
 
-def _write_csv(path: str, header: tuple, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
-
-
 def cmd_simulate(args) -> int:
     overrides = _load_config(args)
     policy, value = _parse_policy(args.policy)
@@ -248,13 +241,13 @@ def cmd_simulate(args) -> int:
     if args.dump_forecasts:
         dump_tape(sim.tape, config.scenario, args.dump_forecasts)
     if args.mrp_trace:
-        _write_csv(args.mrp_trace,
-                   ("period", "item", "bucket", "gross", "receipts",
-                    "projected", "net", "lot"), mrp_trace)
+        write_csv(args.mrp_trace,
+                  ("period", "item", "bucket", "gross", "receipts",
+                   "projected", "net", "lot"), mrp_trace)
     if args.event_trace:
-        _write_csv(args.event_trace,
-                   ("minute", "event", "order", "item", "machine", "qty"),
-                   event_log)
+        write_csv(args.event_trace,
+                  ("minute", "event", "order", "item", "machine", "qty"),
+                  event_log)
 
     _print_summary(summary,
                    f"{args.util} alpha={args.alpha:g} {bias} | {params.label()}"
@@ -312,7 +305,7 @@ def cmd_analyze(args) -> int:
     rows = _read_rows(args.indir)
     table = TABLES["mode-comparison"](rows, args.paired, args.csv)
     print(table)
-    if table.count("\n") <= 4 and not args.csv:
+    if not args.csv and not has_rows(table, csv=False):
         modes = sorted({r["mode"] for r in rows})
         print(f"(no instance has both modes; results contain {modes})")
     return 0
@@ -325,7 +318,7 @@ def cmd_tables(args) -> int:
     for name in names:
         text = TABLES[name](rows, args.paired, args.csv)
         # drop tables with no body rows unless explicitly requested
-        if args.table is None and text.count("\n") <= 4:
+        if args.table is None and not has_rows(text, args.csv):
             continue
         rendered[name] = text
     if not rendered:

@@ -42,8 +42,6 @@ RESULT_COLUMNS = ("instance_id", "alpha", "beta", "bias", "utilization",
                   "comp_lot", "replication", "seed", "overall_cost",
                   "wip_cost", "fgi_cost", "backorder_cost", "service_level",
                   "n_final_orders", "leadtime_mean", "leadtime_sd")
-_KEY_COLUMNS = ("instance_id", "mode", "sst_factor", "plt", "policy",
-                "policy_param", "comp_lot", "replication")
 _INT_COLUMNS = {"beta", "plt", "policy_param", "comp_lot", "replication",
                 "seed", "n_final_orders"}
 _STR_COLUMNS = {"instance_id", "bias", "utilization", "mode", "policy"}
@@ -349,8 +347,15 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
 
 # -- result files -------------------------------------------------------------
 
-def _format_value(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def write_csv(path: str, header: tuple, rows) -> None:
+    """Write `header` and then each row, a sequence of values, as one line
+    of `str` values joined by commas.  Nothing is quoted: no value written
+    by mrpsim holds a comma.  `str` of a float is its shortest round-trip
+    form, so floats read back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 class _Shared(dict):
@@ -375,33 +380,10 @@ def _parse_row(row: list[str], lineno: int, parsers: tuple) -> dict:
     return out
 
 
-def _row_key(row: dict) -> tuple:
-    return tuple(row[c] for c in _KEY_COLUMNS)
-
-
-def write_results(rows: list[dict], path: str, append: bool = False) -> None:
-    """Write (or extend) a results CSV; duplicate keys must carry identical
-    values, conflicting duplicates are rejected."""
-    existing: dict[tuple, dict] = {}
-    if append and os.path.exists(path):
-        for row in read_results(path):
-            existing[_row_key(row)] = row
-    new_rows = []
-    for row in rows:
-        key = _row_key(row)
-        if key in existing:
-            if existing[key] != row:
-                raise ValueError(f"conflicting duplicate result for {key}")
-            continue
-        existing[key] = row
-        new_rows.append(row)
-    mode = "a" if append and os.path.exists(path) else "w"
-    with open(path, mode, newline="", encoding="utf-8") as fh:
-        if mode == "w":
-            fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for row in new_rows:
-            fh.write(",".join(_format_value(row[c])
-                              for c in RESULT_COLUMNS) + "\n")
+def write_results(rows: list[dict], path: str) -> None:
+    """Write a results CSV: the `RESULT_COLUMNS` header, then one line per
+    row in the order given."""
+    write_csv(path, RESULT_COLUMNS, map(itemgetter(*RESULT_COLUMNS), rows))
 
 
 def read_results(path: str) -> list[dict]:

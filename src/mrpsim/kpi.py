@@ -38,8 +38,10 @@ class KpiTracker:
     outcomes during a run."""
 
     def __init__(self, run_length: int, warmup: int):
-        if warmup >= run_length:
-            raise ValueError("warmup must end before the run does")
+        if not 0 <= warmup < run_length:
+            raise ValueError(f"warmup must be at least 0 and end before the "
+                             f"run does: warmup {warmup}, run length "
+                             f"{run_length}")
         self.run_length = run_length
         self.warmup = warmup
         self.n_snapshots = 0     # measured periods recorded so far

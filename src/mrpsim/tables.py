@@ -8,7 +8,7 @@ loaded elsewhere.
 
 from __future__ import annotations
 
-from .experiment import BestCell, best_per_instance, compare_modes
+from .experiment import best_per_instance, compare_modes
 
 
 def _fmt(value, decimals: int = 0) -> str:
@@ -17,7 +17,12 @@ def _fmt(value, decimals: int = 0) -> str:
     return str(value)
 
 
-def _render(header: list[str], rows: list[list[str]], title: str) -> str:
+def _emit(title: str, header: list[str], rows: list[list[str]],
+          csv: bool) -> str:
+    if csv:
+        body = [",".join(header)]
+        body += [",".join(c.replace(",", "") for c in row) for row in rows]
+        return "\n".join(body) + "\n"
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows
               else len(header[i]) for i in range(len(header))]
     lines = [title, ""]
@@ -29,19 +34,11 @@ def _render(header: list[str], rows: list[list[str]], title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    body = [",".join(header)]
-    body += [",".join(str(c).replace(",", "") for c in row) for row in rows]
-    return "\n".join(body) + "\n"
-
-
-def _best_row(cell: BestCell) -> list[str]:
-    return [f"a={cell.alpha:g}",
-            f"{cell.sst_factor:g}", str(cell.plt), cell.policy_label,
-            str(cell.comp_lot),
-            _fmt(cell.mean_cost), _fmt(cell.mean_wip), _fmt(cell.mean_fgi),
-            _fmt(cell.mean_backorder), f"{cell.mean_service:.3f}",
-            f"{cell.mean_leadtime:.2f}"]
+def has_rows(table: str, csv: bool) -> bool:
+    """Whether a table this module emitted has a body row: a text table
+    opens with four lines (title, blank, header, rule), a CSV table with
+    one (header)."""
+    return table.count("\n") > (1 if csv else 4)
 
 
 _BEST_HEADER = ["instance", "SST", "PLT", "policy", "comp lot", "cost",
@@ -54,14 +51,14 @@ def best_parameters_table(rows: list[dict], mode: str,
     best = best_per_instance(rows)
     cells = [cell for (iid, m), cell in sorted(best.items()) if m == mode]
     cells.sort(key=lambda c: (c.utilization, c.beta, c.bias, c.alpha))
-    body = [_best_row(c) for c in cells]
-    for row, cell in zip(body, cells):
-        row[0] = f"{cell.utilization} {cell.bias} a={cell.alpha:g}"
-    if csv:
-        return _csv(_BEST_HEADER, body)
-    return _render(_BEST_HEADER, body,
-                   f"Best planning parameters ({mode} netting), "
-                   f"costs per period")
+    body = [[f"{c.utilization} {c.bias} a={c.alpha:g}",
+             f"{c.sst_factor:g}", str(c.plt), c.policy_label, str(c.comp_lot),
+             _fmt(c.mean_cost), _fmt(c.mean_wip), _fmt(c.mean_fgi),
+             _fmt(c.mean_backorder), f"{c.mean_service:.3f}",
+             f"{c.mean_leadtime:.2f}"]
+            for c in cells]
+    return _emit(f"Best planning parameters ({mode} netting), "
+                 f"costs per period", _BEST_HEADER, body, csv)
 
 
 _COMPARE_HEADER = ["instance", "standard", "extended", "change", "p-value",
@@ -80,11 +77,8 @@ def mode_comparison_table(rows: list[dict], paired: bool = False,
                      f"{cmp.cost_reduction * 100:+.1f}%",
                      f"{cmp.p_value:.4f}", cmp.stars])
     test = "paired t-test" if paired else "Welch t-test"
-    if csv:
-        return _csv(_COMPARE_HEADER, body)
-    return _render(_COMPARE_HEADER, body,
-                   f"Extended vs standard netting, best cell per instance "
-                   f"({test})")
+    return _emit(f"Extended vs standard netting, best cell per instance "
+                 f"({test})", _COMPARE_HEADER, body, csv)
 
 
 _NOISE_HEADER = ["alpha", "SST", "PLT", "policy", "cost", "WIP", "FGI",
@@ -104,11 +98,8 @@ def noise_response_table(rows: list[dict], mode: str, utilization: str,
              _fmt(c.mean_cost), _fmt(c.mean_wip), _fmt(c.mean_fgi),
              _fmt(c.mean_backorder), f"{c.mean_service:.3f}"]
             for c in cells]
-    if csv:
-        return _csv(_NOISE_HEADER, body)
-    return _render(_NOISE_HEADER, body,
-                   f"Cost response to forecast noise ({utilization} "
-                   f"utilization, {mode} netting)")
+    return _emit(f"Cost response to forecast noise ({utilization} "
+                 f"utilization, {mode} netting)", _NOISE_HEADER, body, csv)
 
 
 _BIAS_HEADER = ["schedule", "alpha", "SST", "PLT", "policy", "cost",
@@ -125,11 +116,8 @@ def bias_response_table(rows: list[dict], mode: str, csv: bool = False) -> str:
              str(c.plt), c.policy_label, _fmt(c.mean_cost),
              f"{c.mean_service:.3f}"]
             for c in cells]
-    if csv:
-        return _csv(_BIAS_HEADER, body)
-    return _render(_BIAS_HEADER, body,
-                   f"Best planning parameters under forecast bias "
-                   f"({mode} netting)")
+    return _emit(f"Best planning parameters under forecast bias "
+                 f"({mode} netting)", _BIAS_HEADER, body, csv)
 
 
 TABLES = {

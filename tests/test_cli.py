@@ -314,12 +314,18 @@ def test_tables_renders_selected_table(small_results_dir, capsys):
 
 
 def test_tables_writes_files(small_results_dir, tmp_path, capsys):
-    out_dir = tmp_path / "tables"
-    code, out, err = run_cli(capsys, "tables", "--in", str(small_results_dir),
-                             "--out", str(out_dir))
-    assert code == 0
-    written = sorted(p.name for p in out_dir.iterdir())
-    assert "mode-comparison.txt" in written
+    written = {}
+    for ext, flags in (("txt", ()), ("csv", ("--csv",))):
+        out_dir = tmp_path / ext
+        code, out, err = run_cli(capsys, "tables", "--in",
+                                 str(small_results_dir), "--out", str(out_dir),
+                                 *flags)
+        assert code == 0
+        written[ext] = sorted(p.name for p in out_dir.iterdir())
+    assert "mode-comparison.txt" in written["txt"]
+    # CSV drops exactly the tables the text run drops
+    assert written["csv"] == [name.replace(".txt", ".csv")
+                              for name in written["txt"]]
 
 
 # ----------------------------------------------------------------- general

@@ -1,6 +1,5 @@
 """Experiment harness: grid enumeration, execution, result files, analysis."""
 
-import copy
 import hashlib
 import os
 from collections import Counter
@@ -270,27 +269,6 @@ def test_write_read_roundtrip(tmp_path):
     # one string object per distinct value, across the rows of one read
     for column in ("instance_id", "bias", "utilization", "mode", "policy"):
         assert read[0][column] is read[1][column]
-
-
-def test_append_skips_identical_duplicates(tmp_path):
-    rows = run_grid(TINY, workers=1)
-    path = tmp_path / "results.csv"
-    write_results(rows, str(path))
-    extra = copy.deepcopy(rows[0])
-    extra["replication"] = 5
-    write_results(rows + [extra], str(path), append=True)
-    merged = read_results(str(path))
-    assert len(merged) == 3
-
-
-def test_append_rejects_conflicting_duplicates(tmp_path):
-    rows = run_grid(TINY, workers=1)
-    path = tmp_path / "results.csv"
-    write_results(rows, str(path))
-    clashing = copy.deepcopy(rows[0])
-    clashing["overall_cost"] += 1.0
-    with pytest.raises(ValueError, match="conflicting duplicate"):
-        write_results([clashing], str(path), append=True)
 
 
 def test_read_rejects_malformed_files(tmp_path):

@@ -35,6 +35,8 @@ def test_warmup_must_end_before_run():
         KpiTracker(run_length=40, warmup=40)
     with pytest.raises(ValueError, match="warmup"):
         KpiTracker(run_length=40, warmup=41)
+    with pytest.raises(ValueError, match="warmup -1, run length 40"):
+        KpiTracker(run_length=40, warmup=-1)
 
 
 def fill_tracker(run_length=10, warmup=2, wip=100, fgi=50, backorder=10):
