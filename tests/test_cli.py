@@ -214,9 +214,12 @@ def test_simulate_dump_bytes_are_pinned(tmp_path, capsys):
 
 
 def test_simulate_trace_files(tmp_path, capsys):
+    # product orders wait for material in 30 of the 60 periods, so the MRP
+    # trace covers component demand of blocked orders too
     mrp = tmp_path / "mrp.csv"
     events = tmp_path / "events.csv"
-    code, out, _ = run_cli(capsys, "simulate", "--periods", "20",
+    code, out, _ = run_cli(capsys, "simulate", "--alpha", "0.12", "--plt", "8",
+                           "--policy", "FOQ:1600", "--periods", "60",
                            "--warmup", "5", "--mrp-trace", str(mrp),
                            "--event-trace", str(events), "--period-log")
     assert code == 0
@@ -225,6 +228,12 @@ def test_simulate_trace_files(tmp_path, capsys):
     assert events.read_text().splitlines()[0] == \
         "minute,event,order,item,machine,qty"
     assert "period    1" in out
+    assert hashlib.sha256(mrp.read_bytes()).hexdigest() == \
+        "fe069d0b3687366ccddd8f65f92e4f768204f3a5d2b8124aaff71f6dc3287842"
+    assert hashlib.sha256(events.read_bytes()).hexdigest() == \
+        "dab47ab1cc4f4368ffc7cf1ad454d2353d5adf6dc9a09cfd777cefdacfdebba1"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b90d5f8f5a817a50132d2cfc1516b6f0b369dd914b61e14c7261fc677ce5e83f"
 
 
 def test_simulate_matches_grid_cell(capsys):
