@@ -73,8 +73,9 @@ def build_tape(config: RunConfig) -> Tape:
     """Every forecast value a run of `config` reads: per product a list
     indexed by due period, None where no order is due.  An entry holds one
     stream's values in order of rising j, one per update from j = min(H,
-    due - 1) down to j = max(0, due - run_length).  Planning parameters
-    never enter, so runs that differ only in them can share one tape."""
+    due - 1) down to j = max(0, due - run_length).  A replay must hold every
+    one of these updates.  Planning parameters never enter, so runs that
+    differ only in them can share one tape."""
     scenario, last, replay = config.scenario, config.run_length, config.replay
     tape: Tape = {}
     for product in sorted(config.system.final_products):
@@ -84,8 +85,11 @@ def build_tape(config: RunConfig) -> Tape:
             rng = stream_rng(config.base_seed, config.replication, product, due)
             values = []
             for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
-                advance(stream, j, scenario, rng,
-                        replay.get((product, due, j)) if replay else None)
+                eps = None if replay is None else replay.get((product, due, j))
+                if replay is not None and eps is None:
+                    raise ValueError(f"replay has no update for product "
+                                     f"{product} due {due} at j={j}")
+                advance(stream, j, scenario, rng, eps)
                 values.append(stream.value)
             column[due] = tuple(reversed(values))
     return tape
@@ -195,13 +199,9 @@ class SimulationRun:
         for comp, state in self.component_states.items():
             state.on_hand = on_hand[comp]
 
-        trace = [] if self.mrp_trace is not None else None
-        result = run_mrp(self.product_states, product_gross,
-                         self.component_states, extra_gross, self.config.params, t,
-                         self.system, trace=trace)
-        if trace is not None:
-            self.mrp_trace.extend((t,) + row for row in trace)
-        return result
+        return run_mrp(self.product_states, product_gross,
+                       self.component_states, extra_gross, self.config.params, t,
+                       self.system, trace=self.mrp_trace)
 
     # -- releasing and material flow ------------------------------------------
 

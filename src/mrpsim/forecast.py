@@ -91,8 +91,9 @@ class ScenarioParams:
     expected_amount: int = _DEFAULT_OVERRIDES["demand"]["expected_amount"]
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and non-negative, "
+                             f"got {self.alpha}")
         if self.beta not in (0, 1):
             raise ValueError("beta must be 0 or 1")
 

@@ -37,9 +37,9 @@ met one as its twin's result.
 
 Lots are scheduled backward from their due period by the planned lead time,
 clamped to the current period (a late lot is simply released now and its
-receipt projected one planned lead time ahead).  Released product lots pull
-component demand at their planned start: the component gross requirement of
-a product lot of q pieces is q * BOM quantity, timed at the lot's start.
+receipt projected one planned lead time ahead).  Every product lot planned in
+the decision window pulls component demand at its planned start: q * BOM
+quantity for a lot of q pieces.
 
 Only lots that start in the current period are released; the rest are
 discarded and planned afresh next period.  The scan runs forward in time, so
@@ -163,7 +163,8 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
     the covering lots.
 
     Only periods with demand or scheduled receipts can change the projection,
-    so the scan touches just those.  A `divergent` list receives the first
+    so the scan touches just those.  A `trace` list receives one row per
+    bucket, led by `current_period`.  A `divergent` list receives the first
     demand bucket, if any, where the other netting mode would net
     differently: one up to `state.covered_until` whose projection lies below
     a positive safety stock.
@@ -211,25 +212,13 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
                 lots.append(PlannedLot(item=item, due=period, qty=added,
                                        covered_end=period))
         if trace is not None:
-            trace.append((item, period, g, r, on_hand, int(net), added))
+            trace.append((current_period, item, period, g, r, on_hand,
+                          int(net), added))
         on_hand += added
 
     for lot in lots:
         lot.start, lot.completion = backward_schedule(lot.due, plt, current_period)
     return lots
-
-
-def explode(product_lots: list[PlannedLot], system) -> dict[int, dict[int, int]]:
-    """Component gross requirements implied by planned product lots, timed at
-    each lot's planned start."""
-    gross: dict[int, dict[int, int]] = {cid: {} for cid in system.components}
-    for lot in product_lots:
-        item = system.items[lot.item]
-        comp = item.component
-        need = lot.qty * item.component_qty
-        bucket = gross[comp]
-        bucket[lot.start] = bucket.get(lot.start, 0) + need
-    return gross
 
 
 @dataclass
@@ -249,8 +238,9 @@ def run_mrp(product_states: dict[int, MrpItemState],
             component_extra_gross: dict[int, dict[int, int]],
             params: PlanningParams, current_period: int, system,
             trace: list | None = None) -> MrpResult:
-    """One planning run over the decision windows: products first, then
-    exploded components.  Lots due past the windows are never planned.
+    """One planning run over the decision windows: products first, each
+    product lot adding its component demand as it is planned, then
+    components.  Lots due past the windows are never planned.
 
     `component_extra_gross` carries demand that is not visible through the
     fresh product plan, e.g. withdrawals still pending for committed product
@@ -259,19 +249,20 @@ def run_mrp(product_states: dict[int, MrpItemState],
     extended = params.mode == "extended"
     divergent = None if extended else []
     product_window, component_window = decision_windows(params, system)
+    component_gross = {cid: dict(extra)
+                       for cid, extra in component_extra_gross.items()}
     product_lots: list[PlannedLot] = []
     for pid in sorted(product_states):
         lots = plan_item(product_states[pid], product_gross.get(pid, {}), pid,
                          params.policy, params.policy_param, params.plt,
                          current_period, product_window, extended=extended,
                          trace=trace, divergent=divergent)
+        item = system.items[pid]
+        bucket = component_gross.setdefault(item.component, {})
+        for lot in lots:
+            need = lot.qty * item.component_qty
+            bucket[lot.start] = bucket.get(lot.start, 0) + need
         product_lots.extend(lots)
-
-    component_gross = explode(product_lots, system)
-    for cid, extra in component_extra_gross.items():
-        bucket = component_gross.setdefault(cid, {})
-        for period, qty in extra.items():
-            bucket[period] = bucket.get(period, 0) + qty
 
     component_lots: list[PlannedLot] = []
     for cid in sorted(component_states):

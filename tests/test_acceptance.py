@@ -359,7 +359,7 @@ def test_c08_netting_rule_properties():
                              safety_stock=rng.choice((0, 160, 320)))
         trace = []
         lots = plan_item(state, gross, 10, "FOP", p, 2, 1, 30, trace=trace)
-        nets = {row[1]: row[5] for row in trace}
+        nets = {row[2]: row[6] for row in trace}
         for lot in lots:
             covered = sum(n for period, n in nets.items()
                           if lot.due <= period <= lot.covered_end)

@@ -166,6 +166,13 @@ def test_simulate_rejects_malformed_policy(capsys):
     assert "FOP:1 or FOQ:200" in err
 
 
+def test_simulate_rejects_non_finite_alpha(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--alpha", "nan",
+                             "--periods", "20", "--warmup", "5")
+    assert code == 2
+    assert "error: alpha must be finite" in err
+
+
 def test_simulate_rejects_unknown_flag(capsys):
     code, out, err = run_cli(capsys, "simulate", "--turbo")
     assert code == 2
@@ -196,6 +203,13 @@ def test_simulate_dump_and_replay_roundtrip(tmp_path, capsys):
     orig_cost = [l for l in out_orig.splitlines() if "overall cost" in l]
     replay_cost = [l for l in out_replay.splitlines() if "overall cost" in l]
     assert orig_cost == replay_cost
+
+    # a longer run reads updates the 30-period dump does not hold
+    code, _, err = run_cli(capsys, "simulate", "--alpha", "0",
+                           "--periods", "60", "--warmup", "5",
+                           "--replay-forecasts", str(dump))
+    assert code == 2
+    assert "error: replay has no update for product 10 due 33 at j=2" in err
 
 
 def test_simulate_dump_bytes_are_pinned(tmp_path, capsys):

@@ -90,8 +90,9 @@ def test_schedule_shapes():
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        ScenarioParams(alpha=-0.1)
+    for alpha in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            ScenarioParams(alpha=alpha)
     with pytest.raises(ValueError, match="beta"):
         ScenarioParams(beta=2)
     scen = ScenarioParams(alpha=0.06, beta=1,
@@ -236,6 +237,18 @@ def test_dump_and_replay_roundtrip(tmp_path):
     assert [line.split(",")[2] for line in lines[1:7]] == \
         ["11", "4", "3", "2", "1", "0"]
     assert lines[1] == "10,5,11,0,800"
+
+
+def test_replay_must_hold_every_update_the_run_reads():
+    # an empty replay (a header-only file) is a replay, not a sampled run
+    with pytest.raises(ValueError, match="product 10 due 13 at j=10"):
+        build_tape(make_config(alpha=0.08, run_length=30, warmup=5, replay={}))
+    # updates the run never reads are ignored, so longer dumps still replay
+    replay = {(product, due, j): 0 for product in range(10, 18)
+              for due in range(1, 41) for j in range(HORIZON + 1)}
+    cfg = make_config(alpha=0.0, run_length=20, warmup=5, replay=replay)
+    assert build_tape(cfg) == build_tape(make_config(alpha=0.0, run_length=20,
+                                                     warmup=5))
 
 
 def test_load_replay_rejects_bad_header(tmp_path):

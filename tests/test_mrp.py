@@ -19,7 +19,6 @@ from mrpsim.mrp import (
     PlannedLot,
     PlanningParams,
     backward_schedule,
-    explode,
     net_requirement_extended,
     net_requirement_standard,
     plan_item,
@@ -156,7 +155,7 @@ def test_fop_lots_equal_sum_of_nets_property():
                              safety_stock=rng.choice((0, 160)))
         trace = []
         lots = plan_item(state, gross, 10, "FOP", p, 2, 1, 30, trace=trace)
-        assert sum(l.qty for l in lots) == sum(row[5] for row in trace)
+        assert sum(l.qty for l in lots) == sum(row[6] for row in trace)
 
 
 def test_plan_item_does_not_mutate_state():
@@ -235,7 +234,8 @@ def _dense_plan(state, gross, item, policy, policy_param, plt, current_period,
             added = -(-net // policy_param) * policy_param
             lots.append(PlannedLot(item, period, added, covered_end=period))
         if period in gross or period in state.receipts:
-            rows.append((item, period, g, r, on_hand, net, added))
+            rows.append((current_period, item, period, g, r, on_hand, net,
+                         added))
         on_hand += added
     for lot in lots:
         lot.start, lot.completion = backward_schedule(lot.due, plt, current_period)
@@ -296,7 +296,7 @@ def test_divergent_bucket_is_where_extended_netting_first_nets_differently(
                   divergent=None if extended else divergent)
     # both traces visit the same buckets; the first unequal row is the
     # first net the extended threshold changes
-    apart = [row[1] for row, other in zip(rows[False], rows[True])
+    apart = [row[2] for row, other in zip(rows[False], rows[True])
              if row != other]
     assert divergent == apart[:1]
 
@@ -335,30 +335,6 @@ def test_plan_item_schedules_lots():
     lots = plan_item(state, {2: 800}, 10, "FOP", 1, 4, 1, 30)
     assert lots[0].start == 1
     assert lots[0].completion == 5
-
-
-# -------------------------------------------------------------- explosion
-
-def test_explode_times_component_demand_at_lot_start():
-    system = build_system("low")
-    state = MrpItemState(on_hand=0)
-    lots = plan_item(state, {8: 800}, 10, "FOP", 1, 1, 1, 30)
-    gross = explode(lots, system)
-    assert gross[20] == {7: 1600}
-    assert gross[21] == {}
-
-
-def test_explode_adds_same_period_lots():
-    system = build_system("low")
-    lots = (plan_item(MrpItemState(on_hand=0), {8: 800}, 10, "FOP", 1, 1, 1, 30)
-            + plan_item(MrpItemState(on_hand=0), {8: 800}, 11, "FOP", 1, 1, 1, 30))
-    gross = explode(lots, system)
-    assert gross[20] == {7: 3200}
-
-
-def test_explode_empty():
-    system = build_system("low")
-    assert explode([], system) == {20: {}, 21: {}}
 
 
 # ---------------------------------------------------------------- run_mrp
@@ -403,6 +379,20 @@ def test_run_mrp_releases_orders_starting_now():
     assert result.component_lots[0].completion == 10
 
 
+def test_run_mrp_adds_same_period_product_lots():
+    # products 10 and 11 both use component 20; their lots start in period 7
+    system = build_system("low")
+    params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP", policy_param=1)
+    product_states = {10: MrpItemState(on_hand=0), 11: MrpItemState(on_hand=0)}
+    component_states = {20: MrpItemState(on_hand=0), 21: MrpItemState(on_hand=0)}
+    result = run_mrp(product_states, {10: {8: 800}, 11: {8: 800}},
+                     component_states, {}, params, current_period=4,
+                     system=system)
+    assert [(l.item, l.start) for l in result.product_lots] == [(10, 7), (11, 7)]
+    assert [(l.item, l.due, l.qty) for l in result.component_lots] == [
+        (20, 7, 3200)]
+
+
 def test_run_mrp_merges_extra_component_demand():
     system = build_system("low")
     params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP", policy_param=1,
@@ -444,10 +434,11 @@ def _full_horizon_releases(product_states, product_gross, component_states,
                                      params.policy, params.policy_param,
                                      params.plt, t, _FULL_HORIZON,
                                      extended=extended)]
-    gross = explode(products, system)
-    for cid, extra in extra_gross.items():
-        for period, qty in extra.items():
-            gross[cid][period] = gross[cid].get(period, 0) + qty
+    gross = {cid: dict(extra_gross.get(cid, {})) for cid in component_states}
+    for lot in products:
+        item = system.items[lot.item]
+        need = gross[item.component]
+        need[lot.start] = need.get(lot.start, 0) + lot.qty * item.component_qty
     components = [lot for cid in sorted(component_states)
                   for lot in plan_item(component_states[cid], gross[cid], cid,
                                        "FOQ", params.component_lot,
