@@ -25,7 +25,7 @@ import sys
 from . import __version__
 from .config import (RUN_LENGTH, WARMUP, build_system, load_overrides,
                      planned_utilization_table, UTILIZATION_LEVELS)
-from .driver import SimulationRun
+from .driver import SimulationRun, build_tape
 from .forecast import BIASED_SCHEDULES, dump_tape, load_replay
 from .mrp import MODES, PlanningParams
 from .experiment import (PRESETS, ExperimentError, default_workers,
@@ -141,13 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="CSV instead of text")
 
     p = sub.add_parser("tables", help="render summary tables")
-    p.add_argument("--in", dest="indir", required=True, metavar="DIR")
+    p.add_argument("--in", dest="indir", required=True, metavar="DIR",
+                   help="results directory or CSV file")
     p.add_argument("--table", action="append", choices=sorted(TABLES),
                    help="table name (repeatable; default: all non-empty)")
     p.add_argument("--paired", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out", metavar="DIR",
-                   help="also write each table to DIR/<name>.txt|csv")
+                   help="write each table to DIR/<name>.txt|csv instead of "
+                        "printing it, and print one 'wrote PATH' line per "
+                        "file")
     return parser
 
 
@@ -219,17 +222,18 @@ def cmd_simulate(args) -> int:
                             policy_param=value, component_lot=args.comp_lot,
                             mode=args.mode)
     bias = args.bias or "unbiased"
-    replay = load_replay(args.replay_forecasts) if args.replay_forecasts else None
     config = make_config(utilization=args.util, alpha=args.alpha, bias=bias,
                          params=params, base_seed=args.seed,
                          replication=args.rep, run_length=args.periods,
                          warmup=args.warmup, overrides=overrides,
-                         debug_checks=args.debug_checks, replay=replay)
+                         debug_checks=args.debug_checks)
+    tape = (build_tape(config, load_replay(args.replay_forecasts))
+            if args.replay_forecasts else None)
     mrp_trace = [] if args.mrp_trace else None
     event_log = [] if args.event_trace else None
     period_log = [] if args.period_log else None
     sim = SimulationRun(config, mrp_trace=mrp_trace, event_log=event_log,
-                        period_log=period_log)
+                        period_log=period_log, tape=tape)
     summary = sim.run()
 
     if args.period_log:

@@ -53,7 +53,6 @@ class RunConfig:
     run_length: int
     warmup: int
     debug_checks: bool
-    replay: dict | None                 # {(product, due, j): epsilon}
 
 
 @dataclass
@@ -69,19 +68,28 @@ class PeriodLogEntry:
 Tape = dict[int, list[tuple[int, ...] | None]]
 
 
-def build_tape(config: RunConfig) -> Tape:
+def build_tape(config: RunConfig, replay: dict | None = None) -> Tape:
     """Every forecast value a run of `config` reads: per product a list
     indexed by due period, None where no order is due.  An entry holds one
     stream's values in order of rising j, one per update from j = min(H,
-    due - 1) down to j = max(0, due - run_length).  A replay must hold every
-    one of these updates.  Planning parameters never enter, so runs that
-    differ only in them can share one tape."""
-    scenario, last, replay = config.scenario, config.run_length, config.replay
+    due - 1) down to j = max(0, due - run_length).  Planning parameters
+    never enter, so runs that differ only in them can share one tape.
+
+    A `replay` (`forecast.load_replay`) must hold each of these updates and
+    each stream's long-term value (j = H + 1), equal to this run's."""
+    scenario, last = config.scenario, config.run_length
+    start = long_term_forecast(scenario)
     tape: Tape = {}
     for product in sorted(config.system.final_products):
         column = tape[product] = [None] * (last + HORIZON + 1)
         for due in config.system.demand.due_dates(product, 1, last + HORIZON):
-            stream = ForecastStream(product, due, long_term_forecast(scenario))
+            if replay is not None:
+                held = replay.get((product, due, HORIZON + 1), "missing")
+                if held != start:
+                    raise ValueError(f"replay's long-term value for product "
+                                     f"{product} due {due} is {held}, this "
+                                     f"run's is {start}")
+            stream = ForecastStream(product, due, start)
             rng = stream_rng(config.base_seed, config.replication, product, due)
             values = []
             for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
@@ -98,7 +106,8 @@ def build_tape(config: RunConfig) -> Tape:
 class SimulationRun:
     """State of one replication; `run()` executes it and returns KPIs.
     Runs that share a forecast tape pass one `tape` dict, which the first
-    finds empty and fills; without one a run builds its own."""
+    finds empty and fills; a filled one, such as a replayed tape, is read
+    as it is.  Without one a run builds its own."""
 
     def __init__(self, config: RunConfig, mrp_trace: list | None = None,
                  event_log: list | None = None,

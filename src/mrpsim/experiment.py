@@ -25,6 +25,7 @@ one builder of a run's `RunConfig`, for grid cells and the CLI alike.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -74,8 +75,8 @@ def make_config(utilization: str = "low", alpha: float = 0.0,
                 bias: str = "unbiased", params: PlanningParams | None = None,
                 base_seed: int = 42, replication: int = 0,
                 run_length: int = RUN_LENGTH, warmup: int = WARMUP,
-                overrides: dict | None = None, debug_checks: bool = False,
-                replay: dict | None = None) -> RunConfig:
+                overrides: dict | None = None,
+                debug_checks: bool = False) -> RunConfig:
     """The one constructor of `RunConfig`, for grid cells and the CLI alike;
     beta follows from `bias`."""
     beta = Instance(utilization, alpha, bias).beta
@@ -88,7 +89,7 @@ def make_config(utilization: str = "low", alpha: float = 0.0,
     return RunConfig(system=system, scenario=scenario, params=params,
                      base_seed=base_seed, replication=replication,
                      run_length=run_length, warmup=warmup,
-                     debug_checks=debug_checks, replay=replay)
+                     debug_checks=debug_checks)
 
 
 @dataclass(frozen=True)
@@ -256,13 +257,11 @@ def _describe(cell: Cell) -> str:
 
 def _run_cells(cells: list[Cell], base_seed: int, run_length: int,
                warmup: int, overrides: dict | None):
-    """Yield (index, row, error) per cell, in order.  Consecutive cells of
-    one (instance, replication) share a tape and a twin slot; the next
-    pair's empty tape drops the old one before it is built."""
-    key, tape, twin = None, {}, []
+    """Yield (index, row, error) per cell, in order.  The cells are one
+    (instance, replication) or part of one, so they share a tape and a twin
+    slot."""
+    tape, twin = {}, []
     for cell in cells:
-        if (cell.instance, cell.replication) != key:
-            key, tape, twin = (cell.instance, cell.replication), {}, []
         try:
             row, error = run_cell(cell, base_seed, run_length, warmup,
                                   overrides, tape, twin), None
@@ -271,16 +270,21 @@ def _run_cells(cells: list[Cell], base_seed: int, run_length: int,
         yield cell.index, row, error
 
 
-def _slices(order: list[Cell], workers: int, n_modes: int) -> list[list[Cell]]:
-    """Contiguous pool tasks of about len / (8 * workers) cells.  A group
-    of `order` runs its parameter sets' modes back to back, so a length
-    that is a multiple of `n_modes` never parts a cell from its twin."""
-    chunk = max(1, len(order) // (workers * 8))
-    chunk = -(-chunk // n_modes) * n_modes
-    return [order[i:i + chunk] for i in range(0, len(order), chunk)]
+def _tasks(groups, workers: int, n_modes: int) -> list[list[Cell]]:
+    """Pool tasks: one per group, or, with fewer than 4 * `workers` groups,
+    each group cut into up to ceil(4 * workers / len(groups)) contiguous
+    parts.  A group runs its parameter sets' modes back to back, so a part
+    length that is a multiple of `n_modes` never separates twins."""
+    parts = -(-4 * workers // len(groups))
+    tasks = []
+    for group in groups:
+        size = -(-len(group) // parts)
+        size = -(-size // n_modes) * n_modes
+        tasks += [group[i:i + size] for i in range(0, len(group), size)]
+    return tasks
 
 
-def _run_slice(cells: list[Cell], **settings) -> list:
+def _run_task(cells: list[Cell], **settings) -> list:
     return list(_run_cells(cells, **settings))
 
 
@@ -295,16 +299,19 @@ def default_workers() -> int:
 def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
              overrides: dict | None = None, progress=None) -> list[dict]:
     """Run every cell of the grid; rows come back in enumeration order.
-    Cells execute grouped by (instance, replication), each pool task a
-    contiguous slice of that order, so tapes are shared within a slice.
-    `workers` defaults to one per CPU; 1 runs in this process."""
+    Cells execute grouped by (instance, replication), each group or part of
+    one a pool task that builds the group's tape (see `_tasks`).  `workers`
+    defaults to one per CPU; 1 runs in this process."""
     if workers is None:
         workers = default_workers()
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cells = enumerate_cells(spec)
-    rank = {instance: i for i, instance in enumerate(spec.instances())}
-    order = sorted(cells, key=lambda c: (rank[c.instance], c.replication))
+    # each (instance, replication)'s cells in enumeration order; the groups
+    # run by instance, then replication
+    groups: dict[tuple, list[Cell]] = {}
+    for cell in cells:
+        groups.setdefault((cell.instance, cell.replication), []).append(cell)
     settings = dict(base_seed=base_seed, run_length=spec.run_length,
                     warmup=spec.warmup, overrides=overrides)
     results: list = [None] * len(cells)
@@ -323,13 +330,14 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
             progress(done, len(cells))
 
     if workers <= 1 or len(cells) <= 1:
-        for outcome in _run_cells(order, **settings):
-            _collect(outcome)
+        for group in groups.values():
+            for outcome in _run_cells(group, **settings):
+                _collect(outcome)
     else:
-        slices = _slices(order, workers, len(spec.modes))
+        tasks = _tasks(groups.values(), workers, len(spec.modes))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for outcomes in pool.map(partial(_run_slice, **settings), slices):
+                for outcomes in pool.map(partial(_run_task, **settings), tasks):
                     for outcome in outcomes:
                         _collect(outcome)
         except BrokenProcessPool as exc:
@@ -358,14 +366,6 @@ def write_csv(path: str, header: tuple, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
-class _Shared(dict):
-    """Hands back the first string seen that equals the one looked up."""
-
-    def __missing__(self, text: str) -> str:
-        self[text] = text
-        return text
-
-
 def _parse_row(row: list[str], lineno: int, parsers: tuple) -> dict:
     if len(row) != len(RESULT_COLUMNS):
         raise ValueError(f"results line {lineno}: expected "
@@ -388,12 +388,11 @@ def write_results(rows: list[dict], path: str) -> None:
 
 def read_results(path: str) -> list[dict]:
     """Rows of a results CSV as dicts keyed by `RESULT_COLUMNS`.  The string
-    columns repeat a few values over millions of rows, so each distinct
-    value is one string object shared by every row of this call."""
+    columns repeat a few values over millions of rows, so they are interned:
+    each distinct value is one string object shared by every row."""
     import csv
 
-    shared = _Shared().__getitem__
-    parsers = tuple(shared if c in _STR_COLUMNS else
+    parsers = tuple(sys.intern if c in _STR_COLUMNS else
                     int if c in _INT_COLUMNS else float
                     for c in RESULT_COLUMNS)
     rows = []

@@ -30,7 +30,8 @@ planning-parameter settings and netting modes (common random numbers), and
 independent of the order in which streams are advanced.  Runs read every
 value from a forecast tape (`driver.build_tape`), built once per (seed,
 replication, instance); `dump_tape` writes one and `load_replay` reads it
-back as epsilons to inject.
+back as epsilons to inject, with each stream's long-term value, which the
+replaying run's must equal.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ def dump_tape(tape: dict, scenario: ScenarioParams, path: str) -> None:
 
 
 def load_replay(path: str) -> dict[tuple[int, int, int], int]:
-    """Read a tape dump back as {(product, due, j): epsilon} for replay."""
+    """Read a tape dump back as {(product, due, j): epsilon} for replay;
+    each stream's j = H + 1 entry holds its long-term value instead."""
     replay: dict[tuple[int, int, int], int] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -224,9 +226,8 @@ def load_replay(path: str) -> dict[tuple[int, int, int], int]:
             raise ValueError(f"replay file {path} has wrong header {header}")
         for lineno, row in enumerate(reader, start=2):
             try:
-                product, due, j, eps = int(row[0]), int(row[1]), int(row[2]), int(row[3])
-            except (ValueError, IndexError) as exc:
+                product, due, j, eps, value = map(int, row)
+            except ValueError as exc:
                 raise ValueError(f"replay file {path} line {lineno}: {row}") from exc
-            if j <= HORIZON:
-                replay[(product, due, j)] = eps
+            replay[(product, due, j)] = value if j > HORIZON else eps
     return replay

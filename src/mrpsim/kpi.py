@@ -2,9 +2,10 @@
 
 Inventory is priced from end-of-period snapshots taken after fulfillment:
 work in process (every released piece not yet in final-goods stock, plus
-component stock) at 0.5 CU, final-goods stock at 1.0 CU, and open due demand
-at 19.0 CU per piece and period.  Reported cost figures are per-period
-averages over the measured periods (warmup excluded).
+component stock), final-goods stock and open due demand per piece and
+period, by default at 0.5, 1.0 and 19.0 CU (`costs.*` in
+`config._DEFAULT_OVERRIDES`, which `--config` overrides).  Reported cost
+figures are per-period averages over the measured periods (warmup excluded).
 """
 
 from __future__ import annotations

@@ -125,7 +125,9 @@ class PlannedLot:
 
 @dataclass
 class MrpItemState:
-    """Planner-facing snapshot of one item at the start of an MRP run."""
+    """Planner-facing state of one item, one object for the whole run.  The
+    driver refreshes `on_hand` before each MRP run; `receipts` is the item's
+    live receipt book and `covered_until` moves as product lots release."""
 
     on_hand: int
     receipts: dict[int, int] = field(default_factory=dict)

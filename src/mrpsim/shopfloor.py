@@ -1,10 +1,12 @@
 """Event-driven job shop processing released production orders.
 
 Machines serve one lot at a time from a FIFO queue.  Each operation takes a
-lognormally distributed setup (coefficient of variation 0.2 around the
-machine's mean) plus deterministic per-piece processing time, and lots move
-to the next routing stage only as a whole.  Time is continuous in minutes;
-the driver advances the floor period by period.
+lognormally distributed setup around the machine's mean, by default with
+coefficient of variation 0.2 (`setup.cv` in `config._DEFAULT_OVERRIDES`,
+which `--config` overrides; cv 0 gives fixed setups), plus deterministic
+per-piece processing time, and lots move to the next routing stage only as
+a whole.  Time is continuous in minutes; the driver advances the floor
+period by period.
 
 The floor also keeps the bookkeeping the KPIs need: setup+processing busy
 minutes per machine clipped to the measurement window, and the count of

@@ -11,10 +11,8 @@ from __future__ import annotations
 from .experiment import best_per_instance, compare_modes
 
 
-def _fmt(value, decimals: int = 0) -> str:
-    if isinstance(value, float):
-        return f"{value:,.{decimals}f}" if decimals else f"{value:,.0f}"
-    return str(value)
+def _fmt(value: float) -> str:
+    return f"{value:,.0f}"
 
 
 def _emit(title: str, header: list[str], rows: list[list[str]],

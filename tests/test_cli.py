@@ -212,6 +212,27 @@ def test_simulate_dump_and_replay_roundtrip(tmp_path, capsys):
     assert "error: replay has no update for product 10 due 33 at j=2" in err
 
 
+@pytest.mark.parametrize("flag, expected", [("--bias", 480),
+                                            ("--config", 700)])
+def test_simulate_refuses_a_replay_of_another_scenario(tmp_path, capsys,
+                                                       flag, expected):
+    dump = tmp_path / "d.csv"
+    run = ("simulate", "--periods", "40", "--warmup", "5")
+    code, _, _ = run_cli(capsys, *run, "--alpha", "0.06",
+                         "--dump-forecasts", str(dump))
+    assert code == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"demand": {"expected_amount": 700}}))
+    value = "permanent_underbooking" if flag == "--bias" else str(config)
+    # the updates alone would run on from the other long-term forecast
+    code, out, err = run_cli(capsys, *run, "--alpha", "0", flag, value,
+                             "--replay-forecasts", str(dump))
+    assert code == 2
+    assert out == ""
+    assert (f"error: replay's long-term value for product 10 due 13 is 800, "
+            f"this run's is {expected}") in err
+
+
 def test_simulate_dump_bytes_are_pinned(tmp_path, capsys):
     # streams opened with j < H (first_delay 3) and streams the run leaves
     # before delivery (due past period 40) both appear in this dump

@@ -266,8 +266,9 @@ def test_replay_reproduces_run_without_sampling(tmp_path):
     # alpha=0 would normally freeze all forecasts; the replay file re-injects
     # the recorded updates, so the original run comes back exactly
     replayed_cfg = make_config(alpha=0.0, params=FOP1, run_length=60,
-                               warmup=12, replay=load_replay(str(path)))
-    summary_b = summarize(replayed_cfg)
+                               warmup=12)
+    tape = build_tape(replayed_cfg, load_replay(str(path)))
+    summary_b = summarize(replayed_cfg, tape=tape)
     assert summary_tuple(summary_a) == summary_tuple(summary_b)
 
 

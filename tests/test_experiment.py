@@ -4,12 +4,13 @@ import hashlib
 import os
 from collections import Counter
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrpsim import experiment
+from mrpsim import driver, experiment
 from mrpsim.experiment import (
     PRESETS,
     BestCell,
@@ -106,6 +107,9 @@ def test_run_grid_rows_and_worker_invariance(tmp_path):
     write_results(rows_pool, str(b))
     assert a.read_bytes() == b.read_bytes()
 
+    empty = GridSpec(name="e", fop_periods=(), foq_quantities=())
+    assert run_grid(empty, workers=1) == run_grid(empty, workers=2) == []
+
 
 def test_run_grid_reports_failing_cells():
     broken = GridSpec(name="broken", alphas=(0.0,), sst_factors=(0.0,),
@@ -130,6 +134,24 @@ def test_run_grid_shared_tapes_match_cells_run_alone():
     alone = [run_cell(c, 11, SHARED.run_length, SHARED.warmup) for c in cells]
     assert run_grid(SHARED, base_seed=11, workers=1) == alone
     assert run_grid(SHARED, base_seed=11, workers=2) == alone
+
+
+def test_run_grid_runs_whole_groups(monkeypatch):
+    # serially one tape per (instance, replication); the pool's tasks are
+    # cut from the same groups
+    built, cut = [], []
+    real_build, real_tasks = driver.build_tape, experiment._tasks
+    monkeypatch.setattr(driver, "build_tape", lambda config: (
+        built.append((config.scenario, config.replication))
+        or real_build(config)))
+    monkeypatch.setattr(experiment, "_tasks", lambda groups, *args: (
+        cut.append(list(groups)) or real_tasks(groups, *args)))
+    run_grid(SHARED, base_seed=11, workers=1)
+    assert len(built) == len(set(built)) == 4
+    run_grid(SHARED, base_seed=11, workers=2)
+    assert [[(c.instance.alpha, c.replication) for c in group]
+            for group in cut[0]] == [[key] * 4 for key in
+                                     ((0.04, 0), (0.04, 1), (0.1, 0), (0.1, 1))]
 
 
 def test_extended_twins_reuse_standard_runs_that_never_diverge(monkeypatch):
@@ -190,15 +212,38 @@ def test_pool_slices_never_split_a_twin_pair(spec, workers):
     cells = enumerate_cells(spec)
     rank = {instance: i for i, instance in enumerate(spec.instances())}
     order = sorted(cells, key=lambda c: (rank[c.instance], c.replication))
-    slices = experiment._slices(order, workers, len(spec.modes))
-    assert [c for part in slices for c in part] == order
-    twin = lambda c: (c.instance, c.replication,  # noqa: E731
-                      replace(c.params, mode="standard"))
-    for part, following in zip(slices, slices[1:]):
+    group = lambda c: (c.instance, c.replication)  # noqa: E731
+    groups = [list(g) for _, g in groupby(order, key=group)]
+    tasks = experiment._tasks(groups, workers, len(spec.modes))
+    assert [c for task in tasks for c in task] == order
+    for task in tasks:
+        assert {group(c) for c in task} == {group(task[0])}, (
+            f"a task spans two groups from cell {task[0].index}")
+    # whole groups once there are enough of them to keep the pool busy
+    assert (len(tasks) == len(groups)) == (len(groups) >= 4 * workers)
+    twin = lambda c: (group(c), replace(c.params, mode="standard"))  # noqa: E731
+    for part, following in zip(tasks, tasks[1:]):
         last, first = part[-1], following[0]
         assert twin(last) != twin(first), (
-            f"a slice boundary parts cell {last.index} from its twin, "
+            f"a task boundary parts cell {last.index} from its twin, "
             f"cell {first.index}")
+
+
+def test_pool_tasks_of_the_benchmark_grids():
+    # one group of 72 cells: 8 tasks at 2 workers, so 8 tape builds
+    one_group = GridSpec(name="grid-crn", utilizations=("medium",),
+                         alphas=(0.06,), sst_factors=(0.2, 0.6, 1.5),
+                         plts=(1, 3, 8), fop_periods=(1, 9),
+                         foq_quantities=(200, 1600), component_lots=(800,),
+                         replications=1)
+    groups = [enumerate_cells(one_group)]
+    assert [len(task) for task in experiment._tasks(groups, 2, 2)] == \
+        [10] * 7 + [2]
+    # analyze-full's three groups of 16 cells: 9 tasks at 2 workers
+    cells = enumerate_cells(_TWIN_GRIDS[0])
+    groups = [cells[i:i + 16] for i in range(0, 48, 16)]
+    assert [len(task) for task in experiment._tasks(groups, 2, 2)] == \
+        [6, 6, 4] * 3
 
 
 # One unbiased and one biased instance, plt 1 and 4, FOP 9 and FOQ 400,

@@ -225,10 +225,11 @@ def test_dump_and_replay_roundtrip(tmp_path):
     dump_tape(tape, cfg.scenario, str(path))
     replay = load_replay(str(path))
 
-    frozen = make_config(alpha=0.0, run_length=30, warmup=5, replay=replay,
+    frozen = make_config(alpha=0.0, run_length=30, warmup=5,
                          overrides={"demand": {"first_delay": 3}})
-    assert build_tape(frozen) == tape
-    assert len(replay) == sum(len(values) for column in tape.values()
+    assert build_tape(frozen, replay) == tape
+    # one update per tape value and one long-term value per stream
+    assert len(replay) == sum(len(values) + 1 for column in tape.values()
                               for values in column if values is not None)
 
     lines = path.read_text().splitlines()
@@ -240,15 +241,21 @@ def test_dump_and_replay_roundtrip(tmp_path):
 
 
 def test_replay_must_hold_every_update_the_run_reads():
-    # an empty replay (a header-only file) is a replay, not a sampled run
+    # a replay of long-term values alone is a replay, not a sampled run
+    long_term = {(product, due, HORIZON + 1): 800 for product in range(10, 18)
+                 for due in range(1, 41)}
+    cfg = make_config(alpha=0.08, run_length=30, warmup=5)
     with pytest.raises(ValueError, match="product 10 due 13 at j=10"):
-        build_tape(make_config(alpha=0.08, run_length=30, warmup=5, replay={}))
+        build_tape(cfg, long_term)
+    # an empty replay (a header-only file) lacks the long-term values too
+    with pytest.raises(ValueError, match="product 10 due 13 is missing, "
+                                         "this run's is 800"):
+        build_tape(cfg, {})
     # updates the run never reads are ignored, so longer dumps still replay
     replay = {(product, due, j): 0 for product in range(10, 18)
               for due in range(1, 41) for j in range(HORIZON + 1)}
-    cfg = make_config(alpha=0.0, run_length=20, warmup=5, replay=replay)
-    assert build_tape(cfg) == build_tape(make_config(alpha=0.0, run_length=20,
-                                                     warmup=5))
+    cfg = make_config(alpha=0.0, run_length=20, warmup=5)
+    assert build_tape(cfg, replay | long_term) == build_tape(cfg)
 
 
 def test_load_replay_rejects_bad_header(tmp_path):
