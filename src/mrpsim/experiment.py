@@ -25,7 +25,6 @@ one builder of a run's `RunConfig`, for grid cells and the CLI alike.
 from __future__ import annotations
 
 import os
-import sys
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -388,11 +387,18 @@ def write_results(rows: list[dict], path: str) -> None:
 
 def read_results(path: str) -> list[dict]:
     """Rows of a results CSV as dicts keyed by `RESULT_COLUMNS`.  The string
-    columns repeat a few values over millions of rows, so they are interned:
-    each distinct value is one string object shared by every row."""
+    columns repeat a few values over millions of rows, so each distinct value
+    is one string object shared by every row, taken from a pool that lives
+    for this call only (interned strings would leave the interpreter's table
+    with the rows, churning it over repeated reads)."""
     import csv
 
-    parsers = tuple(sys.intern if c in _STR_COLUMNS else
+    pool: dict[str, str] = {}
+
+    def shared(text: str) -> str:
+        return pool.setdefault(text, text)
+
+    parsers = tuple(shared if c in _STR_COLUMNS else
                     int if c in _INT_COLUMNS else float
                     for c in RESULT_COLUMNS)
     rows = []
@@ -541,18 +547,35 @@ def significance_stars(p_value: float) -> str:
 
 def _test_costs(a: tuple[float, ...], b: tuple[float, ...],
                 paired: bool) -> float:
+    """Two-sided p-value of a Welch (or paired) t-test of two cost samples.
+    The statistic and degrees of freedom are formed in the same operations
+    as scipy 1.17's `ttest_ind(equal_var=False)` and `ttest_rel`, and the
+    p-value is the `special.stdtr` call those make, so every bit agrees
+    without importing scipy's stats module.  Samples of one cost take a
+    zero-variance branch: `best_per_instance` never sets one against more."""
     import numpy as np
-    from scipy import stats
+    from scipy.special import stdtr
 
-    xs, ys = np.asarray(a), np.asarray(b)
+    def mean_var(x):
+        mean = np.mean(x)
+        return mean, np.mean((x - mean) ** 2) * (x.size / (x.size - 1))
+
+    xs, ys = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.var(xs) == 0 and np.var(ys) == 0:
         return 1.0 if xs.mean() == ys.mean() else 0.0
     if paired:
         diffs = xs - ys
         if np.var(diffs) == 0:
             return 1.0 if diffs.mean() == 0 else 0.0
-        return float(stats.ttest_rel(xs, ys).pvalue)
-    return float(stats.ttest_ind(xs, ys, equal_var=False).pvalue)
+        mean, var = mean_var(diffs)
+        df, t = diffs.size - 1, mean / np.sqrt(var / diffs.size)
+    else:
+        (m1, v1), (m2, v2) = mean_var(xs), mean_var(ys)
+        vn1, vn2 = v1 / xs.size, v2 / ys.size
+        df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (xs.size - 1)
+                                 + vn2 ** 2 / (ys.size - 1))
+        t = (m1 - m2) / np.sqrt(vn1 + vn2)
+    return float(2 * stdtr(df, -abs(t)))
 
 
 def compare_modes(rows: list[dict], paired: bool = False) -> list[ModeComparison]:

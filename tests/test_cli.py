@@ -339,6 +339,52 @@ def test_analyze_paired_and_csv(small_results_dir, capsys):
     assert out.splitlines()[0] == "instance,standard,extended,change,p-value,sig"
 
 
+FOOTPRINT_SCRIPT = """
+import json, sys
+import mrpsim.cli as cli
+on_import = sorted({name.split(".")[0] for name in sys.modules}
+                   & {"numpy", "scipy"})
+codes = [cli.main(["analyze", "--in", sys.argv[1]]),
+         cli.main(["analyze", "--paired", "--in", sys.argv[1]])]
+print(json.dumps({"on_import": on_import, "codes": codes,
+                  "scipy.stats": "scipy.stats" in sys.modules}))
+"""
+
+
+def test_analysis_never_imports_scipy_stats(tmp_path):
+    """`import mrpsim.cli` loads neither numpy nor scipy, and a Welch and a
+    paired analysis of costs that vary over replications leave
+    `scipy.stats` unloaded."""
+    rows = []
+    for mode, costs in (("standard", (9500.0, 9700.0, 9300.0)),
+                        ("extended", (9400.0, 9650.0, 9350.0))):
+        for rep, cost in enumerate(costs):
+            rows.append({
+                "instance_id": "low-a0.06-b0-unbiased", "alpha": 0.06,
+                "beta": 0, "bias": "unbiased", "utilization": "low",
+                "mode": mode, "sst_factor": 0.2, "plt": 2, "policy": "FOP",
+                "policy_param": 2, "comp_lot": 800, "replication": rep,
+                "seed": 42, "overall_cost": cost, "wip_cost": 100.0,
+                "fgi_cost": 50.0, "backorder_cost": 10.0,
+                "service_level": 0.99, "n_final_orders": 720,
+                "leadtime_mean": 2.5, "leadtime_sd": 0.4})
+    path = tmp_path / "results.csv"
+    write_results(rows, str(path))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    *printed, facts = done.stdout.splitlines()
+    assert json.loads(facts) == {"on_import": [], "codes": [0, 0],
+                                 "scipy.stats": False}
+    p_values = [float(line.split()[4]) for line in printed
+                if line.startswith("low-a0.06-b0-unbiased")]
+    assert len(p_values) == 2
+    assert all(0.0 < p < 1.0 for p in p_values)
+
+
 def test_analyze_missing_results(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", "--in", str(tmp_path))
     assert code == 2

@@ -7,7 +7,7 @@ from dataclasses import replace
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrpsim import driver, experiment
@@ -436,6 +436,61 @@ def test_significance_stars():
     assert significance_stars(0.04) == "*"
     assert significance_stars(0.06) == ""
     assert significance_stars(0.05) == ""
+
+
+def cost_samples(scale: float, n: int, integers: bool):
+    """n costs of magnitude `scale`: integer-valued from five levels (so ties
+    are common), or continuous."""
+    level = round(scale)
+    value = (st.integers(0, 4).map(lambda k: float(level + k * (level // 8)))
+             if integers else
+             st.floats(0.5, 2.0).map(lambda u: u * scale))
+    return st.lists(value, min_size=n, max_size=n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_t_test_p_values_equal_scipy_stats(data):
+    """`_test_costs` forms the t statistic and degrees of freedom in the same
+    operations as scipy 1.17.1's `ttest_ind(equal_var=False)` and `ttest_rel`
+    and takes the same `special.stdtr` tail, so its p-values equal theirs to
+    the last bit.  One side may be constant while the other varies."""
+    import warnings
+
+    from scipy import stats
+
+    n = data.draw(st.integers(2, 20), label="n")
+    scale = data.draw(st.floats(1e2, 1e5), label="scale")
+    integers = data.draw(st.booleans(), label="integers")
+    a = data.draw(cost_samples(scale, n, integers), label="a")
+    b = data.draw(cost_samples(scale, n, integers), label="b")
+    if data.draw(st.booleans(), label="constant a"):
+        a = [a[0]] * n
+    assume(len(set(b)) > 1)   # so neither zero-variance branch is taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # precision loss
+        welch = stats.ttest_ind(a, b, equal_var=False).pvalue
+        assert experiment._test_costs(tuple(a), tuple(b), False) == welch
+        if len({x - y for x, y in zip(a, b)}) > 1:
+            paired = stats.ttest_rel(a, b).pvalue
+            assert experiment._test_costs(tuple(a), tuple(b), True) == paired
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 20), data=st.data())
+def test_t_test_zero_variance_branches(n, data):
+    """Two constant samples, or paired samples whose differences are
+    constant, have no t statistic: equal means give p = 1, unequal p = 0."""
+    level = data.draw(st.integers(100, 100_000), label="level")
+    shift = data.draw(st.integers(-50, 50), label="shift")
+    constant, shifted = (float(level),) * n, (float(level + shift),) * n
+    expected = 1.0 if shift == 0 else 0.0
+    for paired in (False, True):
+        assert experiment._test_costs(constant, shifted, paired) == expected
+    a = tuple(data.draw(cost_samples(level, n, True), label="a"))
+    assume(len(set(a)) > 1)
+    b = tuple(x + shift for x in a)
+    assert experiment._test_costs(a, b, True) == expected
 
 
 # ------------------------------------------------------ pinned analysis bytes
