@@ -17,7 +17,8 @@ replication, stream) alone, and rows are always reduced in enumeration
 order.  The cells of one (instance, replication) share its forecast tape, and
 an extended cell whose standard twin never met a bucket where extended netting
 nets differently takes that twin's run instead of simulating its own (the two
-would be identical, see `mrp`).
+would be identical, see `mrp`).  `enumerate_cells` is a view that maps an
+index to its cell, so a grid's cells are built only where and when they run.
 Desk-scale presets cover the same machinery in minutes.  `make_config` is the
 one builder of a run's `RunConfig`, for grid cells and the CLI alike.
 """
@@ -25,6 +26,7 @@ one builder of a run's `RunConfig`, for grid cells and the CLI alike.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -110,6 +112,11 @@ class GridSpec:
     run_length: int = RUN_LENGTH
     warmup: int = WARMUP
 
+    def __post_init__(self) -> None:
+        if self.replications < 0:
+            raise ValueError(f"replications must be at least 0, got "
+                             f"{self.replications}")
+
     def instances(self) -> list[Instance]:
         out = []
         if self.include_unbiased:
@@ -191,17 +198,50 @@ class Cell:
         return self.params.mode
 
 
-def enumerate_cells(spec: GridSpec) -> list[Cell]:
-    settings = [replace(params, mode=mode) for params in spec.parameter_sets()
-                for mode in spec.modes]
-    cells = []
-    index = 0
-    for instance in spec.instances():
-        for params in settings:
-            for rep in range(spec.replications):
-                cells.append(Cell(index, instance, params, rep))
-                index += 1
-    return cells
+class CellView(Sequence):
+    """A grid's cells in enumeration order: instance, then (parameter set,
+    mode), then replication.  It holds only the instances, the settings and
+    the replication count, and builds a `Cell` when one is asked for."""
+
+    def __init__(self, spec: GridSpec) -> None:
+        self.instances = tuple(spec.instances())
+        self.settings = tuple(replace(params, mode=mode)
+                              for params in spec.parameter_sets()
+                              for mode in spec.modes)
+        self.replications = spec.replications
+
+    def __len__(self) -> int:
+        return len(self.instances) * len(self.settings) * self.replications
+
+    def _cell(self, index: int) -> Cell:
+        instance, rest = divmod(index, len(self.settings) * self.replications)
+        setting, rep = divmod(rest, self.replications)
+        return Cell(index, self.instances[instance], self.settings[setting],
+                    rep)
+
+    def __getitem__(self, key):
+        indices = range(len(self))[key]     # IndexError past either end
+        if isinstance(key, slice):
+            return [self._cell(index) for index in indices]
+        return self._cell(indices)
+
+    def __iter__(self):
+        return map(self._cell, range(len(self)))
+
+    def group(self, instance: int, replication: int) -> list[Cell]:
+        """The cells of the `instance`-th instance at one replication, one
+        per setting, in enumeration order."""
+        instance = range(len(self.instances))[instance]
+        replication = range(self.replications)[replication]
+        size = len(self.settings) * self.replications
+        return self[instance * size + replication:(instance + 1) * size:
+                    self.replications]
+
+
+def enumerate_cells(spec: GridSpec) -> CellView:
+    """The grid's cells in enumeration order, as a view that builds each
+    `Cell` on demand, so it holds no cells whatever the grid's size."""
+    return CellView(spec)
 
 
 def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
@@ -269,21 +309,29 @@ def _run_cells(cells: list[Cell], base_seed: int, run_length: int,
         yield cell.index, row, error
 
 
-def _tasks(groups, workers: int, n_modes: int) -> list[list[Cell]]:
-    """Pool tasks: one per group, or, with fewer than 4 * `workers` groups,
-    each group cut into up to ceil(4 * workers / len(groups)) contiguous
-    parts.  A group runs its parameter sets' modes back to back, so a part
-    length that is a multiple of `n_modes` never separates twins."""
-    parts = -(-4 * workers // len(groups))
-    tasks = []
-    for group in groups:
-        size = -(-len(group) // parts)
-        size = -(-size // n_modes) * n_modes
-        tasks += [group[i:i + size] for i in range(0, len(group), size)]
-    return tasks
+def _tasks(spec: GridSpec, workers: int) -> list[tuple[int, int, int, int]]:
+    """Pool tasks as (instance, replication, start, stop) coordinates: the
+    task runs `enumerate_cells(spec).group(instance, replication)[start:
+    stop]`, so its payload does not grow with the group.  One task per
+    group, or, with fewer than 4 * `workers` groups, each group cut into up
+    to ceil(4 * workers / groups) contiguous parts.  A group runs its
+    parameter sets' modes back to back, so a part length that is a multiple
+    of the mode count never separates twins.  The grid must not be empty."""
+    n_instances, n_modes = spec.n_instances, len(spec.modes)
+    group_size = spec.n_parameter_sets * n_modes
+    parts = -(-4 * workers // (n_instances * spec.replications))
+    size = -(-group_size // parts)
+    size = -(-size // n_modes) * n_modes
+    return [(instance, rep, start, min(start + size, group_size))
+            for instance in range(n_instances)
+            for rep in range(spec.replications)
+            for start in range(0, group_size, size)]
 
 
-def _run_task(cells: list[Cell], **settings) -> list:
+def _run_task(spec: GridSpec, task: tuple[int, int, int, int],
+              **settings) -> list:
+    instance, rep, start, stop = task
+    cells = enumerate_cells(spec).group(instance, rep)[start:stop]
     return list(_run_cells(cells, **settings))
 
 
@@ -292,25 +340,26 @@ class ExperimentError(RuntimeError):
 
 
 def default_workers() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
              overrides: dict | None = None, progress=None) -> list[dict]:
     """Run every cell of the grid; rows come back in enumeration order.
-    Cells execute grouped by (instance, replication), each group or part of
-    one a pool task that builds the group's tape (see `_tasks`).  `workers`
-    defaults to one per CPU; 1 runs in this process."""
+    Cells execute grouped by (instance, replication), by instance, then
+    replication; a group's cells are built when it starts and share its
+    tape.  At several workers each group, or part of one, is a pool task
+    sent as coordinates that the worker expands (see `_tasks`), so the
+    parent never builds the grid's cells.  `workers` defaults to one per
+    usable CPU; 1 runs in this process."""
     if workers is None:
         workers = default_workers()
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cells = enumerate_cells(spec)
-    # each (instance, replication)'s cells in enumeration order; the groups
-    # run by instance, then replication
-    groups: dict[tuple, list[Cell]] = {}
-    for cell in cells:
-        groups.setdefault((cell.instance, cell.replication), []).append(cell)
     settings = dict(base_seed=base_seed, run_length=spec.run_length,
                     warmup=spec.warmup, overrides=overrides)
     results: list = [None] * len(cells)
@@ -329,19 +378,23 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
             progress(done, len(cells))
 
     if workers <= 1 or len(cells) <= 1:
-        for group in groups.values():
-            for outcome in _run_cells(group, **settings):
-                _collect(outcome)
+        for instance in range(len(cells.instances)):
+            for rep in range(spec.replications):
+                for outcome in _run_cells(cells.group(instance, rep),
+                                          **settings):
+                    _collect(outcome)
     else:
-        tasks = _tasks(groups.values(), workers, len(spec.modes))
+        tasks = _tasks(spec, workers)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for outcomes in pool.map(partial(_run_task, **settings), tasks):
+                for outcomes in pool.map(partial(_run_task, spec, **settings),
+                                         tasks):
                     for outcome in outcomes:
                         _collect(outcome)
         except BrokenProcessPool as exc:
-            lost = [c for c in cells if results[c.index] is None and c.index not in errors]
-            listed = "\n  ".join(_describe(c) for c in lost[:10])
+            lost = [i for i, row in enumerate(results)
+                    if row is None and i not in errors]
+            listed = "\n  ".join(_describe(cells[i]) for i in lost[:10])
             raise ExperimentError(f"{len(lost)} of {len(cells)} cells were not collected, "
                                   f"a worker process died ({exc}):\n  {listed}") from exc
 

@@ -2,12 +2,13 @@
 
 import hashlib
 import os
+import pickle
 from collections import Counter
 from dataclasses import replace
 from itertools import groupby
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mrpsim import driver, experiment
@@ -67,6 +68,80 @@ def test_instance_validation():
     assert Instance("low", 0.06, "permanent_overbooking").beta == 1
     assert Instance("low", 0.06, "temporary_underbooking").instance_id == \
         "low-a0.06-b1-temporary_underbooking"
+
+
+def test_grid_spec_rejects_negative_replications():
+    with pytest.raises(ValueError, match="got -2"):
+        GridSpec(name="negative", replications=-2)
+    with pytest.raises(ValueError, match="got -1"):
+        replace(TINY, replications=-1)
+    # empty grids stay valid
+    for empty in (replace(TINY, replications=0),
+                  replace(TINY, fop_periods=(), foq_quantities=())):
+        assert empty.n_cells == len(enumerate_cells(empty)) == 0
+        assert list(enumerate_cells(empty)) == []
+
+
+def _listed_cells(spec):
+    """The grid's cells as enumeration built them before it was a view."""
+    settings = [replace(params, mode=mode) for params in spec.parameter_sets()
+                for mode in spec.modes]
+    cells = []
+    for instance in spec.instances():
+        for params in settings:
+            for rep in range(spec.replications):
+                cells.append(experiment.Cell(len(cells), instance, params, rep))
+    return cells
+
+
+_SMALL_SPECS = st.builds(
+    GridSpec, name=st.just("small"), utilizations=st.just(("low",)),
+    alphas=st.lists(st.sampled_from((0.0, 0.04)), min_size=1,
+                    unique=True).map(tuple),
+    include_unbiased=st.booleans(),
+    biased_schedules=st.lists(st.sampled_from(("permanent_overbooking",
+                                               "temporary_underbooking")),
+                              unique=True).map(tuple),
+    sst_factors=st.lists(st.sampled_from((0.0, 0.2)), min_size=1,
+                         unique=True).map(tuple),
+    plts=st.lists(st.sampled_from((1, 3)), min_size=1, unique=True).map(tuple),
+    fop_periods=st.lists(st.sampled_from((1, 9)), unique=True).map(tuple),
+    foq_quantities=st.lists(st.sampled_from((200, 400)),
+                            unique=True).map(tuple),
+    component_lots=st.just((800,)),
+    modes=st.sampled_from((("standard",), ("extended",),
+                           ("standard", "extended"),
+                           ("extended", "standard"))),
+    replications=st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_SMALL_SPECS)
+@example(spec=replace(TINY, fop_periods=()))
+@example(spec=replace(TINY, replications=0))
+@example(spec=replace(TINY, alphas=(0.04, 0.10), plts=(1, 3), replications=1,
+                      modes=("extended", "standard")))
+def test_cell_view_equals_the_listed_cells(spec):
+    listed, view = _listed_cells(spec), enumerate_cells(spec)
+    n = len(listed)
+    assert len(view) == n == spec.n_cells
+    assert list(view) == listed
+    assert [view[i] for i in range(-n, n)] == listed + listed
+    for outside in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[outside]
+    for part in (slice(None), slice(1, None, 2), slice(-3, None),
+                 slice(None, None, -1), slice(2, -2, 3), slice(n + 1, None)):
+        assert view[part] == listed[part]
+    for i, instance in enumerate(spec.instances()):
+        for rep in range(spec.replications):
+            assert view.group(i, rep) == [
+                c for c in listed
+                if c.instance == instance and c.replication == rep]
+    with pytest.raises(IndexError):
+        view.group(spec.n_instances, 0)
+    with pytest.raises(IndexError):
+        view.group(0, spec.replications)
 
 
 def test_enumeration_is_deterministic():
@@ -136,6 +211,13 @@ def test_run_grid_shared_tapes_match_cells_run_alone():
     assert run_grid(SHARED, base_seed=11, workers=2) == alone
 
 
+def _expand(spec, tasks):
+    """The cells each pool task runs."""
+    cells = enumerate_cells(spec)
+    return [cells.group(instance, rep)[start:stop]
+            for instance, rep, start, stop in tasks]
+
+
 def test_run_grid_runs_whole_groups(monkeypatch):
     # serially one tape per (instance, replication); the pool's tasks are
     # cut from the same groups
@@ -144,14 +226,32 @@ def test_run_grid_runs_whole_groups(monkeypatch):
     monkeypatch.setattr(driver, "build_tape", lambda config: (
         built.append((config.scenario, config.replication))
         or real_build(config)))
-    monkeypatch.setattr(experiment, "_tasks", lambda groups, *args: (
-        cut.append(list(groups)) or real_tasks(groups, *args)))
+    monkeypatch.setattr(experiment, "_tasks", lambda *args: (
+        cut.append(real_tasks(*args)) or cut[-1]))
     run_grid(SHARED, base_seed=11, workers=1)
     assert len(built) == len(set(built)) == 4
     run_grid(SHARED, base_seed=11, workers=2)
-    assert [[(c.instance.alpha, c.replication) for c in group]
-            for group in cut[0]] == [[key] * 4 for key in
-                                     ((0.04, 0), (0.04, 1), (0.1, 0), (0.1, 1))]
+    keys = [[(c.instance.alpha, c.replication) for c in task]
+            for task in _expand(SHARED, cut[0])]
+    assert all(len(set(task)) == 1 for task in keys)
+    assert [key for task in keys for key in task] == [
+        key for key in ((0.04, 0), (0.04, 1), (0.1, 0), (0.1, 1))
+        for _ in range(4)]
+
+
+def test_pool_parent_builds_no_cells(monkeypatch):
+    built, real_cell = [], experiment.Cell
+
+    def counting_cell(index, *args):
+        built.append(index)
+        return real_cell(index, *args)
+
+    monkeypatch.setattr(experiment, "Cell", counting_cell)
+    rows = run_grid(SHARED, base_seed=11, workers=2)
+    assert len(rows) == 16
+    assert built == []
+    run_grid(SHARED, base_seed=11, workers=1)
+    assert sorted(built) == list(range(16))
 
 
 def test_extended_twins_reuse_standard_runs_that_never_diverge(monkeypatch):
@@ -214,7 +314,7 @@ def test_pool_slices_never_split_a_twin_pair(spec, workers):
     order = sorted(cells, key=lambda c: (rank[c.instance], c.replication))
     group = lambda c: (c.instance, c.replication)  # noqa: E731
     groups = [list(g) for _, g in groupby(order, key=group)]
-    tasks = experiment._tasks(groups, workers, len(spec.modes))
+    tasks = _expand(spec, experiment._tasks(spec, workers))
     assert [c for task in tasks for c in task] == order
     for task in tasks:
         assert {group(c) for c in task} == {group(task[0])}, (
@@ -229,21 +329,51 @@ def test_pool_slices_never_split_a_twin_pair(spec, workers):
             f"cell {first.index}")
 
 
+# grid-crn's grid in perfbench: one group of 72 cells
+GRID_CRN = GridSpec(name="grid-crn", utilizations=("medium",), alphas=(0.06,),
+                    sst_factors=(0.2, 0.6, 1.5), plts=(1, 3, 8),
+                    fop_periods=(1, 9), foq_quantities=(200, 1600),
+                    component_lots=(800,), replications=1)
+
+
 def test_pool_tasks_of_the_benchmark_grids():
     # one group of 72 cells: 8 tasks at 2 workers, so 8 tape builds
-    one_group = GridSpec(name="grid-crn", utilizations=("medium",),
-                         alphas=(0.06,), sst_factors=(0.2, 0.6, 1.5),
-                         plts=(1, 3, 8), fop_periods=(1, 9),
-                         foq_quantities=(200, 1600), component_lots=(800,),
-                         replications=1)
-    groups = [enumerate_cells(one_group)]
-    assert [len(task) for task in experiment._tasks(groups, 2, 2)] == \
-        [10] * 7 + [2]
+    tasks = _expand(GRID_CRN, experiment._tasks(GRID_CRN, 2))
+    assert [len(task) for task in tasks] == [10] * 7 + [2]
     # analyze-full's three groups of 16 cells: 9 tasks at 2 workers
     cells = enumerate_cells(_TWIN_GRIDS[0])
-    groups = [cells[i:i + 16] for i in range(0, 48, 16)]
-    assert [len(task) for task in experiment._tasks(groups, 2, 2)] == \
-        [6, 6, 4] * 3
+    tasks = _expand(_TWIN_GRIDS[0], experiment._tasks(_TWIN_GRIDS[0], 2))
+    assert [c for task in tasks for c in task] == list(cells)
+    assert [len(task) for task in tasks] == [6, 6, 4] * 3
+
+
+@pytest.mark.parametrize("spec, workers", [(PRESETS["full"], 8),
+                                           (GRID_CRN, 2)],
+                         ids=["full", "grid-crn"])
+def test_pool_tasks_pickle_small(monkeypatch, spec, workers):
+    # what the pool sends per task is the same few hundred bytes whether a
+    # group holds 1,920 cells (full) or is cut into parts of 10 (grid-crn)
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            for task in tasks:
+                sizes.append(len(pickle.dumps((fn, task))))
+                yield []
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    run_grid(spec, workers=workers)
+    assert len(sizes) == len(experiment._tasks(spec, workers))
+    assert max(sizes) < 1024
 
 
 # One unbiased and one biased instance, plt 1 and 4, FOP 9 and FOQ 400,
@@ -298,9 +428,26 @@ def test_run_grid_rejects_worker_counts_below_one(monkeypatch, workers):
 
 
 def test_progress_callback():
-    seen = []
-    run_grid(TINY, workers=1, progress=lambda done, total: seen.append((done, total)))
-    assert seen == [(1, 2), (2, 2)]
+    for workers in (1, 2):
+        seen = []
+        run_grid(TINY, workers=workers,
+                 progress=lambda done, total: seen.append((done, total)))
+        assert seen == [(1, 2), (2, 2)]
+
+
+def test_default_workers_counts_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert experiment.default_workers() == 1
+
+
+def test_default_workers_without_affinity_counts_cpus(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert experiment.default_workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiment.default_workers() == 1
 
 
 # ------------------------------------------------------------ result files
