@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(p)
     p.add_argument("--alpha", type=float, default=0.0,
                    help="forecast update std as fraction of expected demand")
-    p.add_argument("--bias", choices=BIASED_SCHEDULES,
-                   help="bias schedule (sets beta=1; omit for unbiased)")
+    p.add_argument("--bias", choices=BIASED_SCHEDULES, default="unbiased",
+                   help="forecast bias schedule (omit for unbiased)")
     p.add_argument("--mode", choices=MODES, default="standard")
     p.add_argument("--sst", type=float, default=0.0,
                    help="safety stock factor")
@@ -221,9 +221,8 @@ def cmd_simulate(args) -> int:
     params = PlanningParams(sst_factor=args.sst, plt=args.plt, policy=policy,
                             policy_param=value, component_lot=args.comp_lot,
                             mode=args.mode)
-    bias = args.bias or "unbiased"
-    config = make_config(utilization=args.util, alpha=args.alpha, bias=bias,
-                         params=params, base_seed=args.seed,
+    config = make_config(utilization=args.util, alpha=args.alpha,
+                         bias=args.bias, params=params, base_seed=args.seed,
                          replication=args.rep, run_length=args.periods,
                          warmup=args.warmup, overrides=overrides,
                          debug_checks=args.debug_checks)
@@ -254,8 +253,8 @@ def cmd_simulate(args) -> int:
                   event_log)
 
     _print_summary(summary,
-                   f"{args.util} alpha={args.alpha:g} {bias} | {params.label()}"
-                   f" | seed {args.seed} rep {args.rep} | "
+                   f"{args.util} alpha={args.alpha:g} {args.bias} | "
+                   f"{params.label()} | seed {args.seed} rep {args.rep} | "
                    f"{args.periods} periods (warmup {args.warmup})")
     if params.mode == "standard":
         period = sim.divergence_period

@@ -28,14 +28,15 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from operator import itemgetter
 
 from . import __version__
 from .forecast import BIASED_SCHEDULES, SCHEDULES, ScenarioParams
-from .config import RUN_LENGTH, WARMUP, build_system
+from .config import RUN_LENGTH, UTILIZATION_LEVELS, WARMUP, build_system
 from .driver import RunConfig, SimulationRun, Tape
+from .kpi import float_sum
 from .mrp import (COMPONENT_LOTS, FOP_PERIODS, FOQ_QUANTITIES, MODES,
                   PLT_VALUES, SST_FACTORS, PlanningParams)
 
@@ -79,10 +80,9 @@ def make_config(utilization: str = "low", alpha: float = 0.0,
                 overrides: dict | None = None,
                 debug_checks: bool = False) -> RunConfig:
     """The one constructor of `RunConfig`, for grid cells and the CLI alike;
-    beta follows from `bias`."""
-    beta = Instance(utilization, alpha, bias).beta
+    `bias` names the forecast scenario's schedule in `forecast.SCHEDULES`."""
     system = build_system(utilization, overrides)
-    scenario = ScenarioParams(alpha=alpha, beta=beta, schedule=SCHEDULES[bias],
+    scenario = ScenarioParams(alpha=alpha, bias=bias,
                               expected_amount=system.demand.expected_amount)
     if params is None:
         params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP",
@@ -116,6 +116,18 @@ class GridSpec:
         if self.replications < 0:
             raise ValueError(f"replications must be at least 0, got "
                              f"{self.replications}")
+        for f in fields(self):
+            values = getattr(self, f.name)
+            if isinstance(values, tuple):
+                for i, value in enumerate(values):
+                    if value in values[:i]:
+                        raise ValueError(f"{f.name} repeats {value!r}")
+        for name, allowed in (("utilizations", UTILIZATION_LEVELS),
+                              ("biased_schedules", BIASED_SCHEDULES)):
+            for value in getattr(self, name):
+                if value not in allowed:
+                    raise ValueError(f"{name} must be in {allowed}, "
+                                     f"got {value!r}")
 
     def instances(self) -> list[Instance]:
         out = []
@@ -534,7 +546,7 @@ def _aggregate(rank: tuple, group: list[dict]) -> BestCell:
     mean_cost, sst, plt, policy, value, comp_lot = rank
     n = len(group)
     wip, fgi, backorder, service, leadtime = (
-        sum(map(itemgetter(k), group)) / n
+        float_sum(map(itemgetter(k), group)) / n
         for k in ("wip_cost", "fgi_cost", "backorder_cost", "service_level",
                   "leadtime_mean"))
     first = group[0]
@@ -569,7 +581,7 @@ def best_per_instance(rows: list[dict]) -> dict[tuple[str, str], BestCell]:
 
     winners: dict[tuple, tuple[tuple, list[dict]]] = {}
     for key, group in groups.items():
-        rank = (sum(map(_COST, group)) / len(group), *key[2:])
+        rank = (float_sum(map(_COST, group)) / len(group), *key[2:])
         held = winners.get(key[:2])
         if held is None or not held[0] <= rank:
             winners[key[:2]] = (rank, group)

@@ -22,7 +22,9 @@ Bias schedules b_10..b_1 describe systematic forecasting errors: temporary
 schedules sum to zero (the long-term value is already correct and interim
 updates overshoot or undershoot), permanent schedules shift the long-term
 value itself, which therefore starts at x_k = E * (1 - beta * sum(b)) and
-drifts toward the true expectation as updates arrive.
+drifts toward the true expectation as updates arrive.  beta is 1 exactly for
+the biased schedules and the unbiased schedule's b_j are 0, so the code
+draws around b_j * E and shifts by sum(b).
 
 Sampling for each (replication, product, due date) uses an isolated RNG
 substream derived by hashing, so demand realizations are identical across
@@ -43,63 +45,41 @@ import random
 from dataclasses import dataclass
 
 from .config import _DEFAULT_OVERRIDES
+from .kpi import float_sum
 
 HORIZON = 10  # forecast updates start H periods before delivery
 
-_TEMP_OVER_B = {10: 0.0, 9: 0.0, 8: 0.04, 7: 0.04, 6: 0.08,
-                5: 0.0, 4: 0.0, 3: -0.08, 2: -0.04, 1: -0.04}
+_TEMP_OVER_B = (-0.04, -0.04, -0.08, 0.0, 0.0, 0.08, 0.04, 0.04, 0.0, 0.0)
 
-
-@dataclass(frozen=True)
-class BiasSchedule:
-    """Per-update bias factors b_j, indexed by periods-before-delivery j."""
-
-    name: str
-    b: tuple[float, ...]      # b[j-1] is the factor applied j periods before delivery
-
-    def factor(self, j: int) -> float:
-        return self.b[j - 1] if 1 <= j <= len(self.b) else 0.0
-
-    @property
-    def total(self) -> float:
-        return sum(self.b)
-
-
-def _temp(name: str, sign: float) -> BiasSchedule:
-    return BiasSchedule(name, tuple(sign * _TEMP_OVER_B[j] for j in range(1, 11)))
-
-
-SCHEDULES: dict[str, BiasSchedule] = {
-    "unbiased": BiasSchedule("unbiased", (0.0,) * HORIZON),
-    "temporary_overbooking": _temp("temporary_overbooking", 1.0),
-    "temporary_underbooking": _temp("temporary_underbooking", -1.0),
-    "permanent_overbooking": BiasSchedule("permanent_overbooking",
-                                          (-0.04,) * HORIZON),
-    "permanent_underbooking": BiasSchedule("permanent_underbooking",
-                                           (0.04,) * HORIZON),
+# each schedule's factors b_1..b_H: b[j-1] applies j periods before delivery
+SCHEDULES: dict[str, tuple[float, ...]] = {
+    "unbiased": (0.0,) * HORIZON,
+    "temporary_overbooking": _TEMP_OVER_B,
+    "temporary_underbooking": tuple(-b for b in _TEMP_OVER_B),
+    "permanent_overbooking": (-0.04,) * HORIZON,
+    "permanent_underbooking": (0.04,) * HORIZON,
 }
-BIASED_SCHEDULES = ("temporary_overbooking", "temporary_underbooking",
-                    "permanent_overbooking", "permanent_underbooking")
+BIASED_SCHEDULES = tuple(name for name in SCHEDULES if name != "unbiased")
 
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Forecast-quality scenario: noise level alpha, bias switch beta, schedule."""
+    """Forecast-quality scenario: noise level alpha and bias schedule name."""
 
     alpha: float = 0.0
-    beta: int = 0
-    schedule: BiasSchedule = SCHEDULES["unbiased"]
+    bias: str = "unbiased"
     expected_amount: int = _DEFAULT_OVERRIDES["demand"]["expected_amount"]
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be finite and non-negative, "
                              f"got {self.alpha}")
-        if self.beta not in (0, 1):
-            raise ValueError("beta must be 0 or 1")
+        if self.bias not in SCHEDULES:
+            raise ValueError(f"unknown bias schedule {self.bias!r}")
 
     def update_mean(self, j: int) -> float:
-        return self.beta * self.schedule.factor(j) * self.expected_amount
+        b = SCHEDULES[self.bias]
+        return b[j - 1] * self.expected_amount if 1 <= j <= HORIZON else 0.0
 
     @property
     def update_std(self) -> float:
@@ -107,14 +87,14 @@ class ScenarioParams:
 
 
 def long_term_forecast(scenario: ScenarioParams) -> int:
-    """Initial forecast value x_k.
+    """Initial forecast value x_k = E * (1 - sum(b)).
 
     Permanent bias schedules shift the long-term value so that the updates,
-    whose means sum to beta * sum(b) * E, steer the forecast back to the true
-    expectation E.  Temporary schedules sum to zero and unbiased scenarios
-    have no shift, so both start at E.
+    whose means sum to sum(b) * E, steer the forecast back to the true
+    expectation E.  Temporary schedules sum to zero and the unbiased
+    schedule's factors are 0, so both start at E.
     """
-    shift = scenario.beta * scenario.schedule.total
+    shift = float_sum(SCHEDULES[scenario.bias])
     return round(scenario.expected_amount * (1.0 - shift))
 
 

@@ -14,6 +14,14 @@ import math
 from dataclasses import dataclass, field
 
 
+def float_sum(values) -> float:
+    """Add left to right from 0.0, as `sum()` does before Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass
 class RunSummary:
     """KPI vector of one simulation run (costs are CU per period)."""
@@ -91,9 +99,9 @@ class KpiTracker:
 
         lead_mean = lead_sd = 0.0
         if self.leadtimes:
-            lead_mean = sum(self.leadtimes) / len(self.leadtimes)
+            lead_mean = float_sum(self.leadtimes) / len(self.leadtimes)
             if len(self.leadtimes) > 1:
-                var = (sum((x - lead_mean) ** 2 for x in self.leadtimes)
+                var = (float_sum((x - lead_mean) ** 2 for x in self.leadtimes)
                        / (len(self.leadtimes) - 1))
                 lead_sd = math.sqrt(var)
 

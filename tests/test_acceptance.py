@@ -14,6 +14,7 @@ evidence.  Stated runtime budgets assume 8 workers; on this serial runner
 every budget is scaled by 8.
 """
 
+import hashlib
 import random
 import statistics
 import time
@@ -35,7 +36,6 @@ from mrpsim.experiment import (
     write_results,
 )
 from mrpsim.forecast import (
-    SCHEDULES,
     ForecastStream,
     ScenarioParams,
     advance,
@@ -62,13 +62,13 @@ SERIAL_SCALE = 8
 # Recorded example trajectories: three scenarios, 12 values each (long-term
 # start, ten updates, firmed amount), all ending at 739 pieces.
 REPLAY_TRAJECTORIES = [
-    ("unbiased", 0, 800,
+    ("unbiased", 800,
      (24, 32, -15, -47, 123, 27, -125, 56, -58, -78),
      (824, 856, 841, 794, 917, 944, 819, 875, 817, 739)),
-    ("permanent_underbooking", 1, 480,
+    ("permanent_underbooking", 480,
      (56, 64, 17, -15, 155, 59, -93, 88, -26, -46),
      (536, 600, 617, 602, 757, 816, 723, 811, 785, 739)),
-    ("temporary_overbooking", 1, 800,
+    ("temporary_overbooking", 800,
      (24, 32, 17, -15, 187, 27, -125, -8, -90, -110),
      (824, 856, 873, 858, 1045, 1072, 947, 939, 849, 739)),
 ]
@@ -78,9 +78,8 @@ def test_c01_forecast_replay_bit_exact():
     """Injecting recorded update sequences reproduces every value exactly."""
     start_time = time.perf_counter()
     checked = 0
-    for schedule, beta, start, eps, values in REPLAY_TRAJECTORIES:
-        scenario = ScenarioParams(alpha=0.04, beta=beta,
-                                  schedule=SCHEDULES[schedule])
+    for bias, start, eps, values in REPLAY_TRAJECTORIES:
+        scenario = ScenarioParams(alpha=0.04, bias=bias)
         assert long_term_forecast(scenario) == start
         checked += 1
         stream = ForecastStream(product=10, due=40, long_term=start)
@@ -323,6 +322,25 @@ def test_c07_underbooking_costs_at_least_overbooking(bias_run):
         f"shed. The direction persists at high utilization.")
 
 
+# sha256 of each shipped preset's results.csv at seed 42, which
+# `mrpsim grid --preset <name>` writes at any worker count
+PRESET_SHA256 = {
+    "desk": "6c68ed5fffdc09d87f11ab40fe6a3845fe63ed400c8b88f266b258d280768a09",
+    "bias": "6a86b5f6fe0db5af97b42968a0217684ee2420db32d159aa5645f0f82f1be2e6",
+    "null-anchor":
+        "fc1c38a4efe771e6a0e1040ea47ac58d9575a862b0c064e652d89318c4ca6e82",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_SHA256))
+def test_preset_results_bytes_are_pinned(request, tmp_path, preset):
+    run = request.getfixturevalue(preset.replace("-", "_") + "_run")
+    path = tmp_path / "results.csv"
+    write_results(run.rows, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PRESET_SHA256[preset]
+
+
 def test_c08_netting_rule_properties():
     """10^5 random states: the covered-horizon rule equals standard netting
     outside its scope and never orders more inside it; lot invariants."""
@@ -428,7 +446,7 @@ def test_c10_sampler_moments():
     assert statistics.stdev(eps) == pytest.approx(32.0, rel=0.02)
     assert all(-800 <= e <= 864 for e in eps)
 
-    scenario = ScenarioParams(alpha=0.12, beta=0)
+    scenario = ScenarioParams(alpha=0.12)
     rng = random.Random(79)
     for _ in range(2000):
         stream = ForecastStream(10, 40, 800)

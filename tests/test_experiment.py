@@ -1,5 +1,6 @@
 """Experiment harness: grid enumeration, execution, result files, analysis."""
 
+import builtins
 import hashlib
 import os
 import pickle
@@ -80,6 +81,30 @@ def test_grid_spec_rejects_negative_replications():
                   replace(TINY, fop_periods=(), foq_quantities=())):
         assert empty.n_cells == len(enumerate_cells(empty)) == 0
         assert list(enumerate_cells(empty)) == []
+
+
+def test_grid_spec_rejects_repeated_values():
+    for name, values in (("alphas", (0.02, 0.02)),
+                         ("utilizations", ("low", "high", "low")),
+                         ("biased_schedules", ("permanent_overbooking",) * 2),
+                         ("plts", (1, 3, 3)), ("modes", ("standard",) * 2)):
+        with pytest.raises(ValueError, match=f"{name} repeats {values[-1]!r}"):
+            replace(TINY, **{name: values})
+
+
+def test_grid_spec_rejects_unknown_utilizations():
+    with pytest.raises(ValueError, match="utilizations .* got 'mid'"):
+        replace(TINY, utilizations=("low", "mid"))
+    assert replace(TINY, utilizations=()).n_cells == 0
+
+
+def test_grid_spec_rejects_unknown_biased_schedules():
+    # "unbiased" would enumerate the unbiased instances a second time
+    for bias in ("unbiased", "sinusoidal"):
+        with pytest.raises(ValueError,
+                           match=f"biased_schedules .* got {bias!r}"):
+            replace(TINY, biased_schedules=("permanent_overbooking", bias))
+    assert replace(TINY, biased_schedules=()).n_instances == 1
 
 
 def _listed_cells(spec):
@@ -706,6 +731,36 @@ def test_analysis_bytes_are_pinned():
             for csv in (False, True):
                 digest.update(TABLES[name](rows, paired, csv).encode())
     assert digest.hexdigest() == ANALYSIS_SHA256
+
+
+def _sum_as_python_3_12(iterable, start=0):
+    """`sum()` as Python 3.12 adds: exact while the items are ints,
+    compensated (Neumaier) once a float appears."""
+    items = list(iterable)
+    if all(isinstance(x, int) for x in (start, *items)):
+        return builtins.sum(items, start)
+    total, compensation = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation else total
+
+
+def test_result_bytes_do_not_depend_on_how_sum_adds(monkeypatch, tmp_path):
+    """The pinned grid and analysis bytes hold when `sum()` compensates, as
+    it does from Python 3.12."""
+    from mrpsim import forecast, kpi
+
+    for module in (kpi, experiment, forecast):
+        monkeypatch.setattr(module, "sum", _sum_as_python_3_12, raising=False)
+    path = tmp_path / "results.csv"
+    write_results(run_grid(PINNED_GRID, base_seed=42, workers=1), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
+    test_analysis_bytes_are_pinned()
 
 
 def reference_best_per_instance(rows: list[dict]) -> dict:

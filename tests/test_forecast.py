@@ -1,5 +1,6 @@
 """Forecast evolution: replay oracles, truncation, bias schedules, dump/replay."""
 
+import hashlib
 import math
 import random
 import statistics
@@ -7,7 +8,7 @@ import statistics
 import pytest
 
 from mrpsim.driver import build_tape
-from mrpsim.experiment import make_config
+from mrpsim.experiment import Instance, make_config
 from mrpsim.forecast import (
     BIASED_SCHEDULES,
     HORIZON,
@@ -40,10 +41,11 @@ REPLAY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("schedule,beta,start,eps,values", REPLAY_CASES)
-def test_replay_trajectories(schedule, beta, start, eps, values):
-    scenario = ScenarioParams(alpha=0.04, beta=beta,
-                              schedule=SCHEDULES[schedule])
+@pytest.mark.parametrize("bias,beta,start,eps,values", REPLAY_CASES)
+def test_replay_trajectories(bias, beta, start, eps, values):
+    # the paper's beta of each scenario is the results column's derivation
+    assert Instance("low", 0.04, bias).beta == beta
+    scenario = ScenarioParams(alpha=0.04, bias=bias)
     assert long_term_forecast(scenario) == start
 
     stream = ForecastStream(product=10, due=40, long_term=start)
@@ -59,44 +61,65 @@ def test_replay_trajectories(schedule, beta, start, eps, values):
 
 
 def test_long_term_forecast_values():
-    under = ScenarioParams(beta=1, schedule=SCHEDULES["permanent_underbooking"])
-    over = ScenarioParams(beta=1, schedule=SCHEDULES["permanent_overbooking"])
+    under = ScenarioParams(bias="permanent_underbooking")
+    over = ScenarioParams(bias="permanent_overbooking")
     assert long_term_forecast(under) == 480
     assert long_term_forecast(over) == 1120
-    for name in SCHEDULES:
-        scen = ScenarioParams(beta=0, schedule=SCHEDULES[name])
-        assert long_term_forecast(scen) == 800
     for name in ("unbiased", "temporary_overbooking", "temporary_underbooking"):
-        scen = ScenarioParams(beta=1, schedule=SCHEDULES[name])
+        scen = ScenarioParams(bias=name)
         assert long_term_forecast(scen) == 800
 
 
 def test_schedule_shapes():
-    assert all(b == 0.0 for b in SCHEDULES["unbiased"].b)
+    assert all(b == 0.0 for b in SCHEDULES["unbiased"])
     for name in ("temporary_overbooking", "temporary_underbooking"):
-        assert math.isclose(sum(SCHEDULES[name].b), 0.0, abs_tol=1e-12)
-    assert SCHEDULES["permanent_overbooking"].b == (-0.04,) * 10
-    assert SCHEDULES["permanent_underbooking"].b == (0.04,) * 10
+        assert math.isclose(sum(SCHEDULES[name]), 0.0, abs_tol=1e-12)
+    assert SCHEDULES["permanent_overbooking"] == (-0.04,) * 10
+    assert SCHEDULES["permanent_underbooking"] == (0.04,) * 10
     assert set(BIASED_SCHEDULES) == set(SCHEDULES) - {"unbiased"}
     # factors outside the update range contribute nothing
-    sched = SCHEDULES["permanent_underbooking"]
-    assert sched.factor(0) == 0.0
-    assert sched.factor(11) == 0.0
-    assert sched.factor(10) == 0.04
+    under = ScenarioParams(bias="permanent_underbooking")
+    assert under.update_mean(0) == 0.0
+    assert under.update_mean(11) == 0.0
+    assert SCHEDULES["permanent_underbooking"][10 - 1] == 0.04
     # temporary overbooking inflates mid-range forecasts and deflates late ones
     tover = SCHEDULES["temporary_overbooking"]
-    assert tover.factor(6) == pytest.approx(0.08)
-    assert tover.factor(3) == pytest.approx(-0.08)
+    assert tover[6 - 1] == pytest.approx(0.08)
+    assert tover[3 - 1] == pytest.approx(-0.08)
+
+
+# sha256 of repr(build_tape(...)) and the long-term value per schedule at
+# alpha 0.06, run_length 60, warmup 10, seed 42
+SCHEDULE_TAPES = {
+    "unbiased": (
+        "ac63883c36879e6b899b9dff827fd06966e73d4be3ac59992d11de0e23060bfd", 800),
+    "temporary_overbooking": (
+        "4b02fc884010169a82d3d5fc818c317d66b3e0c3d4b6d32ccb559b122c8b5445", 800),
+    "temporary_underbooking": (
+        "23231250657d101ecd5393bc0f8764875d35762441572395291b7653b8b5a0d6", 800),
+    "permanent_overbooking": (
+        "a37e2b45b917e5506d824a317ec214c174cea4ae2332a43b316f035f59aab821", 1120),
+    "permanent_underbooking": (
+        "ac244d656b1e789a380dcec978b6b9b03c8b6e111742ea995dfb36c0d45bd414", 480),
+}
+
+
+def test_schedule_tapes_are_pinned():
+    assert tuple(SCHEDULE_TAPES) == tuple(SCHEDULES)
+    for name, (digest, start) in SCHEDULE_TAPES.items():
+        config = make_config(alpha=0.06, bias=name, run_length=60, warmup=10)
+        assert long_term_forecast(config.scenario) == start
+        tape = repr(build_tape(config)).encode()
+        assert hashlib.sha256(tape).hexdigest() == digest, name
 
 
 def test_scenario_validation():
     for alpha in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="alpha"):
             ScenarioParams(alpha=alpha)
-    with pytest.raises(ValueError, match="beta"):
-        ScenarioParams(beta=2)
-    scen = ScenarioParams(alpha=0.06, beta=1,
-                          schedule=SCHEDULES["permanent_underbooking"])
+    with pytest.raises(ValueError, match="unknown bias schedule 'sinusoidal'"):
+        ScenarioParams(bias="sinusoidal")
+    scen = ScenarioParams(alpha=0.06, bias="permanent_underbooking")
     assert scen.update_std == pytest.approx(48.0)
     assert scen.update_mean(5) == pytest.approx(32.0)
     assert scen.update_mean(11) == 0.0
@@ -168,7 +191,7 @@ def test_negative_forecast_rejected():
 
 
 def test_alpha_zero_unbiased_never_moves():
-    scen = ScenarioParams(alpha=0.0, beta=0)
+    scen = ScenarioParams(alpha=0.0)
     rng = random.Random(3)
     stream = ForecastStream(10, 40, 800)
     for j in range(10, -1, -1):
@@ -177,7 +200,7 @@ def test_alpha_zero_unbiased_never_moves():
 
 
 def test_unbiased_streams_average_to_expectation():
-    scen = ScenarioParams(alpha=0.06, beta=0)
+    scen = ScenarioParams(alpha=0.06)
     finals = []
     for rep in range(2500):
         rng = stream_rng(99, rep, 10, 40)
@@ -192,7 +215,7 @@ def test_unbiased_streams_average_to_expectation():
 
 
 def test_substream_independence_of_generation_order():
-    scen = ScenarioParams(alpha=0.10, beta=0)
+    scen = ScenarioParams(alpha=0.10)
     keys = [(p, due) for p in (10, 11, 14) for due in (21, 25, 29)]
 
     def run(order):
