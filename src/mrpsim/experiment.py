@@ -33,10 +33,10 @@ from functools import partial
 from operator import itemgetter
 
 from . import __version__
-from .forecast import BIASED_SCHEDULES, SCHEDULES, ScenarioParams
+from .forecast import BIASED_SCHEDULES, ScenarioParams
 from .config import RUN_LENGTH, UTILIZATION_LEVELS, WARMUP, build_system
 from .driver import RunConfig, SimulationRun, Tape
-from .kpi import float_sum
+from .kpi import check_window, float_sum
 from .mrp import (COMPONENT_LOTS, FOP_PERIODS, FOQ_QUANTITIES, MODES,
                   PLT_VALUES, SST_FACTORS, PlanningParams)
 
@@ -54,15 +54,14 @@ FULL_ALPHAS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12)
 
 @dataclass(frozen=True)
 class Instance:
-    """One demand environment of the study."""
+    """One demand environment; `ScenarioParams` checks its alpha and bias."""
 
     utilization: str
     alpha: float
     bias: str = "unbiased"
 
     def __post_init__(self) -> None:
-        if self.bias not in SCHEDULES:
-            raise ValueError(f"unknown bias schedule {self.bias!r}")
+        ScenarioParams(self.alpha, self.bias)
 
     @property
     def beta(self) -> int:
@@ -128,6 +127,8 @@ class GridSpec:
                 if value not in allowed:
                     raise ValueError(f"{name} must be in {allowed}, "
                                      f"got {value!r}")
+        self.instances()    # each Instance checks its alpha
+        check_window(self.run_length, self.warmup)
 
     def instances(self) -> list[Instance]:
         out = []
@@ -263,26 +264,22 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
     shared by the cells of one (instance, replication), see `SimulationRun`.
     `twin` is a one-entry slot handed from cell to cell: a standard run that
     never met a bucket where extended netting nets differently leaves
-    (params, summary) there, and the next cell, if it is that run's extended
-    twin, takes the summary instead of simulating.  Every call empties it."""
-    inst = cell.instance
-    summary = None
+    (params, row) there, and the next cell, if it is that run's extended
+    twin, takes the row with its own mode instead of simulating.  Every call
+    empties it."""
     if twin:
-        params, standard = twin.pop()
+        params, row = twin.pop()
         if cell.params == replace(params, mode="extended"):
-            summary = standard
-    if summary is None:
-        config = make_config(utilization=inst.utilization, alpha=inst.alpha,
-                             bias=inst.bias, params=cell.params,
-                             base_seed=base_seed, replication=cell.replication,
-                             run_length=run_length, warmup=warmup,
-                             overrides=overrides)
-        run = SimulationRun(config, tape=tape)
-        summary = run.run()
-        if (twin is not None and cell.mode == "standard"
-                and run.divergence_period is None):
-            twin.append((cell.params, summary))
-    return {
+            return dict(row, mode=cell.mode)
+    inst = cell.instance
+    config = make_config(utilization=inst.utilization, alpha=inst.alpha,
+                         bias=inst.bias, params=cell.params,
+                         base_seed=base_seed, replication=cell.replication,
+                         run_length=run_length, warmup=warmup,
+                         overrides=overrides)
+    run = SimulationRun(config, tape=tape)
+    summary = run.run()
+    row = {
         "instance_id": inst.instance_id, "alpha": inst.alpha,
         "beta": inst.beta, "bias": inst.bias,
         "utilization": inst.utilization, "mode": cell.mode,
@@ -299,6 +296,10 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
         "leadtime_mean": summary.leadtime_mean,
         "leadtime_sd": summary.leadtime_sd,
     }
+    if (twin is not None and cell.mode == "standard"
+            and run.divergence_period is None):
+        twin.append((cell.params, row))
+    return row
 
 
 def _describe(cell: Cell) -> str:
@@ -306,32 +307,21 @@ def _describe(cell: Cell) -> str:
             f"{cell.params.label()} rep {cell.replication})")
 
 
-def _run_cells(cells: list[Cell], base_seed: int, run_length: int,
-               warmup: int, overrides: dict | None):
-    """Yield (index, row, error) per cell, in order.  The cells are one
-    (instance, replication) or part of one, so they share a tape and a twin
-    slot."""
-    tape, twin = {}, []
-    for cell in cells:
-        try:
-            row, error = run_cell(cell, base_seed, run_length, warmup,
-                                  overrides, tape, twin), None
-        except Exception as exc:
-            row, error = None, f"{_describe(cell)}: {exc}"
-        yield cell.index, row, error
-
-
 def _tasks(spec: GridSpec, workers: int) -> list[tuple[int, int, int, int]]:
-    """Pool tasks as (instance, replication, start, stop) coordinates: the
-    task runs `enumerate_cells(spec).group(instance, replication)[start:
-    stop]`, so its payload does not grow with the group.  One task per
-    group, or, with fewer than 4 * `workers` groups, each group cut into up
-    to ceil(4 * workers / groups) contiguous parts.  A group runs its
+    """The grid's work as (instance, replication, start, stop) tasks, by
+    instance, then replication: a task runs `enumerate_cells(spec).group(instance,
+    replication)[start:stop]`, so its payload does not grow with the group.
+    At one worker each task is one whole group.  At several, a grid of
+    fewer than 4 * `workers` groups has each group cut into up to
+    ceil(4 * workers / groups) contiguous parts.  A group runs its
     parameter sets' modes back to back, so a part length that is a multiple
-    of the mode count never separates twins.  The grid must not be empty."""
+    of the mode count never separates twins.  An empty grid has no tasks."""
     n_instances, n_modes = spec.n_instances, len(spec.modes)
+    n_groups = n_instances * spec.replications
     group_size = spec.n_parameter_sets * n_modes
-    parts = -(-4 * workers // (n_instances * spec.replications))
+    if not n_groups * group_size:
+        return []
+    parts = -(-4 * workers // n_groups) if workers > 1 else 1
     size = -(-group_size // parts)
     size = -(-size // n_modes) * n_modes
     return [(instance, rep, start, min(start + size, group_size))
@@ -340,11 +330,25 @@ def _tasks(spec: GridSpec, workers: int) -> list[tuple[int, int, int, int]]:
             for start in range(0, group_size, size)]
 
 
-def _run_task(spec: GridSpec, task: tuple[int, int, int, int],
-              **settings) -> list:
+def _run_task(spec: GridSpec, base_seed: int, overrides: dict | None,
+              task: tuple[int, int, int, int]):
+    """Run one task of `_tasks` and yield (index, row, error) for each of
+    its cells as it finishes.  The cells are one (instance, replication) or
+    part of one, so they share a tape and a twin slot."""
     instance, rep, start, stop = task
-    cells = enumerate_cells(spec).group(instance, rep)[start:stop]
-    return list(_run_cells(cells, **settings))
+    tape, twin = {}, []
+    for cell in enumerate_cells(spec).group(instance, rep)[start:stop]:
+        try:
+            row, error = run_cell(cell, base_seed, spec.run_length,
+                                  spec.warmup, overrides, tape, twin), None
+        except Exception as exc:
+            row, error = None, f"{_describe(cell)}: {exc}"
+        yield cell.index, row, error
+
+
+def _pool_task(*args) -> list:
+    """`_run_task` for a worker process: its outcomes as one list."""
+    return list(_run_task(*args))
 
 
 class ExperimentError(RuntimeError):
@@ -361,48 +365,43 @@ def default_workers() -> int:
 def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
              overrides: dict | None = None, progress=None) -> list[dict]:
     """Run every cell of the grid; rows come back in enumeration order.
-    Cells execute grouped by (instance, replication), by instance, then
-    replication; a group's cells are built when it starts and share its
-    tape.  At several workers each group, or part of one, is a pool task
-    sent as coordinates that the worker expands (see `_tasks`), so the
-    parent never builds the grid's cells.  `workers` defaults to one per
-    usable CPU; 1 runs in this process."""
+    The work is the tasks of `_tasks`, each run by `_run_task`, which builds
+    its cells when it starts.  At one worker, or for a grid of at most one
+    cell, the tasks are whole (instance, replication) groups run in this
+    process.  At several they go to a pool as coordinates that the worker
+    expands, so the parent never builds the grid's cells.  `progress(done,
+    total)` is called once per finished cell.  `workers` defaults to one per
+    usable CPU."""
     if workers is None:
         workers = default_workers()
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cells = enumerate_cells(spec)
-    settings = dict(base_seed=base_seed, run_length=spec.run_length,
-                    warmup=spec.warmup, overrides=overrides)
+    tasks = _tasks(spec, workers)
     results: list = [None] * len(cells)
     errors: dict[int, str] = {}
     done = 0
 
-    def _collect(outcome) -> None:
+    def _collect(outcomes) -> None:
         nonlocal done
-        index, row, error = outcome
-        if error is not None:
-            errors[index] = error
-        else:
-            results[index] = row
-        done += 1
-        if progress is not None:
-            progress(done, len(cells))
+        for index, row, error in outcomes:
+            if error is not None:
+                errors[index] = error
+            else:
+                results[index] = row
+            done += 1
+            if progress is not None:
+                progress(done, len(cells))
 
-    if workers <= 1 or len(cells) <= 1:
-        for instance in range(len(cells.instances)):
-            for rep in range(spec.replications):
-                for outcome in _run_cells(cells.group(instance, rep),
-                                          **settings):
-                    _collect(outcome)
+    if workers == 1 or len(cells) <= 1:
+        for task in tasks:
+            _collect(_run_task(spec, base_seed, overrides, task))
     else:
-        tasks = _tasks(spec, workers)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for outcomes in pool.map(partial(_run_task, spec, **settings),
-                                         tasks):
-                    for outcome in outcomes:
-                        _collect(outcome)
+                for outcomes in pool.map(
+                        partial(_pool_task, spec, base_seed, overrides), tasks):
+                    _collect(outcomes)
         except BrokenProcessPool as exc:
             lost = [i for i, row in enumerate(results)
                     if row is None and i not in errors]

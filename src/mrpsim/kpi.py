@@ -22,6 +22,14 @@ def float_sum(values) -> float:
     return total
 
 
+def check_window(run_length: int, warmup: int) -> None:
+    """Raise `ValueError` unless a period is measured after the warmup."""
+    if not 0 <= warmup < run_length:
+        raise ValueError(f"warmup must be at least 0 and end before the "
+                         f"run does: warmup {warmup}, run length "
+                         f"{run_length}")
+
+
 @dataclass
 class RunSummary:
     """KPI vector of one simulation run (costs are CU per period)."""
@@ -47,10 +55,7 @@ class KpiTracker:
     outcomes during a run."""
 
     def __init__(self, run_length: int, warmup: int):
-        if not 0 <= warmup < run_length:
-            raise ValueError(f"warmup must be at least 0 and end before the "
-                             f"run does: warmup {warmup}, run length "
-                             f"{run_length}")
+        check_window(run_length, warmup)
         self.run_length = run_length
         self.warmup = warmup
         self.n_snapshots = 0     # measured periods recorded so far

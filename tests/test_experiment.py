@@ -211,11 +211,34 @@ def test_run_grid_rows_and_worker_invariance(tmp_path):
     assert run_grid(empty, workers=1) == run_grid(empty, workers=2) == []
 
 
-def test_run_grid_reports_failing_cells():
+def test_grid_spec_rejects_alphas_no_cell_can_run():
+    for alpha in (-0.02, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            replace(TINY, alphas=(0.02, alpha))
+    # biased instances check their alpha too
+    with pytest.raises(ValueError, match="got -0.02"):
+        replace(TINY, include_unbiased=False, alphas=(-0.02,),
+                biased_schedules=("permanent_overbooking",))
+
+
+def test_grid_spec_rejects_run_windows_no_cell_can_run():
+    for run_length, warmup in ((30, 30), (10, 40), (30, -1)):
+        with pytest.raises(ValueError, match=f"warmup {warmup}, run length "
+                                             f"{run_length}"):
+            replace(TINY, run_length=run_length, warmup=warmup)
+    assert replace(TINY, run_length=6, warmup=5).n_cells == 2
+
+
+def test_run_grid_reports_failing_cells(monkeypatch):
+    class FailingRun(experiment.SimulationRun):
+        def run(self):
+            raise RuntimeError("simulated failure")
+
+    monkeypatch.setattr(experiment, "SimulationRun", FailingRun)
     broken = GridSpec(name="broken", alphas=(0.0,), sst_factors=(0.0,),
                       plts=(1,), fop_periods=(1,), foq_quantities=(),
                       component_lots=(800,), modes=("standard",),
-                      replications=1, run_length=10, warmup=40)
+                      replications=1, run_length=10, warmup=5)
     with pytest.raises(ExperimentError, match="low-a0-b0-unbiased"):
         run_grid(broken, workers=1)
 
@@ -257,7 +280,7 @@ def test_run_grid_runs_whole_groups(monkeypatch):
     assert len(built) == len(set(built)) == 4
     run_grid(SHARED, base_seed=11, workers=2)
     keys = [[(c.instance.alpha, c.replication) for c in task]
-            for task in _expand(SHARED, cut[0])]
+            for task in _expand(SHARED, cut[-1])]
     assert all(len(set(task)) == 1 for task in keys)
     assert [key for task in keys for key in task] == [
         key for key in ((0.04, 0), (0.04, 1), (0.1, 0), (0.1, 1))
@@ -370,6 +393,41 @@ def test_pool_tasks_of_the_benchmark_grids():
     tasks = _expand(_TWIN_GRIDS[0], experiment._tasks(_TWIN_GRIDS[0], 2))
     assert [c for task in tasks for c in task] == list(cells)
     assert [len(task) for task in tasks] == [6, 6, 4] * 3
+
+
+# the _TWIN_GRIDS are analyze-full, SHARED and the desk preset
+@pytest.mark.parametrize("spec", (GRID_CRN, _TWIN_GRIDS[0], SHARED,
+                                  *PRESETS.values()), ids=lambda s: s.name)
+def test_serial_tasks_are_whole_groups(spec):
+    group_size = spec.n_parameter_sets * len(spec.modes)
+    assert experiment._tasks(spec, 1) == [
+        (instance, rep, 0, group_size) for instance in range(spec.n_instances)
+        for rep in range(spec.replications)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empty_grids_have_no_tasks(workers):
+    for empty in (replace(TINY, fop_periods=(), foq_quantities=()),
+                  replace(TINY, alphas=()), replace(TINY, replications=0)):
+        assert experiment._tasks(empty, workers) == []
+        assert run_grid(empty, workers=workers) == []
+
+
+def test_serial_progress_comes_before_the_next_cell(monkeypatch):
+    events = []
+
+    def recording_run_cell(cell, *args, **kwargs):
+        events.append(("run", cell.index))
+        return run_cell(cell, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_cell", recording_run_cell)
+    run_grid(SHARED, base_seed=11, workers=1,
+             progress=lambda done, total: events.append(("progress", done)))
+    # groups run their cells with the replication fixed: 0, 2, 4, 6, 1, ...
+    order = [index for instance in (0, 8) for rep in (0, 1)
+             for index in range(instance + rep, instance + 8, 2)]
+    assert events == [event for done, index in enumerate(order, start=1)
+                      for event in (("run", index), ("progress", done))]
 
 
 @pytest.mark.parametrize("spec, workers", [(PRESETS["full"], 8),
