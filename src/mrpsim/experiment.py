@@ -366,12 +366,12 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
              overrides: dict | None = None, progress=None) -> list[dict]:
     """Run every cell of the grid; rows come back in enumeration order.
     The work is the tasks of `_tasks`, each run by `_run_task`, which builds
-    its cells when it starts.  At one worker, or for a grid of at most one
-    cell, the tasks are whole (instance, replication) groups run in this
-    process.  At several they go to a pool as coordinates that the worker
-    expands, so the parent never builds the grid's cells.  `progress(done,
-    total)` is called once per finished cell.  `workers` defaults to one per
-    usable CPU."""
+    its cells when it starts.  At one worker, where each task is a whole
+    (instance, replication) group, or for a grid of at most one task, the
+    tasks run in this process.  Otherwise they go to a pool as coordinates
+    that the worker expands, so the parent never builds the grid's cells.
+    `progress(done, total)` is called once per finished cell.  `workers`
+    defaults to one per usable CPU."""
     if workers is None:
         workers = default_workers()
     elif workers < 1:
@@ -393,7 +393,7 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
             if progress is not None:
                 progress(done, len(cells))
 
-    if workers == 1 or len(cells) <= 1:
+    if workers == 1 or len(tasks) <= 1:
         for task in tasks:
             _collect(_run_task(spec, base_seed, overrides, task))
     else:

@@ -21,11 +21,12 @@ projection at or above the safety stock everywhere.  Extended netting splits
 the horizon at the newest due period already covered by a released order
 ("covered_until"): inside that range the threshold drops to zero, so safety
 stock absorbs short-term forecast swings instead of triggering nervous
-re-orders, while beyond it the safety stock is planned as usual.  One rule,
-`net_requirement_extended`, nets both modes; standard netting passes it an
-empty covered range.  The driver advances covered_until at every product
-release; components never carry safety stock, which makes both modes
-identical for them.
+re-orders, while beyond it the safety stock is planned as usual.  The rule
+is stated in `net_requirement_extended` (standard netting is it with an
+empty covered range); `plan_item` writes it out inline, and
+`test_sparse_plan_item_equals_dense_netting_scan` pins the two together.
+The driver advances covered_until at every product release; components
+never carry safety stock, which makes both modes identical for them.
 
 The modes can part only where that threshold matters: a demand bucket inside
 the covered range whose projection lies below a positive safety stock.  A
@@ -101,7 +102,8 @@ def net_requirement_extended(prev_on_hand: float, gross: float, receipts: float,
                              covered_until: int) -> float:
     """Requirement that lifts the projection back to the netting threshold:
     zero inside the covered horizon (safety stock may be consumed, only a
-    shortage below zero triggers), the safety stock beyond it."""
+    shortage below zero triggers), the safety stock beyond it.  `plan_item`
+    inlines it; `test_sparse_plan_item_equals_dense_netting_scan` ties them."""
     threshold = 0 if period <= covered_until else safety
     return max(threshold - (prev_on_hand - gross + receipts), 0)
 
@@ -135,13 +137,6 @@ class MrpItemState:
     covered_until: int = 0
 
 
-def backward_schedule(due: int, plt: int, current_period: int) -> tuple[int, int]:
-    """Planned (start, completion): start plt periods before the due period,
-    never before now; a clamped (late) lot completes one lead time from now."""
-    start = max(due - plt, current_period)
-    return start, start + plt
-
-
 def decision_windows(params: PlanningParams, system) -> tuple[int, int]:
     """Look-ahead (products, components) in periods past the current one
     that can change a lot released now.
@@ -161,15 +156,17 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
               horizon: int, extended: bool = False,
               trace: list | None = None,
               divergent: list | None = None) -> list[PlannedLot]:
-    """Net one item over `horizon` periods past `current_period` and size
-    the covering lots.
+    """Net one item over `horizon` periods past `current_period`, size the
+    covering lots and schedule each plt periods before its due period, but
+    never before now.
 
     Only periods with demand or scheduled receipts can change the projection,
-    so the scan touches just those.  A `trace` list receives one row per
-    bucket, led by `current_period`.  A `divergent` list receives the first
-    demand bucket, if any, where the other netting mode would net
-    differently: one up to `state.covered_until` whose projection lies below
-    a positive safety stock.
+    so the scan touches just those.  It nets by `net_requirement_extended`'s
+    rule, inline; `test_sparse_plan_item_equals_dense_netting_scan` ties the
+    two together.  A `trace` list receives one row per bucket, led by
+    `current_period`.  A `divergent` list receives the first demand bucket,
+    if any, where the other netting mode would net differently: one up to
+    `state.covered_until` whose projection lies below a positive safety stock.
     """
     safety = state.safety_stock
     covered_until = state.covered_until if extended else -1
@@ -177,49 +174,53 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
                    else -1)
     receipts = state.receipts
     last = current_period + horizon
+    periods = [p for p in gross if current_period <= p <= last]
+    periods += [p for p in receipts
+                if current_period <= p <= last and p not in gross]
+    periods.sort()
 
-    buckets = set(gross)
-    buckets.update(receipts)
-    periods = sorted(p for p in buckets if current_period <= p <= last)
-
+    fop = policy == "FOP"
     lots: list[PlannedLot] = []
     on_hand = state.on_hand   # all quantities are whole pieces
-    window_lot: PlannedLot | None = None
+    lot, window_end = None, current_period - 1   # the open FOP window
     for period in periods:
         g = gross.get(period, 0)
         r = receipts.get(period, 0)
-        # Requirements exist only where demand does.  A projection resting
-        # below the safety level between demands must not spawn a refill lot
-        # of its own (and its own setup); the next demand-period lot absorbs
-        # the gap instead.
-        net = (net_requirement_extended(on_hand, g, r, safety, period,
-                                        covered_until) if g > 0 else 0)
-        on_hand = on_hand - g + r
-        if period <= watch_until and g > 0 and on_hand < safety:
-            divergent.append(period)
-            watch_until = -1
-        added = 0
+        projected = on_hand - g + r
+        # Requirements exist only where demand does: a projection resting
+        # below the safety level between demands spawns no refill lot (and
+        # setup) of its own; the next demand-period lot absorbs the gap.
+        net = added = 0
+        if g > 0:
+            net = (0 if period <= covered_until else safety) - projected
+            if net < 0:
+                net = 0
+            if period <= watch_until and projected < safety:
+                divergent.append(period)
+                watch_until = -1
+        on_hand = projected
         if net > 0:
             net = int(net)
-            if policy == "FOP":
-                if window_lot is not None and period <= window_lot.covered_end:
-                    window_lot.qty += net
-                else:
-                    window_lot = PlannedLot(item=item, due=period, qty=net,
-                                            covered_end=period + policy_param - 1)
-                    lots.append(window_lot)
+            if fop and period <= window_end:
+                lot.qty += net
                 added = net
             else:
-                added = -(-net // policy_param) * policy_param
-                lots.append(PlannedLot(item=item, due=period, qty=added,
-                                       covered_end=period))
+                start = period - plt
+                if start < current_period:
+                    start = current_period
+                if fop:
+                    added, window_end = net, period + policy_param - 1
+                    lot = PlannedLot(item, period, net, start, start + plt,
+                                     window_end)
+                else:
+                    added = -(-net // policy_param) * policy_param
+                    lot = PlannedLot(item, period, added, start, start + plt,
+                                     period)
+                lots.append(lot)
         if trace is not None:
             trace.append((current_period, item, period, g, r, on_hand,
                           int(net), added))
         on_hand += added
-
-    for lot in lots:
-        lot.start, lot.completion = backward_schedule(lot.due, plt, current_period)
     return lots
 
 
@@ -229,8 +230,7 @@ class MrpResult:
     component_lots: list[PlannedLot]
     release_products: list[PlannedLot]
     release_components: list[PlannedLot]
-    # standard mode: some product bucket would net differently under
-    # extended netting
+    # standard mode: some product bucket would net otherwise if extended
     diverges: bool = False
 
 

@@ -100,47 +100,47 @@ class ShopFloor:
             self.event_log.append((time, "release", order.uid, order.item,
                                    "", order.qty))
 
-    def _record_busy(self, start: float, end: float, machine: _MachineState) -> None:
-        lo, hi = self.window
-        overlap = min(end, hi) - max(start, lo)
-        if overlap > 0:
-            machine.busy_window_min += overlap
-
-    def _try_start(self, machine: _MachineState, time: float) -> None:
-        if machine.busy or not machine.queue:
-            return
-        order = machine.queue.popleft()
-        duration = machine.draw_setup(self.rng) + order.qty * order.proc_min
-        machine.busy = True
-        self._record_busy(time, time + duration, machine)
-        self._push(time + duration, _DONE, order)
-        if self.event_log is not None:
-            self.event_log.append((time, "start", order.uid, order.item,
-                                   f"M{machine.id}", order.qty))
-
     def advance(self, until: float, on_completion=None) -> None:
-        """Process all floor events up to and including `until` minutes."""
-        events = self.events
+        """Process all floor events up to and including `until` minutes.
+        After an arrival or an operation's end, an idle machine starts the
+        first lot of its queue: it draws the setup, books the operation's
+        minutes inside the window as busy and schedules the end.
+        `on_completion(order, time)` may dispatch lots onto the same heap."""
+        events, machines, rng, log = (self.events, self.machines, self.rng,
+                                      self.event_log)
+        lo, hi = self.window
+        pop, push = heapq.heappop, heapq.heappush
         while events and events[0][0] <= until:
-            time, _, kind, order = heapq.heappop(events)
-            machine = self.machines[order.routing[order.stage]]
+            time, _, kind, order = pop(events)
+            machine = machines[order.routing[order.stage]]
             if kind == _ARRIVE:
                 machine.queue.append(order)
-                self._try_start(machine, time)
             else:
                 machine.busy = False
-                if self.event_log is not None:
-                    self.event_log.append((time, "finish_op", order.uid,
-                                           order.item, f"M{machine.id}",
-                                           order.qty))
+                if log is not None:
+                    log.append((time, "finish_op", order.uid, order.item,
+                                f"M{machine.id}", order.qty))
                 order.stage += 1
                 if order.stage < len(order.routing):
-                    self._push(time, _ARRIVE, order)
+                    self._seq += 1
+                    push(events, (time, self._seq, _ARRIVE, order))
                 else:
                     self.pieces_on_floor -= order.qty
                     if on_completion is not None:
                         on_completion(order, time)
-                self._try_start(machine, time)
+            if machine.busy or not machine.queue:
+                continue
+            order = machine.queue.popleft()
+            end = time + (machine.draw_setup(rng) + order.qty * order.proc_min)
+            machine.busy = True
+            overlap = min(end, hi) - max(time, lo)
+            if overlap > 0:
+                machine.busy_window_min += overlap
+            self._seq += 1
+            push(events, (end, self._seq, _DONE, order))
+            if log is not None:
+                log.append((time, "start", order.uid, order.item,
+                            f"M{machine.id}", order.qty))
 
     def utilization(self, window_minutes: float) -> dict[int, float]:
         return {mid: m.busy_window_min / window_minutes

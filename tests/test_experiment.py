@@ -510,6 +510,20 @@ def test_run_grid_rejects_worker_counts_below_one(monkeypatch, workers):
     assert opened == [2]
 
 
+def test_one_task_grids_run_in_this_process(monkeypatch):
+    # one instance, one replication, one twin pair: 2 cells in one task
+    pair = replace(TINY, modes=("standard", "extended"), replications=1)
+    expected = run_grid(pair, base_seed=7, workers=1)
+
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} opened for one task")
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+    for workers in (2, 8):
+        assert experiment._tasks(pair, workers) == [(0, 0, 0, 2)]
+        assert run_grid(pair, base_seed=7, workers=workers) == expected
+
+
 def test_progress_callback():
     for workers in (1, 2):
         seen = []

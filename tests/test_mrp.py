@@ -18,7 +18,6 @@ from mrpsim.mrp import (
     MrpItemState,
     PlannedLot,
     PlanningParams,
-    backward_schedule,
     net_requirement_extended,
     net_requirement_standard,
     plan_item,
@@ -237,8 +236,9 @@ def _dense_plan(state, gross, item, policy, policy_param, plt, current_period,
             rows.append((current_period, item, period, g, r, on_hand, net,
                          added))
         on_hand += added
-    for lot in lots:
-        lot.start, lot.completion = backward_schedule(lot.due, plt, current_period)
+    for lot in lots:   # backward from the due period, never before now
+        lot.start = max(lot.due - plt, current_period)
+        lot.completion = lot.start + plt
     return lots, rows
 
 
@@ -320,10 +320,15 @@ def test_run_mrp_reports_whether_a_product_bucket_diverges():
 # ------------------------------------------------------------- scheduling
 
 def test_backward_schedule():
-    assert backward_schedule(10, 3, 1) == (7, 10)
+    def scheduled(due, plt, current_period):
+        lot, = plan_item(MrpItemState(on_hand=0), {due: 800}, 10, "FOQ", 200,
+                         plt, current_period, 30)
+        return lot.start, lot.completion
+
+    assert scheduled(10, 3, 1) == (7, 10)
     # late lot: start clamps to now, completion = now + plt
-    assert backward_schedule(2, 4, 1) == (1, 5)
-    assert backward_schedule(7, 1, 7) == (7, 8)
+    assert scheduled(2, 4, 1) == (1, 5)
+    assert scheduled(7, 1, 7) == (7, 8)
 
 
 def test_plan_item_schedules_lots():

@@ -5,8 +5,11 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrpsim.config import build_system
+from mrpsim.kpi import float_sum
 from mrpsim.shopfloor import ProductionOrder, ShopFloor
 
 
@@ -156,3 +159,58 @@ def test_stochastic_setups_vary_but_stay_positive():
     assert len(done) == 5
     assert len(set(done)) == 5   # lognormal setups make completions distinct
     assert all(t > 0 for t in done)
+
+
+_lots = st.lists(st.tuples(st.sampled_from((10, 11, 14, 20, 21)),
+                           st.integers(1, 1600), st.floats(0.0, 6000.0)),
+                 min_size=1, max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lots=_lots, cv=st.sampled_from((0.0, 0.2, 1.0)),
+       lo=st.floats(0.0, 4000.0), width=st.floats(0.0, 20000.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_operations_run_fifo_and_book_their_window_minutes(lots, cv, lo,
+                                                           width, seed):
+    system = build_system("low", {"setup": {"cv": cv}})
+    events = []
+    floor = ShopFloor(system, random.Random(seed), window_start_min=lo,
+                      window_end_min=lo + width, event_log=events)
+    done = []
+    for uid, (item, qty, minute) in enumerate(sorted(lots, key=lambda l: l[2]),
+                                              start=1):
+        floor.advance(minute, lambda o, t: done.append(o.uid))
+        order = make_order(system, item, qty, uid=uid)
+        floor.dispatch(order, minute)
+    floor.advance(float("inf"), lambda o, t: done.append(o.uid))
+    assert sorted(done) == list(range(1, len(lots) + 1))
+    assert floor.pieces_on_floor == 0
+
+    # walk the log: an operation arrives at its machine on release or when
+    # the previous stage finishes, and runs from its start to its finish_op
+    routing = {uid: system.items[item].routing
+               for _, kind, uid, item, _, _ in events if kind == "release"}
+    stage, arrived, running, ops = {}, {}, {}, {}
+    for index, (time, kind, uid, item, machine, qty) in enumerate(events):
+        if kind == "release":
+            stage[uid] = 0
+            arrived[uid] = (time, index)
+        elif kind == "start":
+            assert machine == f"M{routing[uid][stage[uid]]}"
+            running[uid] = [arrived[uid], time, None]
+            ops.setdefault(machine, []).append(running[uid])
+        else:
+            assert machine == f"M{routing[uid][stage[uid]]}"
+            running.pop(uid)[2] = time
+            stage[uid] += 1
+            arrived[uid] = (time, index)
+    assert not running
+    hi = lo + width
+    for mid, state in floor.machines.items():
+        spans = ops.get(f"M{mid}", [])
+        arrivals = [arrival for arrival, _, _ in spans]
+        assert arrivals == sorted(arrivals)                   # FIFO
+        assert all(prev[2] <= op[1] for prev, op in zip(spans, spans[1:]))
+        assert state.busy_window_min == float_sum(
+            max(min(finish, hi) - max(start, lo), 0.0)
+            for _, start, finish in spans)
