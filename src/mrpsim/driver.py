@@ -179,26 +179,31 @@ class SimulationRun:
         """Move each book's overdue bucket, period t - 1, into period t: pushed
         out, late receipts would order a duplicate lot every late period."""
         self.period = t
+        overdue = t - 1
         for book in self.receipt_book.values():
-            overdue = book.pop(t - 1, 0)
-            if overdue:
-                book[t] = book.get(t, 0) + overdue
+            if overdue in book:
+                book[t] = book.get(t, 0) + book.pop(overdue)
 
     def _plan(self, t: int):
-        rl = self.config.run_length
-        interval = self.system.demand.interval
-        product_last = t + self.product_window
+        tape, backlog, next_due, x = self.tape, self.backlog, self.next_due, self.x
+        interval, rl = self.system.demand.interval, self.config.run_length
+        last = t + self.product_window
+        # dues up to `near` read the tape, later ones the long-term forecast
+        near = min(last, t + HORIZON)
         on_hand = self.ledger.on_hand
 
         product_gross: dict[int, dict[int, int]] = {}
         for product, state in self.product_states.items():
             state.on_hand = on_hand[product]
-            gross = {t: self.backlog[product]} if self.backlog[product] else {}
-            column = self.tape[product]
-            for due in range(self.next_due[product], product_last + 1, interval):
+            gross = {t: backlog[product]} if backlog[product] else {}
+            column, due = tape[product], next_due[product]
+            while due <= near:
                 # tape entries start at j = max(0, due - run_length)
-                gross[due] = (self.x if due - t > HORIZON else
-                              column[due][min(due, rl) - t])
+                gross[due] = column[due][(due if due <= rl else rl) - t]
+                due += interval
+            while due <= last:
+                gross[due] = x
+                due += interval
             product_gross[product] = gross
 
         extra_gross: dict[int, dict[int, int]] = {c: {} for c in self.components}
@@ -213,11 +218,6 @@ class SimulationRun:
                        self.system, trace=self.mrp_trace)
 
     # -- releasing and material flow ------------------------------------------
-
-    def _make_order(self, lot) -> ProductionOrder:
-        self._uid += 1
-        return ProductionOrder(self._uid, self.system.items[lot.item], lot.qty,
-                               lot.covered_end, lot.completion)
 
     def _release(self, order: ProductionOrder, time: float) -> None:
         self.shop.dispatch(order, time)
@@ -243,16 +243,16 @@ class SimulationRun:
                 self._release(order, time)
         self.blocked = still_blocked
 
-    def _commit(self, order: ProductionOrder) -> None:
-        book = self.receipt_book[order.item]
-        period = order.planned_completion
-        book[period] = book.get(period, 0) + order.qty
-
     def _release_new(self, lots, time: float) -> None:
+        """Make, book and release each lot's order, or block it on material."""
+        items, books, ledger = self.system.items, self.receipt_book, self.ledger
         for lot in lots:
-            order = self._make_order(lot)
-            self._commit(order)
-            if try_release(order, self.ledger, time):
+            self._uid += 1
+            order = ProductionOrder(self._uid, items[lot.item], lot.qty,
+                                    lot.covered_end, lot.completion)
+            book = books[lot.item]
+            book[lot.completion] = book.get(lot.completion, 0) + lot.qty
+            if try_release(order, ledger, time):
                 self._release(order, time)
             else:
                 self.blocked.append(order)
@@ -260,8 +260,9 @@ class SimulationRun:
     def _on_completion(self, order: ProductionOrder, time: float) -> None:
         self.ledger.receive(order.item, order.qty)
         book = self.receipt_book[order.item]
-        # an overdue order's pieces were folded into the current bucket
-        period = max(order.planned_completion, self.period)
+        period = order.planned_completion
+        if period < self.period:   # folded into the current bucket when overdue
+            period = self.period
         book[period] -= order.qty
         if not book[period]:
             del book[period]
@@ -274,8 +275,7 @@ class SimulationRun:
     # -- one period ------------------------------------------------------------
 
     def step(self, t: int) -> None:
-        minute_start = (t - 1) * self.pm
-        minute_end = t * self.pm
+        minute_start, minute_end = (t - 1) * self.pm, t * self.pm
         self._released_this_period = 0
 
         self._fold_receipts(t)
@@ -292,9 +292,9 @@ class SimulationRun:
             self.backlog[demand.product] -= demand.qty
             self._shipped_pieces += demand.qty
 
-        on_hand = self.ledger.on_hand
-        fgi = sum(on_hand[p] for p in self.products)
-        wip = self.shop.pieces_on_floor + sum(on_hand[c] for c in self.components)
+        held = self.ledger.on_hand.__getitem__
+        fgi = sum(map(held, self.products))
+        wip = self.shop.pieces_on_floor + sum(map(held, self.components))
         backorder = sum(self.backlog.values())
         self.kpi.record_snapshot(t, wip, fgi, backorder)
 

@@ -80,6 +80,8 @@ def make_config(utilization: str = "low", alpha: float = 0.0,
                 debug_checks: bool = False) -> RunConfig:
     """The one constructor of `RunConfig`, for grid cells and the CLI alike;
     `bias` names the forecast scenario's schedule in `forecast.SCHEDULES`."""
+    if replication < 0:
+        raise ValueError(f"replication must be at least 0, got {replication}")
     system = build_system(utilization, overrides)
     scenario = ScenarioParams(alpha=alpha, bias=bias,
                               expected_amount=system.demand.expected_amount)
@@ -480,6 +482,8 @@ def read_results(path: str) -> list[dict]:
 
 def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
                    overrides_path: str | None = None) -> None:
+    import platform
+
     lines = [
         f"mrpsim {__version__}",
         f"grid: {spec.name}",
@@ -491,6 +495,8 @@ def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
         f"periods: {spec.run_length} (warmup {spec.warmup})",
         f"base seed: {base_seed}",
         f"workers: {workers} (worker count never affects results)",
+        f"usable CPUs: {default_workers()}",
+        f"python: {platform.python_version()}",
         "random numbers: one forecast tape per (seed, replication, instance), "
         "built from demand substreams keyed by (seed, replication, product, "
         "due date) and shared by every parameter set and mode; twins share "

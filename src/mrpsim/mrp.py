@@ -240,44 +240,43 @@ def run_mrp(product_states: dict[int, MrpItemState],
             component_extra_gross: dict[int, dict[int, int]],
             params: PlanningParams, current_period: int, system,
             trace: list | None = None) -> MrpResult:
-    """One planning run over the decision windows: products first, each
-    product lot adding its component demand as it is planned, then
-    components.  Lots due past the windows are never planned.
+    """Plan products, then components, over the decision windows; each
+    product lot adds its component demand, and each lot that starts now is
+    released, as it is planned.  Lots due past the windows are never planned.
 
     `component_extra_gross` carries demand that is not visible through the
     fresh product plan, e.g. withdrawals still pending for committed product
     orders that wait for material.
     """
+    policy, policy_param, plt = params.policy, params.policy_param, params.plt
     extended = params.mode == "extended"
     divergent = None if extended else []
     product_window, component_window = decision_windows(params, system)
     component_gross = {cid: dict(extra)
                        for cid, extra in component_extra_gross.items()}
-    product_lots: list[PlannedLot] = []
+    product_lots, release_products = [], []
     for pid in sorted(product_states):
         lots = plan_item(product_states[pid], product_gross.get(pid, {}), pid,
-                         params.policy, params.policy_param, params.plt,
-                         current_period, product_window, extended=extended,
-                         trace=trace, divergent=divergent)
+                         policy, policy_param, plt, current_period,
+                         product_window, extended, trace, divergent)
+        if not lots:
+            continue
         item = system.items[pid]
         bucket = component_gross.setdefault(item.component, {})
         for lot in lots:
-            need = lot.qty * item.component_qty
-            bucket[lot.start] = bucket.get(lot.start, 0) + need
-        product_lots.extend(lots)
+            start = lot.start
+            bucket[start] = bucket.get(start, 0) + lot.qty * item.component_qty
+            if start <= current_period:
+                release_products.append(lot)
+        product_lots += lots
 
-    component_lots: list[PlannedLot] = []
+    component_lots, release_components = [], []
     for cid in sorted(component_states):
         lots = plan_item(component_states[cid], component_gross.get(cid, {}),
                          cid, "FOQ", params.component_lot, system.component_plt,
-                         current_period, component_window, extended=False,
-                         trace=trace)
-        component_lots.extend(lots)
+                         current_period, component_window, False, trace)
+        component_lots += lots
+        release_components += [l for l in lots if l.start <= current_period]
 
-    return MrpResult(
-        product_lots=product_lots,
-        component_lots=component_lots,
-        release_products=[l for l in product_lots if l.start <= current_period],
-        release_components=[l for l in component_lots if l.start <= current_period],
-        diverges=bool(divergent),
-    )
+    return MrpResult(product_lots, component_lots, release_products,
+                     release_components, bool(divergent))

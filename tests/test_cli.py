@@ -173,6 +173,14 @@ def test_simulate_rejects_non_finite_alpha(capsys):
     assert "error: alpha must be finite" in err
 
 
+def test_simulate_rejects_negative_replication(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--rep", "-1",
+                             "--periods", "20", "--warmup", "5")
+    assert code == 2
+    assert "error: replication must be at least 0, got -1" in err
+    assert out == ""
+
+
 def test_simulate_rejects_unknown_flag(capsys):
     code, out, err = run_cli(capsys, "simulate", "--turbo")
     assert code == 2
@@ -269,6 +277,26 @@ def test_simulate_trace_files(tmp_path, capsys):
         "dab47ab1cc4f4368ffc7cf1ad454d2353d5adf6dc9a09cfd777cefdacfdebba1"
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "b90d5f8f5a817a50132d2cfc1516b6f0b369dd914b61e14c7261fc677ce5e83f"
+
+
+def test_simulate_trace_files_extended_backorders(tmp_path, capsys):
+    # extended netting under heavy backorders: covered_until moves with each
+    # released FOP:9 lot, and permanent underbooking leaves demand open
+    mrp = tmp_path / "mrp.csv"
+    events = tmp_path / "events.csv"
+    code, out, _ = run_cli(capsys, "simulate", "--alpha", "0.10", "--util",
+                           "high", "--bias", "permanent_underbooking",
+                           "--mode", "extended", "--sst", "1.5", "--plt", "3",
+                           "--policy", "FOP:9", "--periods", "60",
+                           "--warmup", "5", "--mrp-trace", str(mrp),
+                           "--event-trace", str(events), "--period-log")
+    assert code == 0
+    assert hashlib.sha256(mrp.read_bytes()).hexdigest() == \
+        "18d05f0acc1e4b301d008d66f6dd2d764bac4fee24de45d1fae1e43995716764"
+    assert hashlib.sha256(events.read_bytes()).hexdigest() == \
+        "7ce1eceddd2b724d5f4a7b33e57bf76e99af3ed3f9f80f3938c27044551889b4"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "05300b28ee2874fed4570e5e4fd55ae6ad083b3fff61276740843e3380cb8574"
 
 
 def test_simulate_matches_grid_cell(capsys):

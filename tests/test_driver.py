@@ -13,7 +13,8 @@ from mrpsim.forecast import (HORIZON, SCHEDULES, ForecastStream, advance,
                              dump_tape, load_replay, long_term_forecast,
                              stream_rng)
 from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
-                        SST_FACTORS, PlanningParams, decision_windows)
+                        SST_FACTORS, PlannedLot, PlanningParams,
+                        decision_windows)
 from mrpsim.shopfloor import ProductionOrder
 
 FOP1 = PlanningParams(0.0, 1, "FOP", 1)
@@ -174,12 +175,15 @@ def test_tape_equals_period_by_period_streams(seed, replication, alpha, bias,
 
 def test_receipt_book_buckets_and_completion():
     run = SimulationRun(make_config(params=FOP1, run_length=30, warmup=5))
-    comp = run.system.items[20]
-    late = ProductionOrder(1, comp, 800, 3, planned_completion=3)
-    future = ProductionOrder(2, comp, 1600, 9, planned_completion=9)
-    twin = ProductionOrder(3, comp, 800, 9, planned_completion=9)
-    for order in (late, future, twin):
-        run._commit(order)
+    # each lot's order is booked at its planned completion as it is made (a
+    # late lot past its due period too); component orders always release,
+    # so all three wait on the floor
+    run._release_new([PlannedLot(20, 2, 800, 0, 3, 2),
+                      PlannedLot(20, 9, 1600, 0, 9, 9),
+                      PlannedLot(20, 9, 800, 0, 9, 9)], 0.0)
+    late, future, _ = sorted((event[3] for event in run.shop.events),
+                             key=lambda order: order.uid)
+    assert (late.qty, late.planned_completion) == (800, 3)
     book = run.receipt_book[20]
     assert book == {3: 800, 9: 2400}
     # the book is the receipts dict MRP nets, for the whole run
@@ -348,10 +352,8 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
     window = decision_windows(params, system)[0]
     run = SimulationRun(cfg)
 
-    made, completed, released = [], set(), []
-    make, complete, dispatch = (run._make_order, run._on_completion,
-                                run.shop.dispatch)
-    run._make_order = lambda lot: made.append(make(lot)) or made[-1]
+    completed, released = set(), []
+    complete, dispatch = run._on_completion, run.shop.dispatch
     run._on_completion = lambda order, time: (completed.add(order.uid),
                                               complete(order, time))
     run.shop.dispatch = lambda order, time: (released.append(order),
@@ -376,7 +378,9 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
             assert product_states[product].covered_until == covered
             assert product_states[product].safety_stock == \
                 params.safety_stock(system.demand.expected_amount)
-        outstanding = [o for o in made if o.uid not in completed]
+        # every order made is dispatched or still blocked
+        outstanding = ([o for o in released if o.uid not in completed]
+                       + run.blocked)
         for item, state in {**product_states, **component_states}.items():
             receipts = {}
             for order in outstanding:

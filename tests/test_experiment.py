@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import os
 import pickle
+import platform
 from collections import Counter
 from dataclasses import replace
 from itertools import groupby
@@ -21,6 +22,7 @@ from mrpsim.experiment import (
     Instance,
     best_per_instance,
     compare_modes,
+    default_workers,
     enumerate_cells,
     read_results,
     run_cell,
@@ -582,6 +584,8 @@ def test_manifest_contents(tmp_path):
     assert "cells: 2160" in text
     assert "base seed: 42" in text
     assert "worker count never affects results" in text
+    assert f"usable CPUs: {default_workers()}\n" in text
+    assert f"python: {platform.python_version()}\n" in text
 
 
 # -------------------------------------------------------------- aggregation

@@ -470,11 +470,8 @@ _buckets = st.dictionaries(st.integers(0, 29), st.integers(0, 1600),
                            max_size=12)
 
 
-@settings(max_examples=300, deadline=None)
-@given(params=_params(), t=st.integers(1, 60), data=st.data())
-def test_decision_window_releases_equal_full_horizon_plan(params, t, data):
-    system = _SYSTEM
-    safety = params.safety_stock(system.demand.expected_amount)
+def _draw_planner_inputs(data, system, safety, t):
+    """Random states and gross dicts of every item, in buckets from t on."""
 
     def shifted(buckets):
         return {t + k: qty for k, qty in buckets.items()}
@@ -492,6 +489,16 @@ def test_decision_window_releases_equal_full_horizon_plan(params, t, data):
             on_hand=data.draw(st.integers(-1600, 6400)),
             receipts=shifted(data.draw(_buckets)))
         extra_gross[cid] = shifted(data.draw(_buckets))
+    return product_states, product_gross, component_states, extra_gross
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=_params(), t=st.integers(1, 60), data=st.data())
+def test_decision_window_releases_equal_full_horizon_plan(params, t, data):
+    system = _SYSTEM
+    safety = params.safety_stock(system.demand.expected_amount)
+    product_states, product_gross, component_states, extra_gross = \
+        _draw_planner_inputs(data, system, safety, t)
 
     result = run_mrp(product_states, product_gross, component_states,
                      extra_gross, params, t, system)
@@ -500,6 +507,23 @@ def test_decision_window_releases_equal_full_horizon_plan(params, t, data):
         params, t, system)
     assert _lot_rows(result.release_products) == _lot_rows(products)
     assert _lot_rows(result.release_components) == _lot_rows(components)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=_params(), t=st.integers(1, 60), data=st.data())
+def test_released_lots_are_the_planned_lots_that_start_now(params, t, data):
+    """`run_mrp` splits the released lots off as it plans; they are the
+    planned lots that start by the current period, in planning order."""
+    system = _SYSTEM
+    safety = params.safety_stock(system.demand.expected_amount)
+    result = run_mrp(*_draw_planner_inputs(data, system, safety, t), params, t,
+                     system)
+    for planned, released in ((result.product_lots, result.release_products),
+                              (result.component_lots,
+                               result.release_components)):
+        expected = [lot for lot in planned if lot.start <= t]
+        assert len(released) == len(expected)
+        assert all(a is b for a, b in zip(released, expected))
 
 
 # ------------------------------------------------------------- parameters
