@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 
+# The one statement of which items are final products and which components.
 FINAL_PRODUCTS = (10, 11, 12, 13, 14, 15, 16, 17)
 COMPONENTS = (20, 21)
 
@@ -88,7 +89,6 @@ class Item:
     """One planned item: a final product or a component."""
 
     id: int
-    kind: str                    # "final" or "component"
     processing_min: float        # per piece, per operation
     routing: tuple[int, ...]     # machine ids in processing order
     component: int | None = None # consumed component id (finals only)
@@ -141,14 +141,6 @@ class SystemConfig:
     component_plt: int
     period_minutes: float
 
-    @property
-    def final_products(self) -> tuple[int, ...]:
-        return tuple(i for i, it in self.items.items() if it.kind == "final")
-
-    @property
-    def components(self) -> tuple[int, ...]:
-        return tuple(i for i, it in self.items.items() if it.kind == "component")
-
 
 def build_system(utilization: str = "low",
                  overrides: dict | None = None) -> SystemConfig:
@@ -165,15 +157,14 @@ def build_system(utilization: str = "low",
 
     bom_qty = o["bom"]["quantity"]
     items: dict[int, Item] = {}
+    proc = o["processing"]
     for pid in FINAL_PRODUCTS:
-        items[pid] = Item(id=pid, kind="final",
-                          processing_min=o["processing"]["final_min"],
+        items[pid] = Item(id=pid, processing_min=proc["final_min"],
                           routing=_ROUTINGS[pid],
                           component=_PRODUCT_COMPONENT[pid],
                           component_qty=bom_qty)
     for cid in COMPONENTS:
-        items[cid] = Item(id=cid, kind="component",
-                          processing_min=o["processing"]["component_min"],
+        items[cid] = Item(id=cid, processing_min=proc["component_min"],
                           routing=_ROUTINGS[cid])
 
     cv = o["setup"]["cv"]

@@ -32,9 +32,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .config import SystemConfig
-from .forecast import (HORIZON, ForecastStream, ScenarioParams, advance,
-                       long_term_forecast, stream_rng, substream_seed)
+from .config import COMPONENTS, FINAL_PRODUCTS, SystemConfig
+from .forecast import (HORIZON, ScenarioParams, advance, long_term_forecast,
+                       stream_rng, substream_seed)
 from .inventory import CustomerDemand, StockLedger, fulfill_due_demands, try_release
 from .kpi import KpiTracker, RunSummary
 from .mrp import MrpItemState, PlanningParams, decision_windows, run_mrp
@@ -80,7 +80,7 @@ def build_tape(config: RunConfig, replay: dict | None = None) -> Tape:
     scenario, last = config.scenario, config.run_length
     start = long_term_forecast(scenario)
     tape: Tape = {}
-    for product in sorted(config.system.final_products):
+    for product in FINAL_PRODUCTS:
         column = tape[product] = [None] * (last + HORIZON + 1)
         for due in config.system.demand.due_dates(product, 1, last + HORIZON):
             if replay is not None:
@@ -89,16 +89,18 @@ def build_tape(config: RunConfig, replay: dict | None = None) -> Tape:
                     raise ValueError(f"replay's long-term value for product "
                                      f"{product} due {due} is {held}, this "
                                      f"run's is {start}")
-            stream = ForecastStream(product, due, start)
             rng = stream_rng(config.base_seed, config.replication, product, due)
-            values = []
+            value, values = start, []
             for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
                 eps = None if replay is None else replay.get((product, due, j))
                 if replay is not None and eps is None:
                     raise ValueError(f"replay has no update for product "
                                      f"{product} due {due} at j={j}")
-                advance(stream, j, scenario, rng, eps)
-                values.append(stream.value)
+                value = advance(value, j, scenario, rng, eps)
+                if value < 0:   # only a replay can: sampling truncates at 0
+                    raise ValueError(f"forecast of product {product} due "
+                                     f"{due} went negative at j={j}")
+                values.append(value)
             column[due] = tuple(reversed(values))
     return tape
 
@@ -116,8 +118,6 @@ class SimulationRun:
         system = config.system
         self.system = system
         self.pm = system.period_minutes
-        self.products = sorted(system.final_products)
-        self.components = sorted(system.components)
         self.x = long_term_forecast(config.scenario)
         self.safety = config.params.safety_stock(system.demand.expected_amount)
         self.product_window = decision_windows(config.params, system)[0]
@@ -126,9 +126,9 @@ class SimulationRun:
         if not self.tape:
             self.tape.update(build_tape(config))
         # the first due period of each product that has not firmed yet
-        self.next_due = {p: system.demand.first_due(p) for p in self.products}
-        self.demands_open: dict[int, deque] = {p: deque() for p in self.products}
-        self.backlog = {p: 0 for p in self.products}   # open demand pieces
+        self.next_due = {p: system.demand.first_due(p) for p in FINAL_PRODUCTS}
+        self.demands_open: dict[int, deque] = {p: deque() for p in FINAL_PRODUCTS}
+        self.backlog = {p: 0 for p in FINAL_PRODUCTS}   # open demand pieces
         self.demands_all: list[CustomerDemand] = []
 
         # The run starts at its planning target: final-product stock equals
@@ -136,7 +136,7 @@ class SimulationRun:
         # from an empty system would swamp the component machines for weeks.
         # Warm-up absorbs what remains of the initialization.
         self.ledger = StockLedger(list(system.items),
-                                  initial={p: self.safety for p in self.products})
+                                  initial={p: self.safety for p in FINAL_PRODUCTS})
         shop_rng = random.Random(substream_seed(config.base_seed,
                                                 config.replication, "shop"))
         warm_min = config.warmup * self.pm
@@ -148,9 +148,9 @@ class SimulationRun:
         # of every committed order that has not completed yet.
         self.receipt_book: dict[int, dict[int, int]] = {i: {} for i in system.items}
         self.product_states = {p: MrpItemState(0, self.receipt_book[p], self.safety)
-                               for p in self.products}
+                               for p in FINAL_PRODUCTS}
         self.component_states = {c: MrpItemState(0, self.receipt_book[c])
-                                 for c in self.components}
+                                 for c in COMPONENTS}
         self.blocked: list[ProductionOrder] = []
         self.period = 0   # the receipt books' current bucket, see _fold_receipts
         self._uid = 0
@@ -165,7 +165,7 @@ class SimulationRun:
     # -- demand ----------------------------------------------------------------
 
     def _firm_demands(self, t: int) -> None:
-        for product in self.products:
+        for product in FINAL_PRODUCTS:
             if self.next_due[product] == t:
                 demand = CustomerDemand(product, t, self.tape[product][t][0])
                 self.demands_open[product].append(demand)
@@ -206,7 +206,7 @@ class SimulationRun:
                 due += interval
             product_gross[product] = gross
 
-        extra_gross: dict[int, dict[int, int]] = {c: {} for c in self.components}
+        extra_gross: dict[int, dict[int, int]] = {c: {} for c in COMPONENTS}
         for order in self.blocked:
             bucket = extra_gross[order.component]
             bucket[t] = bucket.get(t, 0) + order.component_need
@@ -293,8 +293,8 @@ class SimulationRun:
             self._shipped_pieces += demand.qty
 
         held = self.ledger.on_hand.__getitem__
-        fgi = sum(map(held, self.products))
-        wip = self.shop.pieces_on_floor + sum(map(held, self.components))
+        fgi = sum(map(held, FINAL_PRODUCTS))
+        wip = self.shop.pieces_on_floor + sum(map(held, COMPONENTS))
         backorder = sum(self.backlog.values())
         self.kpi.record_snapshot(t, wip, fgi, backorder)
 
@@ -310,7 +310,7 @@ class SimulationRun:
         for item, qty in ledger.on_hand.items():
             if qty < 0:
                 raise AssertionError(f"negative stock of {item} in period {t}")
-        withdrawn_comp = sum(ledger.withdrawn[c] for c in self.components)
+        withdrawn_comp = sum(ledger.withdrawn[c] for c in COMPONENTS)
         initial = sum(ledger.initial.values())
         balance = (initial + self._dispatched_pieces - self._shipped_pieces
                    - withdrawn_comp)

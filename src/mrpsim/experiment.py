@@ -25,6 +25,7 @@ one builder of a run's `RunConfig`, for grid cells and the CLI alike.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Sequence
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -48,6 +49,7 @@ RESULT_COLUMNS = ("instance_id", "alpha", "beta", "bias", "utilization",
 _INT_COLUMNS = {"beta", "plt", "policy_param", "comp_lot", "replication",
                 "seed", "n_final_orders"}
 _STR_COLUMNS = {"instance_id", "bias", "utilization", "mode", "policy"}
+_COST_FIELD = RESULT_COLUMNS.index("overall_cost")
 
 FULL_ALPHAS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12)
 
@@ -123,8 +125,12 @@ class GridSpec:
                 for i, value in enumerate(values):
                     if value in values[:i]:
                         raise ValueError(f"{f.name} repeats {value!r}")
-        for name, allowed in (("utilizations", UTILIZATION_LEVELS),
-                              ("biased_schedules", BIASED_SCHEDULES)):
+        for name, allowed in (
+                ("utilizations", UTILIZATION_LEVELS), ("plts", PLT_VALUES),
+                ("biased_schedules", BIASED_SCHEDULES), ("modes", MODES),
+                ("sst_factors", SST_FACTORS), ("fop_periods", FOP_PERIODS),
+                ("foq_quantities", FOQ_QUANTITIES),
+                ("component_lots", COMPONENT_LOTS)):
             for value in getattr(self, name):
                 if value not in allowed:
                     raise ValueError(f"{name} must be in {allowed}, "
@@ -442,6 +448,10 @@ def _parse_row(row: list[str], lineno: int, parsers: tuple) -> dict:
         except ValueError as exc:
             raise ValueError(f"results line {lineno}, column {column}: "
                              f"{text!r}") from exc
+    # the ranking key: a nan would make the best cell depend on row order
+    if not math.isfinite(out["overall_cost"]):
+        raise ValueError(f"results line {lineno}, column overall_cost: "
+                         f"{row[_COST_FIELD]!r}")
     return out
 
 

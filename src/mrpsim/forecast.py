@@ -124,41 +124,19 @@ def sample_update(prev_value: int, mean: float, std: float,
     return min(max(r, math.ceil(lo)), math.floor(hi))
 
 
-class ForecastStream:
-    """Mutable forecast value of one customer order."""
+def advance(value: int, j: int, scenario: ScenarioParams,
+            rng: random.Random, eps: int | None = None) -> int:
+    """A stream's forecast value after its update j periods before delivery.
 
-    __slots__ = ("product", "due", "value")
-
-    def __init__(self, product: int, due: int, long_term: int):
-        self.product = product
-        self.due = due
-        self.value = long_term
-
-    def apply(self, j: int, eps: int) -> None:
-        self.value += eps
-        if self.value < 0:
-            raise ValueError(f"forecast of product {self.product} due {self.due} "
-                             f"went negative at j={j}")
-
-
-def advance(stream: ForecastStream, j: int, scenario: ScenarioParams,
-            rng: random.Random, injected_eps: int | None = None) -> int:
-    """Apply the update j periods before delivery and return the term used.
-
-    An injected epsilon (replay) bypasses sampling.  j = 0 always applies a
-    zero term, firming the order at its final forecast value.
+    A replayed epsilon `eps` bypasses sampling.  j = 0 leaves the value as
+    it is, firming the order at its final forecast.
     """
-    if j > HORIZON:
-        return 0
-    if injected_eps is not None:
-        eps = injected_eps
-    elif j == 0:
-        eps = 0
-    else:
-        eps = sample_update(stream.value, scenario.update_mean(j),
-                            scenario.update_std, rng)
-    stream.apply(j, eps)
-    return eps
+    if eps is not None:
+        return value + eps
+    if j == 0:
+        return value
+    return value + sample_update(value, scenario.update_mean(j),
+                                 scenario.update_std, rng)
 
 
 def substream_seed(*parts) -> int:

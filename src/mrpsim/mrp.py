@@ -237,23 +237,23 @@ class MrpResult:
 def run_mrp(product_states: dict[int, MrpItemState],
             product_gross: dict[int, dict[int, int]],
             component_states: dict[int, MrpItemState],
-            component_extra_gross: dict[int, dict[int, int]],
+            component_gross: dict[int, dict[int, int]],
             params: PlanningParams, current_period: int, system,
             trace: list | None = None) -> MrpResult:
     """Plan products, then components, over the decision windows; each
     product lot adds its component demand, and each lot that starts now is
     released, as it is planned.  Lots due past the windows are never planned.
 
-    `component_extra_gross` carries demand that is not visible through the
-    fresh product plan, e.g. withdrawals still pending for committed product
-    orders that wait for material.
+    `component_gross` comes in holding demand that is not visible through
+    the fresh product plan, e.g. withdrawals still pending for committed
+    product orders that wait for material.  `run_mrp` adds each product
+    lot's component demand to those dicts: a caller hands it dicts it will
+    not read again.
     """
     policy, policy_param, plt = params.policy, params.policy_param, params.plt
     extended = params.mode == "extended"
     divergent = None if extended else []
     product_window, component_window = decision_windows(params, system)
-    component_gross = {cid: dict(extra)
-                       for cid, extra in component_extra_gross.items()}
     product_lots, release_products = [], []
     for pid in sorted(product_states):
         lots = plan_item(product_states[pid], product_gross.get(pid, {}), pid,

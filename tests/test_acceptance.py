@@ -23,7 +23,8 @@ import pytest
 from scipy import stats
 
 from mrpsim.cli import main
-from mrpsim.config import build_system, planned_utilization_table
+from mrpsim.config import (COMPONENTS, FINAL_PRODUCTS, build_system,
+                           planned_utilization_table)
 from mrpsim.driver import SimulationRun
 from mrpsim.experiment import (
     FULL_ALPHAS,
@@ -36,7 +37,6 @@ from mrpsim.experiment import (
     write_results,
 )
 from mrpsim.forecast import (
-    ForecastStream,
     ScenarioParams,
     advance,
     long_term_forecast,
@@ -82,14 +82,14 @@ def test_c01_forecast_replay_bit_exact():
         scenario = ScenarioParams(alpha=0.04, bias=bias)
         assert long_term_forecast(scenario) == start
         checked += 1
-        stream = ForecastStream(product=10, due=40, long_term=start)
+        value = start
         rng = random.Random(0)
         for j, e, expected in zip(range(10, 0, -1), eps, values):
-            advance(stream, j, scenario, rng, injected_eps=e)
-            assert stream.value == expected
+            value = advance(value, j, scenario, rng, eps=e)
+            assert value == expected
             checked += 1
-        advance(stream, 0, scenario, rng)
-        assert stream.value == 739
+        value = advance(value, 0, scenario, rng)
+        assert value == 739
         checked += 1
     assert checked == 36
     assert time.perf_counter() - start_time < 1.0
@@ -180,8 +180,8 @@ def _frozen_forecast_cost_level(system, component_lot: int) -> float:
     final-goods stock and nothing is backordered.
     """
     demand = system.demand
-    product = system.items[system.final_products[0]]
-    lots_per_period = len(system.final_products) / demand.interval      # 2
+    product = system.items[FINAL_PRODUCTS[0]]
+    lots_per_period = len(FINAL_PRODUCTS) / demand.interval             # 2
     final_pieces = lots_per_period * demand.expected_amount             # 1,600
     component_pieces = final_pieces * system.bom_quantity               # 3,200
     flow_min = sum(system.machines[m].setup_mean_min
@@ -192,7 +192,7 @@ def _frozen_forecast_cost_level(system, component_lot: int) -> float:
     assert system.period_minutes < flow_min <= 2 * system.period_minutes
     component = system.items[product.component]
     machine = system.machines[component.routing[0]]
-    per_machine = component_pieces / len(system.components)
+    per_machine = component_pieces / len(COMPONENTS)
     lots = per_machine / component_lot                                  # 2
     assert (per_machine * component.processing_min
             + lots * machine.setup_mean_min) < system.period_minutes
@@ -449,8 +449,8 @@ def test_c10_sampler_moments():
     scenario = ScenarioParams(alpha=0.12)
     rng = random.Random(79)
     for _ in range(2000):
-        stream = ForecastStream(10, 40, 800)
+        value = 800
         for j in range(10, -1, -1):
-            advance(stream, j, scenario, rng)
-            assert stream.value >= 0
+            value = advance(value, j, scenario, rng)
+            assert value >= 0
     assert time.perf_counter() - start_time < 10.0

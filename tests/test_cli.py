@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from mrpsim.cli import main
-from mrpsim.experiment import (Cell, GridSpec, Instance, run_cell, run_grid,
-                               write_results)
+from mrpsim.experiment import (Cell, GridSpec, Instance, read_results,
+                               run_cell, run_grid, write_results)
 from mrpsim.mrp import PlanningParams
 
 
@@ -411,6 +411,24 @@ def test_analysis_never_imports_scipy_stats(tmp_path):
                 if line.startswith("low-a0.06-b0-unbiased")]
     assert len(p_values) == 2
     assert all(0.0 < p < 1.0 for p in p_values)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("command", ["analyze", "tables"])
+def test_a_non_finite_cost_is_refused_in_either_row_order(
+        small_results_dir, tmp_path, capsys, command, reverse):
+    # a nan cost ranked as the best setting or not by where it stood
+    rows = read_results(str(small_results_dir / "results.csv"))
+    rows[0]["overall_cost"] = float("nan")
+    line = 2
+    if reverse:
+        rows.reverse()
+        line = len(rows) + 1
+    write_results(rows, str(tmp_path / "results.csv"))
+    code, out, err = run_cli(capsys, command, "--in", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert f"error: results line {line}, column overall_cost: 'nan'" in err
 
 
 def test_analyze_missing_results(tmp_path, capsys):

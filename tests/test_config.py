@@ -8,6 +8,8 @@ import pytest
 
 from mrpsim.config import (
     _DEFAULT_OVERRIDES,
+    COMPONENTS,
+    FINAL_PRODUCTS,
     build_system,
     load_overrides,
     planned_utilization,
@@ -52,8 +54,12 @@ def test_build_system_levels():
 
 def test_system_structure():
     system = build_system("low")
-    assert sorted(system.final_products) == [10, 11, 12, 13, 14, 15, 16, 17]
-    assert sorted(system.components) == [20, 21]
+    assert FINAL_PRODUCTS == (10, 11, 12, 13, 14, 15, 16, 17)
+    assert COMPONENTS == (20, 21)
+    assert tuple(system.items) == FINAL_PRODUCTS + COMPONENTS
+    # final products consume a component; components consume nothing
+    assert all(system.items[p].component in COMPONENTS for p in FINAL_PRODUCTS)
+    assert all(system.items[c].component is None for c in COMPONENTS)
     assert system.items[10].routing == (102, 101)
     assert system.items[14].routing == (112, 111)
     assert system.items[20].routing == (201,)

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from mrpsim import driver
 from mrpsim.driver import SimulationRun, build_tape
 from mrpsim.experiment import FULL_ALPHAS, make_config
-from mrpsim.forecast import (HORIZON, SCHEDULES, ForecastStream, advance,
-                             dump_tape, load_replay, long_term_forecast,
-                             stream_rng)
+from mrpsim.config import FINAL_PRODUCTS
+from mrpsim.forecast import (HORIZON, SCHEDULES, advance, dump_tape,
+                             load_replay, long_term_forecast, stream_rng)
 from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
                         SST_FACTORS, PlannedLot, PlanningParams,
                         decision_windows)
@@ -114,14 +114,14 @@ def _keyed_tape(cfg):
     `DemandPattern.due_dates`."""
     scenario, last = cfg.scenario, cfg.run_length
     tape = {}
-    for product in sorted(cfg.system.final_products):
+    for product in FINAL_PRODUCTS:
         for due in cfg.system.demand.due_dates(product, 1, last + HORIZON):
-            stream = ForecastStream(product, due, long_term_forecast(scenario))
+            value = long_term_forecast(scenario)
             rng = stream_rng(cfg.base_seed, cfg.replication, product, due)
             values = []
             for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
-                advance(stream, j, scenario, rng)
-                values.append(stream.value)
+                value = advance(value, j, scenario, rng)
+                values.append(value)
             tape[product, due] = tuple(reversed(values))
     return tape
 
@@ -132,7 +132,7 @@ def _reference_tape(cfg):
     advances every open stream once per period."""
     demand, scenario = cfg.system.demand, cfg.scenario
     long_term = long_term_forecast(scenario)
-    streams, rngs, values = {}, {}, {}
+    current, rngs, values = {}, {}, {}
     for t in range(1, cfg.run_length + 1):
         for product in sorted(demand.offsets):
             for due in range(t, t + HORIZON + 1):
@@ -140,12 +140,13 @@ def _reference_tape(cfg):
                         (due - demand.offsets[product]) % demand.interval:
                     continue
                 key = (product, due)
-                if key not in streams:
-                    streams[key] = ForecastStream(product, due, long_term)
+                if key not in current:
+                    current[key] = long_term
                     rngs[key] = stream_rng(cfg.base_seed, cfg.replication,
                                            product, due)
-                advance(streams[key], due - t, scenario, rngs[key])
-                values[product, due, due - t] = streams[key].value
+                current[key] = advance(current[key], due - t, scenario,
+                                       rngs[key])
+                values[product, due, due - t] = current[key]
     return values
 
 
@@ -161,7 +162,7 @@ def test_tape_equals_period_by_period_streams(seed, replication, alpha, bias,
                       overrides={"demand": {"first_delay": first_delay}})
     reference = _reference_tape(cfg)
     tape = build_tape(cfg)
-    assert sorted(tape) == sorted(cfg.system.final_products)
+    assert tuple(tape) == FINAL_PRODUCTS
     # one slot per due period the run can read, None where nothing is due
     assert {len(column) for column in tape.values()} == \
         {run_length + HORIZON + 1}
@@ -364,7 +365,7 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
 
     def checked_run_mrp(product_states, product_gross, component_states,
                         extra_gross, params_, t, system_, trace=None):
-        for product in sorted(system.final_products):
+        for product in FINAL_PRODUCTS:
             gross = {}
             backlog = sum(d.qty for d in run.demands_open[product])
             if backlog:

@@ -109,6 +109,17 @@ def test_grid_spec_rejects_unknown_biased_schedules():
     assert replace(TINY, biased_schedules=()).n_instances == 1
 
 
+@pytest.mark.parametrize("name, value", [
+    ("sst_factors", 0.3), ("plts", 5), ("fop_periods", 3),
+    ("foq_quantities", 300), ("component_lots", 400), ("modes", "bogus")])
+def test_grid_spec_rejects_planning_values_no_cell_can_run(name, value):
+    # each would build, count its cells and fail only once they are made
+    with pytest.raises(ValueError, match=f"{name} must be in .* got {value!r}"):
+        GridSpec(name="x", **{name: (value,)})
+    with pytest.raises(ValueError, match=f"{name} must be in .* got {value!r}"):
+        replace(TINY, **{name: getattr(TINY, name) + (value,)})
+
+
 def _listed_cells(spec):
     """The grid's cells as enumeration built them before it was a view."""
     settings = [replace(params, mode=mode) for params in spec.parameter_sets()
@@ -573,6 +584,13 @@ def test_read_rejects_malformed_files(tmp_path):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("short,row\n")
     with pytest.raises(ValueError, match="line 4"):
+        read_results(str(path))
+
+    # the ranking key must be finite, whatever the row's place
+    rows[1]["overall_cost"] = float("-inf")
+    write_results(rows, str(path))
+    with pytest.raises(ValueError,
+                       match="line 3, column overall_cost: '-inf'"):
         read_results(str(path))
 
 

@@ -7,13 +7,13 @@ import statistics
 
 import pytest
 
+from mrpsim.cli import main
 from mrpsim.driver import build_tape
 from mrpsim.experiment import Instance, make_config
 from mrpsim.forecast import (
     BIASED_SCHEDULES,
     HORIZON,
     SCHEDULES,
-    ForecastStream,
     ScenarioParams,
     advance,
     dump_tape,
@@ -48,16 +48,17 @@ def test_replay_trajectories(bias, beta, start, eps, values):
     scenario = ScenarioParams(alpha=0.04, bias=bias)
     assert long_term_forecast(scenario) == start
 
-    stream = ForecastStream(product=10, due=40, long_term=start)
+    value = start
     rng = random.Random(0)  # never consulted when eps is injected
     for j, e, expected in zip(range(10, 0, -1), eps, values):
-        got = advance(stream, j, scenario, rng, injected_eps=e)
-        assert got == e
-        assert stream.value == expected
-    advance(stream, 0, scenario, rng)
-    assert stream.value == 739
+        got = advance(value, j, scenario, rng, eps=e)
+        assert got - value == e
+        assert got == expected
+        value = got
+    value = advance(value, 0, scenario, rng)
+    assert value == 739
     # trajectory identity: firmed value = start + sum of updates
-    assert stream.value == start + sum(eps)
+    assert value == start + sum(eps)
 
 
 def test_long_term_forecast_values():
@@ -164,39 +165,48 @@ def test_sample_update_moments():
     assert statistics.stdev(draws) == pytest.approx(32.0, rel=0.01)
 
 
-def test_advance_outside_horizon_is_noop():
-    scen = ScenarioParams(alpha=0.1)
-    stream = ForecastStream(10, 40, 800)
-    rng = random.Random(2)
-    state = rng.getstate()
-    assert advance(stream, 11, scen, rng) == 0
-    assert stream.value == 800
-    assert rng.getstate() == state
-
-
 def test_advance_final_update_is_zero():
     scen = ScenarioParams(alpha=0.1)
-    stream = ForecastStream(10, 40, 800)
     rng = random.Random(2)
     state = rng.getstate()
-    assert advance(stream, 0, scen, rng) == 0
-    assert stream.value == 800
+    assert advance(800, 0, scen, rng) == 800
     assert rng.getstate() == state
 
 
-def test_negative_forecast_rejected():
-    stream = ForecastStream(11, 25, 100)
-    with pytest.raises(ValueError, match="negative"):
-        stream.apply(4, -200)
+def test_negative_forecast_rejected(tmp_path, capsys):
+    # a replayed update that drives one stream below zero, in memory and
+    # through the CLI; sampled updates truncate at zero and never can
+    cfg = make_config(alpha=0.06, run_length=30, warmup=5)
+    path = tmp_path / "tape.csv"
+    dump_tape(build_tape(cfg), cfg.scenario, str(path))
+    replay = load_replay(str(path))
+    replay[11, 14, 4] = -5000
+    with pytest.raises(ValueError, match="forecast of product 11 due 14 "
+                                         "went negative at j=4"):
+        build_tape(cfg, replay)
+
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines)
+               if line.startswith("11,14,4,"))
+    fields = lines[row].split(",")
+    fields[3] = "-5000"
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["simulate", "--alpha", "0.06", "--periods", "30",
+                 "--warmup", "5", "--replay-forecasts", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert ("error: forecast of product 11 due 14 went negative at j=4"
+            in err)
 
 
 def test_alpha_zero_unbiased_never_moves():
     scen = ScenarioParams(alpha=0.0)
     rng = random.Random(3)
-    stream = ForecastStream(10, 40, 800)
+    value = 800
     for j in range(10, -1, -1):
-        advance(stream, j, scen, rng)
-        assert stream.value == 800
+        value = advance(value, j, scen, rng)
+        assert value == 800
 
 
 def test_unbiased_streams_average_to_expectation():
@@ -204,11 +214,11 @@ def test_unbiased_streams_average_to_expectation():
     finals = []
     for rep in range(2500):
         rng = stream_rng(99, rep, 10, 40)
-        stream = ForecastStream(10, 40, 800)
+        value = 800
         for j in range(10, -1, -1):
-            advance(stream, j, scen, rng)
-        assert stream.value >= 0
-        finals.append(stream.value)
+            value = advance(value, j, scen, rng)
+        assert value >= 0
+        finals.append(value)
     # sd of one firmed value is ~ 48 * sqrt(10) = 152, so the mean of 2500
     # streams lands within +-10 of 800 at ~3 sigma
     assert statistics.fmean(finals) == pytest.approx(800, abs=10)
@@ -222,10 +232,10 @@ def test_substream_independence_of_generation_order():
         values = {}
         for p, due in order:
             rng = stream_rng(42, 0, p, due)
-            stream = ForecastStream(p, due, 800)
+            value = 800
             for j in range(10, -1, -1):
-                advance(stream, j, scen, rng)
-            values[(p, due)] = stream.value
+                value = advance(value, j, scen, rng)
+            values[(p, due)] = value
         return values
 
     assert run(keys) == run(list(reversed(keys)))

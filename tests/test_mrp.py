@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrpsim.config import build_system
+from mrpsim.config import COMPONENTS, FINAL_PRODUCTS, build_system
 from mrpsim.mrp import (
     COMPONENT_LOTS,
     FOP_PERIODS,
@@ -477,14 +477,14 @@ def _draw_planner_inputs(data, system, safety, t):
         return {t + k: qty for k, qty in buckets.items()}
 
     product_states, product_gross = {}, {}
-    for pid in sorted(system.final_products):
+    for pid in FINAL_PRODUCTS:
         product_states[pid] = MrpItemState(
             on_hand=data.draw(st.integers(-800, 2400)),
             receipts=shifted(data.draw(_buckets)), safety_stock=safety,
             covered_until=t + data.draw(st.integers(-2, 20)))
         product_gross[pid] = shifted(data.draw(_buckets))
     component_states, extra_gross = {}, {}
-    for cid in sorted(system.components):
+    for cid in COMPONENTS:
         component_states[cid] = MrpItemState(
             on_hand=data.draw(st.integers(-1600, 6400)),
             receipts=shifted(data.draw(_buckets)))
@@ -500,8 +500,10 @@ def test_decision_window_releases_equal_full_horizon_plan(params, t, data):
     product_states, product_gross, component_states, extra_gross = \
         _draw_planner_inputs(data, system, safety, t)
 
+    # run_mrp fills the component dicts it is handed: give it its own
     result = run_mrp(product_states, product_gross, component_states,
-                     extra_gross, params, t, system)
+                     {c: dict(g) for c, g in extra_gross.items()}, params, t,
+                     system)
     products, components = _full_horizon_releases(
         product_states, product_gross, component_states, extra_gross,
         params, t, system)
