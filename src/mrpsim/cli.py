@@ -225,32 +225,30 @@ def cmd_simulate(args) -> int:
                          bias=args.bias, params=params, base_seed=args.seed,
                          replication=args.rep, run_length=args.periods,
                          warmup=args.warmup, overrides=overrides,
-                         debug_checks=args.debug_checks)
+                         debug_checks=args.debug_checks,
+                         trace=bool(args.mrp_trace or args.event_trace
+                                    or args.period_log))
     tape = (build_tape(config, load_replay(args.replay_forecasts))
             if args.replay_forecasts else None)
-    mrp_trace = [] if args.mrp_trace else None
-    event_log = [] if args.event_trace else None
-    period_log = [] if args.period_log else None
-    sim = SimulationRun(config, mrp_trace=mrp_trace, event_log=event_log,
-                        period_log=period_log, tape=tape)
+    sim = SimulationRun(config, tape=tape)
     summary = sim.run()
 
     if args.period_log:
-        for e in period_log:
-            print(f"period {e.period:4d}  wip {e.wip_pieces:6d}  "
-                  f"fgi {e.fgi_pieces:6d}  backorder {e.backorder_pieces:6d}  "
-                  f"released {e.released_orders:2d}  shipped {e.shipped_demands}")
+        for t, wip, fgi, backorder, released, shipped in sim.period_log:
+            print(f"period {t:4d}  wip {wip:6d}  fgi {fgi:6d}  "
+                  f"backorder {backorder:6d}  released {released:2d}  "
+                  f"shipped {shipped}")
         print()
     if args.dump_forecasts:
         dump_tape(sim.tape, config.scenario, args.dump_forecasts)
     if args.mrp_trace:
         write_csv(args.mrp_trace,
                   ("period", "item", "bucket", "gross", "receipts",
-                   "projected", "net", "lot"), mrp_trace)
+                   "projected", "net", "lot"), sim.mrp_trace)
     if args.event_trace:
         write_csv(args.event_trace,
                   ("minute", "event", "order", "item", "machine", "qty"),
-                  event_log)
+                  sim.shop.event_log)
 
     _print_summary(summary,
                    f"{args.util} alpha={args.alpha:g} {args.bias} | "

@@ -53,16 +53,7 @@ class RunConfig:
     run_length: int
     warmup: int
     debug_checks: bool
-
-
-@dataclass
-class PeriodLogEntry:
-    period: int
-    wip_pieces: int
-    fgi_pieces: int
-    backorder_pieces: int
-    released_orders: int
-    shipped_demands: int
+    trace: bool
 
 
 Tape = dict[int, list[tuple[int, ...] | None]]
@@ -109,11 +100,12 @@ class SimulationRun:
     """State of one replication; `run()` executes it and returns KPIs.
     Runs that share a forecast tape pass one `tape` dict, which the first
     finds empty and fills; a filled one, such as a replayed tape, is read
-    as it is.  Without one a run builds its own."""
+    as it is.  Without one a run builds its own.  A traced run keeps its
+    MRP rows in `mrp_trace`, its shop events in `shop.event_log` and one
+    (t, wip, fgi, backorder, released, shipped) row per period in
+    `period_log`; an untraced run keeps none of them."""
 
-    def __init__(self, config: RunConfig, mrp_trace: list | None = None,
-                 event_log: list | None = None,
-                 period_log: list | None = None, tape: Tape | None = None):
+    def __init__(self, config: RunConfig, tape: Tape | None = None):
         self.config = config
         system = config.system
         self.system = system
@@ -141,7 +133,8 @@ class SimulationRun:
                                                 config.replication, "shop"))
         warm_min = config.warmup * self.pm
         end_min = config.run_length * self.pm
-        self.shop = ShopFloor(system, shop_rng, warm_min, end_min, event_log)
+        self.shop = ShopFloor(system, shop_rng, warm_min, end_min,
+                              [] if config.trace else None)
         self.kpi = KpiTracker(config.run_length, config.warmup)
 
         # Scheduled receipts per item, {planned completion period: pieces},
@@ -156,9 +149,8 @@ class SimulationRun:
         self._uid = 0
         self._dispatched_pieces = 0
         self._shipped_pieces = 0
-        self.mrp_trace = mrp_trace
-        self.period_log = period_log
-        self._released_this_period = 0
+        self.mrp_trace, self.period_log = (([], []) if config.trace
+                                           else (None, None))
         # the first period extended netting would have planned differently
         self.divergence_period: int | None = None
 
@@ -222,7 +214,6 @@ class SimulationRun:
     def _release(self, order: ProductionOrder, time: float) -> None:
         self.shop.dispatch(order, time)
         self._dispatched_pieces += order.qty
-        self._released_this_period += 1
         if order.component is not None:
             # a released final-product lot extends the covered horizon
             state = self.product_states[order.item]
@@ -276,7 +267,8 @@ class SimulationRun:
 
     def step(self, t: int) -> None:
         minute_start, minute_end = (t - 1) * self.pm, t * self.pm
-        self._released_this_period = 0
+        # each release of this period writes one "release" row from here on
+        logged = len(self.shop.event_log) if self.period_log is not None else 0
 
         self._fold_receipts(t)
         self._firm_demands(t)
@@ -299,9 +291,10 @@ class SimulationRun:
         self.kpi.record_snapshot(t, wip, fgi, backorder)
 
         if self.period_log is not None:
-            self.period_log.append(PeriodLogEntry(
-                t, wip, fgi, backorder, self._released_this_period,
-                len(shipped)))
+            released = sum(1 for e in self.shop.event_log[logged:]
+                           if e[1] == "release")
+            self.period_log.append((t, wip, fgi, backorder, released,
+                                    len(shipped)))
         if self.config.debug_checks:
             self._check_invariants(t, wip, fgi)
 

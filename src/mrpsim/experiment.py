@@ -49,7 +49,8 @@ RESULT_COLUMNS = ("instance_id", "alpha", "beta", "bias", "utilization",
 _INT_COLUMNS = {"beta", "plt", "policy_param", "comp_lot", "replication",
                 "seed", "n_final_orders"}
 _STR_COLUMNS = {"instance_id", "bias", "utilization", "mode", "policy"}
-_COST_FIELD = RESULT_COLUMNS.index("overall_cost")
+_FLOAT_COLUMNS = tuple(c for c in RESULT_COLUMNS
+                       if c not in _INT_COLUMNS and c not in _STR_COLUMNS)
 
 FULL_ALPHAS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12)
 
@@ -79,7 +80,7 @@ def make_config(utilization: str = "low", alpha: float = 0.0,
                 base_seed: int = 42, replication: int = 0,
                 run_length: int = RUN_LENGTH, warmup: int = WARMUP,
                 overrides: dict | None = None,
-                debug_checks: bool = False) -> RunConfig:
+                debug_checks: bool = False, trace: bool = False) -> RunConfig:
     """The one constructor of `RunConfig`, for grid cells and the CLI alike;
     `bias` names the forecast scenario's schedule in `forecast.SCHEDULES`."""
     if replication < 0:
@@ -93,7 +94,7 @@ def make_config(utilization: str = "low", alpha: float = 0.0,
     return RunConfig(system=system, scenario=scenario, params=params,
                      base_seed=base_seed, replication=replication,
                      run_length=run_length, warmup=warmup,
-                     debug_checks=debug_checks)
+                     debug_checks=debug_checks, trace=trace)
 
 
 @dataclass(frozen=True)
@@ -448,10 +449,12 @@ def _parse_row(row: list[str], lineno: int, parsers: tuple) -> dict:
         except ValueError as exc:
             raise ValueError(f"results line {lineno}, column {column}: "
                              f"{text!r}") from exc
-    # the ranking key: a nan would make the best cell depend on row order
-    if not math.isfinite(out["overall_cost"]):
-        raise ValueError(f"results line {lineno}, column overall_cost: "
-                         f"{row[_COST_FIELD]!r}")
+    # a nan cost would make the best cell depend on row order, and a nan
+    # alpha would label its instance "a=nan" in the tables
+    for column in _FLOAT_COLUMNS:
+        if not math.isfinite(out[column]):
+            raise ValueError(f"results line {lineno}, column {column}: "
+                             f"{row[RESULT_COLUMNS.index(column)]!r}")
     return out
 
 

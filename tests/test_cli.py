@@ -299,6 +299,21 @@ def test_simulate_trace_files_extended_backorders(tmp_path, capsys):
         "05300b28ee2874fed4570e5e4fd55ae6ad083b3fff61276740843e3380cb8574"
 
 
+def test_period_log_alone_prints_the_same_periods(tmp_path, capsys):
+    run = ("simulate", "--alpha", "0.12", "--plt", "8", "--policy", "FOQ:1600",
+           "--periods", "60", "--warmup", "5", "--period-log")
+    code, alone, _ = run_cli(capsys, *run)
+    assert code == 0
+    code, traced, _ = run_cli(capsys, *run, "--mrp-trace",
+                              str(tmp_path / "mrp.csv"), "--event-trace",
+                              str(tmp_path / "events.csv"))
+    assert code == 0
+    periods = [line for line in alone.splitlines() if line.startswith("period")]
+    assert len(periods) == 60
+    assert periods == [line for line in traced.splitlines()
+                       if line.startswith("period")]
+
+
 def test_simulate_matches_grid_cell(capsys):
     # the CLI and the grid build a run through the same make_config
     code, out, _ = run_cli(capsys, "simulate", "--util", "medium", "--bias",
@@ -429,6 +444,23 @@ def test_a_non_finite_cost_is_refused_in_either_row_order(
     assert code == 2
     assert out == ""
     assert f"error: results line {line}, column overall_cost: 'nan'" in err
+
+
+@pytest.mark.parametrize("column, value", [
+    ("alpha", "nan"), ("wip_cost", "nan"), ("sst_factor", "inf"),
+    ("service_level", "-inf"), ("leadtime_mean", "nan")])
+@pytest.mark.parametrize("command", [["analyze"], ["tables", "--csv"]])
+def test_a_non_finite_value_is_refused_in_any_float_column(
+        small_results_dir, tmp_path, capsys, command, column, value):
+    # a nan alpha labelled its instance a=nan although its instance_id read
+    # a0.06, and a nan wip_cost or service_level printed as nan
+    rows = read_results(str(small_results_dir / "results.csv"))
+    rows[1][column] = float(value)
+    write_results(rows, str(tmp_path / "results.csv"))
+    code, out, err = run_cli(capsys, *command, "--in", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert f"error: results line 3, column {column}: '{value}'" in err
 
 
 def test_analyze_missing_results(tmp_path, capsys):

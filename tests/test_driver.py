@@ -279,21 +279,44 @@ def test_replay_reproduces_run_without_sampling(tmp_path):
 
 def test_period_log_and_traces():
     cfg = make_config(alpha=0, params=FOP1, run_length=30, warmup=5,
-                      overrides={"setup": {"cv": 0.0}})
-    mrp_trace, event_log, period_log = [], [], []
-    summarize(cfg, mrp_trace=mrp_trace, event_log=event_log,
-              period_log=period_log)
+                      overrides={"setup": {"cv": 0.0}}, trace=True)
+    run = SimulationRun(cfg)
+    run.run()
+    mrp_trace, event_log, period_log = (run.mrp_trace, run.shop.event_log,
+                                        run.period_log)
 
-    assert [e.period for e in period_log] == list(range(1, 31))
+    # rows are (period, wip, fgi, backorder, released, shipped)
+    assert [e[0] for e in period_log] == list(range(1, 31))
     # nothing moves before the first orders are planned
-    assert period_log[0].wip_pieces == 0
-    assert period_log[0].shipped_demands == 0
+    assert period_log[0][1] == 0
+    assert period_log[0][5] == 0
     # steady state ships the two due demands every period
-    assert all(e.shipped_demands == 2 for e in period_log if e.period >= 13)
+    assert all(e[5] == 2 for e in period_log if e[0] >= 13)
 
     assert all(len(row) == 8 for row in mrp_trace)         # period + 7 columns
     kinds = {e[1] for e in event_log}
     assert kinds == {"release", "start", "finish_op"}
+
+
+def test_untraced_run_keeps_no_trace():
+    run = SimulationRun(make_config(params=FOP1, run_length=10, warmup=2))
+    run.run()
+    assert run.mrp_trace is None
+    assert run.period_log is None
+    assert run.shop.event_log is None
+
+
+def test_period_log_totals_match_orders_and_demands():
+    # product orders wait for material here, so some orders made are
+    # released late and some are still blocked at the end
+    cfg = make_config(alpha=0.12, params=PlanningParams(0.0, 8, "FOQ", 1600),
+                      run_length=60, warmup=5, trace=True)
+    run = SimulationRun(cfg)
+    run.run()
+    assert run.blocked
+    assert sum(row[4] for row in run.period_log) == run._uid - len(run.blocked)
+    shipped = [d for d in run.demands_all if d.fulfilled_period is not None]
+    assert sum(row[5] for row in run.period_log) == len(shipped)
 
 
 def test_backorders_accrue_when_capacity_is_gone():
@@ -438,10 +461,10 @@ def test_divergence_period_marks_where_the_netting_twins_part(
         cfg = make_config(utilization=utilization, alpha=alpha, bias=bias,
                           params=params, base_seed=seed,
                           replication=replication, run_length=run_length,
-                          warmup=run_length // 4)
-        trace, events = [], []
-        run = SimulationRun(cfg, mrp_trace=trace, event_log=events)
+                          warmup=run_length // 4, trace=True)
+        run = SimulationRun(cfg)
         summary = run.run()
+        trace, events = run.mrp_trace, run.shop.event_log
         pm = cfg.system.period_minutes
         releases = [e for e in events if e[1] == "release"]
         runs[mode] = (run, summary, _by_period(trace, lambda row: row[0]),
