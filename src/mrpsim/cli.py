@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Sequence
 
 from . import __version__
 from .config import (RUN_LENGTH, WARMUP, build_system, load_overrides,
@@ -295,7 +296,7 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _read_rows(indir: str) -> list[dict]:
+def _read_rows(indir: str) -> Sequence[dict]:
     path = os.path.join(indir, RESULTS_NAME) if os.path.isdir(indir) else indir
     if not os.path.exists(path):
         raise UsageError(f"no results file at {path}")

@@ -30,7 +30,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 
 from . import __version__
@@ -464,12 +464,26 @@ def write_results(rows: list[dict], path: str) -> None:
     write_csv(path, RESULT_COLUMNS, map(itemgetter(*RESULT_COLUMNS), rows))
 
 
-def read_results(path: str) -> list[dict]:
-    """Rows of a results CSV as dicts keyed by `RESULT_COLUMNS`.  The string
-    columns repeat a few values over millions of rows, so each distinct value
-    is one string object shared by every row, taken from a pool that lives
-    for this call only (interned strings would leave the interpreter's table
-    with the rows, churning it over repeated reads)."""
+class ResultRows(tuple):
+    """The rows of one results file: a read-only tuple of row dicts.  Its
+    `best_per_instance` result is worked out once, on first use, and lives
+    and dies with this object, so all tables drawn from one read rank the
+    file a single time.  Edit no row dict in place: the kept winners would
+    not see the edit."""
+
+    @cached_property
+    def _winners(self) -> dict[tuple[str, str], BestCell]:
+        return _best_cells(self)
+
+
+def read_results(path: str) -> ResultRows:
+    """Rows of a results CSV as dicts keyed by `RESULT_COLUMNS`, in a
+    read-only `ResultRows` that aggregates them once however many tables
+    read it.  The string columns repeat a few values over millions of rows,
+    so each distinct value is one string object shared by every row, taken
+    from a pool that lives for this call only (interned strings would leave
+    the interpreter's table with the rows, churning it over repeated
+    reads)."""
     import csv
 
     pool: dict[str, str] = {}
@@ -480,17 +494,14 @@ def read_results(path: str) -> list[dict]:
     parsers = tuple(shared if c in _STR_COLUMNS else
                     int if c in _INT_COLUMNS else float
                     for c in RESULT_COLUMNS)
-    rows = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != RESULT_COLUMNS:
             raise ValueError(f"results file {path} has unexpected header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rows.append(_parse_row(row, lineno, parsers))
-    return rows
+        return ResultRows(_parse_row(row, lineno, parsers)
+                          for lineno, row in enumerate(reader, start=2)
+                          if row)
 
 
 def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
@@ -523,10 +534,11 @@ def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
 
 # -- aggregation ---------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BestCell:
     """Cost-minimal parameter set of one (instance, mode), averaged over
-    replications."""
+    replications.  Frozen: the cells of one `ResultRows` are shared by
+    every table drawn from it."""
 
     instance_id: str
     utilization: str
@@ -579,7 +591,7 @@ def _aggregate(rank: tuple, group: list[dict]) -> BestCell:
         mean_leadtime=leadtime)
 
 
-def best_per_instance(rows: list[dict]) -> dict[tuple[str, str], BestCell]:
+def best_per_instance(rows: Sequence[dict]) -> dict[tuple[str, str], BestCell]:
     """Pick the cheapest parameter set per (instance, mode).
 
     Groups rank by (mean cost, sst, plt, policy, value, comp lot), so an
@@ -587,7 +599,19 @@ def best_per_instance(rows: list[dict]) -> dict[tuple[str, str], BestCell]:
     each (instance, mode) is averaged over its other KPIs.  Every
     parameter set must carry the same number of replications; incomplete
     groups indicate a broken results file.
+
+    A `ResultRows` (what `read_results` returns) is ranked once and keeps
+    the result; other rows, such as `run_grid`'s list, are wrapped in one
+    and ranked on every call.  Each call returns a fresh dict.
     """
+    if not isinstance(rows, ResultRows):
+        rows = ResultRows(rows)
+    return dict(rows._winners)
+
+
+def _best_cells(rows: Sequence[dict]) -> dict[tuple[str, str], BestCell]:
+    """The grouping and ranking behind `best_per_instance`; a `ResultRows`
+    runs it once."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault(_GROUP_KEY(row), []).append(row)
@@ -661,7 +685,8 @@ def _test_costs(a: tuple[float, ...], b: tuple[float, ...],
     return float(2 * stdtr(df, -abs(t)))
 
 
-def compare_modes(rows: list[dict], paired: bool = False) -> list[ModeComparison]:
+def compare_modes(rows: Sequence[dict],
+                  paired: bool = False) -> list[ModeComparison]:
     """Best-vs-best comparison of extended against standard netting per
     instance, with Welch (default) or paired t-test significance."""
     best = best_per_instance(rows)

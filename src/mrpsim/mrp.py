@@ -21,10 +21,15 @@ projection at or above the safety stock everywhere.  Extended netting splits
 the horizon at the newest due period already covered by a released order
 ("covered_until"): inside that range the threshold drops to zero, so safety
 stock absorbs short-term forecast swings instead of triggering nervous
-re-orders, while beyond it the safety stock is planned as usual.  The rule
-is stated in `net_requirement_extended` (standard netting is it with an
-empty covered range); `plan_item` writes it out inline, and
-`test_sparse_plan_item_equals_dense_netting_scan` pins the two together.
+re-orders, while beyond it the safety stock is planned as usual.  At a
+period t with demand,
+
+    net[t] = max(threshold[t] - (projected[t-1] - gross[t] + receipts[t]), 0),
+    threshold[t] = 0 if t <= covered_until else safety stock,
+
+and standard netting is the same rule with nothing covered.  `plan_item`
+applies it inline; tests/test_mrp.py states it as a function and checks
+`plan_item` against a dense scan of every period through it.
 The driver advances covered_until at every product release; components
 never carry safety stock, which makes both modes identical for them.
 
@@ -97,24 +102,6 @@ class PlanningParams:
                 f"{self.policy}:{self.policy_param} comp={self.component_lot}")
 
 
-def net_requirement_extended(prev_on_hand: float, gross: float, receipts: float,
-                             safety: float, period: int,
-                             covered_until: int) -> float:
-    """Requirement that lifts the projection back to the netting threshold:
-    zero inside the covered horizon (safety stock may be consumed, only a
-    shortage below zero triggers), the safety stock beyond it.  `plan_item`
-    inlines it; `test_sparse_plan_item_equals_dense_netting_scan` ties them."""
-    threshold = 0 if period <= covered_until else safety
-    return max(threshold - (prev_on_hand - gross + receipts), 0)
-
-
-def net_requirement_standard(prev_on_hand: float, gross: float,
-                             receipts: float, safety: float) -> float:
-    """Requirement that lifts the projection back to the safety stock: the
-    extended rule with nothing covered."""
-    return net_requirement_extended(prev_on_hand, gross, receipts, safety, 0, -1)
-
-
 @dataclass
 class PlannedLot:
     item: int
@@ -161,9 +148,10 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
     never before now.
 
     Only periods with demand or scheduled receipts can change the projection,
-    so the scan touches just those.  It nets by `net_requirement_extended`'s
-    rule, inline; `test_sparse_plan_item_equals_dense_netting_scan` ties the
-    two together.  A `trace` list receives one row per bucket, led by
+    so the scan touches just those.  A demand period nets the shortfall of
+    its projection below the threshold: zero up to `state.covered_until`
+    when `extended`, the safety stock elsewhere (the module docstring states
+    the rule).  A `trace` list receives one row per bucket, led by
     `current_period`.  A `divergent` list receives the first demand bucket,
     if any, where the other netting mode would net differently: one up to
     `state.covered_until` whose projection lies below a positive safety stock.

@@ -50,11 +50,10 @@ from mrpsim.mrp import (
     SST_FACTORS,
     MrpItemState,
     PlanningParams,
-    net_requirement_extended,
-    net_requirement_standard,
     plan_item,
 )
 from mrpsim.shopfloor import ShopFloor
+from test_mrp import net_requirement_extended, net_requirement_standard
 
 SERIAL_SCALE = 8
 

@@ -433,7 +433,7 @@ def test_analysis_never_imports_scipy_stats(tmp_path):
 def test_a_non_finite_cost_is_refused_in_either_row_order(
         small_results_dir, tmp_path, capsys, command, reverse):
     # a nan cost ranked as the best setting or not by where it stood
-    rows = read_results(str(small_results_dir / "results.csv"))
+    rows = list(read_results(str(small_results_dir / "results.csv")))
     rows[0]["overall_cost"] = float("nan")
     line = 2
     if reverse:
@@ -479,6 +479,21 @@ def test_tables_renders_selected_table(small_results_dir, capsys):
                              "--table", "best-standard")
     assert code == 0
     assert "Best planning parameters (standard netting)" in out
+
+
+def test_tables_ranks_the_results_file_once(small_results_dir, capsys,
+                                           monkeypatch):
+    """Seven tables, one grouping and ranking of the file."""
+    from mrpsim import experiment
+
+    calls = []
+    grouping = experiment._best_cells
+    monkeypatch.setattr(experiment, "_best_cells",
+                        lambda rows: calls.append(rows) or grouping(rows))
+    code, out, err = run_cli(capsys, "tables", "--in", str(small_results_dir))
+    assert code == 0
+    assert "Extended vs standard netting" in out
+    assert len(calls) == 1
 
 
 def test_tables_writes_files(small_results_dir, tmp_path, capsys):

@@ -6,7 +6,7 @@ import os
 import pickle
 import platform
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import groupby
 
 import pytest
@@ -20,6 +20,7 @@ from mrpsim.experiment import (
     ExperimentError,
     GridSpec,
     Instance,
+    ResultRows,
     best_per_instance,
     compare_modes,
     default_workers,
@@ -567,7 +568,7 @@ def test_write_read_roundtrip(tmp_path):
     path = tmp_path / "results.csv"
     write_results(rows, str(path))
     read = read_results(str(path))
-    assert read == rows
+    assert list(read) == rows
     # one string object per distinct value, across the rows of one read
     for column in ("instance_id", "bias", "utilization", "mode", "policy"):
         assert read[0][column] is read[1][column]
@@ -657,6 +658,79 @@ def test_best_per_instance_rejects_unbalanced_replications():
     rows = synthetic_rows()
     with pytest.raises(ValueError, match="replication"):
         best_per_instance(rows[:-1])
+
+
+def counting_grouping(monkeypatch) -> list:
+    """Count the calls of the grouping behind `best_per_instance`."""
+    calls = []
+    grouping = experiment._best_cells
+
+    def counted(rows):
+        calls.append(len(rows))
+        return grouping(rows)
+
+    monkeypatch.setattr(experiment, "_best_cells", counted)
+    return calls
+
+
+def test_an_analysis_pass_ranks_a_read_once(tmp_path, monkeypatch):
+    """`compare_modes` and then every table, as `mrpsim analyze` and
+    `mrpsim tables` do, group and rank one read of a file a single time."""
+    from mrpsim.tables import TABLES
+
+    path = tmp_path / "results.csv"
+    write_results(synthetic_rows(), str(path))
+    calls = counting_grouping(monkeypatch)
+    rows = read_results(str(path))
+    assert isinstance(rows, ResultRows) and isinstance(rows, tuple)
+    compare_modes(rows)
+    for name in sorted(TABLES):
+        TABLES[name](rows, False, False)
+    assert calls == [12]
+    # a second read of the same file is ranked afresh
+    best_per_instance(read_results(str(path)))
+    assert calls == [12, 12]
+
+
+def test_best_per_instance_of_a_list_equals_that_of_its_read(tmp_path,
+                                                             monkeypatch):
+    rows = synthetic_rows()
+    path = tmp_path / "results.csv"
+    write_results(rows, str(path))
+    read = read_results(str(path))
+    calls = counting_grouping(monkeypatch)
+    best = best_per_instance(read)
+    assert best == best_per_instance(rows)
+    assert list(best) == list(best_per_instance(rows))
+    # a list is ranked on every call, a read once
+    assert calls == [12, 12, 12]
+
+
+def test_best_per_instance_hands_out_a_fresh_dict(tmp_path):
+    path = tmp_path / "results.csv"
+    write_results(synthetic_rows(), str(path))
+    read = read_results(str(path))
+    best = best_per_instance(read)
+    expected = dict(best)
+    key = ("low-a0.06-b0-unbiased", "standard")
+    best.pop(key)
+    best[("x", "standard")] = expected[key]
+    assert best_per_instance(read) == expected
+    assert best_per_instance(read) is not best_per_instance(read)
+    # the cells are shared between calls, so they are frozen
+    with pytest.raises(FrozenInstanceError):
+        expected[key].mean_cost = 0.0
+
+
+def test_an_unbalanced_read_is_refused_on_every_call(tmp_path):
+    path = tmp_path / "results.csv"
+    write_results(synthetic_rows()[:-1], str(path))
+    read = read_results(str(path))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="unbalanced replication counts"):
+            best_per_instance(read)
+    with pytest.raises(ValueError, match="unbalanced replication counts"):
+        compare_modes(read)
 
 
 def test_compare_modes_welch():
@@ -925,6 +999,7 @@ def test_best_per_instance_matches_reference_on_shuffled_ties(data):
                         })
     rows = data.draw(st.permutations(rows))
     expected = reference_best_per_instance(rows)
-    best = best_per_instance(rows)
-    assert list(best) == list(expected)
-    assert best == expected
+    for given_rows in (rows, ResultRows(rows)):
+        best = best_per_instance(given_rows)
+        assert list(best) == list(expected)
+        assert best == expected

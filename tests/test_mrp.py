@@ -18,14 +18,31 @@ from mrpsim.mrp import (
     MrpItemState,
     PlannedLot,
     PlanningParams,
-    net_requirement_extended,
-    net_requirement_standard,
     plan_item,
     run_mrp,
 )
 
 
 # ---------------------------------------------------------------- netting
+
+def net_requirement_extended(prev_on_hand: float, gross: float, receipts: float,
+                             safety: float, period: int,
+                             covered_until: int) -> float:
+    """The netting rule of `mrpsim.mrp`'s docstring, which `plan_item`
+    applies inline: the requirement that lifts the projection back to the
+    threshold, zero inside the covered horizon (safety stock may be
+    consumed, only a shortage below zero triggers), the safety stock beyond
+    it.  `test_sparse_plan_item_equals_dense_netting_scan` ties the two."""
+    threshold = 0 if period <= covered_until else safety
+    return max(threshold - (prev_on_hand - gross + receipts), 0)
+
+
+def net_requirement_standard(prev_on_hand: float, gross: float,
+                             receipts: float, safety: float) -> float:
+    """Requirement that lifts the projection back to the safety stock: the
+    extended rule with nothing covered."""
+    return net_requirement_extended(prev_on_hand, gross, receipts, safety, 0, -1)
+
 
 def test_standard_netting_examples():
     assert net_requirement_standard(500, 400, 0, 160) == 60
