@@ -27,7 +27,7 @@ from . import __version__
 from .config import (RUN_LENGTH, WARMUP, build_system, load_overrides,
                      planned_utilization_table, UTILIZATION_LEVELS)
 from .driver import SimulationRun, build_tape
-from .forecast import BIASED_SCHEDULES, dump_tape, load_replay
+from .forecast import SCHEDULES, dump_tape, load_replay
 from .mrp import MODES, PlanningParams
 from .experiment import (PRESETS, ExperimentError, default_workers,
                          make_config, run_grid, read_results, write_csv,
@@ -38,19 +38,15 @@ RESULTS_NAME = "results.csv"
 MANIFEST_NAME = "manifest.txt"
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_policy(text: str) -> tuple[str, int]:
     """Accept 'FOP:1' / 'FOQ:200' (case-insensitive name)."""
     name, sep, value = text.partition(":")
     if not sep:
-        raise UsageError(f"policy must look like FOP:1 or FOQ:200, got {text!r}")
+        raise ValueError(f"policy must look like FOP:1 or FOQ:200, got {text!r}")
     try:
         return name.upper(), int(value)
     except ValueError:
-        raise UsageError(f"policy parameter must be an integer, got {value!r}")
+        raise ValueError(f"policy parameter must be an integer, got {value!r}")
 
 
 def _worker_count(text: str) -> int:
@@ -84,15 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate",
                        help="check configuration, print utilization and "
                             "grid-count tables")
+    p.set_defaults(run=cmd_validate)
     _add_config(p)
 
     p = sub.add_parser("simulate", help="run a single replication")
+    p.set_defaults(run=cmd_simulate)
     _add_seed(p)
     _add_config(p)
     p.add_argument("--alpha", type=float, default=0.0,
                    help="forecast update std as fraction of expected demand")
-    p.add_argument("--bias", choices=BIASED_SCHEDULES, default="unbiased",
-                   help="forecast bias schedule (omit for unbiased)")
+    p.add_argument("--bias", choices=tuple(SCHEDULES), default="unbiased",
+                   help="forecast bias schedule")
     p.add_argument("--mode", choices=MODES, default="standard")
     p.add_argument("--sst", type=float, default=0.0,
                    help="safety stock factor")
@@ -121,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print one line per period")
 
     p = sub.add_parser("grid", help="run an experiment grid")
+    p.set_defaults(run=cmd_grid)
     _add_seed(p)
     _add_config(p)
     p.add_argument("--preset", choices=sorted(PRESETS), required=True)
@@ -134,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze",
                        help="best-vs-best netting-mode comparison with "
                             "significance stars")
+    p.set_defaults(run=cmd_analyze)
     p.add_argument("--in", dest="indir", required=True, metavar="DIR",
                    help="results directory or CSV file")
     p.add_argument("--paired", action="store_true",
@@ -142,6 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="CSV instead of text")
 
     p = sub.add_parser("tables", help="render summary tables")
+    p.set_defaults(run=cmd_tables)
     p.add_argument("--in", dest="indir", required=True, metavar="DIR",
                    help="results directory or CSV file")
     p.add_argument("--table", action="append", choices=sorted(TABLES),
@@ -183,7 +184,7 @@ def cmd_validate(args) -> int:
               "88% and 81.5%")
         print("  sit about 0.6 percentage points below them.\n")
     if overloaded:
-        raise UsageError("planned utilization is 100% or more on "
+        raise ValueError("planned utilization is 100% or more on "
                          + ", ".join(overloaded))
     print("experiment grids")
     header = f"  {'preset':<12}{'param sets':>11}{'unbiased':>10}" \
@@ -276,7 +277,7 @@ def cmd_grid(args) -> int:
     if args.dry_run:
         return 0
     if not args.out:
-        raise UsageError("grid needs --out DIR (or --dry-run)")
+        raise ValueError("grid needs --out DIR (or --dry-run)")
     os.makedirs(args.out, exist_ok=True)
 
     total = spec.n_cells
@@ -299,7 +300,7 @@ def cmd_grid(args) -> int:
 def _read_rows(indir: str) -> Sequence[dict]:
     path = os.path.join(indir, RESULTS_NAME) if os.path.isdir(indir) else indir
     if not os.path.exists(path):
-        raise UsageError(f"no results file at {path}")
+        raise ValueError(f"no results file at {path}")
     return read_results(path)
 
 
@@ -339,15 +340,6 @@ def cmd_tables(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "simulate": cmd_simulate,
-    "grid": cmd_grid,
-    "analyze": cmd_analyze,
-    "tables": cmd_tables,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -356,8 +348,8 @@ def main(argv=None) -> int:
         # argparse already printed help or a usage message
         return 0 if exc.code in (0, None) else 2
     try:
-        return _COMMANDS[args.command](args)
-    except (UsageError, ValueError, OSError) as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExperimentError as exc:

@@ -114,7 +114,6 @@ class DemandPattern:
     """Cyclic customer-order schedule for the final products."""
 
     interval: int
-    offsets: dict[int, int]
     first_delay: int
     expected_amount: int
 
@@ -125,7 +124,7 @@ class DemandPattern:
         """Due dates of one product in [start, end]: every interval-th
         period on the product's offset, none at or before the delay."""
         start = max(start, self.first_delay + 1)
-        first = start + (self.offsets[item_id] - start) % self.interval
+        first = start + (DEMAND_OFFSETS[item_id] - start) % self.interval
         return range(first, end + 1, self.interval)
 
 
@@ -176,7 +175,6 @@ def build_system(utilization: str = "low",
         machines[mid] = Machine(mid, o["setup"]["component"], cv)
 
     demand = DemandPattern(interval=o["demand"]["interval"],
-                           offsets=dict(DEMAND_OFFSETS),
                            first_delay=o["demand"]["first_delay"],
                            expected_amount=o["demand"]["expected_amount"])
     rates = CostRates(wip=o["costs"]["wip"], fgi=o["costs"]["fgi"],

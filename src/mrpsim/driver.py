@@ -331,7 +331,6 @@ class SimulationRun:
     def run(self) -> RunSummary:
         for t in range(1, self.config.run_length + 1):
             self.step(t)
-        window_min = (self.config.run_length - self.config.warmup) * self.pm
         return self.kpi.summarize(self.system.cost_rates, self.demands_all,
-                                  self.shop.utilization(window_min))
+                                  self.shop.utilization())
 

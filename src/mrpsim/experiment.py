@@ -597,8 +597,8 @@ def best_per_instance(rows: Sequence[dict]) -> dict[tuple[str, str], BestCell]:
     Groups rank by (mean cost, sst, plt, policy, value, comp lot), so an
     exact tie in cost goes to the smaller parameters.  Only the winner of
     each (instance, mode) is averaged over its other KPIs.  Every
-    parameter set must carry the same number of replications; incomplete
-    groups indicate a broken results file.
+    parameter set must carry the same distinct replication numbers;
+    anything else indicates a broken or doubled results file.
 
     A `ResultRows` (what `read_results` returns) is ranked once and keeps
     the result; other rows, such as `run_grid`'s list, are wrapped in one
@@ -620,6 +620,10 @@ def _best_cells(rows: Sequence[dict]) -> dict[tuple[str, str], BestCell]:
     if len(counts) > 1:
         raise ValueError(f"unbalanced replication counts per parameter set: "
                          f"{sorted(counts)}")
+    reps = {tuple(sorted(map(_REPLICATION, g))) for g in groups.values()}
+    if len(reps) > 1 or any(len(set(r)) < len(r) for r in reps):
+        raise ValueError(f"replications differ or repeat across parameter "
+                         f"sets: {sorted(reps)[:2]}")
 
     winners: dict[tuple, tuple[tuple, list[dict]]] = {}
     for key, group in groups.items():

@@ -77,22 +77,16 @@ class PlanningParams:
     mode: str = "standard"
 
     def __post_init__(self) -> None:
-        if self.sst_factor not in SST_FACTORS:
-            raise ValueError(f"sst_factor must be one of {SST_FACTORS}, "
-                             f"got {self.sst_factor}")
-        if self.plt not in PLT_VALUES:
-            raise ValueError(f"plt must be one of {PLT_VALUES}, got {self.plt}")
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         allowed = FOP_PERIODS if self.policy == "FOP" else FOQ_QUANTITIES
-        if self.policy_param not in allowed:
-            raise ValueError(f"{self.policy} parameter must be one of {allowed}, "
-                             f"got {self.policy_param}")
-        if self.component_lot not in COMPONENT_LOTS:
-            raise ValueError(f"component_lot must be one of {COMPONENT_LOTS}, "
-                             f"got {self.component_lot}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name, value, values in (
+                ("sst_factor", self.sst_factor, SST_FACTORS),
+                ("plt", self.plt, PLT_VALUES),
+                ("policy", self.policy, POLICIES),
+                (f"{self.policy} parameter", self.policy_param, allowed),
+                ("component_lot", self.component_lot, COMPONENT_LOTS),
+                ("mode", self.mode, MODES)):
+            if value not in values:
+                raise ValueError(f"{name} must be one of {values}, got {value!r}")
 
     def safety_stock(self, expected_amount: int) -> int:
         return round(self.sst_factor * expected_amount)

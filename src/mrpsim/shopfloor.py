@@ -87,20 +87,17 @@ class ShopFloor:
         self.event_log = event_log
         self.pieces_on_floor = 0
 
-    def _push(self, time: float, kind: int, order: ProductionOrder) -> None:
-        self._seq += 1
-        heapq.heappush(self.events, (time, self._seq, kind, order))
-
     def dispatch(self, order: ProductionOrder, time: float) -> None:
         """Send a released order to the first machine of its routing."""
         order.stage = 0
         self.pieces_on_floor += order.qty
-        self._push(time, _ARRIVE, order)
+        self._seq += 1
+        heapq.heappush(self.events, (time, self._seq, _ARRIVE, order))
         if self.event_log is not None:
             self.event_log.append((time, "release", order.uid, order.item,
                                    "", order.qty))
 
-    def advance(self, until: float, on_completion=None) -> None:
+    def advance(self, until: float, on_completion) -> None:
         """Process all floor events up to and including `until` minutes.
         After an arrival or an operation's end, an idle machine starts the
         first lot of its queue: it draws the setup, books the operation's
@@ -126,8 +123,7 @@ class ShopFloor:
                     push(events, (time, self._seq, _ARRIVE, order))
                 else:
                     self.pieces_on_floor -= order.qty
-                    if on_completion is not None:
-                        on_completion(order, time)
+                    on_completion(order, time)
             if machine.busy or not machine.queue:
                 continue
             order = machine.queue.popleft()
@@ -142,6 +138,8 @@ class ShopFloor:
                 log.append((time, "start", order.uid, order.item,
                             f"M{machine.id}", order.qty))
 
-    def utilization(self, window_minutes: float) -> dict[int, float]:
-        return {mid: m.busy_window_min / window_minutes
+    def utilization(self) -> dict[int, float]:
+        """Busy share of each machine over the measurement window."""
+        lo, hi = self.window
+        return {mid: m.busy_window_min / (hi - lo)
                 for mid, m in self.machines.items()}

@@ -152,6 +152,14 @@ def test_simulate_smoke(capsys):
     assert "standard sst=0 plt=1 FOP:1" in out
 
 
+def test_simulate_takes_the_default_bias_by_name(capsys):
+    # --bias offered only the biased schedules, so naming the default failed
+    argv = ("simulate", "--alpha", "0.06", "--periods", "30", "--warmup", "5")
+    code, named, err = run_cli(capsys, *argv, "--bias", "unbiased")
+    assert (code, err) == (0, "")
+    assert named == run_cli(capsys, *argv)[1]
+
+
 def test_simulate_rejects_off_grid_sst(capsys):
     code, out, err = run_cli(capsys, "simulate", "--sst", "0.3",
                              "--periods", "30", "--warmup", "5")
@@ -461,6 +469,27 @@ def test_a_non_finite_value_is_refused_in_any_float_column(
     assert code == 2
     assert out == ""
     assert f"error: results line 3, column {column}: '{value}'" in err
+
+
+@pytest.mark.parametrize("defect", ["doubled", "shifted"])
+@pytest.mark.parametrize("command", [["analyze"], ["tables", "--csv"]])
+def test_replications_that_repeat_or_differ_are_refused(
+        small_results_dir, tmp_path, capsys, command, defect):
+    # every row written twice kept the counts equal and shrank the p-values;
+    # one extended row's replication moved was paired with another's
+    rows = list(read_results(str(small_results_dir / "results.csv")))
+    if defect == "doubled":
+        rows += rows
+    else:
+        moved = next(r for r in rows
+                     if r["mode"] == "extended" and r["replication"] == 1)
+        moved["replication"] = 2
+    write_results(rows, str(tmp_path / "results.csv"))
+    code, out, err = run_cli(capsys, *command, "--in", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: replications differ or repeat across "
+                          "parameter sets: ")
 
 
 def test_analyze_missing_results(tmp_path, capsys):

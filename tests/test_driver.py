@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from mrpsim import driver
 from mrpsim.driver import SimulationRun, build_tape
 from mrpsim.experiment import FULL_ALPHAS, make_config
-from mrpsim.config import FINAL_PRODUCTS
+from mrpsim.config import DEMAND_OFFSETS, FINAL_PRODUCTS
 from mrpsim.forecast import (HORIZON, SCHEDULES, advance, dump_tape,
                              load_replay, long_term_forecast, stream_rng)
 from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
@@ -134,10 +134,10 @@ def _reference_tape(cfg):
     long_term = long_term_forecast(scenario)
     current, rngs, values = {}, {}, {}
     for t in range(1, cfg.run_length + 1):
-        for product in sorted(demand.offsets):
+        for product in sorted(DEMAND_OFFSETS):
             for due in range(t, t + HORIZON + 1):
                 if due <= demand.first_delay or \
-                        (due - demand.offsets[product]) % demand.interval:
+                        (due - DEMAND_OFFSETS[product]) % demand.interval:
                     continue
                 key = (product, due)
                 if key not in current:

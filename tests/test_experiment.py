@@ -660,6 +660,17 @@ def test_best_per_instance_rejects_unbalanced_replications():
         best_per_instance(rows[:-1])
 
 
+@pytest.mark.parametrize("defect", ["doubled", "shifted"])
+def test_best_per_instance_rejects_repeated_or_differing_replications(defect):
+    rows = synthetic_rows()
+    if defect == "doubled":
+        rows += synthetic_rows()
+    else:
+        rows[-1]["replication"] = 3     # extended sst 0.4 reads reps 0, 1, 3
+    with pytest.raises(ValueError, match="replications differ or repeat"):
+        best_per_instance(rows)
+
+
 def counting_grouping(monkeypatch) -> list:
     """Count the calls of the grouping behind `best_per_instance`."""
     calls = []

@@ -566,6 +566,28 @@ def test_planning_params_validation():
                        mode="hybrid")
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"sst_factor": 0.3}, "sst_factor must be one of (0.0, 0.2, 0.4, 0.6, "
+                          "0.8, 1.0, 1.5, 2.0), got 0.3"),
+    ({"plt": 5}, "plt must be one of (1, 2, 3, 4, 6, 8), got 5"),
+    ({"policy": "LFL"}, "policy must be one of ('FOP', 'FOQ'), got 'LFL'"),
+    ({"policy_param": 3}, "FOP parameter must be one of (1, 2, 5, 6, 9), "
+                          "got 3"),
+    ({"policy": "FOQ", "policy_param": 300},
+     "FOQ parameter must be one of (200, 400, 800, 1200, 1600), got 300"),
+    ({"component_lot": 400}, "component_lot must be one of (800, 1600), "
+                             "got 400"),
+    ({"mode": "hybrid"}, "mode must be one of ('standard', 'extended'), "
+                         "got 'hybrid'"),
+])
+def test_planning_params_messages(changes, message):
+    kwargs = {"sst_factor": 0.2, "plt": 1, "policy": "FOP", "policy_param": 1,
+              **changes}
+    with pytest.raises(ValueError) as info:
+        PlanningParams(**kwargs)
+    assert str(info.value) == message
+
+
 def test_planning_params_helpers():
     params = PlanningParams(sst_factor=0.2, plt=3, policy="FOQ",
                             policy_param=400, mode="extended")

@@ -20,6 +20,10 @@ def make_order(system, item_id, qty, uid=1):
     return order
 
 
+def _ignore(order, time):
+    pass
+
+
 def deterministic_system():
     return build_system("low", {"setup": {"cv": 0.0}})
 
@@ -89,7 +93,7 @@ def test_fifo_order_on_one_machine():
     second = make_order(system, 11, 800, uid=2)
     floor.dispatch(first, 0.0)
     floor.dispatch(second, 1.0)
-    floor.advance(10000.0)
+    floor.advance(10000.0, _ignore)
 
     starts = [(t, uid, machine) for t, kind, uid, item, machine, qty in events
               if kind == "start" and machine == "M102"]
@@ -102,7 +106,7 @@ def test_lot_moves_to_second_stage_as_a_whole():
     events = []
     floor = ShopFloor(system, random.Random(0), event_log=events)
     floor.dispatch(make_order(system, 10, 800), 0.0)
-    floor.advance(10000.0)
+    floor.advance(10000.0, _ignore)
     starts = [(t, machine) for t, kind, uid, item, machine, qty in events
               if kind == "start"]
     assert starts == [(0.0, "M102"), (1296.0, "M101")]
@@ -113,12 +117,27 @@ def test_busy_minutes_clipped_to_window():
     floor = ShopFloor(system, random.Random(0),
                       window_start_min=0.0, window_end_min=1440.0)
     floor.dispatch(make_order(system, 10, 800), 0.0)
-    floor.advance(5000.0)
+    floor.advance(5000.0, _ignore)
     # stage 1 runs 0..1296 inside the window; stage 2 runs 1296..2592 of
     # which only 1296..1440 counts
-    util = floor.utilization(1440.0)
+    util = floor.utilization()
     assert util[102] == pytest.approx(1296.0 / 1440.0)
     assert util[101] == pytest.approx(144.0 / 1440.0)
+    assert util[201] == 0.0
+
+
+def test_utilization_divides_by_a_window_that_starts_late():
+    system = deterministic_system()
+    floor = ShopFloor(system, random.Random(0),
+                      window_start_min=1440.0, window_end_min=2880.0)
+    floor.dispatch(make_order(system, 10, 800, uid=1), 0.0)
+    floor.dispatch(make_order(system, 11, 800, uid=2), 1500.0)
+    floor.advance(5000.0, _ignore)
+    # M102: lot 1 at 0..1296 (outside), lot 2 at 1500..2796 (all inside);
+    # M101: lot 1 at 1296..2592 (1440..2592 inside), lot 2 from 2796
+    util = floor.utilization()
+    assert util[102] == pytest.approx(1296.0 / 1440.0)
+    assert util[101] == pytest.approx((1152.0 + 84.0) / 1440.0)
     assert util[201] == 0.0
 
 
@@ -129,9 +148,9 @@ def test_pieces_on_floor_count_released_lots_until_completion():
     floor.dispatch(make_order(system, 20, 1600, uid=2), 0.0)
     assert floor.pieces_on_floor == 2400
     # the component lot completes at 1182, the product lot at 2592
-    floor.advance(2000.0)
+    floor.advance(2000.0, _ignore)
     assert floor.pieces_on_floor == 800
-    floor.advance(3000.0)
+    floor.advance(3000.0, _ignore)
     assert floor.pieces_on_floor == 0
 
 
