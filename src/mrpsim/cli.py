@@ -59,16 +59,6 @@ def _worker_count(text: str) -> int:
     return count
 
 
-def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=42,
-                        help="base random seed (default 42)")
-
-
-def _add_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH",
-                        help="JSON file overriding system constants")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mrpsim",
@@ -76,17 +66,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"mrpsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several commands share, each declared once
+    seed, config, results = (argparse.ArgumentParser(add_help=False)
+                             for _ in range(3))
+    seed.add_argument("--seed", type=int, default=42,
+                      help="base random seed (default 42)")
+    config.add_argument("--config", metavar="PATH",
+                        help="JSON file overriding system constants")
+    results.add_argument("--in", dest="indir", required=True, metavar="DIR",
+                         help="results directory or CSV file")
+    results.add_argument("--paired", action="store_true",
+                         help="paired t-test on common random numbers "
+                              "instead of Welch")
+    results.add_argument("--csv", action="store_true",
+                         help="CSV instead of text")
 
-    p = sub.add_parser("validate",
+    p = sub.add_parser("validate", parents=[config],
                        help="check configuration, print utilization and "
                             "grid-count tables")
     p.set_defaults(run=cmd_validate)
-    _add_config(p)
 
-    p = sub.add_parser("simulate", help="run a single replication")
+    p = sub.add_parser("simulate", parents=[seed, config],
+                       help="run a single replication")
     p.set_defaults(run=cmd_simulate)
-    _add_seed(p)
-    _add_config(p)
     p.add_argument("--alpha", type=float, default=0.0,
                    help="forecast update std as fraction of expected demand")
     p.add_argument("--bias", choices=tuple(SCHEDULES), default="unbiased",
@@ -118,10 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period-log", action="store_true",
                    help="print one line per period")
 
-    p = sub.add_parser("grid", help="run an experiment grid")
+    p = sub.add_parser("grid", parents=[seed, config],
+                       help="run an experiment grid")
     p.set_defaults(run=cmd_grid)
-    _add_seed(p)
-    _add_config(p)
     p.add_argument("--preset", choices=sorted(PRESETS), required=True)
     p.add_argument("--out", metavar="DIR",
                    help="directory for results.csv and manifest.txt")
@@ -130,25 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dry-run", action="store_true",
                    help="print cell counts without running anything")
 
-    p = sub.add_parser("analyze",
+    p = sub.add_parser("analyze", parents=[results],
                        help="best-vs-best netting-mode comparison with "
                             "significance stars")
     p.set_defaults(run=cmd_analyze)
-    p.add_argument("--in", dest="indir", required=True, metavar="DIR",
-                   help="results directory or CSV file")
-    p.add_argument("--paired", action="store_true",
-                   help="paired t-test on common random numbers instead of "
-                        "Welch")
-    p.add_argument("--csv", action="store_true", help="CSV instead of text")
 
-    p = sub.add_parser("tables", help="render summary tables")
+    p = sub.add_parser("tables", parents=[results],
+                       help="render summary tables")
     p.set_defaults(run=cmd_tables)
-    p.add_argument("--in", dest="indir", required=True, metavar="DIR",
-                   help="results directory or CSV file")
     p.add_argument("--table", action="append", choices=sorted(TABLES),
                    help="table name (repeatable; default: all non-empty)")
-    p.add_argument("--paired", action="store_true")
-    p.add_argument("--csv", action="store_true")
     p.add_argument("--out", metavar="DIR",
                    help="write each table to DIR/<name>.txt|csv instead of "
                         "printing it, and print one 'wrote PATH' line per "

@@ -120,12 +120,6 @@ class GridSpec:
         if self.replications < 0:
             raise ValueError(f"replications must be at least 0, got "
                              f"{self.replications}")
-        for f in fields(self):
-            values = getattr(self, f.name)
-            if isinstance(values, tuple):
-                for i, value in enumerate(values):
-                    if value in values[:i]:
-                        raise ValueError(f"{f.name} repeats {value!r}")
         for name, allowed in (
                 ("utilizations", UTILIZATION_LEVELS), ("plts", PLT_VALUES),
                 ("biased_schedules", BIASED_SCHEDULES), ("modes", MODES),
@@ -136,7 +130,14 @@ class GridSpec:
                 if value not in allowed:
                     raise ValueError(f"{name} must be in {allowed}, "
                                      f"got {value!r}")
-        self.instances()    # each Instance checks its alpha
+        named = {f.name: getattr(self, f.name) for f in fields(self)}
+        # each Instance checks its alpha; alphas alike under :g share an id
+        named["instance_id"] = tuple(i.instance_id for i in self.instances())
+        for name, values in named.items():
+            if isinstance(values, tuple):
+                for i, value in enumerate(values):
+                    if value in values[:i]:
+                        raise ValueError(f"{name} repeats {value!r}")
         check_window(self.run_length, self.warmup)
 
     def instances(self) -> list[Instance]:
@@ -223,7 +224,8 @@ class Cell:
 class CellView(Sequence):
     """A grid's cells in enumeration order: instance, then (parameter set,
     mode), then replication.  It holds only the instances, the settings and
-    the replication count, and builds a `Cell` when one is asked for."""
+    the replication count, and builds a `Cell` when one is asked for by
+    index (`_tasks` hands out ranges of these indices)."""
 
     def __init__(self, spec: GridSpec) -> None:
         self.instances = tuple(spec.instances())
@@ -235,29 +237,15 @@ class CellView(Sequence):
     def __len__(self) -> int:
         return len(self.instances) * len(self.settings) * self.replications
 
-    def _cell(self, index: int) -> Cell:
+    def __getitem__(self, index: int) -> Cell:
+        index = range(len(self))[index]     # IndexError past either end
         instance, rest = divmod(index, len(self.settings) * self.replications)
         setting, rep = divmod(rest, self.replications)
         return Cell(index, self.instances[instance], self.settings[setting],
                     rep)
 
-    def __getitem__(self, key):
-        indices = range(len(self))[key]     # IndexError past either end
-        if isinstance(key, slice):
-            return [self._cell(index) for index in indices]
-        return self._cell(indices)
-
     def __iter__(self):
-        return map(self._cell, range(len(self)))
-
-    def group(self, instance: int, replication: int) -> list[Cell]:
-        """The cells of the `instance`-th instance at one replication, one
-        per setting, in enumeration order."""
-        instance = range(len(self.instances))[instance]
-        replication = range(self.replications)[replication]
-        size = len(self.settings) * self.replications
-        return self[instance * size + replication:(instance + 1) * size:
-                    self.replications]
+        return map(self.__getitem__, range(len(self)))
 
 
 def enumerate_cells(spec: GridSpec) -> CellView:
@@ -316,37 +304,36 @@ def _describe(cell: Cell) -> str:
             f"{cell.params.label()} rep {cell.replication})")
 
 
-def _tasks(spec: GridSpec, workers: int) -> list[tuple[int, int, int, int]]:
-    """The grid's work as (instance, replication, start, stop) tasks, by
-    instance, then replication: a task runs `enumerate_cells(spec).group(instance,
-    replication)[start:stop]`, so its payload does not grow with the group.
-    At one worker each task is one whole group.  At several, a grid of
-    fewer than 4 * `workers` groups has each group cut into up to
-    ceil(4 * workers / groups) contiguous parts.  A group runs its
-    parameter sets' modes back to back, so a part length that is a multiple
-    of the mode count never separates twins.  An empty grid has no tasks."""
-    n_instances, n_modes = spec.n_instances, len(spec.modes)
-    n_groups = n_instances * spec.replications
-    group_size = spec.n_parameter_sets * n_modes
-    if not n_groups * group_size:
+def _tasks(spec: GridSpec, workers: int) -> list[range]:
+    """The grid's work as tasks, by instance, then replication, each the
+    `range` of its cells' enumeration indices.  With S settings (parameter
+    sets x modes) and R replications, settings [a, b) of instance i at
+    replication r are `range((i*S + a)*R + r, (i*S + b)*R, R)`.  At one
+    worker each task is one whole (instance, replication) group.  At
+    several, a grid of fewer than 4 * `workers` groups has each group cut
+    into up to ceil(4 * workers / groups) contiguous parts.  A group runs
+    its parameter sets' modes back to back, so a part length that is a
+    multiple of the mode count never separates twins.  No cells, no tasks."""
+    n_modes, reps = len(spec.modes), spec.replications
+    settings, groups = spec.n_parameter_sets * n_modes, spec.n_instances * reps
+    if not groups * settings:
         return []
-    parts = -(-4 * workers // n_groups) if workers > 1 else 1
-    size = -(-group_size // parts)
+    parts = -(-4 * workers // groups) if workers > 1 else 1
+    size = -(-settings // parts)
     size = -(-size // n_modes) * n_modes
-    return [(instance, rep, start, min(start + size, group_size))
-            for instance in range(n_instances)
-            for rep in range(spec.replications)
-            for start in range(0, group_size, size)]
+    return [range((i * settings + a) * reps + rep,
+                  (i * settings + min(a + size, settings)) * reps, reps)
+            for i in range(spec.n_instances) for rep in range(reps)
+            for a in range(0, settings, size)]
 
 
 def _run_task(spec: GridSpec, base_seed: int, overrides: dict | None,
-              task: tuple[int, int, int, int]):
-    """Run one task of `_tasks` and yield (index, row, error) for each of
-    its cells as it finishes.  The cells are one (instance, replication) or
-    part of one, so they share a tape and a twin slot."""
-    instance, rep, start, stop = task
-    tape, twin = {}, []
-    for cell in enumerate_cells(spec).group(instance, rep)[start:stop]:
+              task: range):
+    """Run the cells of one `_tasks` range, by index, and yield (index,
+    row, error) for each as it finishes.  They are one (instance,
+    replication) or part of one, so they share a tape and a twin slot."""
+    cells, tape, twin = enumerate_cells(spec), {}, []
+    for cell in (cells[i] for i in task):
         try:
             row, error = run_cell(cell, base_seed, spec.run_length,
                                   spec.warmup, overrides, tape, twin), None
@@ -377,8 +364,8 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
     The work is the tasks of `_tasks`, each run by `_run_task`, which builds
     its cells when it starts.  At one worker, where each task is a whole
     (instance, replication) group, or for a grid of at most one task, the
-    tasks run in this process.  Otherwise they go to a pool as coordinates
-    that the worker expands, so the parent never builds the grid's cells.
+    tasks run in this process.  Otherwise they go to a pool as index
+    ranges the worker expands, so the parent never builds the grid's cells.
     `progress(done, total)` is called once per finished cell.  `workers`
     defaults to one per usable CPU."""
     if workers is None:

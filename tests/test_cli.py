@@ -503,6 +503,30 @@ def test_analyze_requires_in(capsys):
     assert code == 2
 
 
+def _option_help(capsys, command):
+    """The words of each option's entry in `command --help`; the column
+    layout differs between commands, the words should not."""
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    entries, name = {}, None
+    for line in out.splitlines():
+        if line.startswith("  -"):
+            name = line.split()[0]
+        elif not line.startswith("   "):
+            name = None
+        if name is not None:
+            entries.setdefault(name, []).extend(line.split())
+    return entries
+
+
+def test_analyze_and_tables_describe_their_shared_options_alike(capsys):
+    analyze, tables = (_option_help(capsys, command)
+                       for command in ("analyze", "tables"))
+    for option in ("--in", "--paired", "--csv"):
+        assert tables[option] == analyze[option]
+    assert "t-test" in tables["--paired"]
+
+
 def test_tables_renders_selected_table(small_results_dir, capsys):
     code, out, err = run_cli(capsys, "tables", "--in", str(small_results_dir),
                              "--table", "best-standard")

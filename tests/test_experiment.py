@@ -95,6 +95,19 @@ def test_grid_spec_rejects_repeated_values():
             replace(TINY, **{name: values})
 
 
+def test_grid_spec_rejects_alphas_that_share_an_instance_id():
+    # alpha is written with :g, six significant digits, in the instance_id
+    for spec, instance_id in (
+            (TINY, "low-a0.1-b0-unbiased"),
+            (replace(TINY, include_unbiased=False,
+                     biased_schedules=("permanent_overbooking",)),
+             "low-a0.1-b1-permanent_overbooking")):
+        with pytest.raises(ValueError,
+                           match=f"instance_id repeats '{instance_id}'"):
+            replace(spec, alphas=(0.02, 0.1, 0.1000001))
+        assert replace(spec, alphas=(0.1, 0.100001)).n_instances == 2
+
+
 def test_grid_spec_rejects_unknown_utilizations():
     with pytest.raises(ValueError, match="utilizations .* got 'mid'"):
         replace(TINY, utilizations=("low", "mid"))
@@ -169,18 +182,6 @@ def test_cell_view_equals_the_listed_cells(spec):
     for outside in (n, -n - 1):
         with pytest.raises(IndexError):
             view[outside]
-    for part in (slice(None), slice(1, None, 2), slice(-3, None),
-                 slice(None, None, -1), slice(2, -2, 3), slice(n + 1, None)):
-        assert view[part] == listed[part]
-    for i, instance in enumerate(spec.instances()):
-        for rep in range(spec.replications):
-            assert view.group(i, rep) == [
-                c for c in listed
-                if c.instance == instance and c.replication == rep]
-    with pytest.raises(IndexError):
-        view.group(spec.n_instances, 0)
-    with pytest.raises(IndexError):
-        view.group(0, spec.replications)
 
 
 def test_enumeration_is_deterministic():
@@ -199,7 +200,7 @@ def test_cells_carry_their_mode_in_params():
     assert Counter(c.params.mode for c in cells) == \
         {"standard": 1080, "extended": 1080}
     # each parameter set runs its modes in spec order, replications innermost
-    assert [c.params.mode for c in cells[:2 * spec.replications]] == \
+    assert [cells[i].params.mode for i in range(2 * spec.replications)] == \
         ["standard"] * spec.replications + ["extended"] * spec.replications
     row = run_cell(cells[spec.replications], 3, 30, 5)
     assert row["mode"] == "extended"
@@ -276,8 +277,7 @@ def test_run_grid_shared_tapes_match_cells_run_alone():
 def _expand(spec, tasks):
     """The cells each pool task runs."""
     cells = enumerate_cells(spec)
-    return [cells.group(instance, rep)[start:stop]
-            for instance, rep, start, stop in tasks]
+    return [[cells[i] for i in task] for task in tasks]
 
 
 def test_run_grid_runs_whole_groups(monkeypatch):
@@ -391,6 +391,36 @@ def test_pool_slices_never_split_a_twin_pair(spec, workers):
             f"cell {first.index}")
 
 
+@settings(max_examples=150, deadline=None)
+@given(spec=_SMALL_SPECS, workers=st.integers(1, 9))
+def test_task_ranges_cover_each_cell_once_in_whole_twin_pairs(spec, workers):
+    tasks = experiment._tasks(spec, workers)
+    assert all(type(task) is range and task for task in tasks)
+    assert sorted(i for task in tasks for i in task) == \
+        list(range(spec.n_cells))
+    settings_ = [replace(params, mode=mode)
+                 for params in spec.parameter_sets() for mode in spec.modes]
+    twin = lambda params: replace(params, mode="standard")  # noqa: E731
+    groups = []
+    for task in _expand(spec, tasks):
+        # one (instance, replication) group, its settings in order
+        key = {(c.instance, c.replication) for c in task}
+        assert len(key) == 1
+        first = settings_.index(task[0].params)
+        assert [c.params for c in task] == settings_[first:first + len(task)]
+        # a group's tasks follow each other, and no boundary parts twins
+        if first:
+            assert groups[-1] == key, "a group's tasks are apart"
+            assert twin(settings_[first - 1]) != twin(settings_[first])
+        else:
+            groups.append(key)
+    n_groups = spec.n_instances * spec.replications if tasks else 0
+    assert len(groups) == n_groups
+    whole = (workers == 1 or n_groups >= 4 * workers
+             or spec.n_parameter_sets == 1)
+    assert (len(tasks) == n_groups) == (whole or not tasks)
+
+
 # grid-crn's grid in perfbench: one group of 72 cells
 GRID_CRN = GridSpec(name="grid-crn", utilizations=("medium",), alphas=(0.06,),
                     sst_factors=(0.2, 0.6, 1.5), plts=(1, 3, 8),
@@ -413,9 +443,10 @@ def test_pool_tasks_of_the_benchmark_grids():
 @pytest.mark.parametrize("spec", (GRID_CRN, _TWIN_GRIDS[0], SHARED,
                                   *PRESETS.values()), ids=lambda s: s.name)
 def test_serial_tasks_are_whole_groups(spec):
-    group_size = spec.n_parameter_sets * len(spec.modes)
+    block = spec.n_parameter_sets * len(spec.modes) * spec.replications
     assert experiment._tasks(spec, 1) == [
-        (instance, rep, 0, group_size) for instance in range(spec.n_instances)
+        range(start + rep, start + block, spec.replications)
+        for start in range(0, spec.n_cells, block)
         for rep in range(spec.replications)]
 
 
@@ -534,7 +565,7 @@ def test_one_task_grids_run_in_this_process(monkeypatch):
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
     for workers in (2, 8):
-        assert experiment._tasks(pair, workers) == [(0, 0, 0, 2)]
+        assert experiment._tasks(pair, workers) == [range(0, 2)]
         assert run_grid(pair, base_seed=7, workers=workers) == expected
 
 
