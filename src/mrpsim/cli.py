@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Sequence
 
 from . import __version__
 from .config import (RUN_LENGTH, WARMUP, build_system, load_overrides,
@@ -29,9 +28,10 @@ from .config import (RUN_LENGTH, WARMUP, build_system, load_overrides,
 from .driver import SimulationRun, build_tape
 from .forecast import SCHEDULES, dump_tape, load_replay
 from .mrp import MODES, PlanningParams
-from .experiment import (PRESETS, ExperimentError, default_workers,
-                         make_config, run_grid, read_results, write_csv,
-                         write_results, write_manifest)
+from .experiment import (PRESETS, ExperimentError, ResultRows,
+                         best_per_instance, default_workers, make_config,
+                         run_grid, read_results, write_csv, write_results,
+                         write_manifest)
 from .tables import TABLES, has_rows
 
 RESULTS_NAME = "results.csv"
@@ -289,7 +289,7 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _read_rows(indir: str) -> Sequence[dict]:
+def _read_rows(indir: str) -> ResultRows:
     path = os.path.join(indir, RESULTS_NAME) if os.path.isdir(indir) else indir
     if not os.path.exists(path):
         raise ValueError(f"no results file at {path}")
@@ -301,7 +301,7 @@ def cmd_analyze(args) -> int:
     table = TABLES["mode-comparison"](rows, args.paired, args.csv)
     print(table)
     if not args.csv and not has_rows(table, csv=False):
-        modes = sorted({r["mode"] for r in rows})
+        modes = sorted({mode for _, mode in best_per_instance(rows)})
         print(f"(no instance has both modes; results contain {modes})")
     return 0
 

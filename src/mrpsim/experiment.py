@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from collections.abc import Sequence
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
+from itertools import islice
 from operator import itemgetter
 
 from . import __version__
@@ -49,8 +51,6 @@ RESULT_COLUMNS = ("instance_id", "alpha", "beta", "bias", "utilization",
 _INT_COLUMNS = {"beta", "plt", "policy_param", "comp_lot", "replication",
                 "seed", "n_final_orders"}
 _STR_COLUMNS = {"instance_id", "bias", "utilization", "mode", "policy"}
-_FLOAT_COLUMNS = tuple(c for c in RESULT_COLUMNS
-                       if c not in _INT_COLUMNS and c not in _STR_COLUMNS)
 
 FULL_ALPHAS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12)
 
@@ -414,6 +414,21 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
 
 # -- result files -------------------------------------------------------------
 
+_ROW_VALUES = itemgetter(*RESULT_COLUMNS)
+_PARSERS = tuple(str if c in _STR_COLUMNS else int if c in _INT_COLUMNS
+                 else float for c in RESULT_COLUMNS)
+_FLOAT_AT = tuple(i for i, parse in enumerate(_PARSERS) if parse is float)
+_KEY_AT = tuple(map(RESULT_COLUMNS.index, (
+    "instance_id", "mode", "sst_factor", "plt", "policy", "policy_param",
+    "comp_lot")))
+_IDENTITY_AT = tuple(map(RESULT_COLUMNS.index, (
+    "utilization", "alpha", "beta", "bias")))
+_SUMMED_AT = tuple(map(RESULT_COLUMNS.index, (
+    "replication", "overall_cost", "wip_cost", "fgi_cost", "backorder_cost",
+    "service_level", "leadtime_mean")))
+_BLOCK_LINES = 512
+
+
 def write_csv(path: str, header: tuple, rows) -> None:
     """Write `header` and then each row, a sequence of values, as one line
     of `str` values joined by commas.  Nothing is quoted: no value written
@@ -425,70 +440,141 @@ def write_csv(path: str, header: tuple, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
-def _parse_row(row: list[str], lineno: int, parsers: tuple) -> dict:
-    if len(row) != len(RESULT_COLUMNS):
-        raise ValueError(f"results line {lineno}: expected "
-                         f"{len(RESULT_COLUMNS)} fields, got {len(row)}")
-    out = {}
-    for column, parse, text in zip(RESULT_COLUMNS, parsers, row):
-        try:
-            out[column] = parse(text)
-        except ValueError as exc:
-            raise ValueError(f"results line {lineno}, column {column}: "
-                             f"{text!r}") from exc
-    # a nan cost would make the best cell depend on row order, and a nan
-    # alpha would label its instance "a=nan" in the tables
-    for column in _FLOAT_COLUMNS:
-        if not math.isfinite(out[column]):
-            raise ValueError(f"results line {lineno}, column {column}: "
-                             f"{row[RESULT_COLUMNS.index(column)]!r}")
-    return out
-
-
 def write_results(rows: list[dict], path: str) -> None:
     """Write a results CSV: the `RESULT_COLUMNS` header, then one line per
     row in the order given."""
-    write_csv(path, RESULT_COLUMNS, map(itemgetter(*RESULT_COLUMNS), rows))
+    write_csv(path, RESULT_COLUMNS, map(_ROW_VALUES, rows))
 
 
-class ResultRows(tuple):
-    """The rows of one results file: a read-only tuple of row dicts.  Its
-    `best_per_instance` result is worked out once, on first use, and lives
-    and dies with this object, so all tables drawn from one read rank the
-    file a single time.  Edit no row dict in place: the kept winners would
-    not see the edit."""
+class _Group:
+    """One parameter set's rows, reduced: replication numbers and costs in
+    the order read, and running left-to-right sums from 0.0 of the KPIs a
+    winner averages, which are the bits `kpi.float_sum` gives."""
+
+    __slots__ = ("replications", "costs", "wip", "fgi", "backorder",
+                 "service", "leadtime")
+
+    def __init__(self) -> None:
+        self.replications: list[int] = []
+        self.costs = array("d")
+        self.wip = self.fgi = self.backorder = self.service = 0.0
+        self.leadtime = 0.0
+
+
+class ResultRows:
+    """The summary of some result rows that `best_per_instance` ranks: one
+    `_Group` per parameter set (instance, mode, sst, plt, policy, value,
+    comp lot), and each instance's identity fields (utilization, alpha,
+    beta, bias), kept once from its first row.  `len()` is the number of
+    rows reduced.  Built from row dicts, or by `read_results` from a file;
+    either way the rows go through `_add`, which groups them in a dict, so
+    their order does not matter.  Its winners are worked out once, on first
+    use, and live and die with this object, so all tables drawn from one
+    summary rank it a single time."""
+
+    def __init__(self, rows=()) -> None:
+        self._groups: dict[tuple, _Group] = {}
+        self._instances: dict[str, tuple] = {}
+        self._add(list(zip(*map(_ROW_VALUES, rows))))
+
+    def __len__(self) -> int:
+        return sum(len(group.costs) for group in self._groups.values())
+
+    def _add(self, columns: list) -> None:
+        """Reduce rows given as columns, one sequence per `RESULT_COLUMNS`
+        entry, in the order of the rows.  No columns, no rows."""
+        if not columns:
+            return
+        ids = columns[RESULT_COLUMNS.index("instance_id")]
+        for instance_id in set(ids).difference(self._instances):
+            first = ids.index(instance_id)
+            self._instances[instance_id] = tuple(columns[i][first]
+                                                 for i in _IDENTITY_AT)
+        groups = self._groups
+        for key, rep, cost, wip, fgi, backorder, service, leadtime in zip(
+                zip(*map(columns.__getitem__, _KEY_AT)),
+                *map(columns.__getitem__, _SUMMED_AT)):
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = _Group()
+            group.replications.append(rep)
+            group.costs.append(cost)
+            group.wip += wip
+            group.fgi += fgi
+            group.backorder += backorder
+            group.service += service
+            group.leadtime += leadtime
 
     @cached_property
     def _winners(self) -> dict[tuple[str, str], BestCell]:
         return _best_cells(self)
 
 
+def _check_row(row: list[str], lineno: int) -> None:
+    """Raise the `ValueError` that names a results row's first fault, by
+    line and column, if it has one."""
+    if len(row) != len(RESULT_COLUMNS):
+        raise ValueError(f"results line {lineno}: expected "
+                         f"{len(RESULT_COLUMNS)} fields, got {len(row)}")
+    values = []
+    for column, parse, text in zip(RESULT_COLUMNS, _PARSERS, row):
+        try:
+            values.append(parse(text))
+        except ValueError as exc:
+            raise ValueError(f"results line {lineno}, column {column}: "
+                             f"{text!r}") from exc
+    for i in _FLOAT_AT:
+        if not math.isfinite(values[i]):
+            raise ValueError(f"results line {lineno}, column "
+                             f"{RESULT_COLUMNS[i]}: {row[i]!r}")
+
+
+def _parse_block(block: list[list[str]], first_line: int,
+                 pool: dict[str, str]) -> list[list]:
+    """The non-blank rows of a block of lines as parsed columns, one list
+    per `RESULT_COLUMNS` entry.  Each column is parsed by one `map` and
+    each float column checked finite by one more; a nan cost would make the
+    best cell depend on row order, and a nan alpha would label its instance
+    "a=nan" in the tables.  If any of it fails, the block is checked row by
+    row, so the error names the first bad line and column."""
+    rows = [row for row in block if row]
+    try:
+        if any(len(row) != len(RESULT_COLUMNS) for row in rows):
+            raise ValueError("a row has the wrong number of fields")
+        columns = [list(map(pool.setdefault, texts, texts))
+                   if parse is str else list(map(parse, texts))
+                   for parse, texts in zip(_PARSERS, zip(*rows))]
+        if not all(all(map(math.isfinite, columns[i])) for i in _FLOAT_AT):
+            raise ValueError("a float is not finite")
+    except ValueError:
+        for lineno, row in enumerate(block, start=first_line):
+            if row:
+                _check_row(row, lineno)
+        raise
+    return columns
+
+
 def read_results(path: str) -> ResultRows:
-    """Rows of a results CSV as dicts keyed by `RESULT_COLUMNS`, in a
-    read-only `ResultRows` that aggregates them once however many tables
-    read it.  The string columns repeat a few values over millions of rows,
-    so each distinct value is one string object shared by every row, taken
-    from a pool that lives for this call only (interned strings would leave
-    the interpreter's table with the rows, churning it over repeated
-    reads)."""
+    """Read a results CSV straight into a `ResultRows` summary, a block of
+    lines at a time, so no row is kept whole.  Blank lines are skipped but
+    counted in the line numbers of errors.  The string columns repeat a few
+    values over millions of rows, so each distinct value is one string
+    object, taken from a pool that lives for this call only (interned
+    strings would churn the interpreter's table over repeated reads)."""
     import csv
 
     pool: dict[str, str] = {}
-
-    def shared(text: str) -> str:
-        return pool.setdefault(text, text)
-
-    parsers = tuple(shared if c in _STR_COLUMNS else
-                    int if c in _INT_COLUMNS else float
-                    for c in RESULT_COLUMNS)
+    summary = ResultRows()
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != RESULT_COLUMNS:
             raise ValueError(f"results file {path} has unexpected header")
-        return ResultRows(_parse_row(row, lineno, parsers)
-                          for lineno, row in enumerate(reader, start=2)
-                          if row)
+        lineno = 2
+        while block := list(islice(reader, _BLOCK_LINES)):
+            summary._add(_parse_block(block, lineno, pool))
+            lineno += len(block)
+    return summary
 
 
 def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
@@ -552,33 +638,24 @@ class BestCell:
         return f"{self.policy} {self.policy_param}"
 
 
-_GROUP_KEY = itemgetter("instance_id", "mode", "sst_factor", "plt", "policy",
-                        "policy_param", "comp_lot")
-_REPLICATION = itemgetter("replication")
-_COST = itemgetter("overall_cost")
-
-
-def _aggregate(rank: tuple, group: list[dict]) -> BestCell:
+def _aggregate(rank: tuple, key: tuple, identity: tuple,
+               group: _Group) -> BestCell:
     """Average one winning group; its mean cost comes with `rank`."""
     mean_cost, sst, plt, policy, value, comp_lot = rank
-    n = len(group)
-    wip, fgi, backorder, service, leadtime = (
-        float_sum(map(itemgetter(k), group)) / n
-        for k in ("wip_cost", "fgi_cost", "backorder_cost", "service_level",
-                  "leadtime_mean"))
-    first = group[0]
+    utilization, alpha, beta, bias = identity
+    n = len(group.costs)
     return BestCell(
-        instance_id=first["instance_id"], utilization=first["utilization"],
-        alpha=first["alpha"], beta=first["beta"], bias=first["bias"],
-        mode=first["mode"], sst_factor=sst, plt=plt, policy=policy,
+        instance_id=key[0], utilization=utilization, alpha=alpha, beta=beta,
+        bias=bias, mode=key[1], sst_factor=sst, plt=plt, policy=policy,
         policy_param=value, comp_lot=comp_lot, replications=n,
-        costs=tuple(map(_COST, sorted(group, key=_REPLICATION))),
-        mean_cost=mean_cost, mean_wip=wip, mean_fgi=fgi,
-        mean_backorder=backorder, mean_service=service,
-        mean_leadtime=leadtime)
+        costs=tuple(cost for _, cost in
+                    sorted(zip(group.replications, group.costs))),
+        mean_cost=mean_cost, mean_wip=group.wip / n, mean_fgi=group.fgi / n,
+        mean_backorder=group.backorder / n, mean_service=group.service / n,
+        mean_leadtime=group.leadtime / n)
 
 
-def best_per_instance(rows: Sequence[dict]) -> dict[tuple[str, str], BestCell]:
+def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
     """Pick the cheapest parameter set per (instance, mode).
 
     Groups rank by (mean cost, sst, plt, policy, value, comp lot), so an
@@ -587,39 +664,37 @@ def best_per_instance(rows: Sequence[dict]) -> dict[tuple[str, str], BestCell]:
     parameter set must carry the same distinct replication numbers;
     anything else indicates a broken or doubled results file.
 
-    A `ResultRows` (what `read_results` returns) is ranked once and keeps
-    the result; other rows, such as `run_grid`'s list, are wrapped in one
-    and ranked on every call.  Each call returns a fresh dict.
+    `rows` is a `ResultRows` (what `read_results` returns), which is ranked
+    once and keeps the result, or row dicts, such as `run_grid`'s list,
+    which are reduced into one and ranked on every call.  Each call returns
+    a fresh dict.
     """
     if not isinstance(rows, ResultRows):
         rows = ResultRows(rows)
     return dict(rows._winners)
 
 
-def _best_cells(rows: Sequence[dict]) -> dict[tuple[str, str], BestCell]:
-    """The grouping and ranking behind `best_per_instance`; a `ResultRows`
-    runs it once."""
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        groups.setdefault(_GROUP_KEY(row), []).append(row)
-
-    counts = {len(g) for g in groups.values()}
+def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
+    """The checks and ranking behind `best_per_instance`; a `ResultRows`
+    runs them once."""
+    groups = rows._groups
+    counts = {len(g.costs) for g in groups.values()}
     if len(counts) > 1:
         raise ValueError(f"unbalanced replication counts per parameter set: "
                          f"{sorted(counts)}")
-    reps = {tuple(sorted(map(_REPLICATION, g))) for g in groups.values()}
+    reps = {tuple(sorted(g.replications)) for g in groups.values()}
     if len(reps) > 1 or any(len(set(r)) < len(r) for r in reps):
         raise ValueError(f"replications differ or repeat across parameter "
                          f"sets: {sorted(reps)[:2]}")
 
-    winners: dict[tuple, tuple[tuple, list[dict]]] = {}
+    winners: dict[tuple, tuple[tuple, tuple]] = {}
     for key, group in groups.items():
-        rank = (float_sum(map(_COST, group)) / len(group), *key[2:])
+        rank = (float_sum(group.costs) / len(group.costs), *key[2:])
         held = winners.get(key[:2])
         if held is None or not held[0] <= rank:
-            winners[key[:2]] = (rank, group)
-    return {bkey: _aggregate(rank, group)
-            for bkey, (rank, group) in winners.items()}
+            winners[key[:2]] = (rank, key)
+    return {bkey: _aggregate(rank, key, rows._instances[key[0]], groups[key])
+            for bkey, (rank, key) in winners.items()}
 
 
 @dataclass
@@ -676,8 +751,7 @@ def _test_costs(a: tuple[float, ...], b: tuple[float, ...],
     return float(2 * stdtr(df, -abs(t)))
 
 
-def compare_modes(rows: Sequence[dict],
-                  paired: bool = False) -> list[ModeComparison]:
+def compare_modes(rows, paired: bool = False) -> list[ModeComparison]:
     """Best-vs-best comparison of extended against standard netting per
     instance, with Welch (default) or paired t-test significance."""
     best = best_per_instance(rows)

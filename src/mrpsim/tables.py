@@ -1,14 +1,12 @@
 """Plain-text and CSV renderers for the study's summary tables.
 
-Each renderer takes result rows (dicts shaped like
-experiment.RESULT_COLUMNS) and returns a string; the CSV variants return
-comma-separated lines with the same content so results can be diffed or
-loaded elsewhere.
+Each renderer takes result rows, a `read_results` summary or row dicts
+shaped like experiment.RESULT_COLUMNS, and returns a string; the CSV
+variants return comma-separated lines with the same content so results can
+be diffed or loaded elsewhere.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 from .experiment import best_per_instance, compare_modes
 
@@ -45,8 +43,7 @@ _BEST_HEADER = ["instance", "SST", "PLT", "policy", "comp lot", "cost",
                 "WIP", "FGI", "backorder", "service", "leadtime"]
 
 
-def best_parameters_table(rows: Sequence[dict], mode: str,
-                          csv: bool = False) -> str:
+def best_parameters_table(rows, mode: str, csv: bool = False) -> str:
     """Cost-optimal planning parameters per instance for one netting mode."""
     best = best_per_instance(rows)
     cells = [cell for (iid, m), cell in sorted(best.items()) if m == mode]
@@ -65,7 +62,7 @@ _COMPARE_HEADER = ["instance", "standard", "extended", "change", "p-value",
                    "sig"]
 
 
-def mode_comparison_table(rows: Sequence[dict], paired: bool = False,
+def mode_comparison_table(rows, paired: bool = False,
                           csv: bool = False) -> str:
     """Cost of the best extended-netting cell against the best standard
     cell per instance; ** p<0.01, * p<0.05."""
@@ -85,7 +82,7 @@ _NOISE_HEADER = ["alpha", "SST", "PLT", "policy", "cost", "WIP", "FGI",
                  "backorder", "service"]
 
 
-def noise_response_table(rows: Sequence[dict], mode: str, utilization: str,
+def noise_response_table(rows, mode: str, utilization: str,
                          csv: bool = False) -> str:
     """Best cell per forecast-noise level for one utilization, unbiased
     demand: shows how optimal parameters drift as alpha grows."""
@@ -106,8 +103,7 @@ _BIAS_HEADER = ["schedule", "alpha", "SST", "PLT", "policy", "cost",
                 "service"]
 
 
-def bias_response_table(rows: Sequence[dict], mode: str,
-                        csv: bool = False) -> str:
+def bias_response_table(rows, mode: str, csv: bool = False) -> str:
     """Best cell per biased instance: systematic over/underbooking."""
     best = best_per_instance(rows)
     cells = [cell for (iid, m), cell in best.items()

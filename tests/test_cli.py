@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, file side effects."""
 
+import csv
 import hashlib
 import json
 import os
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from mrpsim.cli import main
-from mrpsim.experiment import (Cell, GridSpec, Instance, read_results,
-                               run_cell, run_grid, write_results)
+from mrpsim.experiment import (Cell, GridSpec, Instance, run_cell, run_grid,
+                               write_results)
 from mrpsim.mrp import PlanningParams
 
 
@@ -375,6 +376,14 @@ def small_results_dir(tmp_path_factory):
     return out
 
 
+def file_rows(results_dir) -> list[dict]:
+    """The rows of a results file as dicts of their text, which
+    `write_results` writes back unchanged."""
+    with open(results_dir / "results.csv", newline="",
+              encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_analyze_text_output(small_results_dir, capsys):
     code, out, err = run_cli(capsys, "analyze", "--in", str(small_results_dir))
     assert code == 0
@@ -388,6 +397,17 @@ def test_analyze_paired_and_csv(small_results_dir, capsys):
                              "--paired", "--csv")
     assert code == 0
     assert out.splitlines()[0] == "instance,standard,extended,change,p-value,sig"
+
+
+def test_analyze_names_the_modes_of_a_one_mode_file(small_results_dir,
+                                                    tmp_path, capsys):
+    rows = [r for r in file_rows(small_results_dir)
+            if r["mode"] == "extended"]
+    write_results(rows, str(tmp_path / "results.csv"))
+    code, out, err = run_cli(capsys, "analyze", "--in", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.endswith("\n(no instance has both modes; results contain "
+                        "['extended'])\n")
 
 
 FOOTPRINT_SCRIPT = """
@@ -441,8 +461,8 @@ def test_analysis_never_imports_scipy_stats(tmp_path):
 def test_a_non_finite_cost_is_refused_in_either_row_order(
         small_results_dir, tmp_path, capsys, command, reverse):
     # a nan cost ranked as the best setting or not by where it stood
-    rows = list(read_results(str(small_results_dir / "results.csv")))
-    rows[0]["overall_cost"] = float("nan")
+    rows = file_rows(small_results_dir)
+    rows[0]["overall_cost"] = "nan"
     line = 2
     if reverse:
         rows.reverse()
@@ -462,8 +482,8 @@ def test_a_non_finite_value_is_refused_in_any_float_column(
         small_results_dir, tmp_path, capsys, command, column, value):
     # a nan alpha labelled its instance a=nan although its instance_id read
     # a0.06, and a nan wip_cost or service_level printed as nan
-    rows = read_results(str(small_results_dir / "results.csv"))
-    rows[1][column] = float(value)
+    rows = file_rows(small_results_dir)
+    rows[1][column] = value
     write_results(rows, str(tmp_path / "results.csv"))
     code, out, err = run_cli(capsys, *command, "--in", str(tmp_path))
     assert code == 2
@@ -477,13 +497,13 @@ def test_replications_that_repeat_or_differ_are_refused(
         small_results_dir, tmp_path, capsys, command, defect):
     # every row written twice kept the counts equal and shrank the p-values;
     # one extended row's replication moved was paired with another's
-    rows = list(read_results(str(small_results_dir / "results.csv")))
+    rows = file_rows(small_results_dir)
     if defect == "doubled":
         rows += rows
     else:
         moved = next(r for r in rows
-                     if r["mode"] == "extended" and r["replication"] == 1)
-        moved["replication"] = 2
+                     if r["mode"] == "extended" and r["replication"] == "1")
+        moved["replication"] = "2"
     write_results(rows, str(tmp_path / "results.csv"))
     code, out, err = run_cli(capsys, *command, "--in", str(tmp_path))
     assert code == 2

@@ -5,6 +5,7 @@ import hashlib
 import os
 import pickle
 import platform
+import tempfile
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import groupby
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from mrpsim import driver, experiment
 from mrpsim.experiment import (
     PRESETS,
+    RESULT_COLUMNS,
     BestCell,
     ExperimentError,
     GridSpec,
@@ -595,14 +597,16 @@ def test_default_workers_without_affinity_counts_cpus(monkeypatch):
 # ------------------------------------------------------------ result files
 
 def test_write_read_roundtrip(tmp_path):
-    rows = run_grid(TINY, workers=1)
+    rows = run_grid(replace(TINY, modes=("standard", "extended")), workers=1)
     path = tmp_path / "results.csv"
     write_results(rows, str(path))
     read = read_results(str(path))
-    assert list(read) == rows
+    assert len(read) == len(rows) == 4
+    assert best_per_instance(read) == best_per_instance(rows)
     # one string object per distinct value, across the rows of one read
-    for column in ("instance_id", "bias", "utilization", "mode", "policy"):
-        assert read[0][column] is read[1][column]
+    standard, extended = best_per_instance(read).values()
+    for field_name in ("instance_id", "bias", "utilization", "policy"):
+        assert getattr(standard, field_name) is getattr(extended, field_name)
 
 
 def test_read_rejects_malformed_files(tmp_path):
@@ -623,6 +627,63 @@ def test_read_rejects_malformed_files(tmp_path):
     write_results(rows, str(path))
     with pytest.raises(ValueError,
                        match="line 3, column overall_cost: '-inf'"):
+        read_results(str(path))
+
+
+BLOCK_DEFECTS = {"bad int": ("plt", "1.5"), "bad float": ("wip_cost", "12x"),
+                 "nan": ("overall_cost", "nan"), "inf": ("alpha", "-inf"),
+                 "short row": (None, None)}
+
+
+def results_text(lines: list[str]) -> str:
+    return "\n".join([",".join(RESULT_COLUMNS), *lines]) + "\n"
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+@pytest.mark.parametrize("defect", sorted(BLOCK_DEFECTS))
+def test_a_bad_line_is_named_at_either_end_of_a_later_block(tmp_path, defect,
+                                                            last):
+    """A file is parsed a block of lines at a time.  A fault on the first or
+    the last line of the second block, after blank lines, is named by its
+    line (blank lines count) and column, as it is anywhere else."""
+    block = experiment._BLOCK_LINES
+    good = [str(synthetic_rows()[0][c]) for c in RESULT_COLUMNS]
+    lines = [",".join(good)] * (3 * block)
+    for blank in (3, block - 2, block - 1, 2 * block - 3, 2 * block - 2):
+        lines[blank] = ""
+    at = 2 * block - 1 if last else block
+    column, text = BLOCK_DEFECTS[defect]
+    bad = list(good)
+    if column is None:
+        bad.pop()
+        message = f"results line {at + 2}: expected 21 fields, got 20"
+    else:
+        bad[RESULT_COLUMNS.index(column)] = text
+        message = f"results line {at + 2}, column {column}: '{text}'"
+    lines[at] = ",".join(bad)
+    path = tmp_path / "results.csv"
+    path.write_text(results_text(lines))
+    with pytest.raises(ValueError) as caught:
+        read_results(str(path))
+    assert str(caught.value) == message
+    # mended, the file reads, and its blank lines are skipped
+    lines[at] = ",".join(good)
+    path.write_text(results_text(lines))
+    assert len(read_results(str(path))) == 3 * block - 5
+
+
+def test_a_block_names_its_first_bad_line(tmp_path):
+    """Line 3 has a non-finite alpha and a bad seed, line 4 a bad alpha:
+    line 3's parse fault is named, although its column comes later."""
+    good = [str(synthetic_rows()[0][c]) for c in RESULT_COLUMNS]
+    third, fourth = list(good), list(good)
+    third[RESULT_COLUMNS.index("alpha")] = "nan"
+    third[RESULT_COLUMNS.index("seed")] = "x"
+    fourth[RESULT_COLUMNS.index("alpha")] = "y"
+    path = tmp_path / "results.csv"
+    path.write_text(results_text([",".join(r) for r in (good, third, fourth)]))
+    with pytest.raises(ValueError,
+                       match=r"^results line 3, column seed: 'x'$"):
         read_results(str(path))
 
 
@@ -724,7 +785,7 @@ def test_an_analysis_pass_ranks_a_read_once(tmp_path, monkeypatch):
     write_results(synthetic_rows(), str(path))
     calls = counting_grouping(monkeypatch)
     rows = read_results(str(path))
-    assert isinstance(rows, ResultRows) and isinstance(rows, tuple)
+    assert isinstance(rows, ResultRows)
     compare_modes(rows)
     for name in sorted(TABLES):
         TABLES[name](rows, False, False)
@@ -773,6 +834,42 @@ def test_an_unbalanced_read_is_refused_on_every_call(tmp_path):
             best_per_instance(read)
     with pytest.raises(ValueError, match="unbalanced replication counts"):
         compare_modes(read)
+
+
+def read_back(rows: list[dict]) -> ResultRows:
+    """`rows` written to a results file and read again."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.csv")
+        write_results(rows, path)
+        return read_results(path)
+
+
+def test_row_order_does_not_change_the_analysis():
+    """A results file with its body reversed, or with its instances' rows
+    interleaved, gives the same winners, comparisons and table bytes; the
+    same file written twice is refused.  Two replications per parameter
+    set, so each group's running sums add the same two numbers in either
+    order (0.0 + a + b == 0.0 + b + a)."""
+    from mrpsim.tables import TABLES
+
+    rows = [r for r in analysis_rows() if r["replication"] < 2]
+    by_instance = [list(g) for _, g in
+                   groupby(rows, key=lambda r: r["instance_id"])]
+    interleaved = [row for turn in zip(*by_instance) for row in turn]
+    assert len(by_instance) == 4 and len(interleaved) == len(rows)
+
+    def analysis(ordered: list[dict]):
+        read = read_back(ordered)
+        return (best_per_instance(read),
+                [compare_modes(read, paired) for paired in (False, True)],
+                [TABLES[name](read, paired, csv) for name in sorted(TABLES)
+                 for paired in (False, True) for csv in (False, True)])
+
+    expected = analysis(rows)
+    assert analysis(rows[::-1]) == expected
+    assert analysis(interleaved) == expected
+    with pytest.raises(ValueError, match="replications differ or repeat"):
+        best_per_instance(read_back(rows + rows))
 
 
 def test_compare_modes_welch():
@@ -1041,7 +1138,7 @@ def test_best_per_instance_matches_reference_on_shuffled_ties(data):
                         })
     rows = data.draw(st.permutations(rows))
     expected = reference_best_per_instance(rows)
-    for given_rows in (rows, ResultRows(rows)):
+    for given_rows in (rows, read_back(rows)):
         best = best_per_instance(given_rows)
         assert list(best) == list(expected)
         assert best == expected
