@@ -165,7 +165,7 @@ def cmd_validate(args) -> int:
         print("configuration valid\n")
     print("planned utilization")
     for machine, level, value in table:
-        exact = f"  ({value})" if machine in ("M201", "M202") else ""
+        exact = f"  ({value})" if level.startswith("foq") else ""
         print(f"  {machine} {level} {value:.2f}{exact}")
     minutes = build_system("low", overrides).period_minutes
     print("  note: component utilizations are exact setup+run fractions of")

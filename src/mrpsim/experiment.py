@@ -30,7 +30,7 @@ import os
 from array import array
 from collections.abc import Sequence
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from itertools import islice
 from operator import itemgetter
@@ -184,28 +184,26 @@ class GridSpec:
                 * self.replications)
 
 
+# directional desk study: heuristic vs standard netting, unbiased demand
+_DESK = GridSpec(name="desk", alphas=(0.02, 0.06, 0.10),
+                 sst_factors=(0.2, 0.4, 0.6, 1.5), plts=(1, 3, 4),
+                 fop_periods=(1,), foq_quantities=(200, 400),
+                 component_lots=(800,), replications=10)
+
 PRESETS: dict[str, GridSpec] = {
     "full": GridSpec(name="full", utilizations=("low", "medium", "high"),
                      biased_schedules=BIASED_SCHEDULES),
-    # directional desk study: heuristic vs standard netting, unbiased demand
-    "desk": GridSpec(name="desk", alphas=(0.02, 0.06, 0.10),
-                     sst_factors=(0.2, 0.4, 0.6, 1.5), plts=(1, 3, 4),
-                     fop_periods=(1,), foq_quantities=(200, 400),
-                     component_lots=(800,), replications=10),
+    "desk": _DESK,
     # deterministic-demand anchor: FOP 1 vs FOQ 800 must coincide
     "null-anchor": GridSpec(name="null-anchor", alphas=(0.0,),
                             sst_factors=(0.0, 0.2, 0.4), plts=(1, 2, 3),
                             fop_periods=(1,), foq_quantities=(800,),
                             component_lots=(800,), modes=("standard",),
                             replications=20),
-    # permanent forecast bias, extended netting only
-    "bias": GridSpec(name="bias", alphas=(0.06,), include_unbiased=False,
-                     biased_schedules=("permanent_overbooking",
-                                       "permanent_underbooking"),
-                     sst_factors=(0.2, 0.4, 0.6, 1.5), plts=(1, 3, 4),
-                     fop_periods=(1,), foq_quantities=(200, 400),
-                     component_lots=(800,), modes=("extended",),
-                     replications=10),
+    # permanent forecast bias on the desk's grid, extended netting only
+    "bias": replace(_DESK, name="bias", alphas=(0.06,), modes=("extended",),
+                    include_unbiased=False, biased_schedules=(
+                        "permanent_overbooking", "permanent_underbooking")),
 }
 
 
@@ -625,34 +623,17 @@ class BestCell:
     policy_param: int
     comp_lot: int
     replications: int
-    costs: tuple[float, ...] = field(default_factory=tuple)
-    mean_cost: float = 0.0
-    mean_wip: float = 0.0
-    mean_fgi: float = 0.0
-    mean_backorder: float = 0.0
-    mean_service: float = 0.0
-    mean_leadtime: float = 0.0
+    costs: tuple[float, ...]
+    mean_cost: float
+    mean_wip: float
+    mean_fgi: float
+    mean_backorder: float
+    mean_service: float
+    mean_leadtime: float
 
     @property
     def policy_label(self) -> str:
         return f"{self.policy} {self.policy_param}"
-
-
-def _aggregate(rank: tuple, key: tuple, identity: tuple,
-               group: _Group) -> BestCell:
-    """Average one winning group; its mean cost comes with `rank`."""
-    mean_cost, sst, plt, policy, value, comp_lot = rank
-    utilization, alpha, beta, bias = identity
-    n = len(group.costs)
-    return BestCell(
-        instance_id=key[0], utilization=utilization, alpha=alpha, beta=beta,
-        bias=bias, mode=key[1], sst_factor=sst, plt=plt, policy=policy,
-        policy_param=value, comp_lot=comp_lot, replications=n,
-        costs=tuple(cost for _, cost in
-                    sorted(zip(group.replications, group.costs))),
-        mean_cost=mean_cost, mean_wip=group.wip / n, mean_fgi=group.fgi / n,
-        mean_backorder=group.backorder / n, mean_service=group.service / n,
-        mean_leadtime=group.leadtime / n)
 
 
 def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
@@ -675,8 +656,9 @@ def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
 
 
 def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
-    """The checks and ranking behind `best_per_instance`; a `ResultRows`
-    runs them once."""
+    """The checks and ranking behind `best_per_instance`, and each winner
+    built from its group: its mean cost comes with its rank, its other
+    KPIs are averaged.  A `ResultRows` runs all of it once."""
     groups = rows._groups
     counts = {len(g.costs) for g in groups.values()}
     if len(counts) > 1:
@@ -693,8 +675,18 @@ def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
         held = winners.get(key[:2])
         if held is None or not held[0] <= rank:
             winners[key[:2]] = (rank, key)
-    return {bkey: _aggregate(rank, key, rows._instances[key[0]], groups[key])
-            for bkey, (rank, key) in winners.items()}
+    cells = {}
+    for (instance_id, mode), ((mean_cost, *params), key) in winners.items():
+        group = groups[key]
+        n = len(group.costs)
+        # positional, in field order: the instance's identity, then the rank
+        cells[instance_id, mode] = BestCell(
+            instance_id, *rows._instances[instance_id], mode, *params, n,
+            tuple(cost for _, cost in
+                  sorted(zip(group.replications, group.costs))),
+            mean_cost, group.wip / n, group.fgi / n, group.backorder / n,
+            group.service / n, group.leadtime / n)
+    return cells
 
 
 @dataclass

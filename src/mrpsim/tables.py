@@ -3,7 +3,8 @@
 Each renderer takes result rows, a `read_results` summary or row dicts
 shaped like experiment.RESULT_COLUMNS, and returns a string; the CSV
 variants return comma-separated lines with the same content so results can
-be diffed or loaded elsewhere.
+be diffed or loaded elsewhere.  The tables of best cells all go through
+`_best_table`: each names its title, header, filter, sort key and row.
 """
 
 from __future__ import annotations
@@ -39,31 +40,34 @@ def has_rows(table: str, csv: bool) -> bool:
     return table.count("\n") > (1 if csv else 4)
 
 
-_BEST_HEADER = ["instance", "SST", "PLT", "policy", "comp lot", "cost",
-                "WIP", "FGI", "backorder", "service", "leadtime"]
+def _best_table(rows, title: str, header: list[str], keep, order, columns,
+                csv: bool) -> str:
+    """The winners of `rows` that `keep` admits, sorted by `order`, as one
+    `columns(cell)` row each."""
+    cells = sorted(filter(keep, best_per_instance(rows).values()), key=order)
+    return _emit(title, header, [columns(c) for c in cells], csv)
 
 
-def best_parameters_table(rows, mode: str, csv: bool = False) -> str:
+def best_parameters_table(rows, mode: str, csv: bool) -> str:
     """Cost-optimal planning parameters per instance for one netting mode."""
-    best = best_per_instance(rows)
-    cells = [cell for (iid, m), cell in sorted(best.items()) if m == mode]
-    cells.sort(key=lambda c: (c.utilization, c.beta, c.bias, c.alpha))
-    body = [[f"{c.utilization} {c.bias} a={c.alpha:g}",
-             f"{c.sst_factor:g}", str(c.plt), c.policy_label, str(c.comp_lot),
-             _fmt(c.mean_cost), _fmt(c.mean_wip), _fmt(c.mean_fgi),
-             _fmt(c.mean_backorder), f"{c.mean_service:.3f}",
-             f"{c.mean_leadtime:.2f}"]
-            for c in cells]
-    return _emit(f"Best planning parameters ({mode} netting), "
-                 f"costs per period", _BEST_HEADER, body, csv)
+    return _best_table(
+        rows, f"Best planning parameters ({mode} netting), costs per period",
+        ["instance", "SST", "PLT", "policy", "comp lot", "cost", "WIP", "FGI",
+         "backorder", "service", "leadtime"],
+        lambda c: c.mode == mode,
+        lambda c: (c.utilization, c.beta, c.bias, c.alpha, c.instance_id),
+        lambda c: [f"{c.utilization} {c.bias} a={c.alpha:g}",
+                   f"{c.sst_factor:g}", str(c.plt), c.policy_label,
+                   str(c.comp_lot), _fmt(c.mean_cost), _fmt(c.mean_wip),
+                   _fmt(c.mean_fgi), _fmt(c.mean_backorder),
+                   f"{c.mean_service:.3f}", f"{c.mean_leadtime:.2f}"], csv)
 
 
 _COMPARE_HEADER = ["instance", "standard", "extended", "change", "p-value",
                    "sig"]
 
 
-def mode_comparison_table(rows, paired: bool = False,
-                          csv: bool = False) -> str:
+def mode_comparison_table(rows, paired: bool, csv: bool) -> str:
     """Cost of the best extended-netting cell against the best standard
     cell per instance; ** p<0.01, * p<0.05."""
     comparisons = compare_modes(rows, paired=paired)
@@ -78,43 +82,34 @@ def mode_comparison_table(rows, paired: bool = False,
                  f"({test})", _COMPARE_HEADER, body, csv)
 
 
-_NOISE_HEADER = ["alpha", "SST", "PLT", "policy", "cost", "WIP", "FGI",
-                 "backorder", "service"]
+def noise_response_table(rows, utilization: str, csv: bool) -> str:
+    """Best standard-netting cell per noise level for one utilization,
+    unbiased demand: shows how optimal parameters drift as alpha grows."""
+    return _best_table(
+        rows, f"Cost response to forecast noise ({utilization} utilization, "
+        f"standard netting)",
+        ["alpha", "SST", "PLT", "policy", "cost", "WIP", "FGI", "backorder",
+         "service"],
+        lambda c: (c.mode == "standard" and c.utilization == utilization
+                   and c.beta == 0),
+        lambda c: c.alpha,
+        lambda c: [f"{c.alpha:g}", f"{c.sst_factor:g}", str(c.plt),
+                   c.policy_label, _fmt(c.mean_cost), _fmt(c.mean_wip),
+                   _fmt(c.mean_fgi), _fmt(c.mean_backorder),
+                   f"{c.mean_service:.3f}"], csv)
 
 
-def noise_response_table(rows, mode: str, utilization: str,
-                         csv: bool = False) -> str:
-    """Best cell per forecast-noise level for one utilization, unbiased
-    demand: shows how optimal parameters drift as alpha grows."""
-    best = best_per_instance(rows)
-    cells = [cell for (iid, m), cell in best.items()
-             if m == mode and cell.utilization == utilization
-             and cell.beta == 0]
-    cells.sort(key=lambda c: c.alpha)
-    body = [[f"{c.alpha:g}", f"{c.sst_factor:g}", str(c.plt), c.policy_label,
-             _fmt(c.mean_cost), _fmt(c.mean_wip), _fmt(c.mean_fgi),
-             _fmt(c.mean_backorder), f"{c.mean_service:.3f}"]
-            for c in cells]
-    return _emit(f"Cost response to forecast noise ({utilization} "
-                 f"utilization, {mode} netting)", _NOISE_HEADER, body, csv)
-
-
-_BIAS_HEADER = ["schedule", "alpha", "SST", "PLT", "policy", "cost",
-                "service"]
-
-
-def bias_response_table(rows, mode: str, csv: bool = False) -> str:
-    """Best cell per biased instance: systematic over/underbooking."""
-    best = best_per_instance(rows)
-    cells = [cell for (iid, m), cell in best.items()
-             if m == mode and cell.beta == 1]
-    cells.sort(key=lambda c: (c.utilization, c.bias, c.alpha))
-    body = [[f"{c.utilization} {c.bias}", f"{c.alpha:g}", f"{c.sst_factor:g}",
-             str(c.plt), c.policy_label, _fmt(c.mean_cost),
-             f"{c.mean_service:.3f}"]
-            for c in cells]
-    return _emit(f"Best planning parameters under forecast bias "
-                 f"({mode} netting)", _BIAS_HEADER, body, csv)
+def bias_response_table(rows, csv: bool) -> str:
+    """Best extended-netting cell per biased instance: over/underbooking."""
+    return _best_table(
+        rows, "Best planning parameters under forecast bias "
+        "(extended netting)",
+        ["schedule", "alpha", "SST", "PLT", "policy", "cost", "service"],
+        lambda c: c.mode == "extended" and c.beta == 1,
+        lambda c: (c.utilization, c.bias, c.alpha),
+        lambda c: [f"{c.utilization} {c.bias}", f"{c.alpha:g}",
+                   f"{c.sst_factor:g}", str(c.plt), c.policy_label,
+                   _fmt(c.mean_cost), f"{c.mean_service:.3f}"], csv)
 
 
 TABLES = {
@@ -125,11 +120,10 @@ TABLES = {
     "mode-comparison": lambda rows, paired, csv: mode_comparison_table(
         rows, paired, csv),
     "noise-low": lambda rows, paired, csv: noise_response_table(
-        rows, "standard", "low", csv),
+        rows, "low", csv),
     "noise-medium": lambda rows, paired, csv: noise_response_table(
-        rows, "standard", "medium", csv),
+        rows, "medium", csv),
     "noise-high": lambda rows, paired, csv: noise_response_table(
-        rows, "standard", "high", csv),
-    "bias": lambda rows, paired, csv: bias_response_table(
-        rows, "extended", csv),
+        rows, "high", csv),
+    "bias": lambda rows, paired, csv: bias_response_table(rows, csv),
 }

@@ -1040,6 +1040,41 @@ def test_analysis_bytes_are_pinned():
     assert digest.hexdigest() == ANALYSIS_SHA256
 
 
+def text_cells(table: str) -> list[list[str]]:
+    """A text table's header and body rows, cut at the column widths of
+    its rule line and stripped of their padding."""
+    lines = table.splitlines()[2:]
+    widths = [len(dashes) for dashes in lines[1].split("  ")]
+    starts = [sum(widths[:i]) + 2 * i for i in range(len(widths))]
+    return [[line[at:at + width].strip() for at, width in zip(starts, widths)]
+            for line in lines[:1] + lines[2:]]
+
+
+@pytest.mark.parametrize("modes, empty", [
+    (("standard", "extended"), {"noise-high"}),
+    (("standard",), {"best-extended", "mode-comparison", "noise-high",
+                     "bias"})])
+def test_csv_and_text_tables_say_the_same(modes, empty):
+    """Every table's CSV variant has its text table's header and body rows,
+    cell for cell, less the padding and the thousands separators that CSV
+    drops (`mode-comparison`'s empty `sig` cell included).  A file of one
+    mode leaves the tables of the other, and the comparison, empty."""
+    from mrpsim.tables import TABLES
+
+    rows = [r for r in analysis_rows() if r["mode"] in modes]
+    bodiless = set()
+    for name in sorted(TABLES):
+        for paired in (False, True):
+            text = text_cells(TABLES[name](rows, paired, False))
+            csv = [line.split(",") for line in
+                   TABLES[name](rows, paired, True).splitlines()]
+            assert csv == [[cell.replace(",", "") for cell in row]
+                           for row in text], (name, paired)
+            if len(csv) == 1:
+                bodiless.add(name)
+    assert bodiless == empty
+
+
 def _sum_as_python_3_12(iterable, start=0):
     """`sum()` as Python 3.12 adds: exact while the items are ints,
     compensated (Neumaier) once a float appears."""
