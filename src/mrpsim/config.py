@@ -82,6 +82,10 @@ _ROUTINGS = {
 }
 _PRODUCT_COMPONENT = {10: 20, 11: 20, 12: 20, 13: 20,
                       14: 21, 15: 21, 16: 21, 17: 21}
+# the machines the products' and the components' routings visit, in id order
+_PRODUCT_MACHINES, _COMPONENT_MACHINES = (
+    tuple(sorted({mid for item in items for mid in _ROUTINGS[item]}))
+    for items in (FINAL_PRODUCTS, COMPONENTS))
 
 
 @dataclass(frozen=True)
@@ -168,10 +172,8 @@ def build_system(utilization: str = "low",
 
     cv = o["setup"]["cv"]
     product_setup = o["setup"][utilization]
-    machines: dict[int, Machine] = {}
-    for mid in (101, 102, 111, 112):
-        machines[mid] = Machine(mid, product_setup, cv)
-    for mid in (201, 202):
+    machines = {mid: Machine(mid, product_setup, cv) for mid in _PRODUCT_MACHINES}
+    for mid in _COMPONENT_MACHINES:
         machines[mid] = Machine(mid, o["setup"]["component"], cv)
 
     demand = DemandPattern(interval=o["demand"]["interval"],
@@ -255,14 +257,14 @@ def planned_utilization_table(overrides: dict | None = None) -> list[tuple[str, 
     for level in UTILIZATION_LEVELS:
         system = build_system(level, overrides)
         amount = system.demand.expected_amount
-        for mid in (101, 102, 111, 112):
+        for mid in _PRODUCT_MACHINES:
             rows.append((f"M{mid}", level,
                          planned_utilization(system, mid, 1.0, amount)))
     system = build_system("low", overrides)
     comp_demand = system.demand.expected_amount * system.bom_quantity
     for lot in (800, 1600):
         lots = comp_demand / lot
-        for mid in (201, 202):
+        for mid in _COMPONENT_MACHINES:
             rows.append((f"M{mid}", f"foq{lot}",
                          planned_utilization(system, mid, lots, comp_demand)))
     return rows

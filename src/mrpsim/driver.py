@@ -19,7 +19,7 @@ by due period that holds every forecast value of one (seed, replication,
 instance), drawn from common-random-number substreams before the first period,
 so demand histories are identical across planning parameters and netting
 modes.  Setup times use a separate substream.  Step 2 nets each item's receipt
-book as it is, through one `MrpItemState` per item that lives all run.  A
+book as it is: the receipts of the item's one `MrpItemState`, kept all run.  A
 run's settings arrive as one `RunConfig`, built only by `experiment.make_config`.
 A standard run records the first period whose MRP run met a bucket that
 extended netting would net differently (`divergence_period`); while it is
@@ -135,15 +135,13 @@ class SimulationRun:
         end_min = config.run_length * self.pm
         self.shop = ShopFloor(system, shop_rng, warm_min, end_min,
                               [] if config.trace else None)
-        self.kpi = KpiTracker(config.run_length, config.warmup)
+        self.kpi = KpiTracker(config.run_length, config.warmup, self.pm)
 
-        # Scheduled receipts per item, {planned completion period: pieces},
-        # of every committed order that has not completed yet.
-        self.receipt_book: dict[int, dict[int, int]] = {i: {} for i in system.items}
-        self.product_states = {p: MrpItemState(0, self.receipt_book[p], self.safety)
-                               for p in FINAL_PRODUCTS}
-        self.component_states = {c: MrpItemState(0, self.receipt_book[c])
-                                 for c in COMPONENTS}
+        # One planning state per item.  Its receipts are the item's receipt
+        # book, {planned completion period: pieces} of every committed order
+        # that has not completed yet.
+        self.states = {p: MrpItemState(0, {}, self.safety) for p in FINAL_PRODUCTS}
+        self.states.update((c, MrpItemState(0)) for c in COMPONENTS)
         self.blocked: list[ProductionOrder] = []
         self.period = 0   # the receipt books' current bucket, see _fold_receipts
         self._uid = 0
@@ -172,7 +170,8 @@ class SimulationRun:
         out, late receipts would order a duplicate lot every late period."""
         self.period = t
         overdue = t - 1
-        for book in self.receipt_book.values():
+        for state in self.states.values():
+            book = state.receipts
             if overdue in book:
                 book[t] = book.get(t, 0) + book.pop(overdue)
 
@@ -183,31 +182,28 @@ class SimulationRun:
         # dues up to `near` read the tape, later ones the long-term forecast
         near = min(last, t + HORIZON)
         on_hand = self.ledger.on_hand
+        for item, state in self.states.items():
+            state.on_hand = on_hand[item]
 
-        product_gross: dict[int, dict[int, int]] = {}
-        for product, state in self.product_states.items():
-            state.on_hand = on_hand[product]
-            gross = {t: backlog[product]} if backlog[product] else {}
+        # components start from the withdrawals of blocked product orders
+        gross: dict[int, dict[int, int]] = {c: {} for c in COMPONENTS}
+        for order in self.blocked:
+            bucket = gross[order.component]
+            bucket[t] = bucket.get(t, 0) + order.component_need
+        for product in FINAL_PRODUCTS:
+            demand = gross[product] = ({t: backlog[product]} if backlog[product]
+                                       else {})
             column, due = tape[product], next_due[product]
             while due <= near:
                 # tape entries start at j = max(0, due - run_length)
-                gross[due] = column[due][(due if due <= rl else rl) - t]
+                demand[due] = column[due][(due if due <= rl else rl) - t]
                 due += interval
             while due <= last:
-                gross[due] = x
+                demand[due] = x
                 due += interval
-            product_gross[product] = gross
 
-        extra_gross: dict[int, dict[int, int]] = {c: {} for c in COMPONENTS}
-        for order in self.blocked:
-            bucket = extra_gross[order.component]
-            bucket[t] = bucket.get(t, 0) + order.component_need
-        for comp, state in self.component_states.items():
-            state.on_hand = on_hand[comp]
-
-        return run_mrp(self.product_states, product_gross,
-                       self.component_states, extra_gross, self.config.params, t,
-                       self.system, trace=self.mrp_trace)
+        return run_mrp(self.states, gross, self.config.params, t, self.system,
+                       trace=self.mrp_trace)
 
     # -- releasing and material flow ------------------------------------------
 
@@ -216,10 +212,10 @@ class SimulationRun:
         self._dispatched_pieces += order.qty
         if order.component is not None:
             # a released final-product lot extends the covered horizon
-            state = self.product_states[order.item]
+            state = self.states[order.item]
             if order.covered_end > state.covered_until:
                 state.covered_until = order.covered_end
-            self.kpi.record_release(self.pm, time)
+            self.kpi.record_release(time)
 
     def _retry_blocked(self, time: float) -> None:
         if not self.blocked:
@@ -236,12 +232,12 @@ class SimulationRun:
 
     def _release_new(self, lots, time: float) -> None:
         """Make, book and release each lot's order, or block it on material."""
-        items, books, ledger = self.system.items, self.receipt_book, self.ledger
+        items, states, ledger = self.system.items, self.states, self.ledger
         for lot in lots:
             self._uid += 1
             order = ProductionOrder(self._uid, items[lot.item], lot.qty,
                                     lot.covered_end, lot.completion)
-            book = books[lot.item]
+            book = states[lot.item].receipts
             book[lot.completion] = book.get(lot.completion, 0) + lot.qty
             if try_release(order, ledger, time):
                 self._release(order, time)
@@ -250,7 +246,7 @@ class SimulationRun:
 
     def _on_completion(self, order: ProductionOrder, time: float) -> None:
         self.ledger.receive(order.item, order.qty)
-        book = self.receipt_book[order.item]
+        book = self.states[order.item].receipts
         period = order.planned_completion
         if period < self.period:   # folded into the current bucket when overdue
             period = self.period
@@ -258,7 +254,7 @@ class SimulationRun:
         if not book[period]:
             del book[period]
         if order.component is not None:
-            self.kpi.record_completion(self.pm, order.release_time, time)
+            self.kpi.record_completion(order.release_time, time)
         else:
             # fresh component stock may unblock waiting product orders
             self._retry_blocked(time)
@@ -315,12 +311,12 @@ class SimulationRun:
             if self.backlog[product] != sum(d.qty for d in queue):
                 raise AssertionError(
                     f"backlog of product {product} out of step in period {t}")
-        for item, book in self.receipt_book.items():
-            if book and min(book) < t:
+        for item, state in self.states.items():
+            if state.receipts and min(state.receipts) < t:
                 raise AssertionError(
-                    f"receipt book of item {item} holds period {min(book)} "
-                    f"before period {t}")
-        booked = sum(sum(book.values()) for book in self.receipt_book.values())
+                    f"receipt book of item {item} holds period "
+                    f"{min(state.receipts)} before period {t}")
+        booked = sum(sum(s.receipts.values()) for s in self.states.values())
         outstanding = (self.shop.pieces_on_floor
                        + sum(order.qty for order in self.blocked))
         if booked != outstanding:

@@ -54,20 +54,18 @@ class KpiTracker:
     """Sums the measured periods' snapshots and collects order/demand
     outcomes during a run."""
 
-    def __init__(self, run_length: int, warmup: int):
+    def __init__(self, run_length: int, warmup: int, period_minutes: float):
         check_window(run_length, warmup)
         self.run_length = run_length
         self.warmup = warmup
+        self.period_minutes = period_minutes
+        self.warmup_end = warmup * period_minutes   # in minutes
         self.n_snapshots = 0     # measured periods recorded so far
         self.wip_sum = 0
         self.fgi_sum = 0
         self.backorder_sum = 0
         self.leadtimes: list[float] = []
         self.n_final_orders = 0
-
-    @property
-    def measured_periods(self) -> int:
-        return self.run_length - self.warmup
 
     def record_snapshot(self, period: int, wip: int, fgi: int,
                         backorder: int) -> None:
@@ -78,21 +76,21 @@ class KpiTracker:
             self.fgi_sum += fgi
             self.backorder_sum += backorder
 
-    def record_release(self, period_minutes: float, release_time: float) -> None:
-        if release_time >= self.warmup * period_minutes:
+    def record_release(self, release_time: float) -> None:
+        if release_time >= self.warmup_end:
             self.n_final_orders += 1
 
-    def record_completion(self, period_minutes: float, release_time: float,
+    def record_completion(self, release_time: float,
                           completion_time: float) -> None:
-        if completion_time >= self.warmup * period_minutes:
-            self.leadtimes.append((completion_time - release_time) / period_minutes)
+        if completion_time >= self.warmup_end:
+            self.leadtimes.append((completion_time - release_time)
+                                  / self.period_minutes)
 
     def summarize(self, rates, demands,
                   machine_utilization: dict[int, float]) -> RunSummary:
-        n = self.n_snapshots
-        if n != self.measured_periods:
-            raise ValueError(f"expected {self.measured_periods} measured "
-                             f"snapshots, got {n}")
+        n, measured = self.n_snapshots, self.run_length - self.warmup
+        if n != measured:
+            raise ValueError(f"expected {measured} measured snapshots, got {n}")
         wip = self.wip_sum / n
         fgi = self.fgi_sum / n
         backorder = self.backorder_sum / n

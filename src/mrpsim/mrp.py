@@ -43,9 +43,12 @@ met one as its twin's result.
 
 Lots are scheduled backward from their due period by the planned lead time,
 clamped to the current period (a late lot is simply released now and its
-receipt projected one planned lead time ahead).  Every product lot planned in
-the decision window pulls component demand at its planned start: q * BOM
-quantity for a lot of q pieces.
+receipt projected one planned lead time ahead).  `run_mrp`'s inputs are keyed
+by item and planned in `config`'s order, every final product, then every
+component.  A component's gross arrives holding the withdrawals of product
+orders blocked on material, and every product lot planned in the decision
+window adds component demand at its planned start: q * BOM quantity for a
+lot of q pieces.
 
 Only lots that start in the current period are released; the rest are
 discarded and planned afresh next period.  The scan runs forward in time, so
@@ -55,6 +58,8 @@ periods past the last one that can shape a released lot are never netted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .config import COMPONENTS, FINAL_PRODUCTS
 
 SST_FACTORS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.5, 2.0)
 PLT_VALUES = (1, 2, 3, 4, 6, 8)
@@ -108,9 +113,10 @@ class PlannedLot:
 
 @dataclass
 class MrpItemState:
-    """Planner-facing state of one item, one object for the whole run.  The
-    driver refreshes `on_hand` before each MRP run; `receipts` is the item's
-    live receipt book and `covered_until` moves as product lots release."""
+    """Planning state of one item, one object for the whole run.  The
+    driver refreshes `on_hand` before each MRP run, keeps the item's receipt
+    book in `receipts` and moves `covered_until` as product lots release; a
+    component's safety stock and `covered_until` stay 0."""
 
     on_hand: int
     receipts: dict[int, int] = field(default_factory=dict)
@@ -216,35 +222,33 @@ class MrpResult:
     diverges: bool = False
 
 
-def run_mrp(product_states: dict[int, MrpItemState],
-            product_gross: dict[int, dict[int, int]],
-            component_states: dict[int, MrpItemState],
-            component_gross: dict[int, dict[int, int]],
+def run_mrp(states: dict[int, MrpItemState], gross: dict[int, dict[int, int]],
             params: PlanningParams, current_period: int, system,
             trace: list | None = None) -> MrpResult:
-    """Plan products, then components, over the decision windows; each
-    product lot adds its component demand, and each lot that starts now is
-    released, as it is planned.  Lots due past the windows are never planned.
+    """Plan `config.FINAL_PRODUCTS`, then `config.COMPONENTS`, in that order,
+    over the decision windows; each product lot adds its component demand,
+    and each lot that starts now is released, as it is planned.  Lots due
+    past the windows are never planned.
 
-    `component_gross` comes in holding demand that is not visible through
-    the fresh product plan, e.g. withdrawals still pending for committed
-    product orders that wait for material.  `run_mrp` adds each product
-    lot's component demand to those dicts: a caller hands it dicts it will
-    not read again.
+    `states` and `gross` hold every item, keyed by item id.  A product's
+    gross is its demand; a component's arrives holding the withdrawals of
+    product orders blocked on material, which the fresh product plan does
+    not show, and `run_mrp` adds each product lot's component demand to it:
+    a caller hands it dicts it will not read again.
     """
     policy, policy_param, plt = params.policy, params.policy_param, params.plt
     extended = params.mode == "extended"
     divergent = None if extended else []
     product_window, component_window = decision_windows(params, system)
     product_lots, release_products = [], []
-    for pid in sorted(product_states):
-        lots = plan_item(product_states[pid], product_gross.get(pid, {}), pid,
-                         policy, policy_param, plt, current_period,
-                         product_window, extended, trace, divergent)
+    for pid in FINAL_PRODUCTS:
+        lots = plan_item(states[pid], gross[pid], pid, policy, policy_param,
+                         plt, current_period, product_window, extended, trace,
+                         divergent)
         if not lots:
             continue
         item = system.items[pid]
-        bucket = component_gross.setdefault(item.component, {})
+        bucket = gross[item.component]
         for lot in lots:
             start = lot.start
             bucket[start] = bucket.get(start, 0) + lot.qty * item.component_qty
@@ -253,9 +257,9 @@ def run_mrp(product_states: dict[int, MrpItemState],
         product_lots += lots
 
     component_lots, release_components = [], []
-    for cid in sorted(component_states):
-        lots = plan_item(component_states[cid], component_gross.get(cid, {}),
-                         cid, "FOQ", params.component_lot, system.component_plt,
+    for cid in COMPONENTS:
+        lots = plan_item(states[cid], gross[cid], cid, "FOQ",
+                         params.component_lot, system.component_plt,
                          current_period, component_window, False, trace)
         component_lots += lots
         release_components += [l for l in lots if l.start <= current_period]

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from mrpsim import driver
 from mrpsim.driver import SimulationRun, build_tape
 from mrpsim.experiment import FULL_ALPHAS, make_config
-from mrpsim.config import DEMAND_OFFSETS, FINAL_PRODUCTS
+from mrpsim.config import COMPONENTS, DEMAND_OFFSETS, FINAL_PRODUCTS
 from mrpsim.forecast import (HORIZON, SCHEDULES, advance, dump_tape,
                              load_replay, long_term_forecast, stream_rng)
 from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
@@ -185,18 +185,15 @@ def test_receipt_book_buckets_and_completion():
     late, future, _ = sorted((event[3] for event in run.shop.events),
                              key=lambda order: order.uid)
     assert (late.qty, late.planned_completion) == (800, 3)
-    book = run.receipt_book[20]
+    book = run.states[20].receipts
     assert book == {3: 800, 9: 2400}
-    # the book is the receipts dict MRP nets, for the whole run
-    assert run.component_states[20].receipts is book
-    assert run.product_states[10].receipts is run.receipt_book[10]
 
     # each period folds the overdue bucket into the current one; later
     # receipts keep their period
     run._fold_receipts(4)
     run._fold_receipts(5)
     assert book == {5: 800, 9: 2400}
-    assert run.receipt_book[21] == {}
+    assert run.states[21].receipts == {}
 
     run._on_completion(future, 0.0)
     assert book == {5: 800, 9: 800}
@@ -204,6 +201,13 @@ def test_receipt_book_buckets_and_completion():
     run._on_completion(late, 0.0)
     assert book == {9: 800}
     assert run.ledger.on_hand[20] == 2400
+
+    # the book is the receipts dict MRP nets, for the whole run
+    with mock.patch.object(driver, "run_mrp") as planner:
+        run._plan(5)
+    states = planner.call_args.args[0]
+    assert states is run.states
+    assert states[20].receipts is book
 
 
 def test_covered_until_never_moves_back():
@@ -213,7 +217,7 @@ def test_covered_until_never_moves_back():
     for uid, covered_end in enumerate((9, 5, 12), start=1):
         run._release(ProductionOrder(uid, product, 800, covered_end,
                                      planned_completion=covered_end), 0.0)
-        seen.append(run.product_states[10].covered_until)
+        seen.append(run.states[10].covered_until)
     assert seen == [9, 9, 12]
 
 
@@ -228,7 +232,7 @@ def _checked_run_at(period):
 
 def test_debug_checks_catch_receipt_book_drift():
     run = _checked_run_at(20)
-    book = next(book for book in run.receipt_book.values() if book)
+    book = next(s.receipts for s in run.states.values() if s.receipts)
     book[next(iter(book))] += 1
     with pytest.raises(AssertionError, match="receipt book out of step"):
         run.step(21)
@@ -245,11 +249,31 @@ def test_debug_checks_catch_unfolded_receipt_book():
     run = _checked_run_at(20)
     # a bucket two periods overdue escapes the one-bucket fold; moving a
     # piece there keeps the booked total right
-    item, book = next((i, b) for i, b in run.receipt_book.items() if b)
+    item, book = next((i, s.receipts) for i, s in run.states.items()
+                      if s.receipts)
     book[next(iter(book))] -= 1
     book[18] = 1
     with pytest.raises(AssertionError,
                        match=f"item {item} holds period 18 before period 21"):
+        run.step(21)
+
+
+def test_debug_checks_catch_a_lost_piece():
+    run = _checked_run_at(20)
+    item = next(i for i, qty in run.ledger.on_hand.items() if qty > 0)
+    run.ledger.on_hand[item] -= 1
+    with pytest.raises(AssertionError,
+                       match="piece conservation broken in period 21"):
+        run.step(21)
+
+
+def test_debug_checks_catch_negative_stock():
+    run = _checked_run_at(20)
+    # more than a period can bring in, so the stock is still negative at
+    # the period's end
+    run.ledger.on_hand[20] = -10**6
+    with pytest.raises(AssertionError,
+                       match="negative stock of 20 in period 21"):
         run.step(21)
 
 
@@ -386,26 +410,32 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
     planned_periods = []
     real_run_mrp = driver.run_mrp
 
-    def checked_run_mrp(product_states, product_gross, component_states,
-                        extra_gross, params_, t, system_, trace=None):
+    def checked_run_mrp(states, gross, params_, t, system_, trace=None):
         for product in FINAL_PRODUCTS:
-            gross = {}
+            demand = {}
             backlog = sum(d.qty for d in run.demands_open[product])
             if backlog:
-                gross[t] = backlog
+                demand[t] = backlog
             for due in system.demand.due_dates(product, t + 1, t + window):
-                gross[due] = (x if due - t > HORIZON else
-                              keyed[product, due][min(due, run_length) - t])
-            assert product_gross[product] == gross
+                demand[due] = (x if due - t > HORIZON else
+                               keyed[product, due][min(due, run_length) - t])
+            assert gross[product] == demand
             covered = max((o.covered_end for o in released
                            if o.item == product), default=0)
-            assert product_states[product].covered_until == covered
-            assert product_states[product].safety_stock == \
+            assert states[product].covered_until == covered
+            assert states[product].safety_stock == \
                 params.safety_stock(system.demand.expected_amount)
+        # a component's gross holds the withdrawals of blocked orders
+        for component in COMPONENTS:
+            need = sum(o.component_need for o in run.blocked
+                       if o.component == component)
+            assert gross[component] == ({t: need} if need else {})
+            assert states[component].safety_stock == 0
         # every order made is dispatched or still blocked
         outstanding = ([o for o in released if o.uid not in completed]
                        + run.blocked)
-        for item, state in {**product_states, **component_states}.items():
+        assert list(states) == list(system.items)
+        for item, state in states.items():
             receipts = {}
             for order in outstanding:
                 if order.item == item:
@@ -414,8 +444,7 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
             assert state.receipts == receipts
             assert state.on_hand == run.ledger.on_hand[item]
         planned_periods.append(t)
-        return real_run_mrp(product_states, product_gross, component_states,
-                            extra_gross, params_, t, system_, trace=trace)
+        return real_run_mrp(states, gross, params_, t, system_, trace=trace)
 
     with mock.patch.object(driver, "run_mrp", checked_run_mrp):
         for t in range(1, run_length + 1):

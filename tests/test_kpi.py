@@ -9,11 +9,12 @@ from mrpsim.inventory import CustomerDemand
 from mrpsim.kpi import KpiTracker
 
 RATES = build_system().cost_rates
+PM = 1440.0   # minutes per period
 
 
 def period_cost(wip, fgi, backorder):
     """Cost of one measured period holding the given pieces."""
-    tracker = KpiTracker(run_length=2, warmup=1)
+    tracker = KpiTracker(run_length=2, warmup=1, period_minutes=PM)
     tracker.record_snapshot(1, 0, 0, 0)
     tracker.record_snapshot(2, wip, fgi, backorder)
     return tracker.summarize(RATES, demands=[],
@@ -32,15 +33,15 @@ def test_accrue_backorder_dominates():
 
 def test_warmup_must_end_before_run():
     with pytest.raises(ValueError, match="warmup"):
-        KpiTracker(run_length=40, warmup=40)
+        KpiTracker(run_length=40, warmup=40, period_minutes=PM)
     with pytest.raises(ValueError, match="warmup"):
-        KpiTracker(run_length=40, warmup=41)
+        KpiTracker(run_length=40, warmup=41, period_minutes=PM)
     with pytest.raises(ValueError, match="warmup -1, run length 40"):
-        KpiTracker(run_length=40, warmup=-1)
+        KpiTracker(run_length=40, warmup=-1, period_minutes=PM)
 
 
 def fill_tracker(run_length=10, warmup=2, wip=100, fgi=50, backorder=10):
-    tracker = KpiTracker(run_length=run_length, warmup=warmup)
+    tracker = KpiTracker(run_length=run_length, warmup=warmup, period_minutes=PM)
     for period in range(1, run_length + 1):
         tracker.record_snapshot(period, wip, fgi, backorder)
     return tracker
@@ -63,7 +64,7 @@ def test_summarize_averages_and_decomposition():
 
 
 def test_summarize_requires_full_measurement_window():
-    tracker = KpiTracker(run_length=10, warmup=2)
+    tracker = KpiTracker(run_length=10, warmup=2, period_minutes=PM)
     for period in range(1, 10):   # one snapshot short
         tracker.record_snapshot(period, 0, 0, 0)
     with pytest.raises(ValueError, match="snapshots"):
@@ -71,7 +72,7 @@ def test_summarize_requires_full_measurement_window():
 
 
 def test_warmup_snapshots_do_not_count():
-    tracker = KpiTracker(run_length=10, warmup=2)
+    tracker = KpiTracker(run_length=10, warmup=2, period_minutes=PM)
     # expensive warmup, empty afterwards
     for period in range(1, 3):
         tracker.record_snapshot(period, 10000, 10000, 10000)
@@ -111,35 +112,41 @@ def test_service_level_empty_is_one():
 
 
 def test_lead_time_in_periods():
-    tracker = KpiTracker(run_length=10, warmup=2)
-    pm = 1440.0
+    tracker = KpiTracker(run_length=10, warmup=2, period_minutes=PM)
     # release at start of period k+1, complete two periods later
-    tracker.record_completion(pm, 5 * pm, 7 * pm)
+    tracker.record_completion(5 * PM, 7 * PM)
     assert tracker.leadtimes == [2.0]
 
 
 def test_lead_time_mean_and_sample_sd():
     tracker = fill_tracker()
-    pm = 1440.0
-    tracker.record_completion(pm, 4 * pm, 6 * pm)    # 2.0
-    tracker.record_completion(pm, 5 * pm, 9 * pm)    # 4.0
+    tracker.record_completion(4 * PM, 6 * PM)    # 2.0
+    tracker.record_completion(5 * PM, 9 * PM)    # 4.0
     summary = tracker.summarize(RATES, [], {})
     assert summary.leadtime_mean == pytest.approx(3.0)
     assert summary.leadtime_sd == pytest.approx(math.sqrt(2.0))
 
 
 def test_completion_window_edges():
-    tracker = KpiTracker(run_length=10, warmup=2)
-    pm = 1440.0
-    tracker.record_completion(pm, 0.0, 2 * pm)        # exactly at warmup end: counts
-    tracker.record_completion(pm, 0.0, 2 * pm - 1)    # just inside warmup: dropped
+    tracker = KpiTracker(run_length=10, warmup=2, period_minutes=PM)
+    tracker.record_completion(0.0, 2 * PM)        # exactly at warmup end: counts
+    tracker.record_completion(0.0, 2 * PM - 1)    # just inside warmup: dropped
     assert tracker.leadtimes == [2.0]
 
 
 def test_release_counter_window():
-    tracker = KpiTracker(run_length=10, warmup=2)
-    pm = 1440.0
-    tracker.record_release(pm, 2 * pm)        # counts
-    tracker.record_release(pm, 2 * pm - 1)    # warmup: dropped
-    tracker.record_release(pm, 9 * pm)
+    tracker = KpiTracker(run_length=10, warmup=2, period_minutes=PM)
+    tracker.record_release(2 * PM)        # counts
+    tracker.record_release(2 * PM - 1)    # warmup: dropped
+    tracker.record_release(9 * PM)
     assert tracker.n_final_orders == 2
+
+
+def test_windows_and_lead_times_use_the_trackers_period_length():
+    tracker = KpiTracker(run_length=10, warmup=2, period_minutes=60.0)
+    tracker.record_release(119.0)            # warmup ends at minute 120
+    tracker.record_release(120.0)
+    tracker.record_completion(30.0, 119.0)   # dropped
+    tracker.record_completion(30.0, 150.0)
+    assert tracker.n_final_orders == 1
+    assert tracker.leadtimes == [2.0]

@@ -323,15 +323,17 @@ def test_run_mrp_reports_whether_a_product_bucket_diverges():
     params = PlanningParams(0.2, 1, "FOP", 1)
     states = {10: MrpItemState(on_hand=500, safety_stock=160, covered_until=9),
               11: MrpItemState(on_hand=500, safety_stock=160, covered_until=9)}
-    gross = {10: {8: 400}, 11: {6: 400}}
-    result = run_mrp(states, gross, {}, {}, params, 5, system)
-    assert result.diverges
-    extended = PlanningParams(0.2, 1, "FOP", 1, mode="extended")
-    assert not run_mrp(states, gross, {}, {}, extended, 5, system).diverges
+
+    def diverges(planning):
+        inputs = _inputs(states, {10: {8: 400}, 11: {6: 400}})
+        return run_mrp(*inputs, planning, 5, system).diverges
+
+    assert diverges(params)
+    assert not diverges(PlanningParams(0.2, 1, "FOP", 1, mode="extended"))
     states[11].covered_until = 5
-    assert run_mrp(states, gross, {}, {}, params, 5, system).diverges
+    assert diverges(params)
     states[10].covered_until = 7
-    assert not run_mrp(states, gross, {}, {}, params, 5, system).diverges
+    assert not diverges(params)
 
 
 # ------------------------------------------------------------- scheduling
@@ -361,13 +363,22 @@ def test_plan_item_schedules_lots():
 
 # ---------------------------------------------------------------- run_mrp
 
+def _inputs(states=None, gross=None):
+    """`run_mrp`'s states and gross of every item: an empty item at zero
+    stock unless `states` and `gross` give its own."""
+    items = FINAL_PRODUCTS + COMPONENTS
+    all_states = {i: MrpItemState(on_hand=0) for i in items}
+    all_states.update(states or {})
+    all_gross = {i: {} for i in items}
+    all_gross.update(gross or {})
+    return all_states, all_gross
+
+
 def test_run_mrp_plans_products_then_components():
     system = build_system("low")
     params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP", policy_param=1)
-    product_states = {10: MrpItemState(on_hand=0)}
-    component_states = {20: MrpItemState(on_hand=0), 21: MrpItemState(on_hand=0)}
-    result = run_mrp(product_states, {10: {8: 800}}, component_states,
-                     {}, params, current_period=4, system=system)
+    result = run_mrp(*_inputs(gross={10: {8: 800}}), params, current_period=4,
+                     system=system)
 
     assert [(l.item, l.due, l.qty, l.start) for l in result.product_lots] == [
         (10, 8, 800, 7)]
@@ -380,8 +391,8 @@ def test_run_mrp_plans_products_then_components():
 
     # one period earlier the lot is due past the product decision window
     # (3 + plt 1 + component plt 3 = 7): it cannot shape any release now
-    result = run_mrp(product_states, {10: {8: 800}}, component_states,
-                     {}, params, current_period=3, system=system)
+    result = run_mrp(*_inputs(gross={10: {8: 800}}), params, current_period=3,
+                     system=system)
     assert result.product_lots == [] and result.component_lots == []
     assert result.release_products == []
     assert result.release_components == []
@@ -390,10 +401,8 @@ def test_run_mrp_plans_products_then_components():
 def test_run_mrp_releases_orders_starting_now():
     system = build_system("low")
     params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP", policy_param=1)
-    product_states = {10: MrpItemState(on_hand=0)}
-    component_states = {20: MrpItemState(on_hand=0), 21: MrpItemState(on_hand=0)}
-    result = run_mrp(product_states, {10: {8: 800}}, component_states,
-                     {}, params, current_period=7, system=system)
+    result = run_mrp(*_inputs(gross={10: {8: 800}}), params, current_period=7,
+                     system=system)
     assert [l.item for l in result.release_products] == [10]
     assert [l.item for l in result.release_components] == [20]
     # late component lot completes a full lead time from now
@@ -405,11 +414,10 @@ def test_run_mrp_adds_same_period_product_lots():
     # products 10 and 11 both use component 20; their lots start in period 7
     system = build_system("low")
     params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP", policy_param=1)
-    product_states = {10: MrpItemState(on_hand=0), 11: MrpItemState(on_hand=0)}
-    component_states = {20: MrpItemState(on_hand=0), 21: MrpItemState(on_hand=0)}
-    result = run_mrp(product_states, {10: {8: 800}, 11: {8: 800}},
-                     component_states, {}, params, current_period=4,
-                     system=system)
+    states, gross = _inputs(gross={10: {8: 800}, 11: {8: 800}})
+    # items are planned in config's order, not in the order of the dicts
+    states, gross = dict(reversed(states.items())), dict(reversed(gross.items()))
+    result = run_mrp(states, gross, params, current_period=4, system=system)
     assert [(l.item, l.start) for l in result.product_lots] == [(10, 7), (11, 7)]
     assert [(l.item, l.due, l.qty) for l in result.component_lots] == [
         (20, 7, 3200)]
@@ -419,9 +427,8 @@ def test_run_mrp_merges_extra_component_demand():
     system = build_system("low")
     params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP", policy_param=1,
                             component_lot=800)
-    component_states = {20: MrpItemState(on_hand=0), 21: MrpItemState(on_hand=0)}
-    result = run_mrp({}, {}, component_states, {20: {5: 500}}, params,
-                     current_period=3, system=system)
+    result = run_mrp(*_inputs(gross={20: {5: 500}}), params, current_period=3,
+                     system=system)
     assert [(l.item, l.due, l.qty) for l in result.component_lots] == [
         (20, 5, 800)]
 
@@ -430,10 +437,8 @@ def test_run_mrp_component_lots_use_component_lot_size():
     system = build_system("low")
     params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP", policy_param=1,
                             component_lot=1600)
-    product_states = {10: MrpItemState(on_hand=0)}
-    component_states = {20: MrpItemState(on_hand=0), 21: MrpItemState(on_hand=0)}
-    result = run_mrp(product_states, {10: {8: 800}}, component_states,
-                     {}, params, current_period=4, system=system)
+    result = run_mrp(*_inputs(gross={10: {8: 800}}), params, current_period=4,
+                     system=system)
     assert result.component_lots[0].qty == 1600
 
 
@@ -446,23 +451,22 @@ def _lot_rows(lots):
 _FULL_HORIZON = 30
 
 
-def _full_horizon_releases(product_states, product_gross, component_states,
-                           extra_gross, params, t, system):
+def _full_horizon_releases(states, gross, params, t, system):
     """Reference plan: every item netted over a horizon past every window."""
     extended = params.mode == "extended"
-    products = [lot for pid in sorted(product_states)
-                for lot in plan_item(product_states[pid],
-                                     product_gross.get(pid, {}), pid,
+    products = [lot for pid in FINAL_PRODUCTS
+                for lot in plan_item(states[pid], gross[pid], pid,
                                      params.policy, params.policy_param,
                                      params.plt, t, _FULL_HORIZON,
                                      extended=extended)]
-    gross = {cid: dict(extra_gross.get(cid, {})) for cid in component_states}
+    need = {cid: dict(gross[cid]) for cid in COMPONENTS}
     for lot in products:
         item = system.items[lot.item]
-        need = gross[item.component]
-        need[lot.start] = need.get(lot.start, 0) + lot.qty * item.component_qty
-    components = [lot for cid in sorted(component_states)
-                  for lot in plan_item(component_states[cid], gross[cid], cid,
+        bucket = need[item.component]
+        bucket[lot.start] = (bucket.get(lot.start, 0)
+                             + lot.qty * item.component_qty)
+    components = [lot for cid in COMPONENTS
+                  for lot in plan_item(states[cid], need[cid], cid,
                                        "FOQ", params.component_lot,
                                        system.component_plt, t, _FULL_HORIZON)]
     return ([l for l in products if l.start <= t],
@@ -493,20 +497,19 @@ def _draw_planner_inputs(data, system, safety, t):
     def shifted(buckets):
         return {t + k: qty for k, qty in buckets.items()}
 
-    product_states, product_gross = {}, {}
+    states, gross = {}, {}
     for pid in FINAL_PRODUCTS:
-        product_states[pid] = MrpItemState(
+        states[pid] = MrpItemState(
             on_hand=data.draw(st.integers(-800, 2400)),
             receipts=shifted(data.draw(_buckets)), safety_stock=safety,
             covered_until=t + data.draw(st.integers(-2, 20)))
-        product_gross[pid] = shifted(data.draw(_buckets))
-    component_states, extra_gross = {}, {}
+        gross[pid] = shifted(data.draw(_buckets))
     for cid in COMPONENTS:
-        component_states[cid] = MrpItemState(
+        states[cid] = MrpItemState(
             on_hand=data.draw(st.integers(-1600, 6400)),
             receipts=shifted(data.draw(_buckets)))
-        extra_gross[cid] = shifted(data.draw(_buckets))
-    return product_states, product_gross, component_states, extra_gross
+        gross[cid] = shifted(data.draw(_buckets))
+    return states, gross
 
 
 @settings(max_examples=300, deadline=None)
@@ -514,16 +517,13 @@ def _draw_planner_inputs(data, system, safety, t):
 def test_decision_window_releases_equal_full_horizon_plan(params, t, data):
     system = _SYSTEM
     safety = params.safety_stock(system.demand.expected_amount)
-    product_states, product_gross, component_states, extra_gross = \
-        _draw_planner_inputs(data, system, safety, t)
+    states, gross = _draw_planner_inputs(data, system, safety, t)
 
     # run_mrp fills the component dicts it is handed: give it its own
-    result = run_mrp(product_states, product_gross, component_states,
-                     {c: dict(g) for c, g in extra_gross.items()}, params, t,
+    result = run_mrp(states, {i: dict(g) for i, g in gross.items()}, params, t,
                      system)
-    products, components = _full_horizon_releases(
-        product_states, product_gross, component_states, extra_gross,
-        params, t, system)
+    products, components = _full_horizon_releases(states, gross, params, t,
+                                                   system)
     assert _lot_rows(result.release_products) == _lot_rows(products)
     assert _lot_rows(result.release_components) == _lot_rows(components)
 
