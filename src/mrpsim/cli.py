@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from . import __version__
 from .config import (RUN_LENGTH, WARMUP, build_system, load_overrides,
@@ -272,19 +273,21 @@ def cmd_grid(args) -> int:
         raise ValueError("grid needs --out DIR (or --dry-run)")
     os.makedirs(args.out, exist_ok=True)
 
-    total = spec.n_cells
+    total, start = spec.n_cells, time.perf_counter()
     milestone = max(1, total // 20)
 
     def progress(done: int, _total: int) -> None:
         if done % milestone == 0 or done == total:
-            print(f"  {done}/{total} cells", file=sys.stderr, flush=True)
+            rate = done / (time.perf_counter() - start)
+            print(f"  {done}/{total} cells, {rate:.1f} cells/s, ETA "
+                  f"{(total - done) / rate:.0f} s", file=sys.stderr, flush=True)
 
     rows = run_grid(spec, base_seed=args.seed, workers=workers,
                     overrides=overrides, progress=progress)
     results_path = os.path.join(args.out, RESULTS_NAME)
     write_results(rows, results_path)
     write_manifest(os.path.join(args.out, MANIFEST_NAME), spec, args.seed,
-                   workers, args.config)
+                   workers, time.perf_counter() - start, args.config)
     print(f"wrote {len(rows)} rows to {results_path}")
     return 0
 

@@ -69,30 +69,31 @@ def build_tape(config: RunConfig, replay: dict | None = None) -> Tape:
     A `replay` (`forecast.load_replay`) must hold each of these updates and
     each stream's long-term value (j = H + 1), equal to this run's."""
     scenario, last = config.scenario, config.run_length
-    start = long_term_forecast(scenario)
+    start, std = long_term_forecast(scenario), scenario.update_std
+    means = tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
     tape: Tape = {}
     for product in FINAL_PRODUCTS:
         column = tape[product] = [None] * (last + HORIZON + 1)
         for due in config.system.demand.due_dates(product, 1, last + HORIZON):
-            if replay is not None:
-                held = replay.get((product, due, HORIZON + 1), "missing")
-                if held != start:
-                    raise ValueError(f"replay's long-term value for product "
-                                     f"{product} due {due} is {held}, this "
-                                     f"run's is {start}")
-            rng = stream_rng(config.base_seed, config.replication, product, due)
-            value, values = start, []
-            for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
-                eps = None if replay is None else replay.get((product, due, j))
-                if replay is not None and eps is None:
-                    raise ValueError(f"replay has no update for product "
-                                     f"{product} due {due} at j={j}")
-                value = advance(value, j, scenario, rng, eps)
+            js = range(min(HORIZON, due - 1), max(0, due - last) - 1, -1)
+            if replay is None:   # a stream with std 0 draws nothing
+                column[due] = advance(start, js, means, std, stream_rng(
+                    config.base_seed, config.replication, product, due)
+                    if std else None)
+                continue
+            held = replay.get((product, due, HORIZON + 1), "missing")
+            if held != start:
+                raise ValueError(f"replay's long-term value for product {product} "
+                                 f"due {due} is {held}, this run's is {start}")
+            eps = [replay.get((product, due, j)) for j in js]
+            if None in eps:
+                raise ValueError(f"replay has no update for product {product}"
+                                 f" due {due} at j={js[eps.index(None)]}")
+            column[due] = values = advance(start, js, means, std, None, eps)
+            for j, value in zip(js, reversed(values)):
                 if value < 0:   # only a replay can: sampling truncates at 0
                     raise ValueError(f"forecast of product {product} due "
                                      f"{due} went negative at j={j}")
-                values.append(value)
-            column[due] = tuple(reversed(values))
     return tape
 
 
@@ -107,8 +108,7 @@ class SimulationRun:
 
     def __init__(self, config: RunConfig, tape: Tape | None = None):
         self.config = config
-        system = config.system
-        self.system = system
+        self.system = system = config.system
         self.pm = system.period_minutes
         self.x = long_term_forecast(config.scenario)
         self.safety = config.params.safety_stock(system.demand.expected_amount)

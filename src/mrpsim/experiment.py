@@ -576,7 +576,7 @@ def read_results(path: str) -> ResultRows:
 
 
 def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
-                   overrides_path: str | None = None) -> None:
+                   wall_s: float, overrides_path: str | None = None) -> None:
     import platform
 
     lines = [
@@ -591,6 +591,7 @@ def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
         f"base seed: {base_seed}",
         f"workers: {workers} (worker count never affects results)",
         f"usable CPUs: {default_workers()}",
+        f"wall time: {wall_s:.1f} s (cells and results.csv)",
         f"python: {platform.python_version()}",
         "random numbers: one forecast tape per (seed, replication, instance), "
         "built from demand substreams keyed by (seed, replication, product, "

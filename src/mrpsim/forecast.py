@@ -26,14 +26,15 @@ drifts toward the true expectation as updates arrive.  beta is 1 exactly for
 the biased schedules and the unbiased schedule's b_j are 0, so the code
 draws around b_j * E and shifts by sum(b).
 
-Sampling for each (replication, product, due date) uses an isolated RNG
-substream derived by hashing, so demand realizations are identical across
-planning-parameter settings and netting modes (common random numbers), and
-independent of the order in which streams are advanced.  Runs read every
-value from a forecast tape (`driver.build_tape`), built once per (seed,
-replication, instance); `dump_tape` writes one and `load_replay` reads it
-back as epsilons to inject, with each stream's long-term value, which the
-replaying run's must equal.
+A stream, one (replication, product, due date), is the unit of sampling:
+`advance` draws its updates in one pass from an RNG substream derived by
+hashing, so demand realizations are identical across planning parameters and
+netting modes (common random numbers) and independent of the order of the
+streams; at alpha = 0 no generator is seeded.  Runs read every value from a
+forecast tape (`driver.build_tape`), built once per (seed, replication,
+instance); `dump_tape` writes one and `load_replay` reads it back as epsilons
+to inject, with each stream's long-term value, which the replaying run's must
+equal.
 """
 
 from __future__ import annotations
@@ -92,56 +93,50 @@ def long_term_forecast(scenario: ScenarioParams) -> int:
     Permanent bias schedules shift the long-term value so that the updates,
     whose means sum to sum(b) * E, steer the forecast back to the true
     expectation E.  Temporary schedules sum to zero and the unbiased
-    schedule's factors are 0, so both start at E.
-    """
+    schedule's factors are 0, so both start at E."""
     shift = float_sum(SCHEDULES[scenario.bias])
     return round(scenario.expected_amount * (1.0 - shift))
 
 
-def sample_update(prev_value: int, mean: float, std: float,
-                  rng: random.Random) -> int:
-    """One truncated-normal update term, rounded to whole pieces.
-
-    Truncation interval is [-prev_value, prev_value + 2 * mean].  When the
-    mean is negative and at least as large in magnitude as the previous
-    value, the interval collapses and the update is 0.
-    """
-    if mean < 0 and prev_value <= -mean:
-        return 0
-    lo = -float(prev_value)
-    hi = float(prev_value) + 2.0 * mean
-    if std <= 0:
-        x = min(max(mean, lo), hi)
-    else:
-        for _ in range(10000):
-            x = rng.gauss(mean, std)
-            if lo <= x <= hi:
-                break
-        else:
-            x = min(max(mean, lo), hi)
-    r = round(x)
-    # integer bounds keep the rounded draw inside the interval
-    return min(max(r, math.ceil(lo)), math.floor(hi))
-
-
-def advance(value: int, j: int, scenario: ScenarioParams,
-            rng: random.Random, eps: int | None = None) -> int:
-    """A stream's forecast value after its update j periods before delivery.
-
-    A replayed epsilon `eps` bypasses sampling.  j = 0 leaves the value as
-    it is, firming the order at its final forecast.
-    """
-    if eps is not None:
-        return value + eps
-    if j == 0:
-        return value
-    return value + sample_update(value, scenario.update_mean(j),
-                                 scenario.update_std, rng)
+def advance(value: int, js: range, means: tuple[float, ...], std: float,
+            rng: random.Random | None,
+            eps: list[int] | None = None) -> tuple[int, ...]:
+    """One stream's values in rising j, from its long-term `value` and one
+    update per j of `js` (falling): a normal draw with mean `means[j]` and
+    deviation `std`, redrawn until it falls in [-prev, prev + 2 * mean],
+    rounded and clamped to the interval's integer bounds.  A negative mean
+    of -prev or less collapses the interval, and the update is 0.
+    A zero `std` draws nothing (`rng` may be None) and takes the mean, which
+    lies in the interval; after 10,000 draws outside it an update silently
+    takes the mean clamped into it.  j = 0 firms the order as it stands.  A
+    replay's epsilons `eps`, one per j of `js`, replace the updates."""
+    if eps is not None:   # running sums of the replayed updates
+        return tuple([value := value + e for e in eps][::-1])
+    values = []
+    draw = rng.gauss if std > 0 else None
+    for j in js:
+        mean = means[j]
+        if j and (mean >= 0 or value > -mean):
+            lo, hi = -float(value), value + 2.0 * mean
+            x = draw(mean, std) if draw else mean
+            if not lo <= x <= hi:
+                for _ in range(9999):
+                    x = draw(mean, std)
+                    if lo <= x <= hi:
+                        break
+                else:
+                    x = min(max(mean, lo), hi)
+            r = round(x)
+            # the integer bounds are [-value, floor(hi)], and x >= -value
+            # rounds to no less, so only the upper one can bind
+            value += r if r <= hi else math.floor(hi)
+        values.append(value)
+    return tuple(values[::-1])
 
 
 def substream_seed(*parts) -> int:
     """Stable 64-bit seed from hashable key parts (platform independent)."""
-    text = "|".join(str(p) for p in parts)
+    text = "|".join(map(str, parts))
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
@@ -161,11 +156,12 @@ def dump_tape(tape: dict, scenario: ScenarioParams, path: str) -> None:
     j = H + 1, then one row per update."""
     streams = [(product, due, values) for product, column in sorted(tape.items())
                for due, values in enumerate(column) if values is not None]
+    start = long_term_forecast(scenario)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(DUMP_HEADER)
         for product, due, values in streams:
-            prev = long_term_forecast(scenario)
+            prev = start
             w.writerow([product, due, HORIZON + 1, 0, prev])
             for j, value in zip(range(min(HORIZON, due - 1), -1, -1),
                                 reversed(values)):

@@ -37,10 +37,10 @@ from mrpsim.experiment import (
     write_results,
 )
 from mrpsim.forecast import (
+    HORIZON,
     ScenarioParams,
     advance,
     long_term_forecast,
-    sample_update,
 )
 from mrpsim.mrp import (
     COMPONENT_LOTS,
@@ -81,14 +81,16 @@ def test_c01_forecast_replay_bit_exact():
         scenario = ScenarioParams(alpha=0.04, bias=bias)
         assert long_term_forecast(scenario) == start
         checked += 1
-        value = start
-        rng = random.Random(0)
-        for j, e, expected in zip(range(10, 0, -1), eps, values):
-            value = advance(value, j, scenario, rng, eps=e)
+        means = tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
+        got = advance(start, range(10, 0, -1), means, scenario.update_std,
+                      None, eps)
+        for value, expected in zip(got[::-1], values, strict=True):
             assert value == expected
             checked += 1
-        value = advance(value, 0, scenario, rng)
-        assert value == 739
+        # j = 0 draws nothing and firms the order at its last value
+        rng = random.Random(0)
+        assert advance(got[0], range(0, -1, -1), means, scenario.update_std,
+                       rng) == (739,)
         checked += 1
     assert checked == 36
     assert time.perf_counter() - start_time < 1.0
@@ -439,17 +441,19 @@ def test_c10_sampler_moments():
     assert setup_mean == pytest.approx(216.0, rel=0.01)
     assert statistics.stdev(setups) / setup_mean == pytest.approx(0.2, rel=0.02)
 
+    # one-update streams at j = 1, mean 32, std 32, from value 800
     rng = random.Random(78)
-    eps = [sample_update(800, 32.0, 32.0, rng) for _ in range(n)]
+    eps = [advance(800, range(1, 0, -1), (0.0, 32.0), 32.0, rng)[0] - 800
+           for _ in range(n)]
     assert statistics.fmean(eps) == pytest.approx(32.0, rel=0.02)
     assert statistics.stdev(eps) == pytest.approx(32.0, rel=0.02)
     assert all(-800 <= e <= 864 for e in eps)
 
     scenario = ScenarioParams(alpha=0.12)
+    means = tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
     rng = random.Random(79)
     for _ in range(2000):
-        value = 800
-        for j in range(10, -1, -1):
-            value = advance(value, j, scenario, rng)
-            assert value >= 0
+        values = advance(800, range(10, -1, -1), means, scenario.update_std,
+                         rng)
+        assert min(values) >= 0
     assert time.perf_counter() - start_time < 10.0

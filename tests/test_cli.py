@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from mrpsim.cli import main
-from mrpsim.experiment import (Cell, GridSpec, Instance, run_cell, run_grid,
-                               write_results)
+from mrpsim.experiment import (PRESETS, Cell, GridSpec, Instance, run_cell,
+                               run_grid, write_results)
 from mrpsim.mrp import PlanningParams
 
 
@@ -139,6 +140,26 @@ def test_grid_rejects_unknown_preset(capsys):
     code, out, err = run_cli(capsys, "grid", "--preset", "everything",
                              "--dry-run")
     assert code == 2
+
+
+def test_grid_progress_reports_rate_and_eta(tmp_path, capsys, monkeypatch):
+    # one parameter set in both modes: two cells, each reported on stderr
+    monkeypatch.setitem(PRESETS, "two-cells", GridSpec(
+        name="two-cells", alphas=(0.06,), sst_factors=(0.2,), plts=(1,),
+        fop_periods=(1,), foq_quantities=(), component_lots=(800,),
+        replications=1, run_length=20, warmup=5))
+    code, out, err = run_cli(capsys, "grid", "--preset", "two-cells",
+                             "--out", str(tmp_path), "--workers", "1")
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 2
+    for done, line in enumerate(lines, start=1):
+        assert re.fullmatch(rf"  {done}/2 cells, \d+\.\d cells/s, ETA \d+ s",
+                            line), line
+    assert lines[-1].endswith(", ETA 0 s")
+    manifest = (tmp_path / "manifest.txt").read_text()
+    assert re.search(r"^wall time: \d+\.\d s \(cells and results\.csv\)$",
+                     manifest, re.MULTILINE)
 
 
 # ---------------------------------------------------------------- simulate

@@ -109,9 +109,17 @@ def _keyed(tape):
             for due, values in enumerate(column) if values is not None}
 
 
+def _update(value, j, scenario, rng):
+    """`value` after its one update j periods before delivery: a stream of
+    one update through `advance`."""
+    means = tuple(scenario.update_mean(k) for k in range(HORIZON + 1))
+    return advance(value, range(j, j - 1, -1), means, scenario.update_std,
+                   rng)[0]
+
+
 def _keyed_tape(cfg):
     """The forecast tape keyed (product, due), built stream by stream over
-    `DemandPattern.due_dates`."""
+    `DemandPattern.due_dates`, one `advance` call per update."""
     scenario, last = cfg.scenario, cfg.run_length
     tape = {}
     for product in FINAL_PRODUCTS:
@@ -120,7 +128,7 @@ def _keyed_tape(cfg):
             rng = stream_rng(cfg.base_seed, cfg.replication, product, due)
             values = []
             for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
-                value = advance(value, j, scenario, rng)
+                value = _update(value, j, scenario, rng)
                 values.append(value)
             tape[product, due] = tuple(reversed(values))
     return tape
@@ -144,7 +152,7 @@ def _reference_tape(cfg):
                     current[key] = long_term
                     rngs[key] = stream_rng(cfg.base_seed, cfg.replication,
                                            product, due)
-                current[key] = advance(current[key], due - t, scenario,
+                current[key] = _update(current[key], due - t, scenario,
                                        rngs[key])
                 values[product, due, due - t] = current[key]
     return values

@@ -689,8 +689,10 @@ def test_a_block_names_its_first_bad_line(tmp_path):
 
 def test_manifest_contents(tmp_path):
     path = tmp_path / "manifest.txt"
-    write_manifest(str(path), PRESETS["desk"], base_seed=42, workers=4)
+    write_manifest(str(path), PRESETS["desk"], base_seed=42, workers=4,
+                   wall_s=12.34)
     text = path.read_text()
+    assert "wall time: 12.3 s (cells and results.csv)\n" in text
     assert "grid: desk" in text
     assert "cells: 2160" in text
     assert "base seed: 42" in text

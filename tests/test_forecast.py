@@ -7,6 +7,7 @@ import statistics
 
 import pytest
 
+from mrpsim import driver
 from mrpsim.cli import main
 from mrpsim.driver import build_tape
 from mrpsim.experiment import Instance, make_config
@@ -19,7 +20,6 @@ from mrpsim.forecast import (
     dump_tape,
     load_replay,
     long_term_forecast,
-    sample_update,
     stream_rng,
     substream_seed,
 )
@@ -41,6 +41,16 @@ REPLAY_CASES = [
 ]
 
 
+def _means(scenario):
+    """The per-j update means a tape works out once, indexed j = 0..H."""
+    return tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
+
+
+def one_update(prev, mean, std, rng):
+    """One update term: a stream of one update at j = 1 through `advance`."""
+    return advance(prev, range(1, 0, -1), (0.0, mean), std, rng)[0] - prev
+
+
 @pytest.mark.parametrize("bias,beta,start,eps,values", REPLAY_CASES)
 def test_replay_trajectories(bias, beta, start, eps, values):
     # the paper's beta of each scenario is the results column's derivation
@@ -48,17 +58,14 @@ def test_replay_trajectories(bias, beta, start, eps, values):
     scenario = ScenarioParams(alpha=0.04, bias=bias)
     assert long_term_forecast(scenario) == start
 
-    value = start
-    rng = random.Random(0)  # never consulted when eps is injected
-    for j, e, expected in zip(range(10, 0, -1), eps, values):
-        got = advance(value, j, scenario, rng, eps=e)
-        assert got - value == e
-        assert got == expected
-        value = got
-    value = advance(value, 0, scenario, rng)
-    assert value == 739
+    means, std = _means(scenario), scenario.update_std
+    got = advance(start, range(10, 0, -1), means, std, None, eps)
+    assert got == values[::-1]
+    # the j = 0 update draws nothing: the order firms at its last value
+    rng = random.Random(0)
+    assert advance(got[0], range(0, -1, -1), means, std, rng) == (739,)
     # trajectory identity: firmed value = start + sum of updates
-    assert value == start + sum(eps)
+    assert got[0] == start + sum(eps)
 
 
 def test_long_term_forecast_values():
@@ -105,6 +112,21 @@ SCHEDULE_TAPES = {
 }
 
 
+# sha256 of repr(build_tape(...)) at (alpha, bias), run_length 60, warmup
+# 10, seed 42: no draws at alpha 0, and ~10 draws per update at alpha 1.5
+# under permanent overbooking
+ALPHA_TAPES = {
+    (0.0, "unbiased"):
+        "a964ff129d7708f2f73170c21b2af24a8971d3d47b91b31ca1346ba9c179bbcc",
+    (0.0, "permanent_overbooking"):
+        "775d756ab462ce42de2ccc7cf4b87974b648fdf757fd69d740feb7cb5dfecf4a",
+    (1.5, "permanent_overbooking"):
+        "967710979bf003f24eaa06ba9c577345459739dcfd1a1653e94385de1e169676",
+    (1.5, "temporary_underbooking"):
+        "d66dc85252bc46ca3534898b3897f8166c750ae005a410026c5a38c2f4758e3a",
+}
+
+
 def test_schedule_tapes_are_pinned():
     assert tuple(SCHEDULE_TAPES) == tuple(SCHEDULES)
     for name, (digest, start) in SCHEDULE_TAPES.items():
@@ -112,6 +134,10 @@ def test_schedule_tapes_are_pinned():
         assert long_term_forecast(config.scenario) == start
         tape = repr(build_tape(config)).encode()
         assert hashlib.sha256(tape).hexdigest() == digest, name
+    for (alpha, bias), digest in ALPHA_TAPES.items():
+        config = make_config(alpha=alpha, bias=bias, run_length=60, warmup=10)
+        tape = repr(build_tape(config)).encode()
+        assert hashlib.sha256(tape).hexdigest() == digest, (alpha, bias)
 
 
 def test_scenario_validation():
@@ -130,47 +156,87 @@ def test_degenerate_update_is_zero():
     # negative mean at least as large as the previous value collapses the
     # truncation interval
     rng = random.Random(1)
-    assert sample_update(20, -32.0, 10.0, rng) == 0
-    assert sample_update(32, -32.0, 10.0, rng) == 0
-    assert sample_update(0, -1.0, 10.0, rng) == 0
+    assert one_update(20, -32.0, 10.0, rng) == 0
+    assert one_update(32, -32.0, 10.0, rng) == 0
+    assert one_update(0, -1.0, 10.0, rng) == 0
 
 
 def test_zero_std_returns_mean():
-    rng = random.Random(1)
-    assert sample_update(800, 0.0, 0.0, rng) == 0
-    assert sample_update(800, 32.0, 0.0, rng) == 32
-    assert sample_update(800, -32.0, 0.0, rng) == -32
+    # a zero std draws nothing, so no generator is needed
+    assert one_update(800, 0.0, 0.0, None) == 0
+    assert one_update(800, 32.0, 0.0, None) == 32
+    assert one_update(800, -32.0, 0.0, None) == -32
     # positive means always sit inside [-prev, prev + 2*mean]
-    assert sample_update(10, 500.0, 0.0, rng) == 500
+    assert one_update(10, 500.0, 0.0, None) == 500
 
 
 def test_sample_update_bounds():
     rng = random.Random(7)
     for _ in range(20000):
-        eps = sample_update(800, 32.0, 320.0, rng)
+        eps = one_update(800, 32.0, 320.0, rng)
         assert -800 <= eps <= 864
         assert isinstance(eps, int)
     # tight interval around a small previous value
     for _ in range(5000):
-        eps = sample_update(3, 0.0, 500.0, rng)
+        eps = one_update(3, 0.0, 500.0, rng)
         assert -3 <= eps <= 3
 
 
 def test_sample_update_moments():
     rng = random.Random(12345)
     n = 100000
-    draws = [sample_update(800, 32.0, 32.0, rng) for _ in range(n)]
+    draws = [one_update(800, 32.0, 32.0, rng) for _ in range(n)]
     # truncation bounds sit 25 sigma away, so moments match the normal
     assert statistics.fmean(draws) == pytest.approx(32.0, abs=0.5)
     assert statistics.stdev(draws) == pytest.approx(32.0, rel=0.01)
+
+
+class ScriptedGauss:
+    """A generator whose every draw is `x`; counts its draws."""
+
+    def __init__(self, x):
+        self.x, self.calls = x, 0
+
+    def gauss(self, mu, sigma):
+        self.calls += 1
+        return self.x
+
+
+def test_rejected_draws_fall_back_to_the_clamped_mean():
+    # at value 0 and mean 0 the interval is [0, 0]: every draw of 1.5 is
+    # rejected, and after exactly 10,000 of them the update is the mean
+    rng = ScriptedGauss(1.5)
+    assert advance(0, range(1, 0, -1), (0.0, 0.0), 5.0, rng) == (0,)
+    assert rng.calls == 10000
+    # the same at value 10, whose interval [-10, 10] the draws of 100 miss
+    rng = ScriptedGauss(100.0)
+    assert advance(10, range(1, 0, -1), (0.0, 0.0), 5.0, rng) == (10,)
+    assert rng.calls == 10000
+    # a first draw inside the interval is the only one
+    rng = ScriptedGauss(2.6)
+    assert advance(800, range(1, 0, -1), (0.0, 0.0), 5.0, rng) == (803,)
+    assert rng.calls == 1
+
+
+def test_rounded_draw_stays_inside_the_interval():
+    # mean 0.3 at value 0 allows [0, 0.6]: a draw of 0.55 rounds to 1, which
+    # the interval's integer upper bound 0 cuts back
+    assert advance(0, range(1, 0, -1), (0.0, 0.3), 5.0,
+                   ScriptedGauss(0.55)) == (0,)
+    assert advance(0, range(1, 0, -1), (0.0, 0.8), 5.0,
+                   ScriptedGauss(1.55)) == (1,)
 
 
 def test_advance_final_update_is_zero():
     scen = ScenarioParams(alpha=0.1)
     rng = random.Random(2)
     state = rng.getstate()
-    assert advance(800, 0, scen, rng) == 800
+    assert advance(800, range(0, -1, -1), _means(scen), scen.update_std,
+                   rng) == (800,)
     assert rng.getstate() == state
+    # a stream that firms in the run repeats its j = 1 value at j = 0
+    values = advance(800, range(3, -1, -1), _means(scen), scen.update_std, rng)
+    assert len(values) == 4 and values[0] == values[1]
 
 
 def test_negative_forecast_rejected(tmp_path, capsys):
@@ -202,23 +268,31 @@ def test_negative_forecast_rejected(tmp_path, capsys):
 
 def test_alpha_zero_unbiased_never_moves():
     scen = ScenarioParams(alpha=0.0)
-    rng = random.Random(3)
-    value = 800
-    for j in range(10, -1, -1):
-        value = advance(value, j, scen, rng)
-        assert value == 800
+    assert advance(800, range(10, -1, -1), _means(scen), scen.update_std,
+                   None) == (800,) * 11
+
+
+def test_alpha_zero_tape_seeds_no_generator(monkeypatch):
+    def no_generator(*key):
+        raise AssertionError(f"stream {key} seeded a generator")
+
+    monkeypatch.setattr(driver, "stream_rng", no_generator)
+    for bias in ("unbiased", "permanent_overbooking"):
+        build_tape(make_config(alpha=0.0, bias=bias, run_length=60,
+                               warmup=10))
+    with pytest.raises(AssertionError, match="seeded a generator"):
+        build_tape(make_config(alpha=0.06, run_length=60, warmup=10))
 
 
 def test_unbiased_streams_average_to_expectation():
     scen = ScenarioParams(alpha=0.06)
+    means, std = _means(scen), scen.update_std
     finals = []
     for rep in range(2500):
-        rng = stream_rng(99, rep, 10, 40)
-        value = 800
-        for j in range(10, -1, -1):
-            value = advance(value, j, scen, rng)
-        assert value >= 0
-        finals.append(value)
+        values = advance(800, range(10, -1, -1), means, std,
+                         stream_rng(99, rep, 10, 40))
+        assert min(values) >= 0
+        finals.append(values[0])
     # sd of one firmed value is ~ 48 * sqrt(10) = 152, so the mean of 2500
     # streams lands within +-10 of 800 at ~3 sigma
     assert statistics.fmean(finals) == pytest.approx(800, abs=10)
@@ -226,17 +300,13 @@ def test_unbiased_streams_average_to_expectation():
 
 def test_substream_independence_of_generation_order():
     scen = ScenarioParams(alpha=0.10)
+    means, std = _means(scen), scen.update_std
     keys = [(p, due) for p in (10, 11, 14) for due in (21, 25, 29)]
 
     def run(order):
-        values = {}
-        for p, due in order:
-            rng = stream_rng(42, 0, p, due)
-            value = 800
-            for j in range(10, -1, -1):
-                value = advance(value, j, scen, rng)
-            values[(p, due)] = value
-        return values
+        return {(p, due): advance(800, range(10, -1, -1), means, std,
+                                  stream_rng(42, 0, p, due))[0]
+                for p, due in order}
 
     assert run(keys) == run(list(reversed(keys)))
 
