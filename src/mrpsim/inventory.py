@@ -59,11 +59,11 @@ def fulfill_due_demands(open_demands: dict[int, deque[CustomerDemand]],
 
     Strict FIFO per product: an unfillable older demand blocks younger ones
     of the same product (no overtaking), and demands ship complete or not at
-    all.  Returns the demands fulfilled this period.
+    all.  Products are served in `open_demands`' order (the driver's is
+    `config.FINAL_PRODUCTS`).  Returns the demands fulfilled this period.
     """
     shipped: list[CustomerDemand] = []
-    for product in sorted(open_demands):
-        queue = open_demands[product]
+    for product, queue in open_demands.items():
         while queue:
             demand = queue[0]
             if demand.due > period or ledger.on_hand[product] < demand.qty:

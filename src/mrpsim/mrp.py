@@ -162,53 +162,57 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
                    else -1)
     receipts = state.receipts
     last = current_period + horizon
-    periods = [p for p in gross if current_period <= p <= last]
-    periods += [p for p in receipts
-                if current_period <= p <= last and p not in gross]
-    periods.sort()
+    periods = sorted(gross.keys() | receipts.keys() if receipts else gross)
 
     fop = policy == "FOP"
     lots: list[PlannedLot] = []
     on_hand = state.on_hand   # all quantities are whole pieces
     lot, window_end = None, current_period - 1   # the open FOP window
+    receipt = receipts.get
     for period in periods:
+        if period > last:
+            break
+        if period < current_period:
+            continue
         g = gross.get(period, 0)
-        r = receipts.get(period, 0)
+        r = receipt(period, 0)
         projected = on_hand - g + r
         # Requirements exist only where demand does: a projection resting
         # below the safety level between demands spawns no refill lot (and
         # setup) of its own; the next demand-period lot absorbs the gap.
-        net = added = 0
+        net = 0
         if g > 0:
             net = (0 if period <= covered_until else safety) - projected
-            if net < 0:
-                net = 0
             if period <= watch_until and projected < safety:
                 divergent.append(period)
                 watch_until = -1
-        on_hand = projected
-        if net > 0:
-            net = int(net)
-            if fop and period <= window_end:
-                lot.qty += net
-                added = net
+        if net <= 0:
+            on_hand = projected
+            if trace is not None:
+                trace.append((current_period, item, period, g, r, on_hand,
+                              0, 0))
+            continue
+        net = int(net)
+        if fop and period <= window_end:
+            lot.qty += net
+            added = net
+        else:
+            start = period - plt
+            if start < current_period:
+                start = current_period
+            if fop:
+                added, window_end = net, period + policy_param - 1
+                lot = PlannedLot(item, period, net, start, start + plt,
+                                 window_end)
             else:
-                start = period - plt
-                if start < current_period:
-                    start = current_period
-                if fop:
-                    added, window_end = net, period + policy_param - 1
-                    lot = PlannedLot(item, period, net, start, start + plt,
-                                     window_end)
-                else:
-                    added = -(-net // policy_param) * policy_param
-                    lot = PlannedLot(item, period, added, start, start + plt,
-                                     period)
-                lots.append(lot)
+                added = -(-net // policy_param) * policy_param
+                lot = PlannedLot(item, period, added, start, start + plt,
+                                 period)
+            lots.append(lot)
         if trace is not None:
-            trace.append((current_period, item, period, g, r, on_hand,
-                          int(net), added))
-        on_hand += added
+            trace.append((current_period, item, period, g, r, projected,
+                          net, added))
+        on_hand = projected + added
     return lots
 
 

@@ -103,6 +103,30 @@ def test_firmed_demands_match_stream_values():
         assert firmed[key] == values[0] == values[1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(interval=st.integers(1, 9), first_delay=st.integers(0, 20),
+       run_length=st.integers(1, 30), alpha=st.sampled_from((0.0, 0.08)))
+@example(interval=1, first_delay=0, run_length=12, alpha=0.08)
+def test_firm_schedule_equals_a_scan_of_every_product(interval, first_delay,
+                                                      run_length, alpha):
+    cfg = make_config(alpha=alpha, params=FOP1, run_length=run_length,
+                      warmup=0, overrides={"demand": {
+                          "interval": interval, "first_delay": first_delay}})
+    run = SimulationRun(cfg)
+    run.run()
+    # each period, every product whose next due period it is firms
+    demand = cfg.system.demand
+    next_due = {p: demand.first_due(p) for p in FINAL_PRODUCTS}
+    scanned = []
+    for t in range(1, run_length + 1):
+        for product in FINAL_PRODUCTS:
+            if next_due[product] == t:
+                scanned.append((product, t, run.tape[product][t][0]))
+                next_due[product] = t + interval
+    assert [(d.product, d.due, d.qty) for d in run.demands_all] == scanned
+    assert run.next_due == next_due
+
+
 def _keyed(tape):
     """An indexed tape's streams keyed (product, due)."""
     return {(product, due): values for product, column in tape.items()
