@@ -119,10 +119,6 @@ class SimulationRun:
             self.tape.update(build_tape(config))
         # the first due period of each product that has not firmed yet
         self.next_due = {p: system.demand.first_due(p) for p in FINAL_PRODUCTS}
-        self.firming = [[] for _ in range(config.run_length + 1)]   # products due, by period
-        for p in FINAL_PRODUCTS:
-            for due in system.demand.due_dates(p, 1, config.run_length):
-                self.firming[due].append(p)
         self.demands_open: dict[int, deque] = {p: deque() for p in FINAL_PRODUCTS}
         self.backlog = {p: 0 for p in FINAL_PRODUCTS}   # open demand pieces
         self.demands_all: list[CustomerDemand] = []
@@ -159,12 +155,13 @@ class SimulationRun:
     # -- demand ----------------------------------------------------------------
 
     def _firm_demands(self, t: int) -> None:
-        for product in self.firming[t]:
-            demand = CustomerDemand(product, t, self.tape[product][t][0])
-            self.demands_open[product].append(demand)
-            self.demands_all.append(demand)
-            self.backlog[product] += demand.qty
-            self.next_due[product] = t + self.system.demand.interval
+        for product in FINAL_PRODUCTS:
+            if self.next_due[product] == t:
+                demand = CustomerDemand(product, t, self.tape[product][t][0])
+                self.demands_open[product].append(demand)
+                self.demands_all.append(demand)
+                self.backlog[product] += demand.qty
+                self.next_due[product] = t + self.system.demand.interval
 
     # -- planning ------------------------------------------------------------
 

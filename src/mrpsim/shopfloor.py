@@ -5,9 +5,8 @@ lognormally distributed setup around the machine's mean, by default with
 coefficient of variation 0.2 (`setup.cv` in `config._DEFAULT_OVERRIDES`,
 which `--config` overrides; cv 0 gives fixed setups), plus deterministic
 per-piece processing time, and lots move to the next routing stage only as
-a whole, past the event heap unless another event is due at that minute (a
-tie), in the heap's order either way.  Time is continuous in minutes; the
-driver advances the floor period by period.
+a whole.  Time is continuous in minutes; the driver advances the floor
+period by period.
 
 The floor also keeps the bookkeeping the KPIs need: setup+processing busy
 minutes per machine clipped to the measurement window, and the count of
@@ -71,6 +70,10 @@ class _MachineState:
         drawn in one frame, exp of the stdlib's Kinderman-Monahan normal."""
         if self.setup_sigma is None:
             return self.setup_mean
+        # This loop must stay `random.Random.normalvariate` step for step, so
+        # that draws and generator state match `lognormvariate` bit for bit
+        # (tests/test_shopfloor.py pins it); if a Python release changes that
+        # method, call `rng.lognormvariate` here instead.
         uniform = rng.random
         while True:
             u1 = uniform()
@@ -109,9 +112,7 @@ class ShopFloor:
         """Process all floor events up to and including `until` minutes.
         After an arrival or an operation's end, an idle machine starts the
         first lot of its queue: it draws the setup, books the operation's
-        minutes inside the window as busy and schedules the end.  A lot that
-        ends a stage while no other event is due by then joins its next
-        queue at once; its machine still starts before the next one.
+        minutes inside the window as busy and schedules the end.
         `on_completion(order, time)` may dispatch lots onto the same heap."""
         events, machines, rng, log = (self.events, self.machines, self.rng,
                                       self.event_log)
@@ -120,7 +121,6 @@ class ShopFloor:
         while events and events[0][0] <= until:
             time, _, kind, order = pop(events)
             machine = machines[order.routing[order.stage]]
-            next_machine = None   # of a lot that skips the heap
             if kind == _ARRIVE:
                 machine.queue.append(order)
             else:
@@ -129,30 +129,25 @@ class ShopFloor:
                     log.append((time, "finish_op", order.uid, order.item,
                                 f"M{machine.id}", order.qty))
                 order.stage += 1
-                if order.stage == len(order.routing):
-                    self.pieces_on_floor -= order.qty
-                    on_completion(order, time)
-                elif events and events[0][0] <= time:
+                if order.stage < len(order.routing):
                     self._seq += 1
                     push(events, (time, self._seq, _ARRIVE, order))
                 else:
-                    next_machine = machines[order.routing[order.stage]]
-                    next_machine.queue.append(order)
-            while machine is not None:
-                if not machine.busy and machine.queue:
-                    order = machine.queue.popleft()
-                    end = time + (machine.draw_setup(rng)
-                                  + order.qty * order.proc_min)
-                    machine.busy = True
-                    overlap = min(end, hi) - max(time, lo)
-                    if overlap > 0:
-                        machine.busy_window_min += overlap
-                    self._seq += 1
-                    push(events, (end, self._seq, _DONE, order))
-                    if log is not None:
-                        log.append((time, "start", order.uid, order.item,
-                                    f"M{machine.id}", order.qty))
-                machine, next_machine = next_machine, None
+                    self.pieces_on_floor -= order.qty
+                    on_completion(order, time)
+            if machine.busy or not machine.queue:
+                continue
+            order = machine.queue.popleft()
+            end = time + (machine.draw_setup(rng) + order.qty * order.proc_min)
+            machine.busy = True
+            overlap = min(end, hi) - max(time, lo)
+            if overlap > 0:
+                machine.busy_window_min += overlap
+            self._seq += 1
+            push(events, (end, self._seq, _DONE, order))
+            if log is not None:
+                log.append((time, "start", order.uid, order.item,
+                            f"M{machine.id}", order.qty))
 
     def utilization(self) -> dict[int, float]:
         """Busy share of each machine over the measurement window."""

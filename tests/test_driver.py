@@ -107,24 +107,24 @@ def test_firmed_demands_match_stream_values():
 @given(interval=st.integers(1, 9), first_delay=st.integers(0, 20),
        run_length=st.integers(1, 30), alpha=st.sampled_from((0.0, 0.08)))
 @example(interval=1, first_delay=0, run_length=12, alpha=0.08)
-def test_firm_schedule_equals_a_scan_of_every_product(interval, first_delay,
-                                                      run_length, alpha):
+def test_demands_firm_on_the_patterns_due_dates(interval, first_delay,
+                                               run_length, alpha):
     cfg = make_config(alpha=alpha, params=FOP1, run_length=run_length,
                       warmup=0, overrides={"demand": {
                           "interval": interval, "first_delay": first_delay}})
     run = SimulationRun(cfg)
     run.run()
-    # each period, every product whose next due period it is firms
+    # the driver steps each product's due period by the interval; the tape
+    # is built from `DemandPattern.due_dates`, and the two must agree
     demand = cfg.system.demand
-    next_due = {p: demand.first_due(p) for p in FINAL_PRODUCTS}
-    scanned = []
-    for t in range(1, run_length + 1):
-        for product in FINAL_PRODUCTS:
-            if next_due[product] == t:
-                scanned.append((product, t, run.tape[product][t][0]))
-                next_due[product] = t + interval
-    assert [(d.product, d.due, d.qty) for d in run.demands_all] == scanned
-    assert run.next_due == next_due
+    due = {p: demand.due_dates(p, 1, run_length) for p in FINAL_PRODUCTS}
+    expected = [(p, t, run.tape[p][t][0]) for t in range(1, run_length + 1)
+                for p in FINAL_PRODUCTS if t in due[p]]
+    assert [(d.product, d.due, d.qty) for d in run.demands_all] == expected
+    assert run.next_due == {
+        p: demand.due_dates(p, run_length + 1,
+                            run_length + first_delay + interval)[0]
+        for p in FINAL_PRODUCTS}
 
 
 def _keyed(tape):

@@ -1,8 +1,6 @@
 """Job shop: setup sampling, FIFO machines, staged routing, busy accounting."""
 
 import dataclasses
-import heapq
-import itertools
 import random
 import statistics
 
@@ -12,7 +10,7 @@ from hypothesis import strategies as st
 
 from mrpsim.config import build_system
 from mrpsim.kpi import float_sum
-from mrpsim.shopfloor import _ARRIVE, _DONE, ProductionOrder, ShopFloor
+from mrpsim.shopfloor import ProductionOrder, ShopFloor
 
 
 def make_order(system, item_id, qty, uid=1):
@@ -250,93 +248,9 @@ def test_operations_run_fifo_and_book_their_window_minutes(lots, cv, lo,
             for _, start, finish in spans)
 
 
-def _reference_advance(self, until, on_completion):
-    """`ShopFloor.advance` as it was when every stage move took the heap:
-    the reference the floor's event order, draws and logs must equal."""
-    events, machines, rng, log = (self.events, self.machines, self.rng,
-                                  self.event_log)
-    lo, hi = self.window
-    pop, push = heapq.heappop, heapq.heappush
-    while events and events[0][0] <= until:
-        time, _, kind, order = pop(events)
-        machine = machines[order.routing[order.stage]]
-        if kind == _ARRIVE:
-            machine.queue.append(order)
-        else:
-            machine.busy = False
-            if log is not None:
-                log.append((time, "finish_op", order.uid, order.item,
-                            f"M{machine.id}", order.qty))
-            order.stage += 1
-            if order.stage < len(order.routing):
-                self._seq += 1
-                push(events, (time, self._seq, _ARRIVE, order))
-            else:
-                self.pieces_on_floor -= order.qty
-                on_completion(order, time)
-        if machine.busy or not machine.queue:
-            continue
-        order = machine.queue.popleft()
-        end = time + (machine.draw_setup(rng) + order.qty * order.proc_min)
-        machine.busy = True
-        overlap = min(end, hi) - max(time, lo)
-        if overlap > 0:
-            machine.busy_window_min += overlap
-        self._seq += 1
-        push(events, (end, self._seq, _DONE, order))
-        if log is not None:
-            log.append((time, "start", order.uid, order.item,
-                        f"M{machine.id}", order.qty))
-
-
-def _run_floor(advance, system, lots, follow_ups, seed, lo, hi):
-    """Release `lots` (item, qty, minute) in time order through `advance`;
-    the completion of lot uid k dispatches `follow_ups[k]` (item, qty) at
-    once, from inside the callback.  Returns all the floor shows."""
-    events = []
-    floor = ShopFloor(system, random.Random(seed), window_start_min=lo,
-                      window_end_min=hi, event_log=events)
-    done, uids = [], itertools.count(len(lots) + 1)
-
-    def on_completion(order, time):
-        done.append((order.uid, time))
-        if order.uid in follow_ups:
-            item, qty = follow_ups[order.uid]
-            floor.dispatch(make_order(system, item, qty, uid=next(uids)), time)
-
-    for uid, (item, qty, minute) in enumerate(sorted(lots, key=lambda l: l[2]),
-                                              start=1):
-        advance(floor, minute, on_completion)
-        floor.dispatch(make_order(system, item, qty, uid=uid), minute)
-    advance(floor, float("inf"), on_completion)
-    busy = {mid: m.busy_window_min for mid, m in floor.machines.items()}
-    return done, events, busy, floor.pieces_on_floor, floor.rng.getstate()
-
-
-# few distinct minutes and sizes, so fixed setups end operations together
-_tied_lots = st.lists(st.tuples(st.sampled_from((10, 11, 14, 15, 20, 21)),
-                                st.sampled_from((400, 800, 1600)),
-                                st.sampled_from((0.0, 94.0, 1296.0, 2592.0))),
-                      min_size=1, max_size=12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(lots=st.one_of(_tied_lots, _lots), cv=st.sampled_from((0.0, 0.2)),
-       follow_ups=st.dictionaries(st.integers(1, 12),
-                                  st.tuples(st.sampled_from((10, 14, 20)),
-                                            st.sampled_from((400, 800)))),
-       lo=st.sampled_from((0.0, 1440.0)), seed=st.integers(0, 2**32 - 1))
-def test_advance_equals_the_heap_for_every_stage_move(lots, cv, follow_ups,
-                                                      lo, seed):
-    system = build_system("low", {"setup": {"cv": cv}})
-    args = (system, lots, follow_ups, seed, lo, lo + 2880.0)
-    assert (_run_floor(ShopFloor.advance, *args)
-            == _run_floor(_reference_advance, *args))
-
-
 def test_lots_ending_a_stage_together_move_in_heap_order():
-    # fixed setups: both lots end their first stage at minute 1296, so the
-    # second finish is due before the first lot's move and both moves wait
+    # fixed setups: both lots end their first stage at minute 1296; each
+    # move joins the heap behind the other finish, so both finishes come first
     system = deterministic_system()
     events = []
     floor = ShopFloor(system, random.Random(0), event_log=events)
