@@ -18,8 +18,9 @@ Steps 1 and 2 read the forecast tape (`build_tape`), per product a list indexed
 by due period that holds every forecast value of one (seed, replication,
 instance), drawn from common-random-number substreams before the first period,
 so demand histories are identical across planning parameters and netting
-modes.  Setup times use a separate substream.  Step 2 nets each item's receipt
-book as it is: the receipts of the item's one `MrpItemState`, kept all run.  A
+modes.  Setup times use a separate substream.  Step 2 nets each item's stock
+and receipt book as they are: the `on_hand` and `receipts` of the item's one
+`MrpItemState`, kept all run, which steps 3 to 5 move.  A
 run's settings arrive as one `RunConfig`, built only by `experiment.make_config`.
 A standard run records the first period whose MRP run met a bucket that
 extended netting would net differently (`divergence_period`); while it is
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from .config import COMPONENTS, FINAL_PRODUCTS, SystemConfig
 from .forecast import (HORIZON, ScenarioParams, advance, long_term_forecast,
                        stream_rng, substream_seed)
-from .inventory import CustomerDemand, StockLedger, fulfill_due_demands, try_release
+from .inventory import CustomerDemand, fulfill_due_demands, try_release
 from .kpi import KpiTracker, RunSummary
 from .mrp import MrpItemState, PlanningParams, decision_windows, run_mrp
 from .shopfloor import ProductionOrder, ShopFloor
@@ -99,6 +100,7 @@ def build_tape(config: RunConfig, replay: dict | None = None) -> Tape:
 
 class SimulationRun:
     """State of one replication; `run()` executes it and returns KPIs.
+    An item's stock lives only in its planning state, `states[item].on_hand`.
     Runs that share a forecast tape pass one `tape` dict, which the first
     finds empty and fills; a filled one, such as a replayed tape, is read
     as it is.  Without one a run builds its own.  A traced run keeps its
@@ -123,12 +125,6 @@ class SimulationRun:
         self.backlog = {p: 0 for p in FINAL_PRODUCTS}   # open demand pieces
         self.demands_all: list[CustomerDemand] = []
 
-        # The run starts at its planning target: final-product stock equals
-        # the safety stock so high-SST cells need no build-up burst, which
-        # from an empty system would swamp the component machines for weeks.
-        # Warm-up absorbs what remains of the initialization.
-        self.ledger = StockLedger(list(system.items),
-                                  initial={p: self.safety for p in FINAL_PRODUCTS})
         shop_rng = random.Random(substream_seed(config.base_seed,
                                                 config.replication, "shop"))
         warm_min = config.warmup * self.pm
@@ -137,16 +133,22 @@ class SimulationRun:
                               [] if config.trace else None)
         self.kpi = KpiTracker(config.run_length, config.warmup, self.pm)
 
-        # One planning state per item.  Its receipts are the item's receipt
-        # book, {planned completion period: pieces} of every committed order
-        # that has not completed yet.
-        self.states = {p: MrpItemState(0, {}, self.safety) for p in FINAL_PRODUCTS}
+        # One planning state per item.  Its on_hand is the item's stock, and
+        # its receipts are the item's receipt book, {planned completion
+        # period: pieces} of every committed order that has not completed
+        # yet.  The run starts at its planning target: final-product stock
+        # equals the safety stock so high-SST cells need no build-up burst,
+        # which from an empty system would swamp the component machines for
+        # weeks.  Warm-up absorbs what remains of the initialization.
+        self.states = {p: MrpItemState(self.safety, {}, self.safety)
+                       for p in FINAL_PRODUCTS}
         self.states.update((c, MrpItemState(0)) for c in COMPONENTS)
         self.blocked: list[ProductionOrder] = []
         self.period = 0   # the receipt books' current bucket, see _fold_receipts
         self._uid = 0
         self._dispatched_pieces = 0
         self._shipped_pieces = 0
+        self._consumed_pieces = 0   # component pieces withdrawn by releases
         self.mrp_trace, self.period_log = (([], []) if config.trace
                                            else (None, None))
         # the first period extended netting would have planned differently
@@ -181,9 +183,6 @@ class SimulationRun:
         last = t + self.product_window
         # dues up to `near` read the tape, later ones the long-term forecast
         near = min(last, t + HORIZON)
-        on_hand = self.ledger.on_hand
-        for item, state in self.states.items():
-            state.on_hand = on_hand[item]
 
         # components start from the withdrawals of blocked product orders
         gross: dict[int, dict[int, int]] = {c: {} for c in COMPONENTS}
@@ -211,6 +210,7 @@ class SimulationRun:
         self.shop.dispatch(order, time)
         self._dispatched_pieces += order.qty
         if order.component is not None:
+            self._consumed_pieces += order.component_need
             # a released final-product lot extends the covered horizon
             state = self.states[order.item]
             if order.covered_end > state.covered_until:
@@ -223,7 +223,7 @@ class SimulationRun:
         still_blocked: list[ProductionOrder] = []
         failed: set[int] = set()
         for order in self.blocked:
-            if order.component in failed or not try_release(order, self.ledger, time):
+            if order.component in failed or not try_release(order, self.states, time):
                 failed.add(order.component)
                 still_blocked.append(order)
             else:
@@ -232,21 +232,22 @@ class SimulationRun:
 
     def _release_new(self, lots, time: float) -> None:
         """Make, book and release each lot's order, or block it on material."""
-        items, states, ledger = self.system.items, self.states, self.ledger
+        items, states = self.system.items, self.states
         for lot in lots:
             self._uid += 1
             order = ProductionOrder(self._uid, items[lot.item], lot.qty,
                                     lot.covered_end, lot.completion)
             book = states[lot.item].receipts
             book[lot.completion] = book.get(lot.completion, 0) + lot.qty
-            if try_release(order, ledger, time):
+            if try_release(order, states, time):
                 self._release(order, time)
             else:
                 self.blocked.append(order)
 
     def _on_completion(self, order: ProductionOrder, time: float) -> None:
-        self.ledger.receive(order.item, order.qty)
-        book = self.states[order.item].receipts
+        state = self.states[order.item]
+        state.on_hand += order.qty
+        book = state.receipts
         period = order.planned_completion
         if period < self.period:   # folded into the current bucket when overdue
             period = self.period
@@ -275,14 +276,15 @@ class SimulationRun:
         self._release_new(result.release_products, minute_start)
         self._release_new(result.release_components, minute_start)
         self.shop.advance(minute_end, self._on_completion)
-        shipped = fulfill_due_demands(self.demands_open, self.ledger, t)
+        shipped = fulfill_due_demands(self.demands_open, self.states, t)
         for demand in shipped:
             self.backlog[demand.product] -= demand.qty
             self._shipped_pieces += demand.qty
 
-        held = self.ledger.on_hand.__getitem__
-        fgi = sum(map(held, FINAL_PRODUCTS))
-        wip = self.shop.pieces_on_floor + sum(map(held, COMPONENTS))
+        states = self.states
+        fgi = sum(states[p].on_hand for p in FINAL_PRODUCTS)
+        wip = (self.shop.pieces_on_floor
+               + sum(states[c].on_hand for c in COMPONENTS))
         backorder = sum(self.backlog.values())
         self.kpi.record_snapshot(t, wip, fgi, backorder)
 
@@ -295,14 +297,12 @@ class SimulationRun:
             self._check_invariants(t, wip, fgi)
 
     def _check_invariants(self, t: int, wip: int, fgi: int) -> None:
-        ledger = self.ledger
-        for item, qty in ledger.on_hand.items():
-            if qty < 0:
+        for item, state in self.states.items():
+            if state.on_hand < 0:
                 raise AssertionError(f"negative stock of {item} in period {t}")
-        withdrawn_comp = sum(ledger.withdrawn[c] for c in COMPONENTS)
-        initial = sum(ledger.initial.values())
+        initial = self.safety * len(FINAL_PRODUCTS)
         balance = (initial + self._dispatched_pieces - self._shipped_pieces
-                   - withdrawn_comp)
+                   - self._consumed_pieces)
         if wip + fgi != balance:
             raise AssertionError(
                 f"piece conservation broken in period {t}: wip+fgi={wip + fgi} "

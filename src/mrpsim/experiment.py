@@ -530,12 +530,15 @@ def _check_row(row: list[str], lineno: int) -> None:
 def _parse_block(block: list[list[str]], first_line: int,
                  pool: dict[str, str]) -> list[list]:
     """The non-blank rows of a block of lines as parsed columns, one list
-    per `RESULT_COLUMNS` entry.  Each column is parsed by one `map` and
-    each float column checked finite by one more; a nan cost would make the
-    best cell depend on row order, and a nan alpha would label its instance
-    "a=nan" in the tables.  If any of it fails, the block is checked row by
-    row, so the error names the first bad line and column."""
+    per `RESULT_COLUMNS` entry, or no columns if every line is blank.  Each
+    column is parsed by one `map` and each float column checked finite by
+    one more; a nan cost would make the best cell depend on row order, and
+    a nan alpha would label its instance "a=nan" in the tables.  If any of
+    it fails, the block is checked row by row, so the error names the first
+    bad line and column."""
     rows = [row for row in block if row]
+    if not rows:
+        return []
     try:
         if any(len(row) != len(RESULT_COLUMNS) for row in rows):
             raise ValueError("a row has the wrong number of fields")

@@ -1,8 +1,14 @@
-"""Stock ledger, material release and all-or-nothing demand fulfillment."""
+"""Material release and all-or-nothing demand fulfillment.
+
+An item's stock is the `on_hand` of its planning state, the one count a run
+keeps.  Both functions take the run's item-keyed states and take stock only
+after their own availability test, so neither drives a stock below zero."""
 
 from __future__ import annotations
 
 from collections import deque
+
+from .mrp import MrpItemState
 
 
 class CustomerDemand:
@@ -17,44 +23,24 @@ class CustomerDemand:
         self.fulfilled_period: int | None = None
 
 
-class StockLedger:
-    """Physical on-hand per item with conservation counters."""
-
-    def __init__(self, item_ids, initial: dict[int, int] | None = None):
-        self.on_hand: dict[int, int] = {i: 0 for i in item_ids}
-        if initial:
-            for item, qty in initial.items():
-                self.on_hand[item] = qty
-        self.initial: dict[int, int] = dict(self.on_hand)
-        self.withdrawn: dict[int, int] = {i: 0 for i in item_ids}
-
-    def receive(self, item: int, qty: int) -> None:
-        self.on_hand[item] += qty
-
-    def withdraw(self, item: int, qty: int) -> None:
-        if self.on_hand[item] < qty:
-            raise ValueError(f"stock of item {item} would go negative: "
-                             f"{self.on_hand[item]} - {qty}")
-        self.on_hand[item] -= qty
-        self.withdrawn[item] += qty
-
-
-def try_release(order, ledger: StockLedger, time: float) -> bool:
+def try_release(order, states: dict[int, MrpItemState], time: float) -> bool:
     """Release an order if its component material is on hand.
 
     Components have no material predecessors and always release.  A product
     order withdraws its full component need atomically or stays blocked.
     """
     if order.component is not None:
-        if ledger.on_hand[order.component] < order.component_need:
+        state = states[order.component]
+        if state.on_hand < order.component_need:
             return False
-        ledger.withdraw(order.component, order.component_need)
+        state.on_hand -= order.component_need
     order.release_time = time
     return True
 
 
 def fulfill_due_demands(open_demands: dict[int, deque[CustomerDemand]],
-                        ledger: StockLedger, period: int) -> list[CustomerDemand]:
+                        states: dict[int, MrpItemState],
+                        period: int) -> list[CustomerDemand]:
     """Ship every due or backordered demand that stock fully covers.
 
     Strict FIFO per product: an unfillable older demand blocks younger ones
@@ -64,11 +50,12 @@ def fulfill_due_demands(open_demands: dict[int, deque[CustomerDemand]],
     """
     shipped: list[CustomerDemand] = []
     for product, queue in open_demands.items():
+        state = states[product]
         while queue:
             demand = queue[0]
-            if demand.due > period or ledger.on_hand[product] < demand.qty:
+            if demand.due > period or state.on_hand < demand.qty:
                 break
-            ledger.withdraw(product, demand.qty)
+            state.on_hand -= demand.qty
             demand.fulfilled_period = period
             shipped.append(demand)
             queue.popleft()

@@ -113,10 +113,11 @@ class PlannedLot:
 
 @dataclass
 class MrpItemState:
-    """Planning state of one item, one object for the whole run.  The
-    driver refreshes `on_hand` before each MRP run, keeps the item's receipt
-    book in `receipts` and moves `covered_until` as product lots release; a
-    component's safety stock and `covered_until` stay 0."""
+    """Planning state of one item, one object for the whole run.  `on_hand`
+    is the item's stock, the run's only count of it, which release, shipping
+    and completions move; `receipts` is the item's receipt book, and the
+    driver moves `covered_until` as product lots release.  A component's
+    safety stock and `covered_until` stay 0."""
 
     on_hand: int
     receipts: dict[int, int] = field(default_factory=dict)

@@ -232,7 +232,7 @@ def test_receipt_book_buckets_and_completion():
     # an overdue order completes out of the current bucket
     run._on_completion(late, 0.0)
     assert book == {9: 800}
-    assert run.ledger.on_hand[20] == 2400
+    assert run.states[20].on_hand == 2400
 
     # the book is the receipts dict MRP nets, for the whole run
     with mock.patch.object(driver, "run_mrp") as planner:
@@ -292,8 +292,8 @@ def test_debug_checks_catch_unfolded_receipt_book():
 
 def test_debug_checks_catch_a_lost_piece():
     run = _checked_run_at(20)
-    item = next(i for i, qty in run.ledger.on_hand.items() if qty > 0)
-    run.ledger.on_hand[item] -= 1
+    state = next(s for s in run.states.values() if s.on_hand > 0)
+    state.on_hand -= 1
     with pytest.raises(AssertionError,
                        match="piece conservation broken in period 21"):
         run.step(21)
@@ -303,7 +303,7 @@ def test_debug_checks_catch_negative_stock():
     run = _checked_run_at(20)
     # more than a period can bring in, so the stock is still negative at
     # the period's end
-    run.ledger.on_hand[20] = -10**6
+    run.states[20].on_hand = -10**6
     with pytest.raises(AssertionError,
                        match="negative stock of 20 in period 21"):
         run.step(21)
@@ -421,7 +421,8 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
     """Every period, MRP receives the gross and receipt dicts the planner
     built from scratch before they were kept live: gross from
     `due_dates` and a keyed tape, receipts from the outstanding orders
-    bucketed at max(planned completion, now)."""
+    bucketed at max(planned completion, now).  Each item's stock equals a
+    count of the orders and demands that moved it."""
     params = PlanningParams(sst, plt, policy[0], policy[1], mode=mode)
     cfg = make_config(utilization=utilization, alpha=alpha, bias=bias,
                       params=params, run_length=run_length, warmup=0,
@@ -430,6 +431,7 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
     keyed = _keyed_tape(cfg)
     x = long_term_forecast(scenario)
     window = decision_windows(params, system)[0]
+    safety = params.safety_stock(system.demand.expected_amount)
     run = SimulationRun(cfg)
 
     completed, released = set(), []
@@ -455,8 +457,7 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
             covered = max((o.covered_end for o in released
                            if o.item == product), default=0)
             assert states[product].covered_until == covered
-            assert states[product].safety_stock == \
-                params.safety_stock(system.demand.expected_amount)
+            assert states[product].safety_stock == safety
         # a component's gross holds the withdrawals of blocked orders
         for component in COMPONENTS:
             need = sum(o.component_need for o in run.blocked
@@ -474,7 +475,17 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
                     bucket = max(order.planned_completion, t)
                     receipts[bucket] = receipts.get(bucket, 0) + order.qty
             assert state.receipts == receipts
-            assert state.on_hand == run.ledger.on_hand[item]
+            # stock: the start, plus completed orders, less the component
+            # needs of released product orders and the shipped demands
+            held = safety if item in FINAL_PRODUCTS else 0
+            for order in released:
+                if order.item == item and order.uid in completed:
+                    held += order.qty
+                if order.component == item:
+                    held -= order.component_need
+            held -= sum(d.qty for d in run.demands_all if d.product == item
+                        and d.fulfilled_period is not None)
+            assert state.on_hand == held
         planned_periods.append(t)
         return real_run_mrp(states, gross, params_, t, system_, trace=trace)
 

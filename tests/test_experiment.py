@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mrpsim import driver, experiment
+from mrpsim import cli, driver, experiment
 from mrpsim.experiment import (
     PRESETS,
     RESULT_COLUMNS,
@@ -670,6 +670,30 @@ def test_a_bad_line_is_named_at_either_end_of_a_later_block(tmp_path, defect,
     lines[at] = ",".join(good)
     path.write_text(results_text(lines))
     assert len(read_results(str(path))) == 3 * block - 5
+
+
+@pytest.mark.parametrize("full_block", [True, False],
+                         ids=["full-block-then-blank", "header-then-blanks"])
+def test_a_block_of_only_blank_lines_reads_as_no_rows(tmp_path, capsys,
+                                                      full_block):
+    """A block whose every line is blank adds no rows: a file of one full
+    block and then a blank line, and a header with only blank lines after
+    it, once raised IndexError, which `analyze` reported as a failed cell
+    (exit 1)."""
+    block = experiment._BLOCK_LINES
+    lines = [""] * 3
+    if full_block:
+        # both modes of one parameter set over block / 2 replications
+        rows = [{**synthetic_rows()[0], "mode": mode, "replication": rep}
+                for mode in ("standard", "extended")
+                for rep in range(block // 2)]
+        lines[:0] = [",".join(str(row[c]) for c in RESULT_COLUMNS)
+                     for row in rows]
+    path = tmp_path / "results.csv"
+    path.write_text(results_text(lines))
+    assert len(read_results(str(path))) == (block if full_block else 0)
+    assert cli.main(["analyze", "--in", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_block_names_its_first_bad_line(tmp_path):
