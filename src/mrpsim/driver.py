@@ -16,8 +16,8 @@ One simulated period runs through a fixed sequence:
 
 Steps 1 and 2 read the forecast tape (`build_tape`), per product a list indexed
 by due period that holds every forecast value of one (seed, replication,
-instance), drawn from common-random-number substreams before the first period,
-so demand histories are identical across planning parameters and netting
+scenario), drawn from common-random-number substreams before the first period,
+so demand histories are identical across utilizations, parameters and netting
 modes.  Setup times use a separate substream.  Step 2 nets each item's stock
 and receipt book as they are: the `on_hand` and `receipts` of the item's one
 `MrpItemState`, kept all run, which steps 3 to 5 move.  A
@@ -64,8 +64,9 @@ def build_tape(config: RunConfig, replay: dict | None = None) -> Tape:
     """Every forecast value a run of `config` reads: per product a list
     indexed by due period, None where no order is due.  An entry holds one
     stream's values in order of rising j, one per update from j = min(H,
-    due - 1) down to j = max(0, due - run_length).  Planning parameters
-    never enter, so runs that differ only in them can share one tape.
+    due - 1) down to j = max(0, due - run_length).  Only the scenario, the
+    demand pattern, the seed, the replication and the run length enter, so
+    runs differing only in planning parameters or utilization share a tape.
 
     A `replay` (`forecast.load_replay`) must hold each of these updates and
     each stream's long-term value (j = H + 1), equal to this run's."""

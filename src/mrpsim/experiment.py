@@ -11,14 +11,15 @@ lot size, netting mode) and the replications.  The full study is
     parameters: 8 SST x 6 PLT x (5 FOP + 5 FOQ) x 2 component lots  = 960
     cells:      105 x 960 x 2 modes x 20 replications               = 4,032,000
 
-Cells are independent runs: execution order and worker count cannot change
-any result because every cell derives its random numbers from (base seed,
-replication, stream) alone, and rows are always reduced in enumeration
-order.  The cells of one (instance, replication) share its forecast tape, and
-an extended cell whose standard twin never met a bucket where extended netting
-nets differently takes that twin's run instead of simulating its own (the two
-would be identical, see `mrp`).  `enumerate_cells` is a view that maps an
-index to its cell, so a grid's cells are built only where and when they run.
+Cells are independent runs: execution order and worker count cannot change any
+result because every cell derives its random numbers from (base seed,
+replication, stream) alone, and rows are always reduced in enumeration order.
+The cells of one (seed, replication, forecast scenario) share its forecast
+tape whatever their utilization, which sets only setup times, and an extended
+cell whose standard twin never met a bucket where extended netting nets
+differently takes that twin's run instead of simulating its own (the two would
+be identical, see `mrp`).  `enumerate_cells` is a view that maps an index to
+its cell, so a grid's cells are built only where and when they run.
 Desk-scale presets cover the same machinery in minutes.  `make_config` is the
 one builder of a run's `RunConfig`, for grid cells and the CLI alike.
 """
@@ -256,7 +257,7 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
              overrides: dict | None = None, tape: Tape | None = None,
              twin: list | None = None) -> dict:
     """Execute one cell and flatten its KPIs into a result row.  `tape` is
-    shared by the cells of one (instance, replication), see `SimulationRun`.
+    shared by the cells of a scenario and replication, see `SimulationRun`.
     `twin` is a one-entry slot handed from cell to cell: a standard run that
     never met a bucket where extended netting nets differently leaves
     (params, row) there, and the next cell, if it is that run's extended
@@ -303,15 +304,18 @@ def _describe(cell: Cell) -> str:
 
 
 def _tasks(spec: GridSpec, workers: int) -> list[range]:
-    """The grid's work as tasks, by instance, then replication, each the
-    `range` of its cells' enumeration indices.  With S settings (parameter
-    sets x modes) and R replications, settings [a, b) of instance i at
-    replication r are `range((i*S + a)*R + r, (i*S + b)*R, R)`.  At one
-    worker each task is one whole (instance, replication) group.  At
-    several, a grid of fewer than 4 * `workers` groups has each group cut
-    into up to ceil(4 * workers / groups) contiguous parts.  A group runs
-    its parameter sets' modes back to back, so a part length that is a
-    multiple of the mode count never separates twins.  No cells, no tasks."""
+    """The grid's work as tasks, each the `range` of its cells' enumeration
+    indices: by forecast scenario (alpha, bias) in the order of its first
+    instance, then replication, then the scenario's instances, so groups
+    that share a tape follow each other (with one utilization: instance,
+    then replication).  With S settings (parameter sets x modes) and R
+    replications, settings [a, b) of instance i at replication r are
+    `range((i*S + a)*R + r, (i*S + b)*R, R)`.  At one worker each task is
+    one whole (instance, replication) group.  At several, a grid of fewer
+    than 4 * `workers` groups has each group cut into up to
+    ceil(4 * workers / groups) contiguous parts.  A group runs its parameter
+    sets' modes back to back, so a part length that is a multiple of the
+    mode count never separates twins.  No cells, no tasks."""
     n_modes, reps = len(spec.modes), spec.replications
     settings, groups = spec.n_parameter_sets * n_modes, spec.n_instances * reps
     if not groups * settings:
@@ -319,19 +323,28 @@ def _tasks(spec: GridSpec, workers: int) -> list[range]:
     parts = -(-4 * workers // groups) if workers > 1 else 1
     size = -(-settings // parts)
     size = -(-size // n_modes) * n_modes
+    scenarios: dict[tuple, list[int]] = {}
+    for i, instance in enumerate(spec.instances()):
+        scenarios.setdefault((instance.alpha, instance.bias), []).append(i)
     return [range((i * settings + a) * reps + rep,
                   (i * settings + min(a + size, settings)) * reps, reps)
-            for i in range(spec.n_instances) for rep in range(reps)
-            for a in range(0, settings, size)]
+            for same in scenarios.values() for rep in range(reps)
+            for i in same for a in range(0, settings, size)]
 
 
 def _run_task(spec: GridSpec, base_seed: int, overrides: dict | None,
-              task: range):
+              task: range, tapes: dict):
     """Run the cells of one `_tasks` range, by index, and yield (index,
     row, error) for each as it finishes.  They are one (instance,
-    replication) or part of one, so they share a tape and a twin slot."""
-    cells, tape, twin = enumerate_cells(spec), {}, []
+    replication) or part of one, so they share a twin slot.  `tapes` holds
+    one tape, keyed (alpha, bias, replication), which every utilization
+    reads; a cell of another key frees it before its run builds its own."""
+    cells, twin = enumerate_cells(spec), []
     for cell in (cells[i] for i in task):
+        key = (cell.instance.alpha, cell.instance.bias, cell.replication)
+        if key not in tapes:
+            tapes.clear()
+        tape = tapes.setdefault(key, {})
         try:
             row, error = run_cell(cell, base_seed, spec.run_length,
                                   spec.warmup, overrides, tape, twin), None
@@ -341,8 +354,8 @@ def _run_task(spec: GridSpec, base_seed: int, overrides: dict | None,
 
 
 def _pool_task(*args) -> list:
-    """`_run_task` for a worker process: its outcomes as one list."""
-    return list(_run_task(*args))
+    """`_run_task` for a worker process, on a fresh tape slot, as a list."""
+    return list(_run_task(*args, {}))
 
 
 class ExperimentError(RuntimeError):
@@ -362,10 +375,11 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
     The work is the tasks of `_tasks`, each run by `_run_task`, which builds
     its cells when it starts.  At one worker, where each task is a whole
     (instance, replication) group, or for a grid of at most one task, the
-    tasks run in this process.  Otherwise they go to a pool as index
-    ranges the worker expands, so the parent never builds the grid's cells.
-    `progress(done, total)` is called once per finished cell.  `workers`
-    defaults to one per usable CPU."""
+    tasks run in this process on one tape slot, which consecutive groups of
+    one scenario and replication share.  Otherwise they go to a pool as
+    index ranges the worker expands, so the parent never builds the grid's
+    cells.  `progress(done, total)` is called once per finished cell.
+    `workers` defaults to one per usable CPU."""
     if workers is None:
         workers = default_workers()
     elif workers < 1:
@@ -388,8 +402,9 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
                 progress(done, len(cells))
 
     if workers == 1 or len(tasks) <= 1:
+        tapes: dict = {}
         for task in tasks:
-            _collect(_run_task(spec, base_seed, overrides, task))
+            _collect(_run_task(spec, base_seed, overrides, task, tapes))
     else:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -596,11 +611,12 @@ def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
         f"usable CPUs: {default_workers()}",
         f"wall time: {wall_s:.1f} s (cells and results.csv)",
         f"python: {platform.python_version()}",
-        "random numbers: one forecast tape per (seed, replication, instance), "
-        "built from demand substreams keyed by (seed, replication, product, "
-        "due date) and shared by every parameter set and mode; twins share "
-        "runs: an extended cell whose standard twin never met a bucket that "
-        "extended netting nets differently reuses that twin's run",
+        "random numbers: one forecast tape per (seed, replication, forecast "
+        "scenario), built from demand substreams keyed by (seed, replication, "
+        "product, due date) and shared by every utilization, parameter set "
+        "and mode; twins share runs: an extended cell whose standard twin "
+        "never met a bucket that extended netting nets differently reuses "
+        "that twin's run",
         f"config overrides: {overrides_path or 'none'}",
     ]
     with open(path, "w", encoding="utf-8") as fh:

@@ -32,9 +32,9 @@ hashing, so demand realizations are identical across planning parameters and
 netting modes (common random numbers) and independent of the order of the
 streams; at alpha = 0 no generator is seeded.  Runs read every value from a
 forecast tape (`driver.build_tape`), built once per (seed, replication,
-instance); `dump_tape` writes one and `load_replay` reads it back as epsilons
-to inject, with each stream's long-term value, which the replaying run's must
-equal.
+forecast scenario) and shared by the utilizations; `dump_tape` writes one and
+`load_replay` reads it back as epsilons to inject, with each stream's
+long-term value, which the replaying run's must equal.
 """
 
 from __future__ import annotations

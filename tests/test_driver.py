@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from mrpsim import driver
 from mrpsim.driver import SimulationRun, build_tape
 from mrpsim.experiment import FULL_ALPHAS, make_config
-from mrpsim.config import COMPONENTS, DEMAND_OFFSETS, FINAL_PRODUCTS
+from mrpsim.config import (_DEFAULT_OVERRIDES, COMPONENTS, DEMAND_OFFSETS,
+                           FINAL_PRODUCTS)
 from mrpsim.forecast import (HORIZON, SCHEDULES, advance, dump_tape,
                              load_replay, long_term_forecast, stream_rng)
 from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
@@ -400,6 +401,24 @@ def test_runs_share_a_tape_and_leave_it_unchanged():
     # the indexed tape holds the streams of the keyed one and nothing else
     assert _keyed(tape) == _keyed_tape(cfg)
     assert summary_tuple(summarize(cfg, tape=tape)) == alone
+
+
+@pytest.mark.parametrize("bias", ["unbiased", "permanent_overbooking"])
+def test_a_tape_reads_only_the_demand_section_of_the_plant(bias):
+    # `grid` shares one tape among the utilizations of a forecast scenario:
+    # utilization sets only setup times, which no tape reads
+    def tape(utilization="low", overrides=None):
+        return build_tape(make_config(utilization, 0.06, bias, FOP1, 7, 1,
+                                      run_length=60, warmup=10,
+                                      overrides=overrides))
+
+    low = tape()
+    assert tape("medium") == tape("high") == low
+    for section, values in _DEFAULT_OVERRIDES.items():
+        for key, value in values.items():
+            changed = tape(overrides={section: {key: value * 2 + 1}})
+            # every demand key, expected_amount among them, moves the tape
+            assert (changed != low) == (section == "demand"), (section, key)
 
 
 _POLICIES = ([("FOP", p) for p in FOP_PERIODS]

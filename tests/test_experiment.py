@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mrpsim import cli, driver, experiment
+from mrpsim.config import UTILIZATION_LEVELS
 from mrpsim.experiment import (
     PRESETS,
     RESULT_COLUMNS,
@@ -149,7 +150,9 @@ def _listed_cells(spec):
 
 
 _SMALL_SPECS = st.builds(
-    GridSpec, name=st.just("small"), utilizations=st.just(("low",)),
+    GridSpec, name=st.just("small"),
+    utilizations=st.lists(st.sampled_from(UTILIZATION_LEVELS), min_size=1,
+                          max_size=2, unique=True).map(tuple),
     alphas=st.lists(st.sampled_from((0.0, 0.04)), min_size=1,
                     unique=True).map(tuple),
     include_unbiased=st.booleans(),
@@ -418,6 +421,10 @@ def test_task_ranges_cover_each_cell_once_in_whole_twin_pairs(spec, workers):
             groups.append(key)
     n_groups = spec.n_instances * spec.replications if tasks else 0
     assert len(groups) == n_groups
+    # the groups of one tape key, (alpha, bias, replication), are adjacent
+    keys = [(instance.alpha, instance.bias, rep)
+            for (instance, rep), in groups]
+    assert len(set(keys)) == len([k for k, _ in groupby(keys)])
     whole = (workers == 1 or n_groups >= 4 * workers
              or spec.n_parameter_sets == 1)
     assert (len(tasks) == n_groups) == (whole or not tasks)
@@ -446,10 +453,22 @@ def test_pool_tasks_of_the_benchmark_grids():
                                   *PRESETS.values()), ids=lambda s: s.name)
 def test_serial_tasks_are_whole_groups(spec):
     block = spec.n_parameter_sets * len(spec.modes) * spec.replications
+    groups = {(start // block, rep): range(start + rep, start + block,
+                                           spec.replications)
+              for start in range(0, spec.n_cells, block)
+              for rep in range(spec.replications)}
+    # by forecast scenario, in the order of its first instance, then
+    # replication, then the scenario's instances, one utilization after
+    # another; with one utilization, in enumeration order
+    instances = spec.instances()
+    scenario = lambda i: (instances[i].alpha, instances[i].bias)  # noqa: E731
+    scenarios = list(dict.fromkeys(map(scenario, range(len(instances)))))
     assert experiment._tasks(spec, 1) == [
-        range(start + rep, start + block, spec.replications)
-        for start in range(0, spec.n_cells, block)
-        for rep in range(spec.replications)]
+        groups[i, rep] for key in scenarios
+        for rep in range(spec.replications)
+        for i in range(len(instances)) if scenario(i) == key]
+    if len(spec.utilizations) == 1:
+        assert experiment._tasks(spec, 1) == list(groups.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -523,6 +542,70 @@ def test_run_grid_results_bytes_are_pinned(tmp_path, workers):
     write_results(run_grid(PINNED_GRID, base_seed=42, workers=workers),
                   str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
+
+
+# Three utilizations of one unbiased and one biased scenario, plt 1 and 4,
+# FOP 9 and FOQ 400, both modes, two replications: 96 short cells, whose
+# 12 groups read 4 tapes.
+UTILIZATIONS_GRID = replace(
+    PINNED_GRID, name="utilizations", utilizations=UTILIZATION_LEVELS,
+    alphas=(0.06,), biased_schedules=("permanent_overbooking",),
+    sst_factors=(0.2,), run_length=60)
+UTILIZATIONS_SHA256 = (
+    "c940dd5babf2a36d625373fcc7fd4a52eaab54ae024bcf3171ad09598a7241ea")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_of_several_utilizations_bytes_are_pinned(tmp_path, workers):
+    assert UTILIZATIONS_GRID.n_cells == 96
+    path = tmp_path / "results.csv"
+    write_results(run_grid(UTILIZATIONS_GRID, base_seed=42, workers=workers),
+                  str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        UTILIZATIONS_SHA256
+
+
+def test_utilizations_share_tapes_and_match_cells_run_alone():
+    spec = UTILIZATIONS_GRID
+    alone = [run_cell(c, 42, spec.run_length, spec.warmup)
+             for c in enumerate_cells(spec)]
+    # the utilizations tell the rows apart
+    assert len({(row["overall_cost"], row["leadtime_mean"]) for row in alone
+                if row["mode"] == "standard"}) == 48
+    assert run_grid(spec, base_seed=42, workers=1) == alone
+    assert run_grid(spec, base_seed=42, workers=2) == alone
+    # at one replication the biased scenario's groups follow the unbiased
+    # ones of the same alpha and replication, and must not take their tape
+    assert run_grid(replace(spec, replications=1), base_seed=42,
+                    workers=1) == alone[::2]
+
+
+def test_one_tape_per_scenario_and_replication_in_one_slot(monkeypatch):
+    # serially one tape per (alpha, bias, replication), whatever the
+    # utilization, and a slot that holds one tape: the old one is gone
+    # before the next is built
+    built, slots = [], []
+    real_build, real_task = driver.build_tape, experiment._run_task
+
+    def counting_build(config):
+        assert len(slots[-1]) == 1 and list(slots[-1].values()) == [{}]
+        built.append((config.scenario.alpha, config.scenario.bias,
+                      config.replication))
+        return real_build(config)
+
+    def recording_task(spec, base_seed, overrides, task, tapes):
+        slots.append(tapes)
+        for outcome in real_task(spec, base_seed, overrides, task, tapes):
+            assert len(tapes) == 1
+            yield outcome
+
+    monkeypatch.setattr(driver, "build_tape", counting_build)
+    monkeypatch.setattr(experiment, "_run_task", recording_task)
+    run_grid(UTILIZATIONS_GRID, base_seed=42, workers=1)
+    assert len(slots) == 12 and all(slot is slots[0] for slot in slots)
+    assert built == [(0.06, bias, rep)
+                     for bias in ("unbiased", "permanent_overbooking")
+                     for rep in (0, 1)]
 
 
 def _dies_on_cell_5(cell, *args, **kwargs):
