@@ -33,7 +33,7 @@ from collections.abc import Sequence
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 
 from . import __version__
@@ -461,8 +461,9 @@ def write_results(rows: list[dict], path: str) -> None:
 
 class _Group:
     """One parameter set's rows, reduced: replication numbers and costs in
-    the order read, and running left-to-right sums from 0.0 of the KPIs a
-    winner averages, which are the bits `kpi.float_sum` gives."""
+    the order read, which ranking puts in replication order, and running
+    left-to-right sums from 0.0, in the order read, of the KPIs a winner
+    averages, which are the bits `kpi.float_sum` gives."""
 
     __slots__ = ("replications", "costs", "wip", "fgi", "backorder",
                  "service", "leadtime")
@@ -481,7 +482,8 @@ class ResultRows:
     beta, bias), kept once from its first row.  `len()` is the number of
     rows reduced.  Built from row dicts, or by `read_results` from a file;
     either way the rows go through `_add`, which groups them in a dict, so
-    their order does not matter.  Its winners are worked out once, on first
+    their order does not change the ranking (a winner's other KPI means
+    can move in their last bit).  Its winners are worked out once, on first
     use, and live and die with this object, so all tables drawn from one
     summary rank it a single time."""
 
@@ -523,9 +525,14 @@ class ResultRows:
         return _best_cells(self)
 
 
-def _check_row(row: list[str], lineno: int) -> None:
-    """Raise the `ValueError` that names a results row's first fault, by
+def _check_row(line: str, lineno: int) -> None:
+    """Raise the `ValueError` that names a results line's first fault, by
     line and column, if it has one."""
+    row = line.removesuffix("\n").split(",")
+    for column, text in zip(RESULT_COLUMNS, row):
+        if '"' in text:
+            raise ValueError(f"results line {lineno}, column {column}: "
+                             f"quoted {text!r}")
     if len(row) != len(RESULT_COLUMNS):
         raise ValueError(f"results line {lineno}: expected "
                          f"{len(RESULT_COLUMNS)} fields, got {len(row)}")
@@ -542,52 +549,59 @@ def _check_row(row: list[str], lineno: int) -> None:
                              f"{RESULT_COLUMNS[i]}: {row[i]!r}")
 
 
-def _parse_block(block: list[list[str]], first_line: int,
+def _parse_block(block: list[str], first_line: int,
                  pool: dict[str, str]) -> list[list]:
-    """The non-blank rows of a block of lines as parsed columns, one list
-    per `RESULT_COLUMNS` entry, or no columns if every line is blank.  Each
-    column is parsed by one `map` and each float column checked finite by
-    one more; a nan cost would make the best cell depend on row order, and
-    a nan alpha would label its instance "a=nan" in the tables.  If any of
-    it fails, the block is checked row by row, so the error names the first
-    bad line and column."""
-    rows = [row for row in block if row]
-    if not rows:
+    """The non-blank lines of a block as parsed columns, one list per
+    `RESULT_COLUMNS` entry, or no columns if every line is blank.  The
+    lines are checked for their commas by one `map`, then joined and split
+    once, so column i is every `len(RESULT_COLUMNS)`-th field from field i.
+    Each column is parsed by one `map` and each float column checked finite
+    by one more; a nan cost would make the best cell depend on row order,
+    and a nan alpha would label its instance "a=nan" in the tables.  If any
+    of it fails, the block is checked line by line, so the error names the
+    first bad line and column."""
+    lines = [line for line in block if line != "\n"]
+    if not lines:
         return []
+    width = len(RESULT_COLUMNS)
     try:
-        if any(len(row) != len(RESULT_COLUMNS) for row in rows):
-            raise ValueError("a row has the wrong number of fields")
+        text = "".join(lines)
+        if set(map(str.count, lines, repeat(","))) != {width - 1} \
+                or '"' in text:
+            raise ValueError("a line has the wrong fields")
+        fields = text.removesuffix("\n").replace("\n", ",").split(",")
         columns = [list(map(pool.setdefault, texts, texts))
                    if parse is str else list(map(parse, texts))
-                   for parse, texts in zip(_PARSERS, zip(*rows))]
+                   for parse, texts in zip(_PARSERS, (
+                       fields[i::width] for i in range(width)))]
         if not all(all(map(math.isfinite, columns[i])) for i in _FLOAT_AT):
             raise ValueError("a float is not finite")
     except ValueError:
-        for lineno, row in enumerate(block, start=first_line):
-            if row:
-                _check_row(row, lineno)
+        for lineno, line in enumerate(block, start=first_line):
+            if line != "\n":
+                _check_row(line, lineno)
         raise
     return columns
 
 
 def read_results(path: str) -> ResultRows:
     """Read a results CSV straight into a `ResultRows` summary, a block of
-    lines at a time, so no row is kept whole.  Blank lines are skipped but
-    counted in the line numbers of errors.  The string columns repeat a few
+    lines at a time, so no row is kept whole.  Lines may end in LF or CRLF.
+    Blank lines are skipped but counted in the line numbers of errors.  A
+    field is whatever lies between two commas, which is what `write_csv`
+    writes; so a quoted field, which `write_csv` never writes and a CSV
+    reader would unquote, is refused.  The string columns repeat a few
     values over millions of rows, so each distinct value is one string
     object, taken from a pool that lives for this call only (interned
     strings would churn the interpreter's table over repeated reads)."""
-    import csv
-
     pool: dict[str, str] = {}
     summary = ResultRows()
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RESULT_COLUMNS:
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().removesuffix("\n")
+        if tuple(header.split(",")) != RESULT_COLUMNS:
             raise ValueError(f"results file {path} has unexpected header")
         lineno = 2
-        while block := list(islice(reader, _BLOCK_LINES)):
+        while block := list(islice(fh, _BLOCK_LINES)):
             summary._add(_parse_block(block, lineno, pool))
             lineno += len(block)
     return summary
@@ -660,10 +674,12 @@ def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
     """Pick the cheapest parameter set per (instance, mode).
 
     Groups rank by (mean cost, sst, plt, policy, value, comp lot), so an
-    exact tie in cost goes to the smaller parameters.  Only the winner of
-    each (instance, mode) is averaged over its other KPIs.  Every
-    parameter set must carry the same distinct replication numbers;
-    anything else indicates a broken or doubled results file.
+    exact tie in cost goes to the smaller parameters; each mean cost is
+    summed in replication order, whatever the order of the rows.  Only the
+    winner of each (instance, mode) is averaged over its other KPIs, summed
+    in the order of the rows.  Every parameter set must carry the same
+    distinct replication numbers; anything else indicates a broken or
+    doubled results file.
 
     `rows` is a `ResultRows` (what `read_results` returns), which is ranked
     once and keeps the result, or row dicts, such as `run_grid`'s list,
@@ -675,10 +691,17 @@ def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
     return dict(rows._winners)
 
 
+def _costs_by_replication(group: _Group) -> tuple[float, ...]:
+    return tuple(cost for _, cost in
+                 sorted(zip(group.replications, group.costs)))
+
+
 def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
     """The checks and ranking behind `best_per_instance`, and each winner
-    built from its group: its mean cost comes with its rank, its other
-    KPIs are averaged.  A `ResultRows` runs all of it once."""
+    built from its group: its mean cost comes with its rank, summed in
+    replication order, so a reordered file ranks and ties alike; its other
+    KPIs are averaged from their sums in file order.  A `ResultRows` runs
+    all of it once."""
     groups = rows._groups
     counts = {len(g.costs) for g in groups.values()}
     if len(counts) > 1:
@@ -688,10 +711,13 @@ def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
     if len(reps) > 1 or any(len(set(r)) < len(r) for r in reps):
         raise ValueError(f"replications differ or repeat across parameter "
                          f"sets: {sorted(reps)[:2]}")
+    in_order = list(next(iter(reps), ()))
 
     winners: dict[tuple, tuple[tuple, tuple]] = {}
     for key, group in groups.items():
-        rank = (float_sum(group.costs) / len(group.costs), *key[2:])
+        costs = (group.costs if group.replications == in_order
+                 else _costs_by_replication(group))
+        rank = (float_sum(costs) / len(costs), *key[2:])
         held = winners.get(key[:2])
         if held is None or not held[0] <= rank:
             winners[key[:2]] = (rank, key)
@@ -702,10 +728,9 @@ def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
         # positional, in field order: the instance's identity, then the rank
         cells[instance_id, mode] = BestCell(
             instance_id, *rows._instances[instance_id], mode, *params, n,
-            tuple(cost for _, cost in
-                  sorted(zip(group.replications, group.costs))),
-            mean_cost, group.wip / n, group.fgi / n, group.backorder / n,
-            group.service / n, group.leadtime / n)
+            _costs_by_replication(group), mean_cost, group.wip / n,
+            group.fgi / n, group.backorder / n, group.service / n,
+            group.leadtime / n)
     return cells
 
 

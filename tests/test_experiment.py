@@ -1,6 +1,7 @@
 """Experiment harness: grid enumeration, execution, result files, analysis."""
 
 import builtins
+import csv
 import hashlib
 import os
 import pickle
@@ -794,6 +795,97 @@ def test_a_block_names_its_first_bad_line(tmp_path):
         read_results(str(path))
 
 
+@pytest.mark.parametrize("column, text", [
+    ("instance_id", '"low-a0.06-b0-unbiased"'), ("alpha", '"0.06"'),
+    ("policy", '"FOP"'), ("bias", '"unbiased,permanent"')])
+def test_a_quoted_field_is_refused_by_line_and_column(tmp_path, capsys,
+                                                      column, text):
+    """`write_csv` never quotes, so a results file holds no `"`.  A CSV
+    reader would unquote the field and read on; here the line and the column
+    that hold the quote are named, and `analyze` exits 2.  A comma inside
+    quotes ends the field like any other."""
+    path = tmp_path / "results.csv"
+    write_results(synthetic_rows(), str(path))
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[RESULT_COLUMNS.index(column)] = text
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"results line 3, column {column}: quoted {text.split(',')[0]!r}"
+    with pytest.raises(ValueError) as caught:
+        read_results(str(path))
+    assert str(caught.value) == message
+    assert cli.main(["analyze", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# floats whose `str` has an exponent, and a few plain ones
+FLOAT_FORMS = (1e-05, 5e+20, 2.5e-08, 1e+16, 7e-300, 0.1, 0.0, 123.0)
+
+
+def csv_reader_parse(path: str) -> ResultRows:
+    """A results file read by `csv.reader`, as `read_results` once did: blank
+    lines skipped, each field parsed by its column's type."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == RESULT_COLUMNS
+    return ResultRows(
+        dict(zip(RESULT_COLUMNS, (parse(text) for parse, text in
+                                  zip(experiment._PARSERS, row))))
+        for row in rows if row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_read_results_equals_a_csv_reader_parse(data):
+    """A file `write_results` wrote, with floats in exponent form, LF or CRLF
+    line ends, blank lines anywhere (also on either side of the boundary
+    between the first two blocks of lines) and with or without its final
+    line end, reads to the rows `csv.reader` gives."""
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    n_sets = data.draw(st.integers(1, 4) | st.integers(86, 130),
+                       label="parameter sets")
+    replications = data.draw(st.integers(1, 3), label="replications")
+
+    def value() -> float:
+        return rng.choice((*FLOAT_FORMS, rng.uniform(0.0, 1e4)))
+
+    alpha, ssts = value(), [value() for _ in range(n_sets)]
+    rows = [{"instance_id": "low-a0.06-b0-unbiased", "alpha": alpha,
+             "beta": 0, "bias": "unbiased", "utilization": "low",
+             "mode": mode, "sst_factor": sst, "plt": 2, "policy": "FOQ",
+             "policy_param": param, "comp_lot": 800, "replication": rep,
+             "seed": 42, "overall_cost": value(), "wip_cost": value(),
+             "fgi_cost": value(), "backorder_cost": value(),
+             "service_level": value(), "n_final_orders": rng.randint(0, 900),
+             "leadtime_mean": value(), "leadtime_sd": value()}
+            for mode in ("standard", "extended")
+            for param, sst in enumerate(ssts) for rep in range(replications)]
+    if data.draw(st.booleans(), label="shuffled"):
+        rng.shuffle(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.csv")
+        write_results(rows, path)
+        with open(path, encoding="utf-8") as fh:
+            header, *lines = fh.read().splitlines()
+        for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=4),
+                            label="blank lines"):
+            lines.insert(at, "")
+        block = experiment._BLOCK_LINES
+        for at in data.draw(st.lists(st.sampled_from(
+                (block - 2, block - 1, block, block + 1)), max_size=3),
+                label="blank lines at the block boundary"):
+            lines.insert(at, "")
+        end = data.draw(st.sampled_from(("\n", "\r\n")), label="line end")
+        final = data.draw(st.booleans(), label="final line end")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(end.join([header, *lines]) + (end if final else ""))
+        read, reference = read_results(path), csv_reader_parse(path)
+    assert len(read) == len(reference) == len(rows)
+    best, expected = best_per_instance(read), best_per_instance(reference)
+    assert best == expected and list(best) == list(expected)
+
+
 def test_manifest_contents(tmp_path):
     path = tmp_path / "manifest.txt"
     write_manifest(str(path), PRESETS["desk"], base_seed=42, workers=4,
@@ -853,6 +945,28 @@ def test_best_per_instance_breaks_ties_toward_smaller_sst():
         row["overall_cost"] = 5000.0
     best = best_per_instance(rows)
     assert best[("low-a0.06-b0-unbiased", "standard")].sst_factor == 0.2
+
+
+@pytest.mark.parametrize("reversed_sst", [0.2, 0.4])
+def test_a_cost_tie_holds_in_any_row_order(reversed_sst):
+    """Both standard parameter sets cost 0.1, 0.2 and 0.3 in replications 0,
+    1 and 2; one is read in that order, the other in reverse.  Summed in
+    file order they would not tie (0.6000000000000001 against 0.6), so the
+    larger sst could win; summed in replication order they tie, and the
+    smaller sst wins with the replication-order mean."""
+    rows = synthetic_rows()
+    for row in rows:
+        if row["mode"] == "standard":
+            row["overall_cost"] = (0.1, 0.2, 0.3)[row["replication"]]
+    later = [r for r in rows if r["mode"] == "standard"
+             and r["sst_factor"] == reversed_sst]
+    rows = [r for r in rows if r not in later] + later[::-1]
+    for given_rows in (rows, read_back(rows)):
+        best = best_per_instance(given_rows)[
+            "low-a0.06-b0-unbiased", "standard"]
+        assert best.sst_factor == 0.2
+        assert best.costs == (0.1, 0.2, 0.3)
+        assert best.mean_cost == (0.1 + 0.2 + 0.3) / 3
 
 
 def test_best_per_instance_rejects_unbalanced_replications():
@@ -1215,8 +1329,9 @@ def test_result_bytes_do_not_depend_on_how_sum_adds(monkeypatch, tmp_path):
 
 
 def reference_best_per_instance(rows: list[dict]) -> dict:
-    """`best_per_instance` as first written: every group fully aggregated,
-    a `BestCell` built whenever a group beats the current best."""
+    """`best_per_instance` as first written, but for the mean cost, which
+    it sums in replication order: every group fully aggregated, a
+    `BestCell` built whenever a group beats the current best."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         key = (row["instance_id"], row["mode"], row["sst_factor"], row["plt"],
@@ -1230,9 +1345,12 @@ def reference_best_per_instance(rows: list[dict]) -> dict:
     for key, group in groups.items():
         instance_id, mode, sst, plt, policy, value, comp_lot = key
         n = len(group)
+        by_replication = sorted(group, key=lambda r: r["replication"])
         agg = {k: sum(r[k] for r in group) / n
-               for k in ("overall_cost", "wip_cost", "fgi_cost",
-                         "backorder_cost", "service_level", "leadtime_mean")}
+               for k in ("wip_cost", "fgi_cost", "backorder_cost",
+                         "service_level", "leadtime_mean")}
+        agg["overall_cost"] = sum(r["overall_cost"]
+                                  for r in by_replication) / n
         rank = (agg["overall_cost"], sst, plt, policy, value, comp_lot)
         bkey = (instance_id, mode)
         if bkey in best and order[bkey] <= rank:
@@ -1244,8 +1362,7 @@ def reference_best_per_instance(rows: list[dict]) -> dict:
             alpha=first["alpha"], beta=first["beta"], bias=first["bias"],
             mode=mode, sst_factor=sst, plt=plt, policy=policy,
             policy_param=value, comp_lot=comp_lot, replications=n,
-            costs=tuple(r["overall_cost"] for r in
-                        sorted(group, key=lambda r: r["replication"])),
+            costs=tuple(r["overall_cost"] for r in by_replication),
             mean_cost=agg["overall_cost"], mean_wip=agg["wip_cost"],
             mean_fgi=agg["fgi_cost"], mean_backorder=agg["backorder_cost"],
             mean_service=agg["service_level"],
@@ -1258,7 +1375,8 @@ def reference_best_per_instance(rows: list[dict]) -> dict:
 def test_best_per_instance_matches_reference_on_shuffled_ties(data):
     """Costs drawn from a few values make exact and near ties common (0.1 +
     0.2 + 0.3 sums differently in another order); in any row order the
-    winners, their fields and the key order equal the reference's."""
+    winners, their fields and the key order equal the reference's, which
+    ranks on costs summed in replication order."""
     values = st.sampled_from((0.1, 0.2, 0.3, 1.0, 2.0))
     rows = []
     for iid, util in (("low-a0-b0-unbiased", "low"),
