@@ -18,7 +18,9 @@ Steps 1 and 2 read the forecast tape (`build_tape`), per product a list indexed
 by due period that holds every forecast value of one (seed, replication,
 scenario), drawn from common-random-number substreams before the first period,
 so demand histories are identical across utilizations, parameters and netting
-modes.  Setup times use a separate substream.  Step 2 nets each item's stock
+modes.  The substreams' standard normals belong to the (seed, replication)
+alone: a `forecast.StreamNormals` store draws them once for every scenario's
+tape.  Setup times use a separate substream.  Step 2 nets each item's stock
 and receipt book as they are: the `on_hand` and `receipts` of the item's one
 `MrpItemState`, kept all run, which steps 3 to 5 move.  A
 run's settings arrive as one `RunConfig`, built only by `experiment.make_config`.
@@ -34,8 +36,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .config import COMPONENTS, FINAL_PRODUCTS, SystemConfig
-from .forecast import (HORIZON, ScenarioParams, advance, long_term_forecast,
-                       stream_rng, substream_seed)
+from .forecast import (HORIZON, ScenarioParams, StreamNormals, advance,
+                       long_term_forecast, stream_rng, substream_seed)
 from .inventory import CustomerDemand, fulfill_due_demands, try_release
 from .kpi import KpiTracker, RunSummary
 from .mrp import MrpItemState, PlanningParams, decision_windows, run_mrp
@@ -60,28 +62,33 @@ class RunConfig:
 Tape = dict[int, list[tuple[int, ...] | None]]
 
 
-def build_tape(config: RunConfig, replay: dict | None = None) -> Tape:
+def build_tape(config: RunConfig, replay: dict | None = None,
+               normals: StreamNormals | None = None) -> Tape:
     """Every forecast value a run of `config` reads: per product a list
     indexed by due period, None where no order is due.  An entry holds one
     stream's values in order of rising j, one per update from j = min(H,
     due - 1) down to j = max(0, due - run_length).  Only the scenario, the
     demand pattern, the seed, the replication and the run length enter, so
     runs differing only in planning parameters or utilization share a tape.
+    The draws replay `normals`, the store of this seed and replication that
+    every scenario's tape shares, and add to it; without one the tape draws
+    into a store of its own.
 
     A `replay` (`forecast.load_replay`) must hold each of these updates and
     each stream's long-term value (j = H + 1), equal to this run's."""
     scenario, last = config.scenario, config.run_length
     start, std = long_term_forecast(scenario), scenario.update_std
     means = tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
+    if normals is None and replay is None:
+        normals = StreamNormals(config.base_seed, config.replication)
     tape: Tape = {}
     for product in FINAL_PRODUCTS:
         column = tape[product] = [None] * (last + HORIZON + 1)
         for due in config.system.demand.due_dates(product, 1, last + HORIZON):
             js = range(min(HORIZON, due - 1), max(0, due - last) - 1, -1)
             if replay is None:   # a stream with std 0 draws nothing
-                column[due] = advance(start, js, means, std, stream_rng(
-                    config.base_seed, config.replication, product, due)
-                    if std else None)
+                column[due] = advance(start, js, means, std, normals.replay(
+                    product, due, stream_rng) if std else None)
                 continue
             held = replay.get((product, due, HORIZON + 1), "missing")
             if held != start:
@@ -103,13 +110,15 @@ class SimulationRun:
     """State of one replication; `run()` executes it and returns KPIs.
     An item's stock lives only in its planning state, `states[item].on_hand`.
     Runs that share a forecast tape pass one `tape` dict, which the first
-    finds empty and fills; a filled one, such as a replayed tape, is read
-    as it is.  Without one a run builds its own.  A traced run keeps its
+    finds empty and fills from `normals` (see `build_tape`); a filled one,
+    such as a replayed tape, is read as it is.  Without one a run builds its
+    own.  A traced run keeps its
     MRP rows in `mrp_trace`, its shop events in `shop.event_log` and one
     (t, wip, fgi, backorder, released, shipped) row per period in
     `period_log`; an untraced run keeps none of them."""
 
-    def __init__(self, config: RunConfig, tape: Tape | None = None):
+    def __init__(self, config: RunConfig, tape: Tape | None = None,
+                 normals: StreamNormals | None = None):
         self.config = config
         self.system = system = config.system
         self.pm = system.period_minutes
@@ -119,7 +128,7 @@ class SimulationRun:
 
         self.tape: Tape = {} if tape is None else tape
         if not self.tape:
-            self.tape.update(build_tape(config))
+            self.tape.update(build_tape(config, normals=normals))
         # the first due period of each product that has not firmed yet
         self.next_due = {p: system.demand.first_due(p) for p in FINAL_PRODUCTS}
         self.demands_open: dict[int, deque] = {p: deque() for p in FINAL_PRODUCTS}

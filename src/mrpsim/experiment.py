@@ -14,8 +14,10 @@ lot size, netting mode) and the replications.  The full study is
 Cells are independent runs: execution order and worker count cannot change any
 result because every cell derives its random numbers from (base seed,
 replication, stream) alone, and rows are always reduced in enumeration order.
-The cells of one (seed, replication, forecast scenario) share its forecast
-tape whatever their utilization, which sets only setup times, and an extended
+The cells of one (seed, replication) share its demand streams' standard
+normals, drawn once and replayed by every forecast scenario's tape; the cells
+of one (seed, replication, forecast scenario) share that tape whatever their
+utilization, which sets only setup times, and an extended
 cell whose standard twin never met a bucket where extended netting nets
 differently takes that twin's run instead of simulating its own (the two would
 be identical, see `mrp`).  `enumerate_cells` is a view that maps an index to
@@ -37,7 +39,7 @@ from itertools import islice, repeat
 from operator import itemgetter
 
 from . import __version__
-from .forecast import BIASED_SCHEDULES, ScenarioParams
+from .forecast import BIASED_SCHEDULES, ScenarioParams, StreamNormals
 from .config import RUN_LENGTH, UTILIZATION_LEVELS, WARMUP, build_system
 from .driver import RunConfig, SimulationRun, Tape
 from .kpi import check_window, float_sum
@@ -255,9 +257,11 @@ def enumerate_cells(spec: GridSpec) -> CellView:
 
 def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
              overrides: dict | None = None, tape: Tape | None = None,
-             twin: list | None = None) -> dict:
+             twin: list | None = None,
+             normals: StreamNormals | None = None) -> dict:
     """Execute one cell and flatten its KPIs into a result row.  `tape` is
-    shared by the cells of a scenario and replication, see `SimulationRun`.
+    shared by the cells of a scenario and replication, and `normals` by the
+    tapes of a replication, see `SimulationRun`.
     `twin` is a one-entry slot handed from cell to cell: a standard run that
     never met a bucket where extended netting nets differently leaves
     (params, row) there, and the next cell, if it is that run's extended
@@ -273,7 +277,7 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
                          base_seed=base_seed, replication=cell.replication,
                          run_length=run_length, warmup=warmup,
                          overrides=overrides)
-    run = SimulationRun(config, tape=tape)
+    run = SimulationRun(config, tape=tape, normals=normals)
     summary = run.run()
     row = {
         "instance_id": inst.instance_id, "alpha": inst.alpha,
@@ -305,10 +309,11 @@ def _describe(cell: Cell) -> str:
 
 def _tasks(spec: GridSpec, workers: int) -> list[range]:
     """The grid's work as tasks, each the `range` of its cells' enumeration
-    indices: by forecast scenario (alpha, bias) in the order of its first
-    instance, then replication, then the scenario's instances, so groups
-    that share a tape follow each other (with one utilization: instance,
-    then replication).  With S settings (parameter sets x modes) and R
+    indices: by replication, then forecast scenario (alpha, bias) in the
+    order of its first instance, then the scenario's instances, so groups
+    that share normals follow each other, and within them groups that share
+    a tape (with one utilization: replication, then instance).  With S
+    settings (parameter sets x modes) and R
     replications, settings [a, b) of instance i at replication r are
     `range((i*S + a)*R + r, (i*S + b)*R, R)`.  At one worker each task is
     one whole (instance, replication) group.  At several, a grid of fewer
@@ -328,33 +333,39 @@ def _tasks(spec: GridSpec, workers: int) -> list[range]:
         scenarios.setdefault((instance.alpha, instance.bias), []).append(i)
     return [range((i * settings + a) * reps + rep,
                   (i * settings + min(a + size, settings)) * reps, reps)
-            for same in scenarios.values() for rep in range(reps)
+            for rep in range(reps) for same in scenarios.values()
             for i in same for a in range(0, settings, size)]
 
 
 def _run_task(spec: GridSpec, base_seed: int, overrides: dict | None,
-              task: range, tapes: dict):
+              task: range, slot: dict):
     """Run the cells of one `_tasks` range, by index, and yield (index,
     row, error) for each as it finishes.  They are one (instance,
-    replication) or part of one, so they share a twin slot.  `tapes` holds
-    one tape, keyed (alpha, bias, replication), which every utilization
-    reads; a cell of another key frees it before its run builds its own."""
+    replication) or part of one, so they share a twin slot.  `slot` holds
+    one replication's `StreamNormals`, keyed by the replication, which
+    every forecast scenario replays, and one tape, keyed (alpha, bias,
+    replication), which every utilization reads.  A cell of another
+    scenario frees the tape, and of another replication the normals too,
+    before its run builds its own."""
     cells, twin = enumerate_cells(spec), []
     for cell in (cells[i] for i in task):
-        key = (cell.instance.alpha, cell.instance.bias, cell.replication)
-        if key not in tapes:
-            tapes.clear()
-        tape = tapes.setdefault(key, {})
+        rep = cell.replication
+        key = (cell.instance.alpha, cell.instance.bias, rep)
+        if key not in slot:
+            normals = slot.get(rep) or StreamNormals(base_seed, rep)
+            slot.clear()
+            slot[rep], slot[key] = normals, {}
         try:
             row, error = run_cell(cell, base_seed, spec.run_length,
-                                  spec.warmup, overrides, tape, twin), None
+                                  spec.warmup, overrides, slot[key], twin,
+                                  slot[rep]), None
         except Exception as exc:
             row, error = None, f"{_describe(cell)}: {exc}"
         yield cell.index, row, error
 
 
 def _pool_task(*args) -> list:
-    """`_run_task` for a worker process, on a fresh tape slot, as a list."""
+    """`_run_task` for a worker process, on a fresh slot, as a list."""
     return list(_run_task(*args, {}))
 
 
@@ -375,8 +386,9 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
     The work is the tasks of `_tasks`, each run by `_run_task`, which builds
     its cells when it starts.  At one worker, where each task is a whole
     (instance, replication) group, or for a grid of at most one task, the
-    tasks run in this process on one tape slot, which consecutive groups of
-    one scenario and replication share.  Otherwise they go to a pool as
+    tasks run in this process on one slot, which consecutive groups of one
+    replication share for its normals, and of one scenario and replication
+    for its tape.  Otherwise they go to a pool as
     index ranges the worker expands, so the parent never builds the grid's
     cells.  `progress(done, total)` is called once per finished cell.
     `workers` defaults to one per usable CPU."""
@@ -402,9 +414,9 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
                 progress(done, len(cells))
 
     if workers == 1 or len(tasks) <= 1:
-        tapes: dict = {}
+        slot: dict = {}
         for task in tasks:
-            _collect(_run_task(spec, base_seed, overrides, task, tapes))
+            _collect(_run_task(spec, base_seed, overrides, task, slot))
     else:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -628,9 +640,10 @@ def write_manifest(path: str, spec: GridSpec, base_seed: int, workers: int,
         "random numbers: one forecast tape per (seed, replication, forecast "
         "scenario), built from demand substreams keyed by (seed, replication, "
         "product, due date) and shared by every utilization, parameter set "
-        "and mode; twins share runs: an extended cell whose standard twin "
-        "never met a bucket that extended netting nets differently reuses "
-        "that twin's run",
+        "and mode; the substreams' standard normals are drawn once per (seed, "
+        "replication) and shared by every forecast scenario; twins share "
+        "runs: an extended cell whose standard twin never met a bucket that "
+        "extended netting nets differently reuses that twin's run",
         f"config overrides: {overrides_path or 'none'}",
     ]
     with open(path, "w", encoding="utf-8") as fh:

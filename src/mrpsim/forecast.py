@@ -30,7 +30,10 @@ A stream, one (replication, product, due date), is the unit of sampling:
 `advance` draws its updates in one pass from an RNG substream derived by
 hashing, so demand realizations are identical across planning parameters and
 netting modes (common random numbers) and independent of the order of the
-streams; at alpha = 0 no generator is seeded.  Runs read every value from a
+streams; at alpha = 0 no generator is seeded.  The key holds no part of the
+scenario, so every scenario of a replication reads the same standard normals:
+`StreamNormals` keeps them per (seed, replication), drawn once, and each
+tape replays them through a `NormalsReplay`.  Runs read every value from a
 forecast tape (`driver.build_tape`), built once per (seed, replication,
 forecast scenario) and shared by the utilizations; `dump_tape` writes one and
 `load_replay` reads it back as epsilons to inject, with each stream's
@@ -43,6 +46,7 @@ import csv
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass
 
 from .config import _DEFAULT_OVERRIDES
@@ -77,6 +81,10 @@ class ScenarioParams:
                              f"got {self.alpha}")
         if self.bias not in SCHEDULES:
             raise ValueError(f"unknown bias schedule {self.bias!r}")
+        if not math.isfinite(self.update_std):
+            raise ValueError(f"alpha times the expected amount must be "
+                             f"finite, got {self.alpha:g} x "
+                             f"{self.expected_amount}")
 
     def update_mean(self, j: int) -> float:
         b = SCHEDULES[self.bias]
@@ -145,6 +153,65 @@ def stream_rng(base_seed: int, replication: int, product: int,
     """RNG substream of one customer order, shared across parameter settings."""
     return random.Random(substream_seed(base_seed, replication, "demand",
                                         product, due))
+
+
+class NormalsReplay:
+    """One stream's generator as `advance` uses it: `gauss(mu, sigma)` returns
+    `mu + z * sigma` for the stream's standard normals z in order, read from
+    the stored `zs`.  Past their end it seeds the generator with `seed()`,
+    redraws the stored ones and appends every further draw to `zs`; the
+    generator goes with the replay.
+
+    This rests on `random.Random.gauss(mu, sigma)` returning `mu + z *
+    sigma` for a z from a pair cache that neither argument enters (Python
+    3.10 to 3.13), so replayed draws equal a fresh generator's bit for bit
+    (tests/test_forecast.py pins it); if a Python release changes that
+    method, build each tape on fresh generators instead."""
+
+    __slots__ = ("_it", "_zs", "_seed")
+
+    def __init__(self, zs: array, seed):
+        self._zs, self._seed = zs, seed
+        self._it = iter(zs)
+
+    def gauss(self, mu: float, sigma: float) -> float:
+        try:
+            z = next(self._it)
+        except StopIteration:
+            self._it = self._draws(self._zs, self._seed)
+            z = next(self._it)
+        return mu + z * sigma
+
+    @staticmethod
+    def _draws(zs: array, seed):
+        # holds no replay, so a replay and its generator form no cycle and
+        # go as soon as the stream is drawn
+        gauss = seed().gauss
+        for _ in zs:   # mu and sigma have no defaults before Python 3.11
+            gauss(0.0, 1.0)
+        while True:
+            z = gauss(0.0, 1.0)   # 0.0 + z * 1.0: z, but for the sign of a zero
+            zs.append(z)
+            yield z
+
+
+class StreamNormals:
+    """The standard normals drawn so far from the demand streams of one
+    (seed, replication), an `array('d')` per (product, due period), which
+    every forecast scenario's tape replays.  `replay` hands out one
+    stream's `NormalsReplay`, which seeds through `stream_rng`, a callable
+    with `forecast.stream_rng`'s signature."""
+
+    def __init__(self, base_seed: int, replication: int):
+        self.base_seed, self.replication = base_seed, replication
+        self.streams: dict[tuple[int, int], array] = {}
+
+    def replay(self, product: int, due: int, stream_rng) -> NormalsReplay:
+        zs = self.streams.get((product, due))
+        if zs is None:
+            zs = self.streams[product, due] = array("d")
+        return NormalsReplay(zs, lambda: stream_rng(
+            self.base_seed, self.replication, product, due))
 
 
 DUMP_HEADER = ("product", "due_date", "j", "epsilon", "value")

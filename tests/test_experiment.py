@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from mrpsim import cli, driver, experiment
 from mrpsim.config import UTILIZATION_LEVELS
+from mrpsim.forecast import BIASED_SCHEDULES
 from mrpsim.experiment import (
     PRESETS,
     RESULT_COLUMNS,
@@ -288,12 +289,12 @@ def _expand(spec, tasks):
 
 def test_run_grid_runs_whole_groups(monkeypatch):
     # serially one tape per (instance, replication); the pool's tasks are
-    # cut from the same groups
+    # cut from the same groups, replication by replication
     built, cut = [], []
     real_build, real_tasks = driver.build_tape, experiment._tasks
-    monkeypatch.setattr(driver, "build_tape", lambda config: (
+    monkeypatch.setattr(driver, "build_tape", lambda config, **kwargs: (
         built.append((config.scenario, config.replication))
-        or real_build(config)))
+        or real_build(config, **kwargs)))
     monkeypatch.setattr(experiment, "_tasks", lambda *args: (
         cut.append(real_tasks(*args)) or cut[-1]))
     run_grid(SHARED, base_seed=11, workers=1)
@@ -303,7 +304,7 @@ def test_run_grid_runs_whole_groups(monkeypatch):
             for task in _expand(SHARED, cut[-1])]
     assert all(len(set(task)) == 1 for task in keys)
     assert [key for task in keys for key in task] == [
-        key for key in ((0.04, 0), (0.04, 1), (0.1, 0), (0.1, 1))
+        key for key in ((0.04, 0), (0.1, 0), (0.04, 1), (0.1, 1))
         for _ in range(4)]
 
 
@@ -379,7 +380,7 @@ _TWIN_GRIDS = (
 def test_pool_slices_never_split_a_twin_pair(spec, workers):
     cells = enumerate_cells(spec)
     rank = {instance: i for i, instance in enumerate(spec.instances())}
-    order = sorted(cells, key=lambda c: (rank[c.instance], c.replication))
+    order = sorted(cells, key=lambda c: (c.replication, rank[c.instance]))
     group = lambda c: (c.instance, c.replication)  # noqa: E731
     groups = [list(g) for _, g in groupby(order, key=group)]
     tasks = _expand(spec, experiment._tasks(spec, workers))
@@ -422,10 +423,13 @@ def test_task_ranges_cover_each_cell_once_in_whole_twin_pairs(spec, workers):
             groups.append(key)
     n_groups = spec.n_instances * spec.replications if tasks else 0
     assert len(groups) == n_groups
-    # the groups of one tape key, (alpha, bias, replication), are adjacent
+    # the groups of one tape key, (alpha, bias, replication), are adjacent,
+    # and so are those of one replication, which share its normals
     keys = [(instance.alpha, instance.bias, rep)
             for (instance, rep), in groups]
     assert len(set(keys)) == len([k for k, _ in groupby(keys)])
+    reps = [rep for _, _, rep in keys]
+    assert len(set(reps)) == len([r for r, _ in groupby(reps)])
     whole = (workers == 1 or n_groups >= 4 * workers
              or spec.n_parameter_sets == 1)
     assert (len(tasks) == n_groups) == (whole or not tasks)
@@ -458,18 +462,20 @@ def test_serial_tasks_are_whole_groups(spec):
                                            spec.replications)
               for start in range(0, spec.n_cells, block)
               for rep in range(spec.replications)}
-    # by forecast scenario, in the order of its first instance, then
-    # replication, then the scenario's instances, one utilization after
-    # another; with one utilization, in enumeration order
+    # by replication, then forecast scenario, in the order of its first
+    # instance, then the scenario's instances, one utilization after
+    # another; with one utilization, replication then instance
     instances = spec.instances()
     scenario = lambda i: (instances[i].alpha, instances[i].bias)  # noqa: E731
     scenarios = list(dict.fromkeys(map(scenario, range(len(instances)))))
     assert experiment._tasks(spec, 1) == [
-        groups[i, rep] for key in scenarios
-        for rep in range(spec.replications)
+        groups[i, rep] for rep in range(spec.replications)
+        for key in scenarios
         for i in range(len(instances)) if scenario(i) == key]
     if len(spec.utilizations) == 1:
-        assert experiment._tasks(spec, 1) == list(groups.values())
+        assert experiment._tasks(spec, 1) == [
+            groups[i, rep] for rep in range(spec.replications)
+            for i in range(len(instances))]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -490,8 +496,9 @@ def test_serial_progress_comes_before_the_next_cell(monkeypatch):
     monkeypatch.setattr(experiment, "run_cell", recording_run_cell)
     run_grid(SHARED, base_seed=11, workers=1,
              progress=lambda done, total: events.append(("progress", done)))
-    # groups run their cells with the replication fixed: 0, 2, 4, 6, 1, ...
-    order = [index for instance in (0, 8) for rep in (0, 1)
+    # groups run their cells with the replication fixed, replication by
+    # replication: 0, 2, 4, 6, 8, ..., 14, 1, 3, ...
+    order = [index for rep in (0, 1) for instance in (0, 8)
              for index in range(instance + rep, instance + 8, 2)]
     assert events == [event for done, index in enumerate(order, start=1)
                       for event in (("run", index), ("progress", done))]
@@ -566,6 +573,50 @@ def test_grid_of_several_utilizations_bytes_are_pinned(tmp_path, workers):
         UTILIZATIONS_SHA256
 
 
+# One utilization, alphas 0.1 and 1.5 under all five schedules, the pinned
+# grid's parameter sets, two replications: 320 short cells, whose 10
+# scenarios replay one store of normals per replication, and at alpha 1.5
+# read past the ones alpha 0.1 drew.
+SCENARIOS_GRID = replace(PINNED_GRID, name="scenarios", alphas=(0.1, 1.5),
+                         biased_schedules=BIASED_SCHEDULES, run_length=60)
+SCENARIOS_SHA256 = (
+    "3beeb8da37601c320118a8c584d509c0b151bd575cd6175560a98642c78d0226")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_of_all_scenarios_bytes_are_pinned(tmp_path, workers):
+    assert SCENARIOS_GRID.n_cells == 320
+    path = tmp_path / "results.csv"
+    write_results(run_grid(SCENARIOS_GRID, base_seed=42, workers=workers),
+                  str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCENARIOS_SHA256
+
+
+def test_one_generator_per_replication_and_stream(monkeypatch):
+    # at one worker the scenarios of a replication replay the normals its
+    # first sampled scenario drew: each stream that draws is seeded once
+    spec = replace(SCENARIOS_GRID, alphas=(0.0, 0.02, 0.12), sst_factors=(0.2,),
+                   plts=(1,), modes=("standard",), run_length=40)
+    seeded, real_stream_rng = [], driver.stream_rng
+
+    def counting_stream_rng(*key):
+        seeded.append(key)
+        return real_stream_rng(*key)
+
+    monkeypatch.setattr(driver, "stream_rng", counting_stream_rng)
+    alone = set()
+    for rep in range(spec.replications):
+        for instance in spec.instances():
+            driver.build_tape(experiment.make_config(
+                alpha=instance.alpha, bias=instance.bias, replication=rep,
+                run_length=spec.run_length, warmup=spec.warmup))
+            alone.update(seeded)
+            seeded.clear()
+    assert {rep for _, rep, _, _ in alone} == {0, 1}
+    run_grid(spec, base_seed=42, workers=1)
+    assert len(seeded) == len(alone) and set(seeded) == alone
+
+
 def test_utilizations_share_tapes_and_match_cells_run_alone():
     spec = UTILIZATIONS_GRID
     alone = [run_cell(c, 42, spec.run_length, spec.warmup)
@@ -583,30 +634,37 @@ def test_utilizations_share_tapes_and_match_cells_run_alone():
 
 def test_one_tape_per_scenario_and_replication_in_one_slot(monkeypatch):
     # serially one tape per (alpha, bias, replication), whatever the
-    # utilization, and a slot that holds one tape: the old one is gone
-    # before the next is built
+    # utilization, replication by replication, and a slot that holds one
+    # replication's normals and one tape: the old tape is gone before the
+    # next is built, and the normals go when the replication changes
     built, slots = [], []
     real_build, real_task = driver.build_tape, experiment._run_task
 
-    def counting_build(config):
-        assert len(slots[-1]) == 1 and list(slots[-1].values()) == [{}]
-        built.append((config.scenario.alpha, config.scenario.bias,
-                      config.replication))
-        return real_build(config)
+    def counting_build(config, normals):
+        rep = config.replication
+        key = (config.scenario.alpha, config.scenario.bias, rep)
+        assert slots[-1] == {rep: normals, key: {}}
+        assert (normals.base_seed, normals.replication) == (42, rep)
+        built.append((key, normals))
+        return real_build(config, normals=normals)
 
-    def recording_task(spec, base_seed, overrides, task, tapes):
-        slots.append(tapes)
-        for outcome in real_task(spec, base_seed, overrides, task, tapes):
-            assert len(tapes) == 1
+    def recording_task(spec, base_seed, overrides, task, slot):
+        slots.append(slot)
+        for outcome in real_task(spec, base_seed, overrides, task, slot):
+            assert len(slot) == 2
             yield outcome
 
     monkeypatch.setattr(driver, "build_tape", counting_build)
     monkeypatch.setattr(experiment, "_run_task", recording_task)
     run_grid(UTILIZATIONS_GRID, base_seed=42, workers=1)
     assert len(slots) == 12 and all(slot is slots[0] for slot in slots)
-    assert built == [(0.06, bias, rep)
-                     for bias in ("unbiased", "permanent_overbooking")
-                     for rep in (0, 1)]
+    assert [key for key, _ in built] == [
+        (0.06, bias, rep) for rep in (0, 1)
+        for bias in ("unbiased", "permanent_overbooking")]
+    # one store per replication, shared by its two scenarios
+    stores = [normals for _, normals in built]
+    assert stores[0] is stores[1] and stores[2] is stores[3]
+    assert stores[1] is not stores[2]
 
 
 def _dies_on_cell_5(cell, *args, **kwargs):
@@ -842,7 +900,7 @@ def test_read_results_equals_a_csv_reader_parse(data):
     line ends, blank lines anywhere (also on either side of the boundary
     between the first two blocks of lines) and with or without its final
     line end, reads to the rows `csv.reader` gives."""
-    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    rng = data.draw(st.randoms(use_true_random=True), label="rng")
     n_sets = data.draw(st.integers(1, 4) | st.integers(86, 130),
                        label="parameter sets")
     replications = data.draw(st.integers(1, 3), label="replications")
@@ -898,6 +956,10 @@ def test_manifest_contents(tmp_path):
     assert "worker count never affects results" in text
     assert f"usable CPUs: {default_workers()}\n" in text
     assert f"python: {platform.python_version()}\n" in text
+    assert ("random numbers: one forecast tape per (seed, replication, "
+            "forecast scenario)") in text
+    assert ("standard normals are drawn once per (seed, replication) and "
+            "shared by every forecast scenario") in text
 
 
 # -------------------------------------------------------------- aggregation

@@ -1,21 +1,29 @@
 """Forecast evolution: replay oracles, truncation, bias schedules, dump/replay."""
 
+import gc
 import hashlib
 import math
 import random
 import statistics
+import weakref
+from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrpsim import driver
 from mrpsim.cli import main
+from mrpsim.config import FINAL_PRODUCTS
 from mrpsim.driver import build_tape
-from mrpsim.experiment import Instance, make_config
+from mrpsim.experiment import GridSpec, Instance, make_config
 from mrpsim.forecast import (
     BIASED_SCHEDULES,
     HORIZON,
     SCHEDULES,
+    NormalsReplay,
     ScenarioParams,
+    StreamNormals,
     advance,
     dump_tape,
     load_replay,
@@ -373,3 +381,146 @@ def test_load_replay_rejects_bad_row(tmp_path):
     path.write_text("product,due_date,j,epsilon,value\n10,21,xyz,12,812\n")
     with pytest.raises(ValueError, match="line 2"):
         load_replay(str(path))
+
+
+def test_an_alpha_whose_update_deviation_overflows_is_refused(capsys):
+    # alpha is finite, but alpha x 800 is not: every update would spend
+    # 10,000 draws on an infinite deviation and keep the forecast at 800
+    with pytest.raises(ValueError, match="must be finite, got 1e[+]308 x 800"):
+        ScenarioParams(alpha=1e308)
+    with pytest.raises(ValueError, match="must be finite"):
+        GridSpec(name="overflow", alphas=(1e308,))
+    assert ScenarioParams(alpha=1e300).update_std == 1e300 * 800
+    code = main(["simulate", "--alpha", "1e308", "--periods", "30",
+                 "--warmup", "5"])
+    assert code == 2
+    assert ("error: alpha times the expected amount must be finite, got "
+            "1e+308 x 800") in capsys.readouterr().err
+
+
+# ------------------------------------------------- shared standard normals
+
+_MEANS = (0.0, -0.0, -64.0, -3.2, 32.0, 800.0)
+_DEVIATIONS = (1e-3, 1.6, 48.0, 96.0, 1200.0)
+
+
+@pytest.mark.parametrize("stored", [0, 1, 2, 7])
+def test_replayed_gauss_equals_random_gauss_bit_for_bit(stored):
+    # `stored` normals come from the store, the rest from a generator seeded
+    # on the way; 13 draws cross pair boundaries both ways
+    for seed in range(60):
+        pick = random.Random(-seed)
+        draws = [(pick.choice(_MEANS), pick.choice(_DEVIATIONS))
+                 for _ in range(13)]
+        zs, seeded = array("d"), []
+
+        def seed_generator():
+            seeded.append(seed)
+            return random.Random(seed)
+
+        filler = NormalsReplay(zs, seed_generator)
+        for _ in range(stored):
+            filler.gauss(0.0, 1.0)
+        seeded.clear()
+        replay, reference = NormalsReplay(zs, seed_generator), \
+            random.Random(seed)
+        for i, (mu, sigma) in enumerate(draws):
+            got, want = replay.gauss(mu, sigma), reference.gauss(mu, sigma)
+            assert got.hex() == want.hex(), (seed, i, mu, sigma)
+            # a generator is seeded once, at the first draw past the store
+            assert len(seeded) == (i >= stored)
+        assert len(zs) == max(stored, len(draws))
+
+
+def test_a_replay_frees_its_generator_without_the_cycle_collector():
+    # a replay that seeded a generator holds it until the stream is drawn;
+    # a cycle between them would keep every stream's generator, ~2.5 KB
+    # each, until the collector runs
+    seeded = []
+
+    def seed():
+        generator = random.Random(1)
+        seeded.append(weakref.ref(generator))
+        return generator
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        replay = NormalsReplay(array("d", [0.5]), seed)
+        for _ in range(3):
+            replay.gauss(0.0, 1.0)
+        assert seeded[0]() is not None
+        del replay
+        assert seeded[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def fresh_tape(cfg):
+    """The tape of `cfg` drawn stream by stream on fresh generators, each
+    `stream_rng` handed to `advance` as it is."""
+    scenario, last = cfg.scenario, cfg.run_length
+    start, std = long_term_forecast(scenario), scenario.update_std
+    tape = {}
+    for product in FINAL_PRODUCTS:
+        column = tape[product] = [None] * (last + HORIZON + 1)
+        for due in cfg.system.demand.due_dates(product, 1, last + HORIZON):
+            js = range(min(HORIZON, due - 1), max(0, due - last) - 1, -1)
+            column[due] = advance(start, js, _means(scenario), std, stream_rng(
+                cfg.base_seed, cfg.replication, product, due))
+    return tape
+
+
+_SCENARIOS = st.tuples(st.sampled_from((0.0, 0.02, 0.12, 1.5)),
+                       st.sampled_from(sorted(SCHEDULES)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), replication=st.integers(0, 30),
+       run_length=st.integers(1, 25),
+       scenarios=st.lists(_SCENARIOS, min_size=1, max_size=4))
+# ~10 draws per update under permanent overbooking at alpha 1.5, ~263
+# unbiased: the second tape reads past the first one's normals
+@example(seed=42, replication=0, run_length=25,
+         scenarios=[(1.5, "permanent_overbooking"), (1.5, "unbiased")])
+def test_tapes_on_one_store_equal_tapes_on_fresh_generators(
+        seed, replication, run_length, scenarios):
+    normals = StreamNormals(seed, replication)
+    for alpha, bias in scenarios:
+        cfg = make_config(alpha=alpha, bias=bias, base_seed=seed,
+                          replication=replication, run_length=run_length,
+                          warmup=0)
+        assert build_tape(cfg, normals=normals) == fresh_tape(cfg)
+
+
+def test_a_scenario_past_the_stored_normals_redraws_and_extends_them(
+        monkeypatch):
+    seeded = []
+
+    def counting_stream_rng(*key):
+        seeded.append(key)
+        return stream_rng(*key)
+
+    monkeypatch.setattr(driver, "stream_rng", counting_stream_rng)
+    normals = StreamNormals(42, 0)
+
+    def lengths():
+        return {key: len(zs) for key, zs in normals.streams.items()}
+
+    tapes = []
+    for bias in ("permanent_overbooking", "unbiased", "permanent_overbooking"):
+        cfg = make_config(alpha=1.5, bias=bias, run_length=25, warmup=0)
+        before, seeded[:] = lengths(), []
+        tapes.append(build_tape(cfg, normals=normals))
+        assert tapes[-1] == fresh_tape(cfg)
+        after = lengths()
+        # each stream whose store grew seeded its generator once
+        assert sorted(seeded) == sorted(
+            (42, 0, product, due) for (product, due), n in after.items()
+            if n != before.get((product, due), 0))
+        if bias == "unbiased":
+            assert seeded and sum(after.values()) > 5 * sum(before.values())
+    # the first tape's normals are all still there: the last seeds nothing
+    assert seeded == [] and tapes[0] == tapes[2]
+
