@@ -206,9 +206,14 @@ def _merge_overrides(overrides: dict | None) -> dict:
 
 
 def _checked(name: str, val, kind: type):
-    """`val` as the default's type, once it is a number within bounds."""
-    if (not isinstance(val, (int, float)) or isinstance(val, bool)
-            or (isinstance(val, float) and not math.isfinite(val))):
+    """`val` as the default's type, once it is a finite number within
+    bounds; an integer too large for a float is not."""
+    try:
+        finite = (isinstance(val, (int, float)) and not isinstance(val, bool)
+                  and math.isfinite(val))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"config key {name} must be a number")
     if kind is int and isinstance(val, float) and not val.is_integer():
         raise ValueError(f"config key {name} must be an integer, got {val}")

@@ -211,8 +211,11 @@ class SimulationRun:
                 demand[due] = x
                 due += interval
 
+        # a traced run nets the whole window, and a standard one stops
+        # watching for divergence once it has met one
         return run_mrp(self.states, gross, self.config.params, t, self.system,
-                       trace=self.mrp_trace)
+                       trace=self.mrp_trace, whole_window=self.config.trace,
+                       watch=self.divergence_period is None)
 
     # -- releasing and material flow ------------------------------------------
 

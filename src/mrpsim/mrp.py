@@ -53,6 +53,19 @@ lot of q pieces.
 Only lots that start in the current period are released; the rest are
 discarded and planned afresh next period.  The scan runs forward in time, so
 periods past the last one that can shape a released lot are never netted.
+
+Nor need a product lot open that cannot shape one.  A lot opens at its due
+period and starts plt periods earlier, or now; so a lot that opens past
+now + plt + component_plt starts after now + component_plt.  It is not
+released, its component gross lands past the component window and is never
+netted, and under forward netting it cannot change an earlier lot.  An
+untraced run therefore ends each product's scan at the first bucket past
+that limit which lies past the open FOP lot's window too (the lot still
+absorbs the nets of its window) and, while a standard run watches for
+divergence, past `covered_until`.  Every bucket scanned is netted as over
+the whole window, so the run releases and reports divergence exactly as a
+whole-window plan does.  A traced run nets the whole window: its trace
+lists every bucket.
 """
 
 from __future__ import annotations
@@ -132,7 +145,10 @@ def decision_windows(params: PlanningParams, system) -> tuple[int, int]:
     A component lot releases only if due within component_plt periods.  The
     component gross it nets comes from product lots starting by then, i.e.
     due at most plt periods later, and an FOP product lot absorbs the
-    requirements of its P-1 following periods too.
+    requirements of its P-1 following periods too.  That P-1 tail matters
+    only to an FOP lot already open and to a standard run's divergence
+    watch; an untraced `run_mrp` scans it for nothing else (see the module
+    docstring).
     """
     lot_window = params.policy_param - 1 if params.policy == "FOP" else 0
     component = system.component_plt
@@ -143,7 +159,8 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
               policy: str, policy_param: int, plt: int, current_period: int,
               horizon: int, extended: bool = False,
               trace: list | None = None,
-              divergent: list | None = None) -> list[PlannedLot]:
+              divergent: list | None = None,
+              opens: int | None = None) -> list[PlannedLot]:
     """Net one item over `horizon` periods past `current_period`, size the
     covering lots and schedule each plt periods before its due period, but
     never before now.
@@ -152,10 +169,15 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
     so the scan touches just those.  A demand period nets the shortfall of
     its projection below the threshold: zero up to `state.covered_until`
     when `extended`, the safety stock elsewhere (the module docstring states
-    the rule).  A `trace` list receives one row per bucket, led by
+    the rule).  A `trace` list receives one row per scanned bucket, led by
     `current_period`.  A `divergent` list receives the first demand bucket,
     if any, where the other netting mode would net differently: one up to
     `state.covered_until` whose projection lies below a positive safety stock.
+
+    With `opens`, the scan ends at the first bucket past `current_period +
+    opens`, past the open FOP lot's window and, with a `divergent` list,
+    past `state.covered_until`; it nets every bucket it scans as over the
+    whole horizon, the default (the module docstring argues the cut).
     """
     safety = state.safety_stock
     covered_until = state.covered_until if extended else -1
@@ -163,6 +185,12 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
                    else -1)
     receipts = state.receipts
     last = current_period + horizon
+    # the scan's end: past the opening limit, the watch and the FOP window
+    stop = last if opens is None else current_period + opens
+    if stop < watch_until:
+        stop = watch_until
+    if stop > last:
+        stop = last
     periods = sorted(gross.keys() | receipts.keys() if receipts else gross)
 
     fop = policy == "FOP"
@@ -171,7 +199,7 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
     lot, window_end = None, current_period - 1   # the open FOP window
     receipt = receipts.get
     for period in periods:
-        if period > last:
+        if period > stop:
             break
         if period < current_period:
             continue
@@ -205,6 +233,8 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
                 added, window_end = net, period + policy_param - 1
                 lot = PlannedLot(item, period, net, start, start + plt,
                                  window_end)
+                if window_end > stop:
+                    stop = window_end if window_end < last else last
             else:
                 added = -(-net // policy_param) * policy_param
                 lot = PlannedLot(item, period, added, start, start + plt,
@@ -229,7 +259,8 @@ class MrpResult:
 
 def run_mrp(states: dict[int, MrpItemState], gross: dict[int, dict[int, int]],
             params: PlanningParams, current_period: int, system,
-            trace: list | None = None) -> MrpResult:
+            trace: list | None = None, *, whole_window: bool = False,
+            watch: bool = True) -> MrpResult:
     """Plan `config.FINAL_PRODUCTS`, then `config.COMPONENTS`, in that order,
     over the decision windows; each product lot adds its component demand,
     and each lot that starts now is released, as it is planned.  Lots due
@@ -240,16 +271,24 @@ def run_mrp(states: dict[int, MrpItemState], gross: dict[int, dict[int, int]],
     product orders blocked on material, which the fresh product plan does
     not show, and `run_mrp` adds each product lot's component demand to it:
     a caller hands it dicts it will not read again.
+
+    Unless `whole_window`, as a trace of the window needs, `plan_item`'s
+    `opens` for products is plt + component_plt: the last bucket whose new
+    lot starts by now + component_plt.  A standard run reports `diverges`
+    only while it `watch`es.  Every component lot starts now, as its window
+    is its planned lead time, so `release_components` is `component_lots`,
+    the same list.
     """
     policy, policy_param, plt = params.policy, params.policy_param, params.plt
     extended = params.mode == "extended"
-    divergent = None if extended else []
+    divergent = [] if watch and not extended else None
     product_window, component_window = decision_windows(params, system)
+    opens = None if whole_window else plt + component_window
     product_lots, release_products = [], []
     for pid in FINAL_PRODUCTS:
         lots = plan_item(states[pid], gross[pid], pid, policy, policy_param,
                          plt, current_period, product_window, extended, trace,
-                         divergent)
+                         divergent, opens)
         if not lots:
             continue
         item = system.items[pid]
@@ -261,13 +300,12 @@ def run_mrp(states: dict[int, MrpItemState], gross: dict[int, dict[int, int]],
                 release_products.append(lot)
         product_lots += lots
 
-    component_lots, release_components = [], []
+    component_lots = []
     for cid in COMPONENTS:
-        lots = plan_item(states[cid], gross[cid], cid, "FOQ",
-                         params.component_lot, system.component_plt,
-                         current_period, component_window, False, trace)
-        component_lots += lots
-        release_components += [l for l in lots if l.start <= current_period]
+        component_lots += plan_item(states[cid], gross[cid], cid, "FOQ",
+                                    params.component_lot, system.component_plt,
+                                    current_period, component_window, False,
+                                    trace)
 
     return MrpResult(product_lots, component_lots, release_products,
-                     release_components, bool(divergent))
+                     component_lots, bool(divergent))

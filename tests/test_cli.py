@@ -87,6 +87,18 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize("command, key", [("validate", "costs.wip"),
+                                          ("simulate", "demand.expected_amount")])
+def test_a_config_integer_too_large_for_a_float_is_a_usage_error(
+        tmp_path, capsys, command, key):
+    section, name = key.split(".")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{section}": {{"{name}": 1{"0" * 400}}}}}')
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert err == f"error: config key {key} must be a number\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 @pytest.mark.parametrize("overrides", [
     {"demand": {"interval": 0}},
@@ -374,6 +386,23 @@ def test_simulate_reports_where_extended_netting_diverges(capsys):
     code, out, _ = run_cli(capsys, *cell, "--plt", "3", "--mode", "extended")
     assert code == 0
     assert "nets differently" not in out
+
+
+@pytest.mark.parametrize("mode", ["extended", "standard"])
+def test_simulate_prints_the_same_summary_when_traced(capsys, tmp_path, mode):
+    # a traced run nets each product's whole decision window, an untraced
+    # one only the buckets that can shape what it releases
+    cell = ("simulate", "--util", "high", "--alpha", "0.1", "--bias",
+            "permanent_underbooking", "--mode", mode, "--sst", "1.5",
+            "--plt", "3", "--policy", "FOP:9", "--periods", "60",
+            "--warmup", "5")
+    code, untraced, _ = run_cli(capsys, *cell)
+    assert code == 0
+    trace = tmp_path / "mrp.csv"
+    code, traced, _ = run_cli(capsys, *cell, "--mrp-trace", str(trace))
+    assert code == 0
+    assert traced == untraced
+    assert trace.stat().st_size > 0
 
 
 def test_simulate_debug_checks(capsys):

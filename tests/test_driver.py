@@ -463,7 +463,8 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
     planned_periods = []
     real_run_mrp = driver.run_mrp
 
-    def checked_run_mrp(states, gross, params_, t, system_, trace=None):
+    def checked_run_mrp(states, gross, params_, t, system_, trace=None,
+                        **scan):
         for product in FINAL_PRODUCTS:
             demand = {}
             backlog = sum(d.qty for d in run.demands_open[product])
@@ -506,7 +507,8 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
                         and d.fulfilled_period is not None)
             assert state.on_hand == held
         planned_periods.append(t)
-        return real_run_mrp(states, gross, params_, t, system_, trace=trace)
+        return real_run_mrp(states, gross, params_, t, system_, trace=trace,
+                            **scan)
 
     with mock.patch.object(driver, "run_mrp", checked_run_mrp):
         for t in range(1, run_length + 1):

@@ -592,6 +592,29 @@ def test_grid_of_all_scenarios_bytes_are_pinned(tmp_path, workers):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCENARIOS_SHA256
 
 
+# FOP 2, 5, 6 and 9 at plt 1 and 8, sst 0.2 and 1.5, both modes, low and
+# high utilization, one unbiased and one biased scenario, two replications:
+# 256 short cells whose FOP windows reach past the last bucket where a new
+# lot can start within the component lead time.
+TAILS_GRID = GridSpec(name="tails", utilizations=("low", "high"),
+                      alphas=(0.1,), biased_schedules=("permanent_underbooking",),
+                      sst_factors=(0.2, 1.5), plts=(1, 8),
+                      fop_periods=(2, 5, 6, 9), foq_quantities=(),
+                      component_lots=(800,), replications=2, run_length=80,
+                      warmup=10)
+TAILS_SHA256 = (
+    "f6bb10a8812de37f91139a31fbcf90dfcc2b454c1d6624bc8d1a500e772af9d3")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_of_fop_tails_bytes_are_pinned(tmp_path, workers):
+    assert TAILS_GRID.n_cells == 256
+    path = tmp_path / "results.csv"
+    write_results(run_grid(TAILS_GRID, base_seed=42, workers=workers),
+                  str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TAILS_SHA256
+
+
 def test_one_generator_per_replication_and_stream(monkeypatch):
     # at one worker the scenarios of a replication replay the normals its
     # first sampled scenario drew: each stream that draws is seeded once

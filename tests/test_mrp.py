@@ -529,6 +529,36 @@ def test_decision_window_releases_equal_full_horizon_plan(params, t, data):
 
 
 @settings(max_examples=300, deadline=None)
+@given(fop=st.sampled_from(FOP_PERIODS), plt=st.sampled_from(PLT_VALUES),
+       mode=st.sampled_from(MODES), sst=st.sampled_from(SST_FACTORS),
+       watch=st.booleans(), t=st.integers(1, 60), data=st.data())
+def test_cut_scan_equals_whole_window_plan(fop, plt, mode, sst, watch, t,
+                                           data):
+    """An untraced `run_mrp` opens product lots only where they can start by
+    t + component_plt, or, in a standard run that watches, inside the
+    covered range it watches.  It releases what the whole-window (traced)
+    plan releases and finds the same divergence."""
+    system = _SYSTEM
+    params = PlanningParams(sst, plt, "FOP", fop, mode=mode)
+    safety = params.safety_stock(system.demand.expected_amount)
+    states, gross = _draw_planner_inputs(data, system, safety, t)
+
+    result = run_mrp(states, {i: dict(g) for i, g in gross.items()}, params,
+                     t, system, watch=watch)
+    whole = run_mrp(states, {i: dict(g) for i, g in gross.items()}, params,
+                    t, system, trace=[], whole_window=True)
+    assert _lot_rows(result.release_products) == \
+        _lot_rows(whole.release_products)
+    assert _lot_rows(result.release_components) == \
+        _lot_rows(whole.release_components)
+    watched = watch and mode == "standard"
+    assert result.diverges == (watched and whole.diverges)
+    for lot in result.product_lots:
+        assert (lot.start <= t + system.component_plt
+                or watched and lot.due <= states[lot.item].covered_until)
+
+
+@settings(max_examples=300, deadline=None)
 @given(params=_params(), t=st.integers(1, 60), data=st.data())
 def test_released_lots_are_the_planned_lots_that_start_now(params, t, data):
     """`run_mrp` splits the released lots off as it plans; they are the
