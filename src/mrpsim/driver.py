@@ -20,10 +20,11 @@ scenario), drawn from common-random-number substreams before the first period,
 so demand histories are identical across utilizations, parameters and netting
 modes.  The substreams' standard normals belong to the (seed, replication)
 alone: a `forecast.StreamNormals` store draws them once for every scenario's
-tape.  Setup times use a separate substream.  Step 2 nets each item's stock
-and receipt book as they are: the `on_hand` and `receipts` of the item's one
-`MrpItemState`, kept all run, which steps 3 to 5 move.  A
-run's settings arrive as one `RunConfig`, built only by `experiment.make_config`.
+tape and keeps the last tape.  Setup times use a separate substream.  Step 2
+nets each item's stock and receipt book as they are: the `on_hand` and
+`receipts` of the item's one `MrpItemState`, kept all run, which steps 3 to 5
+move.  A run's settings arrive as one `RunConfig`, built only by
+`experiment.make_config`.
 A standard run records the first period whose MRP run met a bucket that
 extended netting would net differently (`divergence_period`); while it is
 None the run's extended twin is this same run.
@@ -59,7 +60,8 @@ class RunConfig:
     trace: bool
 
 
-Tape = dict[int, list[tuple[int, ...] | None]]
+class Tape(dict[int, list[tuple[int, ...] | None]]):
+    """A forecast tape (`build_tape`), a dict a weak reference can watch."""
 
 
 def build_tape(config: RunConfig, replay: dict | None = None,
@@ -72,16 +74,22 @@ def build_tape(config: RunConfig, replay: dict | None = None,
     runs differing only in planning parameters or utilization share a tape.
     The draws replay `normals`, the store of this seed and replication that
     every scenario's tape shares, and add to it; without one the tape draws
-    into a store of its own.
+    into a store of its own.  The store keeps the tape and hands it back
+    while the (scenario, demand pattern, run length) stays the same; another
+    key drops it before the build, so a store never holds two tapes.
 
     A `replay` (`forecast.load_replay`) must hold each of these updates and
     each stream's long-term value (j = H + 1), equal to this run's."""
     scenario, last = config.scenario, config.run_length
+    if replay is None:
+        normals = normals or StreamNormals(config.base_seed, config.replication)
+        key = (scenario, config.system.demand, last)
+        if normals.key == key:
+            return normals.tape
+        normals.key = normals.tape = None
     start, std = long_term_forecast(scenario), scenario.update_std
     means = tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
-    if normals is None and replay is None:
-        normals = StreamNormals(config.base_seed, config.replication)
-    tape: Tape = {}
+    tape = Tape()
     for product in FINAL_PRODUCTS:
         column = tape[product] = [None] * (last + HORIZON + 1)
         for due in config.system.demand.due_dates(product, 1, last + HORIZON):
@@ -103,16 +111,17 @@ def build_tape(config: RunConfig, replay: dict | None = None,
                 if value < 0:   # only a replay can: sampling truncates at 0
                     raise ValueError(f"forecast of product {product} due "
                                      f"{due} went negative at j={j}")
+    if replay is None:
+        normals.key, normals.tape = key, tape
     return tape
 
 
 class SimulationRun:
     """State of one replication; `run()` executes it and returns KPIs.
     An item's stock lives only in its planning state, `states[item].on_hand`.
-    Runs that share a forecast tape pass one `tape` dict, which the first
-    finds empty and fills from `normals` (see `build_tape`); a filled one,
-    such as a replayed tape, is read as it is.  Without one a run builds its
-    own.  A traced run keeps its
+    A run reads a given `tape`, such as a replayed one, as it is, and
+    otherwise `build_tape`'s on `normals`, which hands back the tape the
+    store holds for this config.  A traced run keeps its
     MRP rows in `mrp_trace`, its shop events in `shop.event_log` and one
     (t, wip, fgi, backorder, released, shipped) row per period in
     `period_log`; an untraced run keeps none of them."""
@@ -126,9 +135,7 @@ class SimulationRun:
         self.safety = config.params.safety_stock(system.demand.expected_amount)
         self.product_window = decision_windows(config.params, system)[0]
 
-        self.tape: Tape = {} if tape is None else tape
-        if not self.tape:
-            self.tape.update(build_tape(config, normals=normals))
+        self.tape = tape or build_tape(config, normals=normals)
         # the first due period of each product that has not firmed yet
         self.next_due = {p: system.demand.first_due(p) for p in FINAL_PRODUCTS}
         self.demands_open: dict[int, deque] = {p: deque() for p in FINAL_PRODUCTS}

@@ -14,10 +14,10 @@ lot size, netting mode) and the replications.  The full study is
 Cells are independent runs: execution order and worker count cannot change any
 result because every cell derives its random numbers from (base seed,
 replication, stream) alone, and rows are always reduced in enumeration order.
-The cells of one (seed, replication) share its demand streams' standard
-normals, drawn once and replayed by every forecast scenario's tape; the cells
-of one (seed, replication, forecast scenario) share that tape whatever their
-utilization, which sets only setup times, and an extended
+The cells of one (seed, replication) share one store of its demand streams'
+standard normals, drawn once and replayed by every forecast scenario's tape;
+the store keeps the last tape, which the cells of one forecast scenario share
+whatever their utilization, which sets only setup times, and an extended
 cell whose standard twin never met a bucket where extended netting nets
 differently takes that twin's run instead of simulating its own (the two would
 be identical, see `mrp`).  `enumerate_cells` is a view that maps an index to
@@ -35,13 +35,13 @@ from collections.abc import Sequence
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 from . import __version__
 from .forecast import BIASED_SCHEDULES, ScenarioParams, StreamNormals
 from .config import RUN_LENGTH, UTILIZATION_LEVELS, WARMUP, build_system
-from .driver import RunConfig, SimulationRun, Tape
+from .driver import RunConfig, SimulationRun
 from .kpi import check_window, float_sum
 from .mrp import (COMPONENT_LOTS, FOP_PERIODS, FOQ_QUANTITIES, MODES,
                   PLT_VALUES, SST_FACTORS, PlanningParams)
@@ -256,20 +256,19 @@ def enumerate_cells(spec: GridSpec) -> CellView:
 
 
 def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
-             overrides: dict | None = None, tape: Tape | None = None,
-             twin: list | None = None,
+             overrides: dict | None = None, twin: list | None = None,
              normals: StreamNormals | None = None) -> dict:
-    """Execute one cell and flatten its KPIs into a result row.  `tape` is
-    shared by the cells of a scenario and replication, and `normals` by the
-    tapes of a replication, see `SimulationRun`.
-    `twin` is a one-entry slot handed from cell to cell: a standard run that
-    never met a bucket where extended netting nets differently leaves
-    (params, row) there, and the next cell, if it is that run's extended
-    twin, takes the row with its own mode instead of simulating.  Every call
-    empties it."""
+    """Execute one cell and flatten its KPIs into a result row, reading the
+    tape that `normals`, the store of the cell's replication, holds or builds
+    (see `SimulationRun`).  `twin` is a one-entry list handed from cell to
+    cell: a standard run that never met a bucket where extended netting nets
+    differently leaves its extended twin's (instance, replication,
+    parameter set) and its row there, and the next cell, if it is that
+    twin, takes the row with its own mode instead of simulating.  Every
+    call empties it."""
     if twin:
-        params, row = twin.pop()
-        if cell.params == replace(params, mode="extended"):
+        key, row = twin.pop()
+        if key == (cell.instance, cell.replication, cell.params):
             return dict(row, mode=cell.mode)
     inst = cell.instance
     config = make_config(utilization=inst.utilization, alpha=inst.alpha,
@@ -277,7 +276,7 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
                          base_seed=base_seed, replication=cell.replication,
                          run_length=run_length, warmup=warmup,
                          overrides=overrides)
-    run = SimulationRun(config, tape=tape, normals=normals)
+    run = SimulationRun(config, normals=normals)
     summary = run.run()
     row = {
         "instance_id": inst.instance_id, "alpha": inst.alpha,
@@ -298,7 +297,8 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
     }
     if (twin is not None and cell.mode == "standard"
             and run.divergence_period is None):
-        twin.append((cell.params, row))
+        twin.append(((inst, cell.replication,
+                      replace(cell.params, mode="extended")), row))
     return row
 
 
@@ -337,36 +337,26 @@ def _tasks(spec: GridSpec, workers: int) -> list[range]:
             for i in same for a in range(0, settings, size)]
 
 
-def _run_task(spec: GridSpec, base_seed: int, overrides: dict | None,
-              task: range, slot: dict):
-    """Run the cells of one `_tasks` range, by index, and yield (index,
-    row, error) for each as it finishes.  They are one (instance,
-    replication) or part of one, so they share a twin slot.  `slot` holds
-    one replication's `StreamNormals`, keyed by the replication, which
-    every forecast scenario replays, and one tape, keyed (alpha, bias,
-    replication), which every utilization reads.  A cell of another
-    scenario frees the tape, and of another replication the normals too,
-    before its run builds its own."""
-    cells, twin = enumerate_cells(spec), []
-    for cell in (cells[i] for i in task):
-        rep = cell.replication
-        key = (cell.instance.alpha, cell.instance.bias, rep)
-        if key not in slot:
-            normals = slot.get(rep) or StreamNormals(base_seed, rep)
-            slot.clear()
-            slot[rep], slot[key] = normals, {}
+def _run_task(spec: GridSpec, base_seed: int, overrides: dict | None, indices):
+    """Run the cells of `indices`, one `_tasks` range or the chain of
+    several, and yield (index, row, error) for each as it finishes.  They
+    hand one twin list from cell to cell and share one `StreamNormals`
+    store, made anew when the replication changes."""
+    cells, twin, normals = enumerate_cells(spec), [], None
+    for cell in map(cells.__getitem__, indices):
+        if normals is None or normals.replication != cell.replication:
+            normals = StreamNormals(base_seed, cell.replication)
         try:
             row, error = run_cell(cell, base_seed, spec.run_length,
-                                  spec.warmup, overrides, slot[key], twin,
-                                  slot[rep]), None
+                                  spec.warmup, overrides, twin, normals), None
         except Exception as exc:
             row, error = None, f"{_describe(cell)}: {exc}"
         yield cell.index, row, error
 
 
 def _pool_task(*args) -> list:
-    """`_run_task` for a worker process, on a fresh slot, as a list."""
-    return list(_run_task(*args, {}))
+    """`_run_task` for a worker process, as a list."""
+    return list(_run_task(*args))
 
 
 class ExperimentError(RuntimeError):
@@ -386,9 +376,9 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
     The work is the tasks of `_tasks`, each run by `_run_task`, which builds
     its cells when it starts.  At one worker, where each task is a whole
     (instance, replication) group, or for a grid of at most one task, the
-    tasks run in this process on one slot, which consecutive groups of one
-    replication share for its normals, and of one scenario and replication
-    for its tape.  Otherwise they go to a pool as
+    tasks run in this process as one `_run_task` stream, so the groups of
+    one replication share its store of normals, and of one scenario and
+    replication its tape.  Otherwise they go to a pool as
     index ranges the worker expands, so the parent never builds the grid's
     cells.  `progress(done, total)` is called once per finished cell.
     `workers` defaults to one per usable CPU."""
@@ -414,9 +404,8 @@ def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
                 progress(done, len(cells))
 
     if workers == 1 or len(tasks) <= 1:
-        slot: dict = {}
-        for task in tasks:
-            _collect(_run_task(spec, base_seed, overrides, task, slot))
+        _collect(_run_task(spec, base_seed, overrides,
+                           chain.from_iterable(tasks)))
     else:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

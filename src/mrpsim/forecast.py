@@ -32,12 +32,12 @@ hashing, so demand realizations are identical across planning parameters and
 netting modes (common random numbers) and independent of the order of the
 streams; at alpha = 0 no generator is seeded.  The key holds no part of the
 scenario, so every scenario of a replication reads the same standard normals:
-`StreamNormals` keeps them per (seed, replication), drawn once, and each
-tape replays them through a `NormalsReplay`.  Runs read every value from a
-forecast tape (`driver.build_tape`), built once per (seed, replication,
-forecast scenario) and shared by the utilizations; `dump_tape` writes one and
-`load_replay` reads it back as epsilons to inject, with each stream's
-long-term value, which the replaying run's must equal.
+a `StreamNormals` store keeps them per (seed, replication), drawn once,
+which each tape replays through a `NormalsReplay`, and it keeps the last
+tape built on them.  Runs read every value from a forecast tape
+(`driver.build_tape`); `dump_tape` writes one and `load_replay` reads it
+back as epsilons to inject, with each stream's long-term value, which the
+replaying run's must equal.
 """
 
 from __future__ import annotations
@@ -196,20 +196,19 @@ class NormalsReplay:
 
 
 class StreamNormals:
-    """The standard normals drawn so far from the demand streams of one
-    (seed, replication), an `array('d')` per (product, due period), which
-    every forecast scenario's tape replays.  `replay` hands out one
-    stream's `NormalsReplay`, which seeds through `stream_rng`, a callable
-    with `forecast.stream_rng`'s signature."""
+    """What the runs of one (seed, replication) share: the standard normals
+    drawn so far from its demand streams, an `array('d')` per (product, due
+    period), which every forecast scenario's tape replays, and the last tape
+    built on them with its `key` (`driver.build_tape`).  `replay` hands out
+    a stream's `NormalsReplay`, seeding through `stream_rng`."""
 
     def __init__(self, base_seed: int, replication: int):
         self.base_seed, self.replication = base_seed, replication
         self.streams: dict[tuple[int, int], array] = {}
+        self.key = self.tape = None
 
     def replay(self, product: int, due: int, stream_rng) -> NormalsReplay:
-        zs = self.streams.get((product, due))
-        if zs is None:
-            zs = self.streams[product, due] = array("d")
+        zs = self.streams.setdefault((product, due), array("d"))
         return NormalsReplay(zs, lambda: stream_rng(
             self.base_seed, self.replication, product, due))
 
@@ -238,7 +237,8 @@ def dump_tape(tape: dict, scenario: ScenarioParams, path: str) -> None:
 
 def load_replay(path: str) -> dict[tuple[int, int, int], int]:
     """Read a tape dump back as {(product, due, j): epsilon} for replay;
-    each stream's j = H + 1 entry holds its long-term value instead."""
+    each stream's j = H + 1 entry holds its long-term value instead.  A
+    row whose key an earlier row holds is refused, not replayed over it."""
     replay: dict[tuple[int, int, int], int] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -250,5 +250,8 @@ def load_replay(path: str) -> dict[tuple[int, int, int], int]:
                 product, due, j, eps, value = map(int, row)
             except ValueError as exc:
                 raise ValueError(f"replay file {path} line {lineno}: {row}") from exc
-            replay[(product, due, j)] = value if j > HORIZON else eps
+            if (product, due, j) in replay:
+                raise ValueError(f"replay file {path} line {lineno}: repeats "
+                                 f"product {product} due {due} j={j}")
+            replay[product, due, j] = value if j > HORIZON else eps
     return replay

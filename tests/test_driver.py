@@ -11,8 +11,9 @@ from mrpsim.driver import SimulationRun, build_tape
 from mrpsim.experiment import FULL_ALPHAS, make_config
 from mrpsim.config import (_DEFAULT_OVERRIDES, COMPONENTS, DEMAND_OFFSETS,
                            FINAL_PRODUCTS)
-from mrpsim.forecast import (HORIZON, SCHEDULES, advance, dump_tape,
-                             load_replay, long_term_forecast, stream_rng)
+from mrpsim.forecast import (HORIZON, SCHEDULES, StreamNormals, advance,
+                             dump_tape, load_replay, long_term_forecast,
+                             stream_rng)
 from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
                         SST_FACTORS, PlannedLot, PlanningParams,
                         decision_windows)
@@ -387,19 +388,23 @@ def test_backorders_accrue_when_capacity_is_gone():
 
 
 def test_runs_share_a_tape_and_leave_it_unchanged():
+    # two runs on one store read the tape the first one built
     cfg = make_config(alpha=0.10, params=FOP1, run_length=60, warmup=12)
     alone = summary_tuple(summarize(cfg))
-    tape = {}
-    first = SimulationRun(cfg, tape=tape)
-    assert tape and first.tape is tape
+    normals = StreamNormals(cfg.base_seed, cfg.replication)
+    first = SimulationRun(cfg, normals=normals)
+    tape = first.tape
     snapshot = {product: list(column) for product, column in tape.items()}
     first.run()
-    other = dataclasses.replace(
-        cfg, params=PlanningParams(0.4, 3, "FOQ", 400, mode="extended"))
-    summarize(other, tape=tape)
+    other = SimulationRun(dataclasses.replace(
+        cfg, params=PlanningParams(0.4, 3, "FOQ", 400, mode="extended")),
+        normals=normals)
+    assert other.tape is tape
+    other.run()
     assert tape == snapshot == build_tape(cfg)
     # the indexed tape holds the streams of the keyed one and nothing else
     assert _keyed(tape) == _keyed_tape(cfg)
+    assert summary_tuple(summarize(cfg, normals=normals)) == alone
     assert summary_tuple(summarize(cfg, tape=tape)) == alone
 
 

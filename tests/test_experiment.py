@@ -7,6 +7,7 @@ import os
 import pickle
 import platform
 import tempfile
+import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import groupby
@@ -292,9 +293,16 @@ def test_run_grid_runs_whole_groups(monkeypatch):
     # cut from the same groups, replication by replication
     built, cut = [], []
     real_build, real_tasks = driver.build_tape, experiment._tasks
-    monkeypatch.setattr(driver, "build_tape", lambda config, **kwargs: (
-        built.append((config.scenario, config.replication))
-        or real_build(config, **kwargs)))
+
+    def counting_build(config, normals):
+        # a real build changes the store's key; a hand-back keeps it
+        held = normals.key
+        tape = real_build(config, normals=normals)
+        if normals.key != held:
+            built.append((config.scenario, config.replication))
+        return tape
+
+    monkeypatch.setattr(driver, "build_tape", counting_build)
     monkeypatch.setattr(experiment, "_tasks", lambda *args: (
         cut.append(real_tasks(*args)) or cut[-1]))
     run_grid(SHARED, base_seed=11, workers=1)
@@ -615,6 +623,31 @@ def test_grid_of_fop_tails_bytes_are_pinned(tmp_path, workers):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TAILS_SHA256
 
 
+# Two utilizations of one unbiased and one biased scenario, one sst-0
+# parameter set, extended before standard, three replications: 24 cells in
+# 12 groups.  At one worker the cells run as one stream, every group ends
+# on a standard run that never diverges, and the next group starts with
+# the same parameter set's extended cell, which is not its twin.
+TWINS_GRID = GridSpec(name="twins", utilizations=("low", "high"),
+                      alphas=(0.06,), biased_schedules=("permanent_underbooking",),
+                      sst_factors=(0.0,), plts=(1,), fop_periods=(1,),
+                      foq_quantities=(), component_lots=(800,),
+                      modes=("extended", "standard"), replications=3,
+                      run_length=60, warmup=10)
+TWINS_SHA256 = (
+    "6fba93fbde90bf756941829390afeec87fcbee4782e9248f1cdf476761fa4b1a")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_of_twins_at_group_boundaries_bytes_are_pinned(tmp_path,
+                                                            workers):
+    assert TWINS_GRID.n_cells == 24
+    path = tmp_path / "results.csv"
+    write_results(run_grid(TWINS_GRID, base_seed=42, workers=workers),
+                  str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TWINS_SHA256
+
+
 def test_one_generator_per_replication_and_stream(monkeypatch):
     # at one worker the scenarios of a replication replay the normals its
     # first sampled scenario drew: each stream that draws is seeded once
@@ -655,39 +688,43 @@ def test_utilizations_share_tapes_and_match_cells_run_alone():
                     workers=1) == alone[::2]
 
 
-def test_one_tape_per_scenario_and_replication_in_one_slot(monkeypatch):
+def test_one_tape_per_scenario_and_replication_on_one_store(monkeypatch):
     # serially one tape per (alpha, bias, replication), whatever the
-    # utilization, replication by replication, and a slot that holds one
-    # replication's normals and one tape: the old tape is gone before the
-    # next is built, and the normals go when the replication changes
-    built, slots = [], []
-    real_build, real_task = driver.build_tape, experiment._run_task
+    # utilization, replication by replication, on one store per
+    # replication that holds one tape: the old tape is gone before the next
+    # is built, and the store goes when the replication changes.  Only weak
+    # references are kept, so the test holds neither alive.
+    built, stores, tapes = [], [], []
+    real_build, real_advance = driver.build_tape, driver.advance
 
     def counting_build(config, normals):
-        rep = config.replication
-        key = (config.scenario.alpha, config.scenario.bias, rep)
-        assert slots[-1] == {rep: normals, key: {}}
-        assert (normals.base_seed, normals.replication) == (42, rep)
-        built.append((key, normals))
-        return real_build(config, normals=normals)
+        assert (normals.base_seed, normals.replication) == \
+            (42, config.replication)
+        # every store of an earlier replication is gone
+        assert all(ref() in (None, normals) for ref in stores)
+        tape = real_build(config, normals=normals)
+        if not tapes or tapes[-1]() is not tape:
+            # a new tape: is it on the store of the one before?
+            built.append(((config.scenario.alpha, config.scenario.bias,
+                           config.replication),
+                          bool(stores) and stores[-1]() is normals))
+            stores.append(weakref.ref(normals))
+            tapes.append(weakref.ref(tape))
+        return tape
 
-    def recording_task(spec, base_seed, overrides, task, slot):
-        slots.append(slot)
-        for outcome in real_task(spec, base_seed, overrides, task, slot):
-            assert len(slot) == 2
-            yield outcome
+    def checked_advance(*args):
+        # a build is under way: the tape before it is gone
+        assert not tapes or tapes[-1]() is None
+        return real_advance(*args)
 
     monkeypatch.setattr(driver, "build_tape", counting_build)
-    monkeypatch.setattr(experiment, "_run_task", recording_task)
+    monkeypatch.setattr(driver, "advance", checked_advance)
     run_grid(UTILIZATIONS_GRID, base_seed=42, workers=1)
-    assert len(slots) == 12 and all(slot is slots[0] for slot in slots)
     assert [key for key, _ in built] == [
         (0.06, bias, rep) for rep in (0, 1)
         for bias in ("unbiased", "permanent_overbooking")]
     # one store per replication, shared by its two scenarios
-    stores = [normals for _, normals in built]
-    assert stores[0] is stores[1] and stores[2] is stores[3]
-    assert stores[1] is not stores[2]
+    assert [shared for _, shared in built] == [False, True, False, True]
 
 
 def _dies_on_cell_5(cell, *args, **kwargs):

@@ -274,6 +274,27 @@ def test_negative_forecast_rejected(tmp_path, capsys):
             in err)
 
 
+def test_a_replay_file_that_repeats_an_update_is_refused(tmp_path, capsys):
+    # a second row of one (product, due, j) would replay over the first
+    path = tmp_path / "tape.csv"
+    assert main(["simulate", "--alpha", "0.06", "--periods", "40",
+                 "--warmup", "5", "--dump-forecasts", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert any(line.startswith("10,13,10,") for line in lines)
+    path.write_text("\n".join(lines + ["10,13,10,300,1100"]) + "\n")
+    message = (f"replay file {path} line {len(lines) + 1}: repeats product "
+               f"10 due 13 j=10")
+    with pytest.raises(ValueError) as info:
+        load_replay(str(path))
+    assert str(info.value) == message
+    capsys.readouterr()
+    code = main(["simulate", "--alpha", "0", "--periods", "40", "--warmup",
+                 "5", "--replay-forecasts", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_alpha_zero_unbiased_never_moves():
     scen = ScenarioParams(alpha=0.0)
     assert advance(800, range(10, -1, -1), _means(scen), scen.update_std,
@@ -492,6 +513,29 @@ def test_tapes_on_one_store_equal_tapes_on_fresh_generators(
                           replication=replication, run_length=run_length,
                           warmup=0)
         assert build_tape(cfg, normals=normals) == fresh_tape(cfg)
+
+
+def test_a_store_hands_back_its_tape_only_to_configs_of_its_key():
+    # a store keeps the last tape built on it; a config that differs from
+    # that tape's only in the run length, the demand pattern or the
+    # expected amount (which moves the scenario) must get a tape of its own
+    def config(run_length=60, **demand):
+        return make_config(alpha=0.06, bias="permanent_underbooking",
+                           run_length=run_length, warmup=10,
+                           overrides={"demand": demand} if demand else None)
+
+    configs = [config(), config(run_length=70), config(interval=5),
+               config(first_delay=16), config(expected_amount=900),
+               config()]
+    fresh = [build_tape(cfg) for cfg in configs]
+    # each tape differs from the one before, so a stale one shows
+    assert all(a != b for a, b in zip(fresh, fresh[1:]))
+    normals = StreamNormals(42, 0)
+    for cfg, tape in zip(configs, fresh):
+        held = build_tape(cfg, normals=normals)
+        assert held == tape
+        # a config of the same key gets the same tape back
+        assert build_tape(cfg, normals=normals) is held
 
 
 def test_a_scenario_past_the_stored_normals_redraws_and_extends_them(
