@@ -60,12 +60,8 @@ class RunConfig:
     trace: bool
 
 
-class Tape(dict[int, list[tuple[int, ...] | None]]):
-    """A forecast tape (`build_tape`), a dict a weak reference can watch."""
-
-
 def build_tape(config: RunConfig, replay: dict | None = None,
-               normals: StreamNormals | None = None) -> Tape:
+               normals: StreamNormals | None = None) -> dict:
     """Every forecast value a run of `config` reads: per product a list
     indexed by due period, None where no order is due.  An entry holds one
     stream's values in order of rising j, one per update from j = min(H,
@@ -89,7 +85,7 @@ def build_tape(config: RunConfig, replay: dict | None = None,
         normals.key = normals.tape = None
     start, std = long_term_forecast(scenario), scenario.update_std
     means = tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
-    tape = Tape()
+    tape = {}
     for product in FINAL_PRODUCTS:
         column = tape[product] = [None] * (last + HORIZON + 1)
         for due in config.system.demand.due_dates(product, 1, last + HORIZON):
@@ -126,7 +122,7 @@ class SimulationRun:
     (t, wip, fgi, backorder, released, shipped) row per period in
     `period_log`; an untraced run keeps none of them."""
 
-    def __init__(self, config: RunConfig, tape: Tape | None = None,
+    def __init__(self, config: RunConfig, tape: dict | None = None,
                  normals: StreamNormals | None = None):
         self.config = config
         self.system = system = config.system

@@ -36,7 +36,7 @@ from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
-from operator import itemgetter
+from operator import index as as_index, itemgetter
 
 from . import __version__
 from .forecast import BIASED_SCHEDULES, ScenarioParams, StreamNormals
@@ -239,7 +239,9 @@ class CellView(Sequence):
         return len(self.instances) * len(self.settings) * self.replications
 
     def __getitem__(self, index: int) -> Cell:
-        index = range(len(self))[index]     # IndexError past either end
+        # IndexError past either end; TypeError for a slice, whose list of
+        # cells would undo the view's laziness
+        index = range(len(self))[as_index(index)]
         instance, rest = divmod(index, len(self.settings) * self.replications)
         setting, rep = divmod(rest, self.replications)
         return Cell(index, self.instances[instance], self.settings[setting],

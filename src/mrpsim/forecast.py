@@ -32,9 +32,11 @@ hashing, so demand realizations are identical across planning parameters and
 netting modes (common random numbers) and independent of the order of the
 streams; at alpha = 0 no generator is seeded.  The key holds no part of the
 scenario, so every scenario of a replication reads the same standard normals:
-a `StreamNormals` store keeps them per (seed, replication), drawn once,
-which each tape replays through a `NormalsReplay`, and it keeps the last
-tape built on them.  Runs read every value from a forecast tape
+a `StreamNormals` store keeps them per (seed, replication), drawn once with
+`Random.gauss(0.0, 1.0)`, which each tape reads again, and it keeps the last
+tape built on them.  An update `mean + z * std` of a stream's normal z is the
+value `Random.gauss(mean, std)` returns, so a tape on the store equals one
+drawn on fresh generators.  Runs read every value from a forecast tape
 (`driver.build_tape`); `dump_tape` writes one and `load_replay` reads it
 back as epsilons to inject, with each stream's long-term value, which the
 replaying run's must equal.
@@ -47,6 +49,7 @@ import hashlib
 import math
 import random
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .config import _DEFAULT_OVERRIDES
@@ -107,29 +110,30 @@ def long_term_forecast(scenario: ScenarioParams) -> int:
 
 
 def advance(value: int, js: range, means: tuple[float, ...], std: float,
-            rng: random.Random | None,
+            normals: Iterator[float] | None,
             eps: list[int] | None = None) -> tuple[int, ...]:
     """One stream's values in rising j, from its long-term `value` and one
-    update per j of `js` (falling): a normal draw with mean `means[j]` and
-    deviation `std`, redrawn until it falls in [-prev, prev + 2 * mean],
-    rounded and clamped to the interval's integer bounds.  A negative mean
-    of -prev or less collapses the interval, and the update is 0.
-    A zero `std` draws nothing (`rng` may be None) and takes the mean, which
-    lies in the interval; after 10,000 draws outside it an update silently
-    takes the mean clamped into it.  j = 0 firms the order as it stands.  A
-    replay's epsilons `eps`, one per j of `js`, replace the updates."""
+    update per j of `js` (falling): `means[j] + z * std` for the next of the
+    stream's standard `normals` z, redrawn until it falls in [-prev, prev +
+    2 * mean], rounded and clamped to the interval's integer bounds.  A
+    negative mean of -prev or less collapses the interval, and the update is
+    0.  A zero `std` draws nothing (`normals` may be None) and takes the
+    mean, which lies in the interval; after 10,000 draws outside it an
+    update silently takes the mean clamped into it.  j = 0 firms the order
+    as it stands.  A replay's epsilons `eps`, one per j of `js`, replace the
+    updates."""
     if eps is not None:   # running sums of the replayed updates
         return tuple([value := value + e for e in eps][::-1])
     values = []
-    draw = rng.gauss if std > 0 else None
+    draw = normals.__next__ if std > 0 else None
     for j in js:
         mean = means[j]
         if j and (mean >= 0 or value > -mean):
             lo, hi = -float(value), value + 2.0 * mean
-            x = draw(mean, std) if draw else mean
+            x = mean + draw() * std if draw else mean
             if not lo <= x <= hi:
                 for _ in range(9999):
-                    x = draw(mean, std)
+                    x = mean + draw() * std
                     if lo <= x <= hi:
                         break
                 else:
@@ -155,62 +159,34 @@ def stream_rng(base_seed: int, replication: int, product: int,
                                         product, due))
 
 
-class NormalsReplay:
-    """One stream's generator as `advance` uses it: `gauss(mu, sigma)` returns
-    `mu + z * sigma` for the stream's standard normals z in order, read from
-    the stored `zs`.  Past their end it seeds the generator with `seed()`,
-    redraws the stored ones and appends every further draw to `zs`; the
-    generator goes with the replay.
-
-    This rests on `random.Random.gauss(mu, sigma)` returning `mu + z *
-    sigma` for a z from a pair cache that neither argument enters (Python
-    3.10 to 3.13), so replayed draws equal a fresh generator's bit for bit
-    (tests/test_forecast.py pins it); if a Python release changes that
-    method, build each tape on fresh generators instead."""
-
-    __slots__ = ("_it", "_zs", "_seed")
-
-    def __init__(self, zs: array, seed):
-        self._zs, self._seed = zs, seed
-        self._it = iter(zs)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        try:
-            z = next(self._it)
-        except StopIteration:
-            self._it = self._draws(self._zs, self._seed)
-            z = next(self._it)
-        return mu + z * sigma
-
-    @staticmethod
-    def _draws(zs: array, seed):
-        # holds no replay, so a replay and its generator form no cycle and
-        # go as soon as the stream is drawn
-        gauss = seed().gauss
-        for _ in zs:   # mu and sigma have no defaults before Python 3.11
-            gauss(0.0, 1.0)
-        while True:
-            z = gauss(0.0, 1.0)   # 0.0 + z * 1.0: z, but for the sign of a zero
-            zs.append(z)
-            yield z
-
-
 class StreamNormals:
     """What the runs of one (seed, replication) share: the standard normals
     drawn so far from its demand streams, an `array('d')` per (product, due
-    period), which every forecast scenario's tape replays, and the last tape
+    period), which every forecast scenario's tape reads, and the last tape
     built on them with its `key` (`driver.build_tape`).  `replay` hands out
-    a stream's `NormalsReplay`, seeding through `stream_rng`."""
+    a stream's normals, seeding through `stream_rng`."""
 
     def __init__(self, base_seed: int, replication: int):
         self.base_seed, self.replication = base_seed, replication
         self.streams: dict[tuple[int, int], array] = {}
         self.key = self.tape = None
 
-    def replay(self, product: int, due: int, stream_rng) -> NormalsReplay:
+    def replay(self, product: int, due: int,
+               stream_rng) -> Iterator[float]:
+        """The stream's standard normals in order: the stored ones, then
+        each further `gauss(0.0, 1.0)` of its generator, which is seeded
+        once, at the first draw past the store, advanced past the stored
+        count and freed with the iterator; the new draws join the store."""
         zs = self.streams.setdefault((product, due), array("d"))
-        return NormalsReplay(zs, lambda: stream_rng(
-            self.base_seed, self.replication, product, due))
+        yield from zs
+        gauss = stream_rng(self.base_seed, self.replication, product,
+                           due).gauss
+        for _ in zs:   # mu and sigma have no defaults before Python 3.11
+            gauss(0.0, 1.0)
+        while True:
+            z = gauss(0.0, 1.0)   # 0.0 + z * 1.0: z, but for the sign of a zero
+            zs.append(z)
+            yield z
 
 
 DUMP_HEADER = ("product", "due_date", "j", "epsilon", "value")

@@ -3,7 +3,8 @@
 Machines serve one lot at a time from a FIFO queue.  Each operation takes a
 lognormally distributed setup around the machine's mean, by default with
 coefficient of variation 0.2 (`setup.cv` in `config._DEFAULT_OVERRIDES`,
-which `--config` overrides; cv 0 gives fixed setups), plus deterministic
+which `--config` overrides; cv 0 gives fixed setups), drawn with
+`random.lognormvariate` on the run's shop substream, plus deterministic
 per-piece processing time, and lots move to the next routing stage only as
 a whole.  Time is continuous in minutes; the driver advances the floor
 period by period.
@@ -66,21 +67,10 @@ class _MachineState:
         self.busy_window_min = 0.0
 
     def draw_setup(self, rng: random.Random) -> float:
-        """One setup time: the fixed mean, or `rng.lognormvariate(mu, sigma)`
-        drawn in one frame, exp of the stdlib's Kinderman-Monahan normal."""
+        """One setup time: the fixed mean, or `rng.lognormvariate(mu, sigma)`."""
         if self.setup_sigma is None:
             return self.setup_mean
-        # This loop must stay `random.Random.normalvariate` step for step, so
-        # that draws and generator state match `lognormvariate` bit for bit
-        # (tests/test_shopfloor.py pins it); if a Python release changes that
-        # method, call `rng.lognormvariate` here instead.
-        uniform = rng.random
-        while True:
-            u1 = uniform()
-            u2 = 1.0 - uniform()
-            z = random.NV_MAGICCONST * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -math.log(u2):
-                return math.exp(self.setup_mu + z * self.setup_sigma)
+        return rng.lognormvariate(self.setup_mu, self.setup_sigma)
 
 
 class ShopFloor:

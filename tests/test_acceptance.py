@@ -53,6 +53,7 @@ from mrpsim.mrp import (
     plan_item,
 )
 from mrpsim.shopfloor import ShopFloor
+from test_forecast import normals
 from test_mrp import net_requirement_extended, net_requirement_standard
 
 SERIAL_SCALE = 8
@@ -90,7 +91,7 @@ def test_c01_forecast_replay_bit_exact():
         # j = 0 draws nothing and firms the order at its last value
         rng = random.Random(0)
         assert advance(got[0], range(0, -1, -1), means, scenario.update_std,
-                       rng) == (739,)
+                       normals(rng)) == (739,)
         checked += 1
     assert checked == 36
     assert time.perf_counter() - start_time < 1.0
@@ -443,8 +444,8 @@ def test_c10_sampler_moments():
 
     # one-update streams at j = 1, mean 32, std 32, from value 800
     rng = random.Random(78)
-    eps = [advance(800, range(1, 0, -1), (0.0, 32.0), 32.0, rng)[0] - 800
-           for _ in range(n)]
+    eps = [advance(800, range(1, 0, -1), (0.0, 32.0), 32.0,
+                   normals(rng))[0] - 800 for _ in range(n)]
     assert statistics.fmean(eps) == pytest.approx(32.0, rel=0.02)
     assert statistics.stdev(eps) == pytest.approx(32.0, rel=0.02)
     assert all(-800 <= e <= 864 for e in eps)
@@ -454,6 +455,6 @@ def test_c10_sampler_moments():
     rng = random.Random(79)
     for _ in range(2000):
         values = advance(800, range(10, -1, -1), means, scenario.update_std,
-                         rng)
+                         normals(rng))
         assert min(values) >= 0
     assert time.perf_counter() - start_time < 10.0

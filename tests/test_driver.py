@@ -18,6 +18,7 @@ from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
                         SST_FACTORS, PlannedLot, PlanningParams,
                         decision_windows)
 from mrpsim.shopfloor import ProductionOrder
+from test_forecast import normals
 
 FOP1 = PlanningParams(0.0, 1, "FOP", 1)
 
@@ -140,7 +141,7 @@ def _update(value, j, scenario, rng):
     one update through `advance`."""
     means = tuple(scenario.update_mean(k) for k in range(HORIZON + 1))
     return advance(value, range(j, j - 1, -1), means, scenario.update_std,
-                   rng)[0]
+                   normals(rng))[0]
 
 
 def _keyed_tape(cfg):

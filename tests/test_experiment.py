@@ -2,6 +2,7 @@
 
 import builtins
 import csv
+import gc
 import hashlib
 import os
 import pickle
@@ -190,6 +191,9 @@ def test_cell_view_equals_the_listed_cells(spec):
     for outside in (n, -n - 1):
         with pytest.raises(IndexError):
             view[outside]
+    # a slice would build a list of cells: the view names and refuses it
+    with pytest.raises(TypeError, match="'slice' object"):
+        view[0:2]
 
 
 def test_enumeration_is_deterministic():
@@ -692,9 +696,11 @@ def test_one_tape_per_scenario_and_replication_on_one_store(monkeypatch):
     # serially one tape per (alpha, bias, replication), whatever the
     # utilization, replication by replication, on one store per
     # replication that holds one tape: the old tape is gone before the next
-    # is built, and the store goes when the replication changes.  Only weak
-    # references are kept, so the test holds neither alive.
-    built, stores, tapes = [], [], []
+    # is built, and the store goes when the replication changes.  The test
+    # holds each store by a weak reference and the last tape in `held`,
+    # which must be the tape's only referrer once its successor's build is
+    # under way: nothing of the program keeps it alive.
+    built, stores, held, building = [], [], [], []
     real_build, real_advance = driver.build_tape, driver.advance
 
     def counting_build(config, normals):
@@ -702,19 +708,24 @@ def test_one_tape_per_scenario_and_replication_on_one_store(monkeypatch):
             (42, config.replication)
         # every store of an earlier replication is gone
         assert all(ref() in (None, normals) for ref in stores)
+        building[:] = [True]
         tape = real_build(config, normals=normals)
-        if not tapes or tapes[-1]() is not tape:
+        building.clear()
+        if not held or held[-1] is not tape:
             # a new tape: is it on the store of the one before?
             built.append(((config.scenario.alpha, config.scenario.bias,
                            config.replication),
                           bool(stores) and stores[-1]() is normals))
             stores.append(weakref.ref(normals))
-            tapes.append(weakref.ref(tape))
+            held[:] = [tape]
         return tape
 
     def checked_advance(*args):
-        # a build is under way: the tape before it is gone
-        assert not tapes or tapes[-1]() is None
+        if building and held:
+            # a build is under way: the tape before it has no referrer but
+            # the test's
+            assert gc.get_referrers(held[-1]) == [held]
+            building.clear()
         return real_advance(*args)
 
     monkeypatch.setattr(driver, "build_tape", counting_build)

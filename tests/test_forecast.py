@@ -7,6 +7,7 @@ import random
 import statistics
 import weakref
 from array import array
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,6 @@ from mrpsim.forecast import (
     BIASED_SCHEDULES,
     HORIZON,
     SCHEDULES,
-    NormalsReplay,
     ScenarioParams,
     StreamNormals,
     advance,
@@ -54,9 +54,15 @@ def _means(scenario):
     return tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
 
 
+def normals(rng):
+    """The standard normals of generator `rng`, as `advance` reads them."""
+    return iter(partial(rng.gauss, 0.0, 1.0), None)
+
+
 def one_update(prev, mean, std, rng):
     """One update term: a stream of one update at j = 1 through `advance`."""
-    return advance(prev, range(1, 0, -1), (0.0, mean), std, rng)[0] - prev
+    return advance(prev, range(1, 0, -1), (0.0, mean), std,
+                   rng and normals(rng))[0] - prev
 
 
 @pytest.mark.parametrize("bias,beta,start,eps,values", REPLAY_CASES)
@@ -71,7 +77,8 @@ def test_replay_trajectories(bias, beta, start, eps, values):
     assert got == values[::-1]
     # the j = 0 update draws nothing: the order firms at its last value
     rng = random.Random(0)
-    assert advance(got[0], range(0, -1, -1), means, std, rng) == (739,)
+    assert advance(got[0], range(0, -1, -1), means, std,
+                   normals(rng)) == (739,)
     # trajectory identity: firmed value = start + sum of updates
     assert got[0] == start + sum(eps)
 
@@ -199,40 +206,40 @@ def test_sample_update_moments():
     assert statistics.stdev(draws) == pytest.approx(32.0, rel=0.01)
 
 
-class ScriptedGauss:
-    """A generator whose every draw is `x`; counts its draws."""
+class ScriptedNormals:
+    """Standard normals that are all `z`; counts its draws."""
 
-    def __init__(self, x):
-        self.x, self.calls = x, 0
+    def __init__(self, z):
+        self.z, self.calls = z, 0
 
-    def gauss(self, mu, sigma):
+    def __next__(self):
         self.calls += 1
-        return self.x
+        return self.z
 
 
 def test_rejected_draws_fall_back_to_the_clamped_mean():
-    # at value 0 and mean 0 the interval is [0, 0]: every draw of 1.5 is
+    # at value 0 and mean 0 the interval is [0, 0]: every draw of 0.3 x 5 is
     # rejected, and after exactly 10,000 of them the update is the mean
-    rng = ScriptedGauss(1.5)
-    assert advance(0, range(1, 0, -1), (0.0, 0.0), 5.0, rng) == (0,)
-    assert rng.calls == 10000
+    zs = ScriptedNormals(0.3)
+    assert advance(0, range(1, 0, -1), (0.0, 0.0), 5.0, zs) == (0,)
+    assert zs.calls == 10000
     # the same at value 10, whose interval [-10, 10] the draws of 100 miss
-    rng = ScriptedGauss(100.0)
-    assert advance(10, range(1, 0, -1), (0.0, 0.0), 5.0, rng) == (10,)
-    assert rng.calls == 10000
-    # a first draw inside the interval is the only one
-    rng = ScriptedGauss(2.6)
-    assert advance(800, range(1, 0, -1), (0.0, 0.0), 5.0, rng) == (803,)
-    assert rng.calls == 1
+    zs = ScriptedNormals(20.0)
+    assert advance(10, range(1, 0, -1), (0.0, 0.0), 5.0, zs) == (10,)
+    assert zs.calls == 10000
+    # a first draw inside the interval, 2.6, is the only one
+    zs = ScriptedNormals(0.52)
+    assert advance(800, range(1, 0, -1), (0.0, 0.0), 5.0, zs) == (803,)
+    assert zs.calls == 1
 
 
 def test_rounded_draw_stays_inside_the_interval():
-    # mean 0.3 at value 0 allows [0, 0.6]: a draw of 0.55 rounds to 1, which
-    # the interval's integer upper bound 0 cuts back
+    # mean 0.3 at value 0 allows [0, 0.6]: a draw of 0.3 + 0.05 x 5 = 0.55
+    # rounds to 1, which the interval's integer upper bound 0 cuts back
     assert advance(0, range(1, 0, -1), (0.0, 0.3), 5.0,
-                   ScriptedGauss(0.55)) == (0,)
+                   ScriptedNormals(0.05)) == (0,)
     assert advance(0, range(1, 0, -1), (0.0, 0.8), 5.0,
-                   ScriptedGauss(1.55)) == (1,)
+                   ScriptedNormals(0.15)) == (1,)
 
 
 def test_advance_final_update_is_zero():
@@ -240,10 +247,11 @@ def test_advance_final_update_is_zero():
     rng = random.Random(2)
     state = rng.getstate()
     assert advance(800, range(0, -1, -1), _means(scen), scen.update_std,
-                   rng) == (800,)
+                   normals(rng)) == (800,)
     assert rng.getstate() == state
     # a stream that firms in the run repeats its j = 1 value at j = 0
-    values = advance(800, range(3, -1, -1), _means(scen), scen.update_std, rng)
+    values = advance(800, range(3, -1, -1), _means(scen), scen.update_std,
+                     normals(rng))
     assert len(values) == 4 and values[0] == values[1]
 
 
@@ -319,7 +327,7 @@ def test_unbiased_streams_average_to_expectation():
     finals = []
     for rep in range(2500):
         values = advance(800, range(10, -1, -1), means, std,
-                         stream_rng(99, rep, 10, 40))
+                         normals(stream_rng(99, rep, 10, 40)))
         assert min(values) >= 0
         finals.append(values[0])
     # sd of one firmed value is ~ 48 * sqrt(10) = 152, so the mean of 2500
@@ -334,7 +342,7 @@ def test_substream_independence_of_generation_order():
 
     def run(order):
         return {(p, due): advance(800, range(10, -1, -1), means, std,
-                                  stream_rng(42, 0, p, due))[0]
+                                  normals(stream_rng(42, 0, p, due)))[0]
                 for p, due in order}
 
     assert run(keys) == run(list(reversed(keys)))
@@ -433,43 +441,46 @@ def test_replayed_gauss_equals_random_gauss_bit_for_bit(stored):
         pick = random.Random(-seed)
         draws = [(pick.choice(_MEANS), pick.choice(_DEVIATIONS))
                  for _ in range(13)]
-        zs, seeded = array("d"), []
+        store, seeded = StreamNormals(seed, 0), []
 
-        def seed_generator():
-            seeded.append(seed)
+        def seed_generator(*key):
+            seeded.append(key)
             return random.Random(seed)
 
-        filler = NormalsReplay(zs, seed_generator)
+        filler = store.replay(10, 21, seed_generator)
         for _ in range(stored):
-            filler.gauss(0.0, 1.0)
+            next(filler)
+        del filler
         seeded.clear()
-        replay, reference = NormalsReplay(zs, seed_generator), \
+        replay, reference = store.replay(10, 21, seed_generator), \
             random.Random(seed)
         for i, (mu, sigma) in enumerate(draws):
-            got, want = replay.gauss(mu, sigma), reference.gauss(mu, sigma)
+            got, want = mu + next(replay) * sigma, reference.gauss(mu, sigma)
             assert got.hex() == want.hex(), (seed, i, mu, sigma)
             # a generator is seeded once, at the first draw past the store
-            assert len(seeded) == (i >= stored)
-        assert len(zs) == max(stored, len(draws))
+            assert seeded == [(seed, 0, 10, 21)] * (i >= stored)
+        assert len(store.streams[10, 21]) == max(stored, len(draws))
 
 
 def test_a_replay_frees_its_generator_without_the_cycle_collector():
-    # a replay that seeded a generator holds it until the stream is drawn;
-    # a cycle between them would keep every stream's generator, ~2.5 KB
-    # each, until the collector runs
+    # a stream's normals past the store hold its generator until the stream
+    # is drawn; a cycle between them would keep every stream's generator,
+    # ~2.5 KB each, until the collector runs
     seeded = []
 
-    def seed():
+    def seed(*key):
         generator = random.Random(1)
         seeded.append(weakref.ref(generator))
         return generator
 
+    store = StreamNormals(42, 0)
+    store.streams[10, 21] = array("d", [0.5])
     enabled = gc.isenabled()
     gc.disable()
     try:
-        replay = NormalsReplay(array("d", [0.5]), seed)
+        replay = store.replay(10, 21, seed)
         for _ in range(3):
-            replay.gauss(0.0, 1.0)
+            next(replay)
         assert seeded[0]() is not None
         del replay
         assert seeded[0]() is None
@@ -479,17 +490,34 @@ def test_a_replay_frees_its_generator_without_the_cycle_collector():
 
 
 def fresh_tape(cfg):
-    """The tape of `cfg` drawn stream by stream on fresh generators, each
-    `stream_rng` handed to `advance` as it is."""
+    """The tape of `cfg` drawn stream by stream on fresh generators: each
+    update a `gauss(mean, std)` of the stream's own `stream_rng`, redrawn
+    until it falls in [-prev, prev + 2 * mean] (10,000 draws at most, then
+    the clamped mean), rounded and clamped to the interval's integer bounds;
+    none at j = 0, at a collapsed interval or at std 0."""
     scenario, last = cfg.scenario, cfg.run_length
     start, std = long_term_forecast(scenario), scenario.update_std
     tape = {}
     for product in FINAL_PRODUCTS:
         column = tape[product] = [None] * (last + HORIZON + 1)
         for due in cfg.system.demand.due_dates(product, 1, last + HORIZON):
-            js = range(min(HORIZON, due - 1), max(0, due - last) - 1, -1)
-            column[due] = advance(start, js, _means(scenario), std, stream_rng(
-                cfg.base_seed, cfg.replication, product, due))
+            rng = stream_rng(cfg.base_seed, cfg.replication, product, due)
+            value, values = start, []
+            for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
+                mean = scenario.update_mean(j)
+                lo, hi = -value, value + 2 * mean
+                if j and (lo < hi or mean >= 0):
+                    x = mean
+                    if std:
+                        for _ in range(10000):
+                            x = rng.gauss(mean, std)
+                            if lo <= x <= hi:
+                                break
+                        else:
+                            x = min(max(mean, lo), hi)
+                    value += min(round(x), math.floor(hi))
+                values.append(value)
+            column[due] = tuple(reversed(values))
     return tape
 
 
