@@ -439,9 +439,12 @@ _KEY_AT = tuple(map(RESULT_COLUMNS.index, (
     "comp_lot")))
 _IDENTITY_AT = tuple(map(RESULT_COLUMNS.index, (
     "utilization", "alpha", "beta", "bias")))
-_SUMMED_AT = tuple(map(RESULT_COLUMNS.index, (
-    "replication", "overall_cost", "wip_cost", "fgi_cost", "backorder_cost",
+_REPLICATION_AT = RESULT_COLUMNS.index("replication")
+# the values a winner averages, in `BestCell`'s order, cost first
+_AVERAGED_AT = tuple(map(RESULT_COLUMNS.index, (
+    "overall_cost", "wip_cost", "fgi_cost", "backorder_cost",
     "service_level", "leadtime_mean")))
+_WIDTH = len(_AVERAGED_AT)
 _BLOCK_LINES = 512
 
 
@@ -462,41 +465,27 @@ def write_results(rows: list[dict], path: str) -> None:
     write_csv(path, RESULT_COLUMNS, map(_ROW_VALUES, rows))
 
 
-class _Group:
-    """One parameter set's rows, reduced: replication numbers and costs in
-    the order read, which ranking puts in replication order, and running
-    left-to-right sums from 0.0, in the order read, of the KPIs a winner
-    averages, which are the bits `kpi.float_sum` gives."""
-
-    __slots__ = ("replications", "costs", "wip", "fgi", "backorder",
-                 "service", "leadtime")
-
-    def __init__(self) -> None:
-        self.replications: list[int] = []
-        self.costs = array("d")
-        self.wip = self.fgi = self.backorder = self.service = 0.0
-        self.leadtime = 0.0
-
-
 class ResultRows:
-    """The summary of some result rows that `best_per_instance` ranks: one
-    `_Group` per parameter set (instance, mode, sst, plt, policy, value,
-    comp lot), and each instance's identity fields (utilization, alpha,
-    beta, bias), kept once from its first row.  `len()` is the number of
-    rows reduced.  Built from row dicts, or by `read_results` from a file;
-    either way the rows go through `_add`, which groups them in a dict, so
-    their order does not change the ranking (a winner's other KPI means
-    can move in their last bit).  Its winners are worked out once, on first
-    use, and live and die with this object, so all tables drawn from one
-    summary rank it a single time."""
+    """The summary of some result rows that `best_per_instance` ranks: per
+    parameter set (instance, mode, sst, plt, policy, value, comp lot), its
+    rows' replication numbers and one array of the values a winner averages,
+    `_WIDTH` per row (cost, wip, fgi, backorder, service, lead time); and
+    each instance's identity fields (utilization, alpha, beta, bias), kept
+    once from its first row.  `len()` is the number of rows reduced.  Built
+    from row dicts, or by `read_results` from a file; either way the rows go
+    through `_add`, which groups them in a dict in the order read, and
+    `_best_cells` puts each group in replication order, so the order of the
+    rows changes nothing that is ranked or averaged.  Its winners are worked
+    out once, on first use, and live and die with this object, so all
+    tables drawn from one summary rank it a single time."""
 
     def __init__(self, rows=()) -> None:
-        self._groups: dict[tuple, _Group] = {}
+        self._groups: dict[tuple, tuple[list[int], array]] = {}
         self._instances: dict[str, tuple] = {}
         self._add(list(zip(*map(_ROW_VALUES, rows))))
 
     def __len__(self) -> int:
-        return sum(len(group.costs) for group in self._groups.values())
+        return sum(len(reps) for reps, _ in self._groups.values())
 
     def _add(self, columns: list) -> None:
         """Reduce rows given as columns, one sequence per `RESULT_COLUMNS`
@@ -509,19 +498,15 @@ class ResultRows:
             self._instances[instance_id] = tuple(columns[i][first]
                                                  for i in _IDENTITY_AT)
         groups = self._groups
-        for key, rep, cost, wip, fgi, backorder, service, leadtime in zip(
+        for key, rep, values in zip(
                 zip(*map(columns.__getitem__, _KEY_AT)),
-                *map(columns.__getitem__, _SUMMED_AT)):
+                columns[_REPLICATION_AT],
+                zip(*map(columns.__getitem__, _AVERAGED_AT))):
             group = groups.get(key)
             if group is None:
-                group = groups[key] = _Group()
-            group.replications.append(rep)
-            group.costs.append(cost)
-            group.wip += wip
-            group.fgi += fgi
-            group.backorder += backorder
-            group.service += service
-            group.leadtime += leadtime
+                group = groups[key] = ([], array("d"))
+            group[0].append(rep)
+            group[1].extend(values)
 
     @cached_property
     def _winners(self) -> dict[tuple[str, str], BestCell]:
@@ -680,8 +665,8 @@ def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
     Groups rank by (mean cost, sst, plt, policy, value, comp lot), so an
     exact tie in cost goes to the smaller parameters; each mean cost is
     summed in replication order, whatever the order of the rows.  Only the
-    winner of each (instance, mode) is averaged over its other KPIs, summed
-    in the order of the rows.  Every parameter set must carry the same
+    winner of each (instance, mode) is averaged over its other KPIs, also
+    summed in replication order.  Every parameter set must carry the same
     distinct replication numbers; anything else indicates a broken or
     doubled results file.
 
@@ -695,46 +680,45 @@ def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
     return dict(rows._winners)
 
 
-def _costs_by_replication(group: _Group) -> tuple[float, ...]:
-    return tuple(cost for _, cost in
-                 sorted(zip(group.replications, group.costs)))
-
-
 def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
     """The checks and ranking behind `best_per_instance`, and each winner
-    built from its group: its mean cost comes with its rank, summed in
-    replication order, so a reordered file ranks and ties alike; its other
-    KPIs are averaged from their sums in file order.  A `ResultRows` runs
-    all of it once."""
+    built from its group.  After the checks, every group out of replication
+    order is put into it as it is ranked, here and nowhere else, so each
+    rank, each winner's costs and every mean are read from the groups'
+    arrays in replication order and summed left to right: a reordered file
+    ranks, ties and averages alike.  A `ResultRows` runs all of it once."""
     groups = rows._groups
-    counts = {len(g.costs) for g in groups.values()}
+    counts = {len(reps) for reps, _ in groups.values()}
     if len(counts) > 1:
         raise ValueError(f"unbalanced replication counts per parameter set: "
                          f"{sorted(counts)}")
-    reps = {tuple(sorted(g.replications)) for g in groups.values()}
+    reps = {tuple(sorted(r)) for r, _ in groups.values()}
     if len(reps) > 1 or any(len(set(r)) < len(r) for r in reps):
         raise ValueError(f"replications differ or repeat across parameter "
                          f"sets: {sorted(reps)[:2]}")
     in_order = list(next(iter(reps), ()))
+    n = len(in_order)
 
     winners: dict[tuple, tuple[tuple, tuple]] = {}
-    for key, group in groups.items():
-        costs = (group.costs if group.replications == in_order
-                 else _costs_by_replication(group))
-        rank = (float_sum(costs) / len(costs), *key[2:])
+    for key, (replications, values) in groups.items():
+        if replications != in_order:
+            values = array("d", chain.from_iterable(
+                values[i * _WIDTH:(i + 1) * _WIDTH]
+                for i in sorted(range(n), key=replications.__getitem__)))
+            groups[key] = (sorted(replications), values)
+        rank = (float_sum(values[::_WIDTH]) / n, *key[2:])
         held = winners.get(key[:2])
         if held is None or not held[0] <= rank:
             winners[key[:2]] = (rank, key)
     cells = {}
     for (instance_id, mode), ((mean_cost, *params), key) in winners.items():
-        group = groups[key]
-        n = len(group.costs)
-        # positional, in field order: the instance's identity, then the rank
+        values = groups[key][1]
+        # positional, in field order: the instance's identity, the rank,
+        # then the costs and the other means in `_AVERAGED_AT` order
         cells[instance_id, mode] = BestCell(
             instance_id, *rows._instances[instance_id], mode, *params, n,
-            _costs_by_replication(group), mean_cost, group.wip / n,
-            group.fgi / n, group.backorder / n, group.service / n,
-            group.leadtime / n)
+            tuple(values[::_WIDTH]), mean_cost,
+            *[float_sum(values[i::_WIDTH]) / n for i in range(1, _WIDTH)])
     return cells
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from mrpsim import cli, driver, experiment
 from mrpsim.config import UTILIZATION_LEVELS
 from mrpsim.forecast import BIASED_SCHEDULES
+from mrpsim.kpi import float_sum
 from mrpsim.experiment import (
     PRESETS,
     RESULT_COLUMNS,
@@ -1203,12 +1204,10 @@ def read_back(rows: list[dict]) -> ResultRows:
 def test_row_order_does_not_change_the_analysis():
     """A results file with its body reversed, or with its instances' rows
     interleaved, gives the same winners, comparisons and table bytes; the
-    same file written twice is refused.  Two replications per parameter
-    set, so each group's running sums add the same two numbers in either
-    order (0.0 + a + b == 0.0 + b + a)."""
+    same file written twice is refused."""
     from mrpsim.tables import TABLES
 
-    rows = [r for r in analysis_rows() if r["replication"] < 2]
+    rows = analysis_rows()
     by_instance = [list(g) for _, g in
                    groupby(rows, key=lambda r: r["instance_id"])]
     interleaved = [row for turn in zip(*by_instance) for row in turn]
@@ -1462,9 +1461,9 @@ def test_result_bytes_do_not_depend_on_how_sum_adds(monkeypatch, tmp_path):
 
 
 def reference_best_per_instance(rows: list[dict]) -> dict:
-    """`best_per_instance` as first written, but for the mean cost, which
-    it sums in replication order: every group fully aggregated, a
-    `BestCell` built whenever a group beats the current best."""
+    """`best_per_instance` as first written, but for the means, which it
+    sums in replication order: every group fully aggregated, a `BestCell`
+    built whenever a group beats the current best."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         key = (row["instance_id"], row["mode"], row["sst_factor"], row["plt"],
@@ -1479,11 +1478,9 @@ def reference_best_per_instance(rows: list[dict]) -> dict:
         instance_id, mode, sst, plt, policy, value, comp_lot = key
         n = len(group)
         by_replication = sorted(group, key=lambda r: r["replication"])
-        agg = {k: sum(r[k] for r in group) / n
-               for k in ("wip_cost", "fgi_cost", "backorder_cost",
-                         "service_level", "leadtime_mean")}
-        agg["overall_cost"] = sum(r["overall_cost"]
-                                  for r in by_replication) / n
+        agg = {k: float_sum(r[k] for r in by_replication) / n
+               for k in ("overall_cost", "wip_cost", "fgi_cost",
+                         "backorder_cost", "service_level", "leadtime_mean")}
         rank = (agg["overall_cost"], sst, plt, policy, value, comp_lot)
         bkey = (instance_id, mode)
         if bkey in best and order[bkey] <= rank:
