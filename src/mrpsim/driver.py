@@ -20,11 +20,12 @@ scenario), drawn from common-random-number substreams before the first period,
 so demand histories are identical across utilizations, parameters and netting
 modes.  The substreams' standard normals belong to the (seed, replication)
 alone: a `forecast.StreamNormals` store draws them once for every scenario's
-tape and keeps the last tape.  Setup times use a separate substream.  Step 2
-nets each item's stock and receipt book as they are: the `on_hand` and
-`receipts` of the item's one `MrpItemState`, kept all run, which steps 3 to 5
-move.  A run's settings arrive as one `RunConfig`, built only by
-`experiment.make_config`.
+tape and keeps the last tape.  Setup times read a separate substream, the
+shop's, whose standard normals the same store draws once for every run of
+the replication.  Step 2 nets each item's stock and receipt book as they
+are: the `on_hand` and `receipts` of the item's one `MrpItemState`, kept all
+run, which steps 3 to 5 move.  A run's settings arrive as one `RunConfig`,
+built only by `experiment.make_config`.
 A standard run records the first period whose MRP run met a bucket that
 extended netting would net differently (`divergence_period`); while it is
 None the run's extended twin is this same run.
@@ -32,13 +33,12 @@ None the run's extended twin is this same run.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 
 from .config import COMPONENTS, FINAL_PRODUCTS, SystemConfig
 from .forecast import (HORIZON, ScenarioParams, StreamNormals, advance,
-                       long_term_forecast, stream_rng, substream_seed)
+                       long_term_forecast, stream_rng)
 from .inventory import CustomerDemand, fulfill_due_demands, try_release
 from .kpi import KpiTracker, RunSummary
 from .mrp import MrpItemState, PlanningParams, decision_windows, run_mrp
@@ -60,6 +60,19 @@ class RunConfig:
     trace: bool
 
 
+def _store(config: RunConfig, normals: StreamNormals | None) -> StreamNormals:
+    """`normals`, or a new store of the config's seed and replication; a
+    store of another (seed, replication) is refused."""
+    if normals is None:
+        return StreamNormals(config.base_seed, config.replication)
+    held = (normals.base_seed, normals.replication)
+    if held != (config.base_seed, config.replication):
+        raise ValueError(f"a store of (seed, replication) {held} cannot "
+                         f"serve a run of ({config.base_seed}, "
+                         f"{config.replication})")
+    return normals
+
+
 def build_tape(config: RunConfig, replay: dict | None = None,
                normals: StreamNormals | None = None) -> dict:
     """Every forecast value a run of `config` reads: per product a list
@@ -70,15 +83,16 @@ def build_tape(config: RunConfig, replay: dict | None = None,
     runs differing only in planning parameters or utilization share a tape.
     The draws replay `normals`, the store of this seed and replication that
     every scenario's tape shares, and add to it; without one the tape draws
-    into a store of its own.  The store keeps the tape and hands it back
-    while the (scenario, demand pattern, run length) stays the same; another
-    key drops it before the build, so a store never holds two tapes.
+    into a store of its own, and a store of another seed or replication is
+    refused.  The store keeps the tape and hands it back while the
+    (scenario, demand pattern, run length) stays the same; another key drops
+    it before the build, so a store never holds two tapes.
 
     A `replay` (`forecast.load_replay`) must hold each of these updates and
     each stream's long-term value (j = H + 1), equal to this run's."""
     scenario, last = config.scenario, config.run_length
     if replay is None:
-        normals = normals or StreamNormals(config.base_seed, config.replication)
+        normals = _store(config, normals)
         key = (scenario, config.system.demand, last)
         if normals.key == key:
             return normals.tape
@@ -115,10 +129,12 @@ def build_tape(config: RunConfig, replay: dict | None = None,
 class SimulationRun:
     """State of one replication; `run()` executes it and returns KPIs.
     An item's stock lives only in its planning state, `states[item].on_hand`.
-    A run reads a given `tape`, such as a replayed one, as it is, and
-    otherwise `build_tape`'s on `normals`, which hands back the tape the
-    store holds for this config.  A traced run keeps its
-    MRP rows in `mrp_trace`, its shop events in `shop.event_log` and one
+    A run reads `normals`, the store of its seed and replication, or a
+    store of its own: its setups read the store's shop normals, and its
+    forecasts a given `tape`, such as a replayed one, as it is, and
+    otherwise `build_tape`'s on the store, which hands back the tape the
+    store holds for this config.  A traced run keeps its MRP rows in
+    `mrp_trace`, its shop events in `shop.event_log` and one
     (t, wip, fgi, backorder, released, shipped) row per period in
     `period_log`; an untraced run keeps none of them."""
 
@@ -131,6 +147,7 @@ class SimulationRun:
         self.safety = config.params.safety_stock(system.demand.expected_amount)
         self.product_window = decision_windows(config.params, system)[0]
 
+        normals = _store(config, normals)
         self.tape = tape or build_tape(config, normals=normals)
         # the first due period of each product that has not firmed yet
         self.next_due = {p: system.demand.first_due(p) for p in FINAL_PRODUCTS}
@@ -138,11 +155,9 @@ class SimulationRun:
         self.backlog = {p: 0 for p in FINAL_PRODUCTS}   # open demand pieces
         self.demands_all: list[CustomerDemand] = []
 
-        shop_rng = random.Random(substream_seed(config.base_seed,
-                                                config.replication, "shop"))
         warm_min = config.warmup * self.pm
         end_min = config.run_length * self.pm
-        self.shop = ShopFloor(system, shop_rng, warm_min, end_min,
+        self.shop = ShopFloor(system, normals.shop(), warm_min, end_min,
                               [] if config.trace else None)
         self.kpi = KpiTracker(config.run_length, config.warmup, self.pm)
 

@@ -14,9 +14,10 @@ lot size, netting mode) and the replications.  The full study is
 Cells are independent runs: execution order and worker count cannot change any
 result because every cell derives its random numbers from (base seed,
 replication, stream) alone, and rows are always reduced in enumeration order.
-The cells of one (seed, replication) share one store of its demand streams'
-standard normals, drawn once and replayed by every forecast scenario's tape;
-the store keeps the last tape, which the cells of one forecast scenario share
+The cells of one (seed, replication) share one store of its standard
+normals, drawn once: its demand streams', replayed by every forecast
+scenario's tape, and its shop substream's, which every cell's setups read.
+The store keeps the last tape, which the cells of one forecast scenario share
 whatever their utilization, which sets only setup times, and an extended
 cell whose standard twin never met a bucket where extended netting nets
 differently takes that twin's run instead of simulating its own (the two would
@@ -261,13 +262,13 @@ def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
              overrides: dict | None = None, twin: list | None = None,
              normals: StreamNormals | None = None) -> dict:
     """Execute one cell and flatten its KPIs into a result row, reading the
-    tape that `normals`, the store of the cell's replication, holds or builds
-    (see `SimulationRun`).  `twin` is a one-entry list handed from cell to
-    cell: a standard run that never met a bucket where extended netting nets
-    differently leaves its extended twin's (instance, replication,
-    parameter set) and its row there, and the next cell, if it is that
-    twin, takes the row with its own mode instead of simulating.  Every
-    call empties it."""
+    tape that `normals`, the store of the cell's replication, holds or
+    builds, and its setups' shop normals (see `SimulationRun`).  `twin` is a
+    one-entry list handed from cell to cell: a standard run that never met a
+    bucket where extended netting nets differently leaves its extended
+    twin's (instance, replication, parameter set) and its row there, and the
+    next cell, if it is that twin, takes the row with its own mode instead
+    of simulating.  Every call empties it."""
     if twin:
         key, row = twin.pop()
         if key == (cell.instance, cell.replication, cell.params):

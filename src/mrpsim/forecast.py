@@ -34,12 +34,13 @@ streams; at alpha = 0 no generator is seeded.  The key holds no part of the
 scenario, so every scenario of a replication reads the same standard normals:
 a `StreamNormals` store keeps them per (seed, replication), drawn once with
 `Random.gauss(0.0, 1.0)`, which each tape reads again, and it keeps the last
-tape built on them.  An update `mean + z * std` of a stream's normal z is the
-value `Random.gauss(mean, std)` returns, so a tape on the store equals one
-drawn on fresh generators.  Runs read every value from a forecast tape
-(`driver.build_tape`); `dump_tape` writes one and `load_replay` reads it
-back as epsilons to inject, with each stream's long-term value, which the
-replaying run's must equal.
+tape built on them, and the shop substream's normals, which every run's
+setups read (`shopfloor`).  An update `mean + z * std` of a stream's normal
+z is the value `Random.gauss(mean, std)` returns, so a tape on the store
+equals one drawn on fresh generators.  Runs read every value from a
+forecast tape (`driver.build_tape`); `dump_tape` writes one and
+`load_replay` reads it back as epsilons to inject, with each stream's
+long-term value, which the replaying run's must equal.
 """
 
 from __future__ import annotations
@@ -160,16 +161,22 @@ def stream_rng(base_seed: int, replication: int, product: int,
 
 
 class StreamNormals:
-    """What the runs of one (seed, replication) share: the standard normals
-    drawn so far from its demand streams, an `array('d')` per (product, due
-    period), which every forecast scenario's tape reads, and the last tape
-    built on them with its `key` (`driver.build_tape`).  `replay` hands out
-    a stream's normals, seeding through `stream_rng`."""
+    """What the runs of one (seed, replication) share, for both of its
+    random sources.  The standard normals drawn so far from its demand
+    streams, an `array('d')` per (product, due period), which every forecast
+    scenario's tape reads, and the last tape built on them with its `key`
+    (`driver.build_tape`); `replay` hands out a stream's normals, seeding
+    through `stream_rng`.  The standard normals drawn so far from its shop
+    substream, one `array('d')`, and the one generator that drew them, seeded
+    once per store; `shop` hands them out to every run's setups."""
 
     def __init__(self, base_seed: int, replication: int):
         self.base_seed, self.replication = base_seed, replication
         self.streams: dict[tuple[int, int], array] = {}
         self.key = self.tape = None
+        self.shop_normals = array("d")
+        self._shop_rng = random.Random(substream_seed(base_seed, replication,
+                                                      "shop"))
 
     def replay(self, product: int, due: int,
                stream_rng) -> Iterator[float]:
@@ -187,6 +194,21 @@ class StreamNormals:
             z = gauss(0.0, 1.0)   # 0.0 + z * 1.0: z, but for the sign of a zero
             zs.append(z)
             yield z
+
+    def shop(self) -> Iterator[float]:
+        """The shop substream's standard normals from its start: the stored
+        ones, then each further `normalvariate(0.0, 1.0)` of the store's
+        generator, which joins the store.  Readers may interleave, so one
+        that reaches the end of the store reads on by index and draws only
+        when it is the first to pass what is stored."""
+        zs, normalvariate = self.shop_normals, self._shop_rng.normalvariate
+        yield from zs
+        i = len(zs)
+        while True:
+            if i == len(zs):
+                zs.append(normalvariate(0.0, 1.0))
+            yield zs[i]
+            i += 1
 
 
 DUMP_HEADER = ("product", "due_date", "j", "epsilon", "value")

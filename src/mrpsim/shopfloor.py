@@ -3,11 +3,20 @@
 Machines serve one lot at a time from a FIFO queue.  Each operation takes a
 lognormally distributed setup around the machine's mean, by default with
 coefficient of variation 0.2 (`setup.cv` in `config._DEFAULT_OVERRIDES`,
-which `--config` overrides; cv 0 gives fixed setups), drawn with
-`random.lognormvariate` on the run's shop substream, plus deterministic
+which `--config` overrides; cv 0 gives fixed setups), plus deterministic
 per-piece processing time, and lots move to the next routing stage only as
 a whole.  Time is continuous in minutes; the driver advances the floor
 period by period.
+
+A setup is `exp(mu + z * sigma)` of the next standard normal z of the run's
+shop substream, which every run of one (seed, replication) reads from its
+`forecast.StreamNormals` store, where each z is a `normalvariate(0.0, 1.0)`
+of the substream's generator (`0.0 + z * 1.0`: z, but for the sign of a
+zero, which `mu + z * sigma` does not see).  `random.normalvariate(mu,
+sigma)` returns `mu + z * sigma` for its Kinderman-Monahan z, and
+`random.lognormvariate` is `exp` of that, so a setup is bit for bit the
+value `lognormvariate(mu, sigma)` returns on that generator, whether its z
+was stored or drawn fresh.
 
 The floor also keeps the bookkeeping the KPIs need: setup+processing busy
 minutes per machine clipped to the measurement window, and the count of
@@ -18,8 +27,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from collections import deque
+from collections.abc import Iterator
 
 _ARRIVE = 0
 _DONE = 1
@@ -66,21 +75,23 @@ class _MachineState:
         self.busy = False
         self.busy_window_min = 0.0
 
-    def draw_setup(self, rng: random.Random) -> float:
-        """One setup time: the fixed mean, or `rng.lognormvariate(mu, sigma)`."""
+    def draw_setup(self, normals: Iterator[float]) -> float:
+        """One setup time: the fixed mean, which reads no normal, or
+        `exp(mu + z * sigma)` of the next of the standard `normals` z."""
         if self.setup_sigma is None:
             return self.setup_mean
-        return rng.lognormvariate(self.setup_mu, self.setup_sigma)
+        return math.exp(self.setup_mu + next(normals) * self.setup_sigma)
 
 
 class ShopFloor:
-    """All machines plus the shared future-event heap."""
+    """All machines plus the shared future-event heap; setups read the
+    standard `normals`, an iterator such as `StreamNormals.shop`'s."""
 
-    def __init__(self, system, rng: random.Random,
+    def __init__(self, system, normals: Iterator[float],
                  window_start_min: float = 0.0,
                  window_end_min: float = float("inf"),
                  event_log: list | None = None):
-        self.rng = rng
+        self.normals = normals
         self.machines = {mid: _MachineState(m) for mid, m in system.machines.items()}
         self.events: list = []
         self._seq = 0
@@ -104,8 +115,8 @@ class ShopFloor:
         first lot of its queue: it draws the setup, books the operation's
         minutes inside the window as busy and schedules the end.
         `on_completion(order, time)` may dispatch lots onto the same heap."""
-        events, machines, rng, log = (self.events, self.machines, self.rng,
-                                      self.event_log)
+        events, machines, normals, log = (self.events, self.machines,
+                                          self.normals, self.event_log)
         lo, hi = self.window
         pop, push = heapq.heappop, heapq.heappush
         while events and events[0][0] <= until:
@@ -128,7 +139,8 @@ class ShopFloor:
             if machine.busy or not machine.queue:
                 continue
             order = machine.queue.popleft()
-            end = time + (machine.draw_setup(rng) + order.qty * order.proc_min)
+            end = time + (machine.draw_setup(normals)
+                          + order.qty * order.proc_min)
             machine.busy = True
             overlap = min(end, hi) - max(time, lo)
             if overlap > 0:

@@ -55,6 +55,7 @@ from mrpsim.mrp import (
 from mrpsim.shopfloor import ShopFloor
 from test_forecast import normals
 from test_mrp import net_requirement_extended, net_requirement_standard
+from test_shopfloor import normals as setup_normals
 
 SERIAL_SCALE = 8
 
@@ -435,9 +436,9 @@ def test_c10_sampler_moments():
     n = 100_000
 
     # a low-utilization product machine: setup mean 216 min, cv 0.2
-    floor = ShopFloor(build_system("low"), random.Random(77))
+    floor = ShopFloor(build_system("low"), setup_normals(random.Random(77)))
     machine = floor.machines[102]
-    setups = [machine.draw_setup(floor.rng) for _ in range(n)]
+    setups = [machine.draw_setup(floor.normals) for _ in range(n)]
     setup_mean = statistics.fmean(setups)
     assert setup_mean == pytest.approx(216.0, rel=0.01)
     assert statistics.stdev(setups) / setup_mean == pytest.approx(0.2, rel=0.02)

@@ -409,6 +409,24 @@ def test_runs_share_a_tape_and_leave_it_unchanged():
     assert summary_tuple(summarize(cfg, tape=tape)) == alone
 
 
+def test_a_store_of_another_seed_or_replication_is_refused():
+    cfg = make_config(alpha=0.10, params=FOP1, base_seed=9, replication=2,
+                      run_length=30, warmup=5)
+    tape = build_tape(cfg)
+    for seed, replication in ((9, 3), (8, 2)):
+        store = StreamNormals(seed, replication)
+        message = (rf"\({seed}, {replication}\) cannot serve a run of "
+                   r"\(9, 2\)")
+        with pytest.raises(ValueError, match=message):
+            build_tape(cfg, normals=store)
+        with pytest.raises(ValueError, match=message):
+            SimulationRun(cfg, normals=store)
+        with pytest.raises(ValueError, match=message):
+            SimulationRun(cfg, tape=tape, normals=store)
+        assert store.key is None and not store.streams
+        assert len(store.shop_normals) == 0
+
+
 @pytest.mark.parametrize("bias", ["unbiased", "permanent_overbooking"])
 def test_a_tape_reads_only_the_demand_section_of_the_plant(bias):
     # `grid` shares one tape among the utilizations of a forecast scenario:

@@ -3,13 +3,18 @@
 import dataclasses
 import random
 import statistics
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrpsim.config import build_system
+from mrpsim.driver import SimulationRun
+from mrpsim.experiment import make_config
+from mrpsim.forecast import StreamNormals, substream_seed
 from mrpsim.kpi import float_sum
+from mrpsim.mrp import PlanningParams
 from mrpsim.shopfloor import ProductionOrder, ShopFloor
 
 
@@ -24,6 +29,11 @@ def _ignore(order, time):
     pass
 
 
+def normals(rng):
+    """The standard normals of generator `rng`, as setups read them."""
+    return iter(partial(rng.normalvariate, 0.0, 1.0), None)
+
+
 def deterministic_system():
     return build_system("low", {"setup": {"cv": 0.0}})
 
@@ -35,8 +45,8 @@ def setup_draws(mean, cv, n, seed=1):
     machine = dataclasses.replace(system.machines[102], setup_mean_min=mean,
                                   setup_cv=cv)
     floor = ShopFloor(dataclasses.replace(system, machines={102: machine}),
-                      random.Random(seed))
-    return [floor.machines[102].draw_setup(floor.rng) for _ in range(n)]
+                      normals(random.Random(seed)))
+    return [floor.machines[102].draw_setup(floor.normals) for _ in range(n)]
 
 
 def test_sample_setup_moments():
@@ -54,29 +64,31 @@ def test_sample_setup_edge_cases():
     assert setup_draws(216.0, 0.0, 3) == [216.0] * 3
     # a fixed setup draws nothing from the floor's stream
     system = build_system("low", {"setup": {"cv": 0.0}})
-    floor = ShopFloor(system, random.Random(5))
-    state = floor.rng.getstate()
-    floor.machines[101].draw_setup(floor.rng)
-    assert floor.rng.getstate() == state
+    rng = random.Random(5)
+    floor = ShopFloor(system, normals(rng))
+    state = rng.getstate()
+    floor.machines[101].draw_setup(floor.normals)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("cv", (0.05, 0.2, 1.0))
 def test_setup_draw_is_the_stdlib_lognormal_bit_for_bit(cv):
     system = build_system("low", {"setup": {"cv": cv}})
     for seed in (1, 7, 2024, 2**32 - 1):
-        floor = ShopFloor(system, random.Random(seed))
+        rng = random.Random(seed)
+        floor = ShopFloor(system, normals(rng))
         machine, stdlib = floor.machines[102], random.Random(seed)
-        draws = [machine.draw_setup(floor.rng) for _ in range(1000)]
+        draws = [machine.draw_setup(floor.normals) for _ in range(1000)]
         assert draws == [stdlib.lognormvariate(machine.setup_mu,
                                                machine.setup_sigma)
                          for _ in range(1000)]
-        assert floor.rng.getstate() == stdlib.getstate()
+        assert rng.getstate() == stdlib.getstate()
 
 
 def test_single_lot_operation_time():
     # zero setup variation: one 800-piece operation is 216 + 800*1.35 = 1296
     system = deterministic_system()
-    floor = ShopFloor(system, random.Random(0))
+    floor = ShopFloor(system, normals(random.Random(0)))
     order = make_order(system, 10, 800)
     floor.dispatch(order, 0.0)
 
@@ -89,7 +101,7 @@ def test_single_lot_operation_time():
 
 def test_component_single_stage():
     system = deterministic_system()
-    floor = ShopFloor(system, random.Random(0))
+    floor = ShopFloor(system, normals(random.Random(0)))
     order = make_order(system, 20, 1600)
     floor.dispatch(order, 0.0)
     done = []
@@ -101,7 +113,7 @@ def test_component_single_stage():
 def test_fifo_order_on_one_machine():
     system = deterministic_system()
     events = []
-    floor = ShopFloor(system, random.Random(0), event_log=events)
+    floor = ShopFloor(system, normals(random.Random(0)), event_log=events)
     first = make_order(system, 10, 800, uid=1)
     second = make_order(system, 11, 800, uid=2)
     floor.dispatch(first, 0.0)
@@ -117,7 +129,7 @@ def test_fifo_order_on_one_machine():
 def test_lot_moves_to_second_stage_as_a_whole():
     system = deterministic_system()
     events = []
-    floor = ShopFloor(system, random.Random(0), event_log=events)
+    floor = ShopFloor(system, normals(random.Random(0)), event_log=events)
     floor.dispatch(make_order(system, 10, 800), 0.0)
     floor.advance(10000.0, _ignore)
     starts = [(t, machine) for t, kind, uid, item, machine, qty in events
@@ -127,7 +139,7 @@ def test_lot_moves_to_second_stage_as_a_whole():
 
 def test_busy_minutes_clipped_to_window():
     system = deterministic_system()
-    floor = ShopFloor(system, random.Random(0),
+    floor = ShopFloor(system, normals(random.Random(0)),
                       window_start_min=0.0, window_end_min=1440.0)
     floor.dispatch(make_order(system, 10, 800), 0.0)
     floor.advance(5000.0, _ignore)
@@ -141,7 +153,7 @@ def test_busy_minutes_clipped_to_window():
 
 def test_utilization_divides_by_a_window_that_starts_late():
     system = deterministic_system()
-    floor = ShopFloor(system, random.Random(0),
+    floor = ShopFloor(system, normals(random.Random(0)),
                       window_start_min=1440.0, window_end_min=2880.0)
     floor.dispatch(make_order(system, 10, 800, uid=1), 0.0)
     floor.dispatch(make_order(system, 11, 800, uid=2), 1500.0)
@@ -156,7 +168,7 @@ def test_utilization_divides_by_a_window_that_starts_late():
 
 def test_pieces_on_floor_count_released_lots_until_completion():
     system = deterministic_system()
-    floor = ShopFloor(system, random.Random(0))
+    floor = ShopFloor(system, normals(random.Random(0)))
     floor.dispatch(make_order(system, 10, 800, uid=1), 0.0)
     floor.dispatch(make_order(system, 20, 1600, uid=2), 0.0)
     assert floor.pieces_on_floor == 2400
@@ -169,7 +181,7 @@ def test_pieces_on_floor_count_released_lots_until_completion():
 
 def test_queueing_delays_completion():
     system = deterministic_system()
-    floor = ShopFloor(system, random.Random(0))
+    floor = ShopFloor(system, normals(random.Random(0)))
     first = make_order(system, 10, 800, uid=1)
     second = make_order(system, 11, 800, uid=2)
     done = {}
@@ -183,7 +195,7 @@ def test_queueing_delays_completion():
 
 def test_stochastic_setups_vary_but_stay_positive():
     system = build_system("low")
-    floor = ShopFloor(system, random.Random(99))
+    floor = ShopFloor(system, normals(random.Random(99)))
     done = []
     for uid in range(1, 6):
         floor.dispatch(make_order(system, 10, 800, uid=uid), 0.0)
@@ -206,8 +218,9 @@ def test_operations_run_fifo_and_book_their_window_minutes(lots, cv, lo,
                                                            width, seed):
     system = build_system("low", {"setup": {"cv": cv}})
     events = []
-    floor = ShopFloor(system, random.Random(seed), window_start_min=lo,
-                      window_end_min=lo + width, event_log=events)
+    floor = ShopFloor(system, normals(random.Random(seed)),
+                      window_start_min=lo, window_end_min=lo + width,
+                      event_log=events)
     done = []
     for uid, (item, qty, minute) in enumerate(sorted(lots, key=lambda l: l[2]),
                                               start=1):
@@ -253,7 +266,7 @@ def test_lots_ending_a_stage_together_move_in_heap_order():
     # move joins the heap behind the other finish, so both finishes come first
     system = deterministic_system()
     events = []
-    floor = ShopFloor(system, random.Random(0), event_log=events)
+    floor = ShopFloor(system, normals(random.Random(0)), event_log=events)
     floor.dispatch(make_order(system, 10, 800, uid=1), 0.0)
     floor.dispatch(make_order(system, 14, 800, uid=2), 0.0)
     floor.advance(1296.0, _ignore)
@@ -262,3 +275,95 @@ def test_lots_ending_a_stage_together_move_in_heap_order():
                                 (1296.0, "finish_op", 2, "M112"),
                                 (1296.0, "start", 1, "M101"),
                                 (1296.0, "start", 2, "M111")]
+
+
+def shop_generator(seed, replication):
+    return random.Random(substream_seed(seed, replication, "shop"))
+
+
+@pytest.mark.parametrize("cv", (0.05, 0.2, 1.0))
+def test_setups_read_from_a_store_are_the_shop_substreams_lognormals(cv):
+    system = build_system("low", {"setup": {"cv": cv}})
+    means = {101: 216.0, 102: 331.2, 201: 94.0, 202: 7.5}
+    system = dataclasses.replace(system, machines={
+        mid: dataclasses.replace(system.machines[mid], setup_mean_min=mean)
+        for mid, mean in means.items()})
+    for seed, replication in ((42, 0), (7, 3)):
+        store = StreamNormals(seed, replication)
+        floor = ShopFloor(system, store.shop())
+        machines = [floor.machines[mid] for mid in (101, 202, 202, 102, 201)]
+        assert len({(m.setup_mu, m.setup_sigma) for m in machines}) == 4
+        order = machines * 200
+        draws = [m.draw_setup(floor.normals) for m in order]
+        stdlib = shop_generator(seed, replication)
+        assert draws == [stdlib.lognormvariate(m.setup_mu, m.setup_sigma)
+                         for m in order]
+        assert len(store.shop_normals) == len(order)
+        # a second reader replays the stored normals and draws none
+        again = ShopFloor(system, store.shop())
+        assert [m.draw_setup(again.normals) for m in order] == draws
+        assert len(store.shop_normals) == len(order)
+
+
+def test_interleaved_readers_of_a_store_each_read_the_substream():
+    # the lead passes between the readers, so each reads past the stored
+    # normals and later falls behind what the other has stored
+    store = StreamNormals(11, 2)
+    readers, taken = (store.shop(), store.shop()), ([], [])
+    for turn, n in enumerate((3, 5, 4, 1, 0, 6, 2, 3, 6, 6)):
+        taken[turn % 2].extend(next(readers[turn % 2]) for _ in range(n))
+    assert (len(taken[0]), len(taken[1])) == (15, 21)
+    stdlib = shop_generator(11, 2)
+    substream = [stdlib.normalvariate(0.0, 1.0) for _ in range(21)]
+    assert taken[0] == substream[:len(taken[0])]
+    assert taken[1] == substream[:len(taken[1])]
+    assert store.shop_normals.tolist() == substream
+
+
+def _finish(run):
+    """The summary `run()` returns, for a run stepped through all periods."""
+    return run.kpi.summarize(run.system.cost_rates, run.demands_all,
+                             run.shop.utilization())
+
+
+def test_runs_sharing_a_store_give_the_rows_of_fresh_stores():
+    # two utilizations of one replication: different setup means, and so
+    # different numbers of setups per period, read one shop substream
+    configs = [make_config(utilization=utilization, alpha=0.06,
+                           params=PlanningParams(0.4, 2, "FOQ", 400),
+                           base_seed=5, replication=1, run_length=40,
+                           warmup=5)
+               for utilization in ("low", "high")]
+    fresh = [repr(SimulationRun(cfg).run()) for cfg in configs]
+    for order in ((0, 1), (1, 0)):
+        store = StreamNormals(5, 1)
+        shared = {i: repr(SimulationRun(configs[i], normals=store).run())
+                  for i in order}
+        assert [shared[0], shared[1]] == fresh
+    store = StreamNormals(5, 1)
+    runs = [SimulationRun(cfg, normals=store) for cfg in configs]
+    for t in range(1, 41):
+        for run in runs:
+            run.step(t)
+    assert [repr(_finish(run)) for run in runs] == fresh
+    # the store holds the substream's first normals, each drawn once
+    stdlib = shop_generator(5, 1)
+    assert store.shop_normals.tolist() == [
+        stdlib.normalvariate(0.0, 1.0) for _ in store.shop_normals]
+    assert len(store.shop_normals) > 0
+
+
+def test_fixed_setups_leave_the_store_empty():
+    store = StreamNormals(3, 0)
+    SimulationRun(make_config(overrides={"setup": {"cv": 0.0}}, base_seed=3,
+                              run_length=30, warmup=5), normals=store).run()
+    assert len(store.shop_normals) == 0
+    system = build_system("low")
+    for mean in (0.0, -5.0):
+        machine = dataclasses.replace(system.machines[102],
+                                      setup_mean_min=mean)
+        floor = ShopFloor(dataclasses.replace(system, machines={102: machine}),
+                          store.shop())
+        assert [floor.machines[102].draw_setup(floor.normals)
+                for _ in range(3)] == [0.0] * 3
+    assert len(store.shop_normals) == 0
