@@ -26,9 +26,11 @@ the replication.  Step 2 nets each item's stock and receipt book as they
 are: the `on_hand` and `receipts` of the item's one `MrpItemState`, kept all
 run, which steps 3 to 5 move.  A run's settings arrive as one `RunConfig`,
 built only by `experiment.make_config`.
-A standard run records the first period whose MRP run met a bucket that
-extended netting would net differently (`divergence_period`); while it is
-None the run's extended twin is this same run.
+A traced run's MRP nets each product's whole window.  A standard run owns
+the list it hands MRP to watch for a bucket that extended netting would net
+differently; the first period that fills it is `divergence_period`, after
+which the run hands none.  While it is None the run's extended twin is this
+same run.
 """
 
 from __future__ import annotations
@@ -179,8 +181,10 @@ class SimulationRun:
         self._consumed_pieces = 0   # component pieces withdrawn by releases
         self.mrp_trace, self.period_log = (([], []) if config.trace
                                            else (None, None))
-        # the first period extended netting would have planned differently
+        # the first period extended netting would have planned differently;
+        # a standard run watches for it with a list MRP fills, until it does
         self.divergence_period: int | None = None
+        self.divergent = [] if config.params.mode == "standard" else None
 
     # -- demand ----------------------------------------------------------------
 
@@ -229,11 +233,8 @@ class SimulationRun:
                 demand[due] = x
                 due += interval
 
-        # a traced run nets the whole window, and a standard one stops
-        # watching for divergence once it has met one
         return run_mrp(self.states, gross, self.config.params, t, self.system,
-                       trace=self.mrp_trace, whole_window=self.config.trace,
-                       watch=self.divergence_period is None)
+                       trace=self.mrp_trace, divergent=self.divergent)
 
     # -- releasing and material flow ------------------------------------------
 
@@ -301,8 +302,8 @@ class SimulationRun:
         self._fold_receipts(t)
         self._firm_demands(t)
         result = self._plan(t)
-        if self.divergence_period is None and result.diverges:
-            self.divergence_period = t
+        if self.divergent:
+            self.divergence_period, self.divergent = t, None
         self._retry_blocked(minute_start)
         self._release_new(result.release_products, minute_start)
         self._release_new(result.release_components, minute_start)

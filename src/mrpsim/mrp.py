@@ -34,12 +34,13 @@ The driver advances covered_until at every product release; components
 never carry safety stock, which makes both modes identical for them.
 
 The modes can part only where that threshold matters: a demand bucket inside
-the covered range whose projection lies below a positive safety stock.  A
-standard-mode `run_mrp` reports the first product bucket where the extended
-threshold would give another net (`MrpResult.diverges`).  Until one
-occurs, a standard run and its extended twin on the same random numbers plan,
-release and cost exactly alike, so the grid reuses a standard run that never
-met one as its twin's result.
+the covered range whose projection lies below a positive safety stock.
+`run_mrp` appends each product's first bucket where the other threshold
+would give another net to the `divergent` list it is handed, which the
+driver hands a standard run's plans until it fills.  Until one occurs, a
+standard run and its extended twin on the same random numbers plan, release
+and cost exactly alike, so the grid reuses a standard run that never met
+one as its twin's result.
 
 Lots are scheduled backward from their due period by the planned lead time,
 clamped to the current period (a late lot is simply released now and its
@@ -61,11 +62,11 @@ released, its component gross lands past the component window and is never
 netted, and under forward netting it cannot change an earlier lot.  An
 untraced run therefore ends each product's scan at the first bucket past
 that limit which lies past the open FOP lot's window too (the lot still
-absorbs the nets of its window) and, while a standard run watches for
-divergence, past `covered_until`.  Every bucket scanned is netted as over
-the whole window, so the run releases and reports divergence exactly as a
-whole-window plan does.  A traced run nets the whole window: its trace
-lists every bucket.
+absorbs the nets of its window) and, when it is handed a `divergent`
+list, past `covered_until`.  Every bucket scanned is netted as over the
+whole window, so the run releases and reports divergence exactly as a
+whole-window plan does.  A run handed a trace list nets the whole window:
+its trace lists every bucket.
 """
 
 from __future__ import annotations
@@ -146,9 +147,8 @@ def decision_windows(params: PlanningParams, system) -> tuple[int, int]:
     component gross it nets comes from product lots starting by then, i.e.
     due at most plt periods later, and an FOP product lot absorbs the
     requirements of its P-1 following periods too.  That P-1 tail matters
-    only to an FOP lot already open and to a standard run's divergence
-    watch; an untraced `run_mrp` scans it for nothing else (see the module
-    docstring).
+    only to an FOP lot already open and to a `divergent` list; an untraced
+    `run_mrp` scans it for nothing else (see the module docstring).
     """
     lot_window = params.policy_param - 1 if params.policy == "FOP" else 0
     component = system.component_plt
@@ -253,14 +253,12 @@ class MrpResult:
     component_lots: list[PlannedLot]
     release_products: list[PlannedLot]
     release_components: list[PlannedLot]
-    # standard mode: some product bucket would net otherwise if extended
-    diverges: bool = False
 
 
 def run_mrp(states: dict[int, MrpItemState], gross: dict[int, dict[int, int]],
             params: PlanningParams, current_period: int, system,
-            trace: list | None = None, *, whole_window: bool = False,
-            watch: bool = True) -> MrpResult:
+            trace: list | None = None,
+            divergent: list | None = None) -> MrpResult:
     """Plan `config.FINAL_PRODUCTS`, then `config.COMPONENTS`, in that order,
     over the decision windows; each product lot adds its component demand,
     and each lot that starts now is released, as it is planned.  Lots due
@@ -272,18 +270,19 @@ def run_mrp(states: dict[int, MrpItemState], gross: dict[int, dict[int, int]],
     not show, and `run_mrp` adds each product lot's component demand to it:
     a caller hands it dicts it will not read again.
 
-    Unless `whole_window`, as a trace of the window needs, `plan_item`'s
-    `opens` for products is plt + component_plt: the last bucket whose new
-    lot starts by now + component_plt.  A standard run reports `diverges`
-    only while it `watch`es.  Every component lot starts now, as its window
-    is its planned lead time, so `release_components` is `component_lots`,
-    the same list.
+    A `trace` list receives every bucket of the whole window.  Without one,
+    `plan_item`'s `opens` for products is plt + component_plt: the last
+    bucket whose new lot starts by now + component_plt.  A `divergent` list,
+    which a standard run hands in while it watches, receives each product's
+    first bucket where the other netting mode would net differently, if any;
+    `plan_item` fills it.  Every component lot starts now, as its window is
+    its planned lead time, so `release_components` is `component_lots`, the
+    same list.
     """
     policy, policy_param, plt = params.policy, params.policy_param, params.plt
     extended = params.mode == "extended"
-    divergent = [] if watch and not extended else None
     product_window, component_window = decision_windows(params, system)
-    opens = None if whole_window else plt + component_window
+    opens = None if trace is not None else plt + component_window
     product_lots, release_products = [], []
     for pid in FINAL_PRODUCTS:
         lots = plan_item(states[pid], gross[pid], pid, policy, policy_param,
@@ -308,4 +307,4 @@ def run_mrp(states: dict[int, MrpItemState], gross: dict[int, dict[int, int]],
                                     trace)
 
     return MrpResult(product_lots, component_lots, release_products,
-                     component_lots, bool(divergent))
+                     component_lots)

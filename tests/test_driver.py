@@ -570,15 +570,16 @@ def test_divergence_period_marks_where_the_netting_twins_part(
         seed, replication, utilization, alpha, bias, sst, plt, policy,
         run_length):
     """A standard run's `divergence_period` is the first period whose MRP
-    plan its extended twin makes differently.  Without one the twins'
-    summaries are equal, and their releases never differ before it."""
+    plan its extended twin makes differently, traced or not.  Without one
+    the twins' summaries are equal, and their releases never differ before
+    it."""
     runs = {}
     for mode in MODES:
         params = PlanningParams(sst, plt, policy[0], policy[1], mode=mode)
-        cfg = make_config(utilization=utilization, alpha=alpha, bias=bias,
-                          params=params, base_seed=seed,
-                          replication=replication, run_length=run_length,
-                          warmup=run_length // 4, trace=True)
+        cell = dict(utilization=utilization, alpha=alpha, bias=bias,
+                    params=params, base_seed=seed, replication=replication,
+                    run_length=run_length, warmup=run_length // 4)
+        cfg = make_config(**cell, trace=True)
         run = SimulationRun(cfg)
         summary = run.run()
         trace, events = run.mrp_trace, run.shop.event_log
@@ -586,11 +587,18 @@ def test_divergence_period_marks_where_the_netting_twins_part(
         releases = [e for e in events if e[1] == "release"]
         runs[mode] = (run, summary, _by_period(trace, lambda row: row[0]),
                       _by_period(releases, lambda e: int(e[0] // pm) + 1))
+        if mode == "standard":
+            untraced = SimulationRun(make_config(**cell))
     (standard, std_summary, std_plans, std_releases) = runs["standard"]
     (extended, ext_summary, ext_plans, ext_releases) = runs["extended"]
 
     flagged = standard.divergence_period
-    assert extended.divergence_period is None   # only standard runs watch
+    # only standard runs watch, and they stop once they have met one
+    assert extended.divergence_period is None and extended.divergent is None
+    assert (standard.divergent is None) == (flagged is not None)
+    # an untraced run cuts its scan, yet parts where the traced run does
+    assert untraced.run() == std_summary
+    assert untraced.divergence_period == flagged
     assert flagged == _first_difference(std_plans, ext_plans)
     if flagged is None:
         assert std_summary == ext_summary

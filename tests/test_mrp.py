@@ -324,16 +324,18 @@ def test_run_mrp_reports_whether_a_product_bucket_diverges():
     states = {10: MrpItemState(on_hand=500, safety_stock=160, covered_until=9),
               11: MrpItemState(on_hand=500, safety_stock=160, covered_until=9)}
 
-    def diverges(planning):
+    # only standard runs hand in a list (`SimulationRun.divergent`)
+    def divergent():
+        found = []
         inputs = _inputs(states, {10: {8: 400}, 11: {6: 400}})
-        return run_mrp(*inputs, planning, 5, system).diverges
+        run_mrp(*inputs, params, 5, system, divergent=found)
+        return found
 
-    assert diverges(params)
-    assert not diverges(PlanningParams(0.2, 1, "FOP", 1, mode="extended"))
+    assert divergent() == [8, 6]
     states[11].covered_until = 5
-    assert diverges(params)
+    assert divergent() == [8]
     states[10].covered_until = 7
-    assert not diverges(params)
+    assert divergent() == []
 
 
 # ------------------------------------------------------------- scheduling
@@ -529,30 +531,34 @@ def test_decision_window_releases_equal_full_horizon_plan(params, t, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fop=st.sampled_from(FOP_PERIODS), plt=st.sampled_from(PLT_VALUES),
-       mode=st.sampled_from(MODES), sst=st.sampled_from(SST_FACTORS),
-       watch=st.booleans(), t=st.integers(1, 60), data=st.data())
-def test_cut_scan_equals_whole_window_plan(fop, plt, mode, sst, watch, t,
+@given(policy=st.sampled_from([("FOP", p) for p in FOP_PERIODS]
+                              + [("FOQ", q) for q in FOQ_QUANTITIES]),
+       plt=st.sampled_from(PLT_VALUES), mode=st.sampled_from(MODES),
+       sst=st.sampled_from(SST_FACTORS), watch=st.booleans(),
+       t=st.integers(1, 60), data=st.data())
+def test_cut_scan_equals_whole_window_plan(policy, plt, mode, sst, watch, t,
                                            data):
     """An untraced `run_mrp` opens product lots only where they can start by
-    t + component_plt, or, in a standard run that watches, inside the
-    covered range it watches.  It releases what the whole-window (traced)
-    plan releases and finds the same divergence."""
+    t + component_plt, or, in a standard run handed a `divergent` list,
+    inside the covered range it watches.  It releases what the whole-window
+    (traced) plan releases and fills its list as that plan does."""
     system = _SYSTEM
-    params = PlanningParams(sst, plt, "FOP", fop, mode=mode)
+    params = PlanningParams(sst, plt, *policy, mode=mode)
     safety = params.safety_stock(system.demand.expected_amount)
     states, gross = _draw_planner_inputs(data, system, safety, t)
 
+    # the driver hands a list to standard runs only, until it fills
+    watched = watch and mode == "standard"
+    divergent, whole_divergent = ([], []) if watched else (None, None)
     result = run_mrp(states, {i: dict(g) for i, g in gross.items()}, params,
-                     t, system, watch=watch)
+                     t, system, divergent=divergent)
     whole = run_mrp(states, {i: dict(g) for i, g in gross.items()}, params,
-                    t, system, trace=[], whole_window=True)
+                    t, system, trace=[], divergent=whole_divergent)
     assert _lot_rows(result.release_products) == \
         _lot_rows(whole.release_products)
     assert _lot_rows(result.release_components) == \
         _lot_rows(whole.release_components)
-    watched = watch and mode == "standard"
-    assert result.diverges == (watched and whole.diverges)
+    assert divergent == whole_divergent
     for lot in result.product_lots:
         assert (lot.start <= t + system.component_plt
                 or watched and lot.due <= states[lot.item].covered_until)
