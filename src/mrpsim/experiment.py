@@ -435,17 +435,24 @@ _ROW_VALUES = itemgetter(*RESULT_COLUMNS)
 _PARSERS = tuple(str if c in _STR_COLUMNS else int if c in _INT_COLUMNS
                  else float for c in RESULT_COLUMNS)
 _FLOAT_AT = tuple(i for i, parse in enumerate(_PARSERS) if parse is float)
+# the columns whose few distinct texts `read_results` parses once each
+_POOLED = _STR_COLUMNS | {"alpha", "beta", "sst_factor", "plt",
+                          "policy_param", "comp_lot", "replication", "seed"}
+_UNPOOLED_AT = tuple(i for i in _FLOAT_AT
+                     if RESULT_COLUMNS[i] not in _POOLED)
 _KEY_AT = tuple(map(RESULT_COLUMNS.index, (
     "instance_id", "mode", "sst_factor", "plt", "policy", "policy_param",
     "comp_lot")))
-_IDENTITY_AT = tuple(map(RESULT_COLUMNS.index, (
-    "utilization", "alpha", "beta", "bias")))
+# an instance's id, then its identity fields in `BestCell`'s order
+_INSTANCE_AT = tuple(map(RESULT_COLUMNS.index, (
+    "instance_id", "utilization", "alpha", "beta", "bias")))
 _REPLICATION_AT = RESULT_COLUMNS.index("replication")
 # the values a winner averages, in `BestCell`'s order, cost first
 _AVERAGED_AT = tuple(map(RESULT_COLUMNS.index, (
     "overall_cost", "wip_cost", "fgi_cost", "backorder_cost",
     "service_level", "leadtime_mean")))
-_WIDTH = len(_AVERAGED_AT)
+# a group's array holds per row its replication, then the averaged values
+_STRIDE = 1 + len(_AVERAGED_AT)
 _BLOCK_LINES = 512
 
 
@@ -468,46 +475,56 @@ def write_results(rows: list[dict], path: str) -> None:
 
 class ResultRows:
     """The summary of some result rows that `best_per_instance` ranks: per
-    parameter set (instance, mode, sst, plt, policy, value, comp lot), its
-    rows' replication numbers and one array of the values a winner averages,
-    `_WIDTH` per row (cost, wip, fgi, backorder, service, lead time); and
-    each instance's identity fields (utilization, alpha, beta, bias), kept
-    once from its first row.  `len()` is the number of rows reduced.  Built
-    from row dicts, or by `read_results` from a file; either way the rows go
-    through `_add`, which groups them in a dict in the order read, and
-    `_best_cells` puts each group in replication order, so the order of the
-    rows changes nothing that is ranked or averaged.  Its winners are worked
-    out once, on first use, and live and die with this object, so all
-    tables drawn from one summary rank it a single time."""
+    parameter set (instance, mode, sst, plt, policy, value, comp lot), one
+    `array('d')` holding `_STRIDE` values per row, its replication number
+    and then the six values a winner averages (cost, wip, fgi, backorder,
+    service, lead time); and each instance's identity fields (utilization,
+    alpha, beta, bias), which all its rows must repeat.  `len()` is the
+    number of rows reduced.  Built from row dicts, or by `read_results`
+    from a file; either way the rows go through `_add`, which groups them in
+    a dict in the order read, and `_best_cells` puts each group in
+    replication order, so the order of the rows changes nothing that is
+    ranked or averaged.  Its winners are worked out once, on first use, and
+    live and die with this object, so all tables drawn from one summary
+    rank it a single time."""
 
     def __init__(self, rows=()) -> None:
-        self._groups: dict[tuple, tuple[list[int], array]] = {}
+        self._groups: dict[tuple, array] = {}
         self._instances: dict[str, tuple] = {}
         self._add(list(zip(*map(_ROW_VALUES, rows))))
 
     def __len__(self) -> int:
-        return sum(len(reps) for reps, _ in self._groups.values())
+        return sum(map(len, self._groups.values())) // _STRIDE
 
     def _add(self, columns: list) -> None:
         """Reduce rows given as columns, one sequence per `RESULT_COLUMNS`
-        entry, in the order of the rows.  No columns, no rows."""
+        entry, in the order of the rows.  No columns, no rows.  Refused by
+        a `ValueError`: a replication beyond 2**53, which its float would
+        round onto a neighbour's, and an instance whose rows name two
+        identities."""
         if not columns:
             return
-        ids = columns[RESULT_COLUMNS.index("instance_id")]
-        for instance_id in set(ids).difference(self._instances):
-            first = ids.index(instance_id)
-            self._instances[instance_id] = tuple(columns[i][first]
-                                                 for i in _IDENTITY_AT)
+        reps = columns[_REPLICATION_AT]
+        rep = max(reps, key=abs)
+        if abs(rep) > 2 ** 53:
+            raise ValueError(f"replication {rep} is beyond 2**53, so its "
+                             f"number cannot be kept exactly")
+        instances = self._instances
+        for instance in dict.fromkeys(
+                zip(*map(columns.__getitem__, _INSTANCE_AT))):
+            known = instances.setdefault(instance[0], instance[1:])
+            if known != instance[1:]:
+                raise ValueError(f"instance {instance[0]} has rows of two "
+                                 f"identities (utilization, alpha, beta, "
+                                 f"bias): {known} and {instance[1:]}")
         groups = self._groups
-        for key, rep, values in zip(
+        for key, values in zip(
                 zip(*map(columns.__getitem__, _KEY_AT)),
-                columns[_REPLICATION_AT],
-                zip(*map(columns.__getitem__, _AVERAGED_AT))):
+                zip(reps, *map(columns.__getitem__, _AVERAGED_AT))):
             group = groups.get(key)
             if group is None:
-                group = groups[key] = ([], array("d"))
-            group[0].append(rep)
-            group[1].extend(values)
+                group = groups[key] = array("d")
+            group.extend(values)
 
     @cached_property
     def _winners(self) -> dict[tuple[str, str], BestCell]:
@@ -538,17 +555,35 @@ def _check_row(line: str, lineno: int) -> None:
                              f"{RESULT_COLUMNS[i]}: {row[i]!r}")
 
 
+class _Pool(dict):
+    """The distinct texts of one column and their values.  A miss parses
+    the text and, for a float column, checks that it is finite; it raises
+    `ValueError` on a text that fails either, and keeps no value for it."""
+
+    def __init__(self, parse) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str):
+        value = self.parse(text)
+        if self.parse is float and not math.isfinite(value):
+            raise ValueError(f"{text!r} is not finite")
+        self[text] = value
+        return value
+
+
 def _parse_block(block: list[str], first_line: int,
-                 pool: dict[str, str]) -> list[list]:
+                 parsers: list) -> list[list]:
     """The non-blank lines of a block as parsed columns, one list per
     `RESULT_COLUMNS` entry, or no columns if every line is blank.  The
     lines are checked for their commas by one `map`, then joined and split
     once, so column i is every `len(RESULT_COLUMNS)`-th field from field i.
-    Each column is parsed by one `map` and each float column checked finite
-    by one more; a nan cost would make the best cell depend on row order,
-    and a nan alpha would label its instance "a=nan" in the tables.  If any
-    of it fails, the block is checked line by line, so the error names the
-    first bad line and column."""
+    Each column is one `map` of its parser from `read_results`, and each
+    float column that no pool checked is checked finite by one more; a nan
+    cost would make the best cell depend on row order, and a nan alpha
+    would label its instance "a=nan" in the tables.  If any of it fails,
+    the block is checked line by line, so the error names the first bad
+    line and column."""
     lines = [line for line in block if line != "\n"]
     if not lines:
         return []
@@ -559,11 +594,9 @@ def _parse_block(block: list[str], first_line: int,
                 or '"' in text:
             raise ValueError("a line has the wrong fields")
         fields = text.removesuffix("\n").replace("\n", ",").split(",")
-        columns = [list(map(pool.setdefault, texts, texts))
-                   if parse is str else list(map(parse, texts))
-                   for parse, texts in zip(_PARSERS, (
-                       fields[i::width] for i in range(width)))]
-        if not all(all(map(math.isfinite, columns[i])) for i in _FLOAT_AT):
+        columns = [list(map(parse, fields[i::width]))
+                   for i, parse in enumerate(parsers)]
+        if not all(all(map(math.isfinite, columns[i])) for i in _UNPOOLED_AT):
             raise ValueError("a float is not finite")
     except ValueError:
         for lineno, line in enumerate(block, start=first_line):
@@ -579,11 +612,14 @@ def read_results(path: str) -> ResultRows:
     Blank lines are skipped but counted in the line numbers of errors.  A
     field is whatever lies between two commas, which is what `write_csv`
     writes; so a quoted field, which `write_csv` never writes and a CSV
-    reader would unquote, is refused.  The string columns repeat a few
-    values over millions of rows, so each distinct value is one string
-    object, taken from a pool that lives for this call only (interned
-    strings would churn the interpreter's table over repeated reads)."""
-    pool: dict[str, str] = {}
+    reader would unquote, is refused.  The columns of a parameter set, an
+    instance, the replication and the seed repeat a few texts over millions
+    of rows, so each of them reads through a `_Pool` that lives for this
+    call only: each distinct text is parsed once, and a string column's
+    equal values are one object.  The averaged values, `n_final_orders`
+    and `leadtime_sd` are parsed on every row."""
+    parsers = [_Pool(parse).__getitem__ if column in _POOLED else parse
+               for column, parse in zip(RESULT_COLUMNS, _PARSERS)]
     summary = ResultRows()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().removesuffix("\n")
@@ -591,7 +627,7 @@ def read_results(path: str) -> ResultRows:
             raise ValueError(f"results file {path} has unexpected header")
         lineno = 2
         while block := list(islice(fh, _BLOCK_LINES)):
-            summary._add(_parse_block(block, lineno, pool))
+            summary._add(_parse_block(block, lineno, parsers))
             lineno += len(block)
     return summary
 
@@ -684,42 +720,49 @@ def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
 def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
     """The checks and ranking behind `best_per_instance`, and each winner
     built from its group.  After the checks, every group out of replication
-    order is put into it as it is ranked, here and nowhere else, so each
+    order is put into it as it is ranked, here and nowhere else: its rows'
+    offsets in the array are sorted by the replication at each.  So each
     rank, each winner's costs and every mean are read from the groups'
-    arrays in replication order and summed left to right: a reordered file
+    arrays in replication order (a column is `values[i::_STRIDE]`, the
+    replications are column 0) and summed left to right: a reordered file
     ranks, ties and averages alike.  A `ResultRows` runs all of it once."""
     groups = rows._groups
-    counts = {len(reps) for reps, _ in groups.values()}
+    counts = set(map(len, groups.values()))
     if len(counts) > 1:
         raise ValueError(f"unbalanced replication counts per parameter set: "
-                         f"{sorted(counts)}")
-    reps = {tuple(sorted(r)) for r, _ in groups.values()}
+                         f"{sorted(c // _STRIDE for c in counts)}")
+    # each group's replications as read, and each distinct order of them
+    firsts = list(map(itemgetter(slice(0, None, _STRIDE)), groups.values()))
+    raws = list(map(array.tobytes, firsts))
+    reps = {tuple(sorted(r)) for r in dict(zip(raws, firsts)).values()}
     if len(reps) > 1 or any(len(set(r)) < len(r) for r in reps):
+        listed = [tuple(map(int, r)) for r in sorted(reps)[:2]]
         raise ValueError(f"replications differ or repeat across parameter "
-                         f"sets: {sorted(reps)[:2]}")
-    in_order = list(next(iter(reps), ()))
-    n = len(in_order)
+                         f"sets: {listed}")
+    in_order = next(iter(reps), ())
+    n, ordered = len(in_order), array("d", in_order).tobytes()
 
-    winners: dict[tuple, tuple[tuple, tuple]] = {}
-    for key, (replications, values) in groups.items():
-        if replications != in_order:
-            values = array("d", chain.from_iterable(
-                values[i * _WIDTH:(i + 1) * _WIDTH]
-                for i in sorted(range(n), key=replications.__getitem__)))
-            groups[key] = (sorted(replications), values)
-        rank = (float_sum(values[::_WIDTH]) / n, *key[2:])
+    # a rank is (mean cost, key): its (instance, mode) ties, so the
+    # parameters, in key order, break a tie in cost
+    winners: dict[tuple, tuple[float, tuple]] = {}
+    for (key, values), raw in zip(groups.items(), raws):
+        if raw != ordered:
+            values = groups[key] = array("d", chain.from_iterable(
+                values[at:at + _STRIDE] for at in sorted(
+                    range(0, len(values), _STRIDE), key=values.__getitem__)))
+        rank = (float_sum(values[1::_STRIDE]) / n, key)
         held = winners.get(key[:2])
-        if held is None or not held[0] <= rank:
-            winners[key[:2]] = (rank, key)
+        if held is None or not held <= rank:
+            winners[key[:2]] = rank
     cells = {}
-    for (instance_id, mode), ((mean_cost, *params), key) in winners.items():
-        values = groups[key][1]
-        # positional, in field order: the instance's identity, the rank,
-        # then the costs and the other means in `_AVERAGED_AT` order
+    for (instance_id, mode), (mean_cost, key) in winners.items():
+        values = groups[key]
+        # positional, in field order: the instance's identity, the
+        # parameters, then the costs and the means in `_AVERAGED_AT` order
         cells[instance_id, mode] = BestCell(
-            instance_id, *rows._instances[instance_id], mode, *params, n,
-            tuple(values[::_WIDTH]), mean_cost,
-            *[float_sum(values[i::_WIDTH]) / n for i in range(1, _WIDTH)])
+            instance_id, *rows._instances[instance_id], mode, *key[2:], n,
+            tuple(values[1::_STRIDE]), mean_cost,
+            *[float_sum(values[i::_STRIDE]) / n for i in range(2, _STRIDE)])
     return cells
 
 

@@ -562,6 +562,21 @@ def test_replications_that_repeat_or_differ_are_refused(
                           "parameter sets: ")
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["tables", "--csv"]])
+def test_an_instance_with_two_identities_is_refused(small_results_dir,
+                                                    tmp_path, capsys, command):
+    # the last two rows once went to "low unbiased a=0.06" and exited 0
+    rows = file_rows(small_results_dir)
+    for row in rows[-2:]:
+        row.update(alpha="0.1", utilization="high")
+    write_results(rows, str(tmp_path / "results.csv"))
+    code, out, err = run_cli(capsys, *command, "--in", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: instance low-a0.06-b0-unbiased has rows of two "
+                   "identities (utilization, alpha, beta, bias): ('low', "
+                   "0.06, 0, 'unbiased') and ('high', 0.1, 0, 'unbiased')\n")
+
+
 def test_analyze_missing_results(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", "--in", str(tmp_path))
     assert code == 2

@@ -12,6 +12,7 @@ import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import groupby
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -1014,6 +1015,156 @@ def test_read_results_equals_a_csv_reader_parse(data):
     assert len(read) == len(reference) == len(rows)
     best, expected = best_per_instance(read), best_per_instance(reference)
     assert best == expected and list(best) == list(expected)
+
+
+def text_forms(value) -> tuple[str, ...]:
+    """Texts that a results column's parser reads as `value`: its `str`,
+    and for a number a padded form ("0.2" as "0.20", "1e-05" as
+    "1.0e-05", 2 as "02") and a signed one ("+2", and a float in 17
+    significant digits)."""
+    if isinstance(value, str):
+        return (value,)
+    if isinstance(value, int):
+        return (str(value), f"+{value}", f"0{value}") if value >= 0 \
+            else (str(value),)
+    mantissa, _, exponent = repr(value).partition("e")
+    padded = mantissa + ("0" if "." in mantissa else ".0")
+    return (repr(value), padded + ("e" + exponent if exponent else ""),
+            f"{value:+.16e}")
+
+
+def parsed(line: str) -> dict:
+    """A results line's values, each parsed by its column's parser."""
+    return {column: parse(text) for column, parse, text in
+            zip(RESULT_COLUMNS, experiment._PARSERS, line.split(","))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pooled_read_equals_the_row_dicts(data):
+    """Rows a grid writes, shuffled or split by replication (each set's
+    rows far apart), with their numbers in other texts ("0.2" as "0.20",
+    "1e-05" as "1.0e-05", a zero as "-0.0", 2 as "+2"), read through the
+    per-column pools to the groups, instances and winners that
+    `ResultRows` makes of the same rows as dicts: a pool hands each text
+    its own value, also when it was first seen blocks before."""
+    rng = data.draw(st.randoms(use_true_random=True), label="rng")
+    rows = analysis_rows(seed=data.draw(st.integers(0, 3), label="seed"))
+    for row in rows:
+        row["service_level"] = rng.choice(
+            (row["service_level"], 1e-05, 0.0, -0.0, 5e-324))
+    order = data.draw(st.sampled_from(("written", "shuffled", "split")),
+                      label="order")
+    if order == "shuffled":
+        rng.shuffle(rows)
+    elif order == "split":
+        rows.sort(key=lambda row: row["replication"])
+    lines = [",".join(rng.choice(text_forms(row[column]))
+                      for column in RESULT_COLUMNS) for row in rows]
+    block = data.draw(st.sampled_from((7, 64, experiment._BLOCK_LINES)),
+                      label="block lines")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(experiment, "_BLOCK_LINES", block):
+        path = os.path.join(tmp, "results.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(results_text(lines))
+        read = read_results(path)
+    reference = ResultRows(map(parsed, lines))
+
+    def groups(summary: ResultRows) -> list:
+        return [(key, values.tobytes())
+                for key, values in summary._groups.items()]
+
+    assert len(read) == len(reference) == len(rows)
+    assert groups(read) == groups(reference)
+    assert read._instances == reference._instances
+    best, expected = best_per_instance(read), best_per_instance(reference)
+    assert best == expected and list(best) == list(expected)
+    # both now in replication order
+    assert groups(read) == groups(reference)
+
+
+@pytest.mark.parametrize("column, text", [
+    ("plt", "x"), ("alpha", "nan"), ("sst_factor", "-inf")])
+def test_a_bad_pooled_text_is_named_in_a_later_block(tmp_path, column, text):
+    """A pooled column parses each distinct text once per read.  A bad text
+    that first appears in the second block, after that column's good texts
+    are pooled, is named by its line and column as before; mended, the
+    file reads."""
+    rows = [{**row, "replication": row["replication"] + 3 * turn}
+            for turn in range(3) for row in analysis_rows()]
+    lines = [",".join(str(row[c]) for c in RESULT_COLUMNS) for row in rows]
+    block = experiment._BLOCK_LINES
+    assert block < len(lines) < 2 * block
+    at = block + 9
+    fields = lines[at].split(",")
+    good = fields[RESULT_COLUMNS.index(column)]
+    fields[RESULT_COLUMNS.index(column)] = text
+    assert good in {line.split(",")[RESULT_COLUMNS.index(column)]
+                    for line in lines[:block]}
+    path = tmp_path / "results.csv"
+    path.write_text(results_text([*lines[:at], ",".join(fields),
+                                  *lines[at + 1:]]))
+    with pytest.raises(ValueError) as caught:
+        read_results(str(path))
+    assert str(caught.value) == \
+        f"results line {at + 2}, column {column}: '{text}'"
+    path.write_text(results_text(lines))
+    assert len(read_results(str(path))) == len(rows)
+
+
+@pytest.mark.parametrize("top", [2 ** 53, 2 ** 53 + 1, -2 ** 53 - 1, 2 ** 64])
+def test_replications_beyond_2_to_the_53_are_read_or_refused(top):
+    """A group's array holds each replication as a float.  Replications up
+    to 2**53 are exact there and read as written, and a message prints them
+    as ints; one beyond, which its float would merge with a neighbour's, is
+    refused, from a file or from row dicts."""
+    neighbour = top - 1 if top > 0 else top + 1
+    rows = [{**row, "replication": (neighbour, top)[row["replication"] % 2]}
+            for row in synthetic_rows() if row["replication"] < 2]
+    if abs(top) > 2 ** 53:
+        message = (f"replication {top} is beyond 2**53, so its number "
+                   f"cannot be kept exactly")
+        for make in (ResultRows, read_back):
+            with pytest.raises(ValueError) as caught:
+                make(rows)
+            assert str(caught.value) == message
+        return
+    for read in (ResultRows(rows), read_back(rows)):
+        best = best_per_instance(read)
+        key = ("low-a0.06-b0-unbiased", "standard")
+        assert best[key].costs == (9548.0, 9550.0)
+        assert {tuple(map(int, values[::experiment._STRIDE]))
+                for values in read._groups.values()} == {(neighbour, top)}
+    rows[-1]["replication"] = neighbour
+    with pytest.raises(ValueError) as caught:
+        best_per_instance(read_back(rows))
+    assert str(caught.value) == (
+        f"replications differ or repeat across parameter sets: "
+        f"[({neighbour}, {neighbour}), ({neighbour}, {top})]")
+
+
+@pytest.mark.parametrize("at", ["same block", "later block"])
+def test_an_instance_with_two_identities_is_refused(tmp_path, at):
+    """Every row of an instance must repeat its utilization, alpha, beta
+    and bias; once, the first row's were kept and the rest ignored, so a
+    file whose last rows of an instance named another utilization and
+    alpha was tabled under the first.  The fault is found in the block
+    where it first shows, or against the identity kept from an earlier
+    block."""
+    rows = synthetic_rows()
+    for row in rows[-2:]:
+        row.update(utilization="high", alpha=0.1)
+    block = len(rows) - 2 if at == "later block" else len(rows)
+    with mock.patch.object(experiment, "_BLOCK_LINES", block):
+        with pytest.raises(ValueError) as caught:
+            read_back(rows)
+    message = ("instance low-a0.06-b0-unbiased has rows of two identities "
+               "(utilization, alpha, beta, bias): ('low', 0.06, 0, "
+               "'unbiased') and ('high', 0.1, 0, 'unbiased')")
+    assert str(caught.value) == message
+    with pytest.raises(ValueError, match="two identities"):
+        ResultRows(rows)
 
 
 def test_manifest_contents(tmp_path):
