@@ -719,37 +719,37 @@ def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
 
 def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
     """The checks and ranking behind `best_per_instance`, and each winner
-    built from its group.  After the checks, every group out of replication
-    order is put into it as it is ranked, here and nowhere else: its rows'
-    offsets in the array are sorted by the replication at each.  So each
-    rank, each winner's costs and every mean are read from the groups'
-    arrays in replication order (a column is `values[i::_STRIDE]`, the
-    replications are column 0) and summed left to right: a reordered file
-    ranks, ties and averages alike.  A `ResultRows` runs all of it once."""
+    built from its group, in one walk over the groups that builds no list
+    per set.  The first group's replications, sorted, are the reference,
+    which may not repeat one; a group whose replications read otherwise is
+    put into replication order as it is ranked, here and nowhere else: its
+    rows' offsets in the array are sorted by the replication at each, and
+    it must then read as the reference.  So each rank, each winner's costs
+    and every mean are read from the groups' arrays in replication order (a
+    column is `values[i::_STRIDE]`, the replications are column 0) and
+    summed left to right: a reordered file ranks, ties and averages alike.
+    A `ResultRows` runs all of it once."""
     groups = rows._groups
     counts = set(map(len, groups.values()))
     if len(counts) > 1:
         raise ValueError(f"unbalanced replication counts per parameter set: "
                          f"{sorted(c // _STRIDE for c in counts)}")
-    # each group's replications as read, and each distinct order of them
-    firsts = list(map(itemgetter(slice(0, None, _STRIDE)), groups.values()))
-    raws = list(map(array.tobytes, firsts))
-    reps = {tuple(sorted(r)) for r in dict(zip(raws, firsts)).values()}
-    if len(reps) > 1 or any(len(set(r)) < len(r) for r in reps):
-        listed = [tuple(map(int, r)) for r in sorted(reps)[:2]]
-        raise ValueError(f"replications differ or repeat across parameter "
-                         f"sets: {listed}")
-    in_order = next(iter(reps), ())
+    in_order = sorted(next(iter(groups.values()), array("d"))[::_STRIDE])
     n, ordered = len(in_order), array("d", in_order).tobytes()
+    if len(set(in_order)) < n:
+        raise _differing(groups)
 
     # a rank is (mean cost, key): its (instance, mode) ties, so the
     # parameters, in key order, break a tie in cost
     winners: dict[tuple, tuple[float, tuple]] = {}
-    for (key, values), raw in zip(groups.items(), raws):
-        if raw != ordered:
+    for key, values in groups.items():
+        if values[::_STRIDE].tobytes() != ordered:
+            at = sorted(range(0, len(values), _STRIDE),
+                        key=values.__getitem__)
+            if [values[i] for i in at] != in_order:
+                raise _differing(groups)
             values = groups[key] = array("d", chain.from_iterable(
-                values[at:at + _STRIDE] for at in sorted(
-                    range(0, len(values), _STRIDE), key=values.__getitem__)))
+                values[i:i + _STRIDE] for i in at))
         rank = (float_sum(values[1::_STRIDE]) / n, key)
         held = winners.get(key[:2])
         if held is None or not held <= rank:
@@ -764,6 +764,14 @@ def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
             tuple(values[1::_STRIDE]), mean_cost,
             *[float_sum(values[i::_STRIDE]) / n for i in range(2, _STRIDE)])
     return cells
+
+
+def _differing(groups: dict[tuple, array]) -> ValueError:
+    """The refusal of groups whose replications differ or repeat: the first
+    two of their distinct orders, sorted, as ints."""
+    orders = sorted({tuple(sorted(v[::_STRIDE])) for v in groups.values()})
+    return ValueError(f"replications differ or repeat across parameter "
+                      f"sets: {[tuple(map(int, r)) for r in orders[:2]]}")
 
 
 @dataclass

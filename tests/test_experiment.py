@@ -8,6 +8,7 @@ import os
 import pickle
 import platform
 import tempfile
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
@@ -1611,18 +1612,30 @@ def test_result_bytes_do_not_depend_on_how_sum_adds(monkeypatch, tmp_path):
     test_analysis_bytes_are_pinned()
 
 
+def parameter_set(row: dict) -> tuple:
+    return tuple(row[c] for c in ("instance_id", "mode", "sst_factor", "plt",
+                                  "policy", "policy_param", "comp_lot"))
+
+
 def reference_best_per_instance(rows: list[dict]) -> dict:
     """`best_per_instance` as first written, but for the means, which it
-    sums in replication order: every group fully aggregated, a `BestCell`
-    built whenever a group beats the current best."""
+    sums in replication order, and for its refusals, which name the counts
+    or the first two distinct replication orders: every group fully
+    aggregated, a `BestCell` built whenever a group beats the current
+    best."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = (row["instance_id"], row["mode"], row["sst_factor"], row["plt"],
-               row["policy"], row["policy_param"], row["comp_lot"])
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(parameter_set(row), []).append(row)
     counts = {len(g) for g in groups.values()}
     if len(counts) > 1:
-        raise ValueError("unbalanced replication counts per parameter set")
+        raise ValueError(f"unbalanced replication counts per parameter set: "
+                         f"{sorted(counts)}")
+    orders = {tuple(sorted(r["replication"] for r in g))
+              for g in groups.values()}
+    if len(orders) > 1 or any(len(set(o)) < len(o) for o in orders):
+        listed = [tuple(map(int, o)) for o in sorted(orders)[:2]]
+        raise ValueError(f"replications differ or repeat across parameter "
+                         f"sets: {listed}")
     best: dict[tuple[str, str], BestCell] = {}
     order: dict[tuple[str, str], tuple] = {}
     for key, group in groups.items():
@@ -1685,3 +1698,53 @@ def test_best_per_instance_matches_reference_on_shuffled_ties(data):
         best = best_per_instance(given_rows)
         assert list(best) == list(expected)
         assert best == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_damaged_parameter_set_is_refused_as_the_reference_refuses(data):
+    """One parameter set with a replication moved, a row doubled or a row
+    dropped, sometimes the first set in file order, is refused with the
+    reference's message, from the rows and from their read, on every
+    call."""
+    rows = data.draw(st.sampled_from((synthetic_rows, analysis_rows)))()
+    sets = list(dict.fromkeys(map(parameter_set, rows)))
+    damaged = sets[0] if data.draw(st.booleans(), label="first") \
+        else data.draw(st.sampled_from(sets), label="set")
+    at = data.draw(st.sampled_from(
+        [i for i, row in enumerate(rows) if parameter_set(row) == damaged]))
+    damage = data.draw(st.sampled_from(("moved", "doubled", "dropped")))
+    if damage == "moved":
+        rows[at] = {**rows[at], "replication": data.draw(
+            st.integers(-1, 4).filter(lambda r: r != rows[at]["replication"]),
+            label="replication")}
+    elif damage == "doubled":
+        rows.insert(at, dict(rows[at]))
+    else:
+        del rows[at]
+    with pytest.raises(ValueError) as caught:
+        reference_best_per_instance(rows)
+    message = str(caught.value)
+    for given_rows in (rows, read_back(rows)):
+        for _ in range(2):
+            with pytest.raises(ValueError) as caught:
+                best_per_instance(given_rows)
+            assert str(caught.value) == message
+
+
+def test_ranking_holds_no_memory_per_parameter_set():
+    """Ranking walks the parameter sets once and builds no list per set:
+    what `best_per_instance` allocates at its peak on a summary of 10,000
+    in-order sets stays under a bound that does not grow with the sets."""
+    row = synthetic_rows()[0]
+    read = ResultRows({**row, "policy_param": value, "replication": rep}
+                      for value in range(10_000) for rep in range(2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        best = best_per_instance(read)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert best[row["instance_id"], row["mode"]].policy_param == 0
+    assert peak < 256 * 1024
