@@ -1,19 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: `mrpsim validate|simulate|grid|analyze|tables`.
 
-Subcommands:
-
-    validate   print the planned-utilization table and grid cardinalities;
-               a machine planned at 100% or more is a usage error
-    simulate   run one replication and print its KPI summary (standard
-               mode also prints the first period extended netting would
-               have planned differently)
-    grid       run an experiment preset and write result/manifest files
-    analyze    compare extended vs standard netting with significance tests
-    tables     render summary tables from a results file
-
---seed is taken by simulate and grid, --config by validate, simulate and
-grid; outputs are deterministic given flags plus seed.  Exit codes: 0
-success, 1 any cell failure, 2 usage error.
+Outputs are deterministic given flags plus seed.  Exit codes: 0 success,
+1 any cell failure, 2 usage error, including a refused input.
 """
 
 from __future__ import annotations

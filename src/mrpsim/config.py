@@ -9,21 +9,16 @@ machine each:
     component 20:     M201
     component 21:     M202
 
-Each final product piece consumes `bom.quantity` component pieces.  Demand
-arrives as one customer order per product every `demand.interval` periods
-with an expected quantity of `demand.expected_amount` pieces; the eight
-products are staggered so that two of them (one per line) are due every
-period.
+Demand arrives as one customer order per product every `demand.interval`
+periods, staggered so that two products (one per line) are due every
+period.  The product machines' setup mean sets the utilization level: with
+one 800-piece lot per day and machine, 216 / 288 / 331.2 minutes give 90% /
+95% / 98% (`planned_utilization_table`).
 
-Machine load is tuned through the setup time of the product machines: with
-one 800-piece lot per day and machine, setup means of 216 / 288 / 331.2
-minutes put the product machines at 90% / 95% / 98% planned utilization.
-Component machines always run a 94-minute setup; their planned utilization is
-88.6% with 800-piece component lots and 82.1% with 1600-piece lots.
-
-`_DEFAULT_OVERRIDES` is the one home of every plant number: `build_system`
-reads each value from it, and a JSON config file (`load_overrides`, README)
-overrides any of them within the bounds `_merge_overrides` checks.
+`_DEFAULT_OVERRIDES` is the one home of every overridable plant number:
+`build_system` reads each value from it, and a JSON config file
+(`load_overrides`) overrides any of them within the bounds `_checked`
+enforces.
 """
 
 from __future__ import annotations
@@ -147,12 +142,9 @@ class SystemConfig:
 
 def build_system(utilization: str = "low",
                  overrides: dict | None = None) -> SystemConfig:
-    """Assemble the default plant at one of the three utilization levels.
-
-    `overrides` takes the (already parsed) JSON override mapping; unknown
-    sections or keys and out-of-range values raise ValueError so typos
-    cannot silently change a run.
-    """
+    """Assemble the plant at one of the three utilization levels.  Unknown
+    sections or keys and out-of-range values of the parsed JSON `overrides`
+    raise ValueError, so typos cannot silently change a run."""
     o = _merge_overrides(overrides)
     if utilization not in UTILIZATION_LEVELS:
         raise ValueError(f"utilization must be one of {UTILIZATION_LEVELS}, "
@@ -235,11 +227,8 @@ def load_overrides(path: str) -> dict:
 
 def planned_utilization(system: SystemConfig, machine_id: int,
                         lots_per_period: float, pieces_per_period: float) -> float:
-    """Deterministic planned load of one machine.
-
-    (pieces * processing + lots * mean setup) / available minutes, using the
-    processing time of the items routed over the machine.
-    """
+    """Deterministic planned load of one machine: (pieces * processing +
+    lots * mean setup) / available minutes."""
     machine = system.machines.get(machine_id)
     if machine is None:
         raise KeyError(f"unknown machine id {machine_id}")

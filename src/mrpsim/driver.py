@@ -14,23 +14,14 @@ One simulated period runs through a fixed sequence:
   5. due and backordered demands ship all-or-nothing from final-goods stock
   6. end-of-period snapshot prices WIP, FGI and open demand
 
-Steps 1 and 2 read the forecast tape (`build_tape`), per product a list indexed
-by due period that holds every forecast value of one (seed, replication,
-scenario), drawn from common-random-number substreams before the first period,
-so demand histories are identical across utilizations, parameters and netting
-modes.  The substreams' standard normals belong to the (seed, replication)
-alone: a `forecast.StreamNormals` store draws them once for every scenario's
-tape and keeps the last tape.  Setup times read a separate substream, the
-shop's, whose standard normals the same store draws once for every run of
-the replication.  Step 2 nets each item's stock and receipt book as they
+Steps 1 and 2 read the forecast tape (`build_tape`), built before the first
+period on the replication's store of standard normals (the `forecast`
+module docstring).  Step 2 nets each item's stock and receipt book as they
 are: the `on_hand` and `receipts` of the item's one `MrpItemState`, kept all
 run, which steps 3 to 5 move.  A run's settings arrive as one `RunConfig`,
-built only by `experiment.make_config`.
-A traced run's MRP nets each product's whole window.  A standard run owns
-the list it hands MRP to watch for a bucket that extended netting would net
-differently; the first period that fills it is `divergence_period`, after
-which the run hands none.  While it is None the run's extended twin is this
-same run.
+built only by `experiment.make_config`.  A standard run records where its
+netting twin would part as `divergence_period` (the `mrp` module
+docstring).
 """
 
 from __future__ import annotations
@@ -78,20 +69,13 @@ def _store(config: RunConfig, normals: StreamNormals | None) -> StreamNormals:
 def build_tape(config: RunConfig, replay: dict | None = None,
                normals: StreamNormals | None = None) -> dict:
     """Every forecast value a run of `config` reads: per product a list
-    indexed by due period, None where no order is due.  An entry holds one
-    stream's values in order of rising j, one per update from j = min(H,
-    due - 1) down to j = max(0, due - run_length).  Only the scenario, the
-    demand pattern, the seed, the replication and the run length enter, so
-    runs differing only in planning parameters or utilization share a tape.
-    The draws replay `normals`, the store of this seed and replication that
-    every scenario's tape shares, and add to it; without one the tape draws
-    into a store of its own, and a store of another seed or replication is
-    refused.  The store keeps the tape and hands it back while the
-    (scenario, demand pattern, run length) stays the same; another key drops
-    it before the build, so a store never holds two tapes.
-
-    A `replay` (`forecast.load_replay`) must hold each of these updates and
-    each stream's long-term value (j = H + 1), equal to this run's."""
+    indexed by due period, None where no order is due, each entry one
+    stream's values from j = max(0, due - run_length) up to min(H, due - 1).
+    Only the scenario, the demand pattern, the seed, the replication and
+    the run length enter.  A sampled tape replays and extends `normals`
+    (see `_store`), which keeps the one tape it last built for its key.  A
+    `replay` (`forecast.load_replay`) must hold each update and each
+    stream's long-term value (j = H + 1), equal to this run's."""
     scenario, last = config.scenario, config.run_length
     if replay is None:
         normals = _store(config, normals)
@@ -131,12 +115,10 @@ def build_tape(config: RunConfig, replay: dict | None = None,
 class SimulationRun:
     """State of one replication; `run()` executes it and returns KPIs.
     An item's stock lives only in its planning state, `states[item].on_hand`.
-    A run reads `normals`, the store of its seed and replication, or a
-    store of its own: its setups read the store's shop normals, and its
-    forecasts a given `tape`, such as a replayed one, as it is, and
-    otherwise `build_tape`'s on the store, which hands back the tape the
-    store holds for this config.  A traced run keeps its MRP rows in
-    `mrp_trace`, its shop events in `shop.event_log` and one
+    Forecasts come from `tape` if given, else from `build_tape` on
+    `normals`, the store of the config's seed and replication or one of its
+    own, whose shop normals the setups read.  A traced run keeps its MRP
+    rows in `mrp_trace`, its shop events in `shop.event_log` and one
     (t, wip, fgi, backorder, released, shipped) row per period in
     `period_log`; an untraced run keeps none of them."""
 
@@ -181,8 +163,7 @@ class SimulationRun:
         self._consumed_pieces = 0   # component pieces withdrawn by releases
         self.mrp_trace, self.period_log = (([], []) if config.trace
                                            else (None, None))
-        # the first period extended netting would have planned differently;
-        # a standard run watches for it with a list MRP fills, until it does
+        # where the netting twins part; only a standard run watches for it
         self.divergence_period: int | None = None
         self.divergent = [] if config.params.mode == "standard" else None
 

@@ -11,20 +11,11 @@ lot size, netting mode) and the replications.  The full study is
     parameters: 8 SST x 6 PLT x (5 FOP + 5 FOQ) x 2 component lots  = 960
     cells:      105 x 960 x 2 modes x 20 replications               = 4,032,000
 
-Cells are independent runs: execution order and worker count cannot change any
-result because every cell derives its random numbers from (base seed,
-replication, stream) alone, and rows are always reduced in enumeration order.
-The cells of one (seed, replication) share one store of its standard
-normals, drawn once: its demand streams', replayed by every forecast
-scenario's tape, and its shop substream's, which every cell's setups read.
-The store keeps the last tape, which the cells of one forecast scenario share
-whatever their utilization, which sets only setup times, and an extended
-cell whose standard twin never met a bucket where extended netting nets
-differently takes that twin's run instead of simulating its own (the two would
-be identical, see `mrp`).  `enumerate_cells` is a view that maps an index to
-its cell, so a grid's cells are built only where and when they run.
-Desk-scale presets cover the same machinery in minutes.  `make_config` is the
-one builder of a run's `RunConfig`, for grid cells and the CLI alike.
+Cells are independent runs: every cell derives its random numbers from
+(base seed, replication, stream) alone and rows are reduced in enumeration
+order, so neither execution order nor worker count changes a result.  What
+the cells of a grid share, and the task order that lets them, is stated at
+`_tasks`.  Desk-scale presets cover the same machinery in minutes.
 """
 
 from __future__ import annotations
@@ -261,14 +252,12 @@ def enumerate_cells(spec: GridSpec) -> CellView:
 def run_cell(cell: Cell, base_seed: int, run_length: int, warmup: int,
              overrides: dict | None = None, twin: list | None = None,
              normals: StreamNormals | None = None) -> dict:
-    """Execute one cell and flatten its KPIs into a result row, reading the
-    tape that `normals`, the store of the cell's replication, holds or
-    builds, and its setups' shop normals (see `SimulationRun`).  `twin` is a
-    one-entry list handed from cell to cell: a standard run that never met a
-    bucket where extended netting nets differently leaves its extended
-    twin's (instance, replication, parameter set) and its row there, and the
-    next cell, if it is that twin, takes the row with its own mode instead
-    of simulating.  Every call empties it."""
+    """Execute one cell on `normals`, the store of its replication, and
+    flatten its KPIs into a result row.  `twin` is a one-entry list handed
+    from cell to cell: a standard run that never parted from its twin
+    leaves the twin's (instance, replication, parameter set) and its row
+    there, and the next cell, if it is that twin, takes the row with its
+    own mode instead of simulating.  Every call empties it."""
     if twin:
         key, row = twin.pop()
         if key == (cell.instance, cell.replication, cell.params):
@@ -312,18 +301,23 @@ def _describe(cell: Cell) -> str:
 
 def _tasks(spec: GridSpec, workers: int) -> list[range]:
     """The grid's work as tasks, each the `range` of its cells' enumeration
-    indices: by replication, then forecast scenario (alpha, bias) in the
-    order of its first instance, then the scenario's instances, so groups
-    that share normals follow each other, and within them groups that share
-    a tape (with one utilization: replication, then instance).  With S
-    settings (parameter sets x modes) and R
-    replications, settings [a, b) of instance i at replication r are
-    `range((i*S + a)*R + r, (i*S + b)*R, R)`.  At one worker each task is
-    one whole (instance, replication) group.  At several, a grid of fewer
-    than 4 * `workers` groups has each group cut into up to
-    ceil(4 * workers / groups) contiguous parts.  A group runs its parameter
-    sets' modes back to back, so a part length that is a multiple of the
-    mode count never separates twins.  No cells, no tasks."""
+    indices: with S settings (parameter sets x modes) and R replications,
+    settings [a, b) of instance i at replication r are
+    `range((i*S + a)*R + r, (i*S + b)*R, R)`.  No cells, no tasks.
+
+    The cells of one (seed, replication) share one `StreamNormals` store,
+    whose forecast normals every scenario's tape replays and whose shop
+    normals every cell's setups read; the cells of one forecast scenario
+    share its tape whatever their utilization, which sets only setup times;
+    and an extended cell whose standard twin ran just before it and never
+    parted takes the twin's row (`run_cell`).  So tasks run by replication,
+    then forecast scenario (alpha, bias), then the scenario's instances,
+    and a group runs each parameter set's modes back to back.  At one
+    worker each task is a whole (instance, replication) group.  At several,
+    a grid of fewer than 4 * `workers` groups has each group cut into up to
+    ceil(4 * workers / groups) parts with a store of their own, each a
+    multiple of the mode count long, so no cut separates twins.  Sharing
+    moves no byte (test_run_grid_shared_tapes_match_cells_run_alone)."""
     n_modes, reps = len(spec.modes), spec.replications
     settings, groups = spec.n_parameter_sets * n_modes, spec.n_instances * reps
     if not groups * settings:
@@ -341,10 +335,8 @@ def _tasks(spec: GridSpec, workers: int) -> list[range]:
 
 
 def _run_task(spec: GridSpec, base_seed: int, overrides: dict | None, indices):
-    """Run the cells of `indices`, one `_tasks` range or the chain of
-    several, and yield (index, row, error) for each as it finishes.  They
-    hand one twin list from cell to cell and share one `StreamNormals`
-    store, made anew when the replication changes."""
+    """Run the cells of `indices`, one `_tasks` range or a chain of them,
+    sharing as `_tasks` states; yield (index, row, error) per cell."""
     cells, twin, normals = enumerate_cells(spec), [], None
     for cell in map(cells.__getitem__, indices):
         if normals is None or normals.replication != cell.replication:
@@ -376,15 +368,11 @@ def default_workers() -> int:
 def run_grid(spec: GridSpec, base_seed: int = 42, workers: int | None = None,
              overrides: dict | None = None, progress=None) -> list[dict]:
     """Run every cell of the grid; rows come back in enumeration order.
-    The work is the tasks of `_tasks`, each run by `_run_task`, which builds
-    its cells when it starts.  At one worker, where each task is a whole
-    (instance, replication) group, or for a grid of at most one task, the
-    tasks run in this process as one `_run_task` stream, so the groups of
-    one replication share its store of normals, and of one scenario and
-    replication its tape.  Otherwise they go to a pool as
-    index ranges the worker expands, so the parent never builds the grid's
-    cells.  `progress(done, total)` is called once per finished cell.
-    `workers` defaults to one per usable CPU."""
+    At one worker, or for a grid of at most one task, the tasks of `_tasks`
+    run in this process as one `_run_task` stream; otherwise they go to a
+    pool as index ranges the worker expands, so the parent never builds the
+    grid's cells.  `progress(done, total)` is called once per finished
+    cell.  `workers` defaults to one per usable CPU."""
     if workers is None:
         workers = default_workers()
     elif workers < 1:
@@ -476,17 +464,19 @@ def write_results(rows: list[dict], path: str) -> None:
 class ResultRows:
     """The summary of some result rows that `best_per_instance` ranks: per
     parameter set (instance, mode, sst, plt, policy, value, comp lot), one
-    `array('d')` holding `_STRIDE` values per row, its replication number
-    and then the six values a winner averages (cost, wip, fgi, backorder,
-    service, lead time); and each instance's identity fields (utilization,
-    alpha, beta, bias), which all its rows must repeat.  `len()` is the
-    number of rows reduced.  Built from row dicts, or by `read_results`
-    from a file; either way the rows go through `_add`, which groups them in
-    a dict in the order read, and `_best_cells` puts each group in
-    replication order, so the order of the rows changes nothing that is
-    ranked or averaged.  Its winners are worked out once, on first use, and
-    live and die with this object, so all tables drawn from one summary
-    rank it a single time."""
+    `array('d')` of `_STRIDE` values per row, its replication number, then
+    the six values a winner averages (cost, wip, fgi, backorder, service,
+    lead time); per instance, the identity fields (utilization, alpha,
+    beta, bias) all its rows must repeat.  `len()` is the number of rows.
+    Rows from dicts and from `read_results` alike go through `_add`.
+
+    Ranking runs once, on first use, and is kept for every table drawn
+    from the summary.  Every parameter set must carry the same distinct
+    replication numbers, else the file is broken or doubled and refused.
+    A rank is (mean cost, parameters), so an exact cost tie goes to the
+    smaller parameters.  Every mean is summed left to right in replication
+    order, so a reordered file ranks, ties and averages exactly as the
+    file `run_grid` wrote (test_row_order_does_not_change_the_analysis)."""
 
     def __init__(self, rows=()) -> None:
         self._groups: dict[tuple, array] = {}
@@ -497,11 +487,10 @@ class ResultRows:
         return sum(map(len, self._groups.values())) // _STRIDE
 
     def _add(self, columns: list) -> None:
-        """Reduce rows given as columns, one sequence per `RESULT_COLUMNS`
-        entry, in the order of the rows.  No columns, no rows.  Refused by
-        a `ValueError`: a replication beyond 2**53, which its float would
-        round onto a neighbour's, and an instance whose rows name two
-        identities."""
+        """Reduce rows given as columns, one per `RESULT_COLUMNS` entry; no
+        columns, no rows.  Refuses (`ValueError`) a replication beyond
+        2**53, which its float would round onto a neighbour's, and an
+        instance whose rows name two identities."""
         if not columns:
             return
         reps = columns[_REPLICATION_AT]
@@ -575,15 +564,10 @@ class _Pool(dict):
 def _parse_block(block: list[str], first_line: int,
                  parsers: list) -> list[list]:
     """The non-blank lines of a block as parsed columns, one list per
-    `RESULT_COLUMNS` entry, or no columns if every line is blank.  The
-    lines are checked for their commas by one `map`, then joined and split
-    once, so column i is every `len(RESULT_COLUMNS)`-th field from field i.
-    Each column is one `map` of its parser from `read_results`, and each
-    float column that no pool checked is checked finite by one more; a nan
-    cost would make the best cell depend on row order, and a nan alpha
-    would label its instance "a=nan" in the tables.  If any of it fails,
-    the block is checked line by line, so the error names the first bad
-    line and column."""
+    `RESULT_COLUMNS` entry, or none if every line is blank: the lines are
+    joined and split on commas once, and each column is one `map` of its
+    parser.  If any of it fails, the block is checked line by line, so the
+    error names the first bad line and column."""
     lines = [line for line in block if line != "\n"]
     if not lines:
         return []
@@ -608,16 +592,17 @@ def _parse_block(block: list[str], first_line: int,
 
 def read_results(path: str) -> ResultRows:
     """Read a results CSV straight into a `ResultRows` summary, a block of
-    lines at a time, so no row is kept whole.  Lines may end in LF or CRLF.
-    Blank lines are skipped but counted in the line numbers of errors.  A
+    lines at a time, so no row is kept whole.  Lines may end in LF or CRLF;
+    blank lines are skipped but counted in the line numbers of errors.  A
     field is whatever lies between two commas, which is what `write_csv`
-    writes; so a quoted field, which `write_csv` never writes and a CSV
-    reader would unquote, is refused.  The columns of a parameter set, an
-    instance, the replication and the seed repeat a few texts over millions
-    of rows, so each of them reads through a `_Pool` that lives for this
-    call only: each distinct text is parsed once, and a string column's
-    equal values are one object.  The averaged values, `n_final_orders`
-    and `leadtime_sd` are parsed on every row."""
+    writes, so a quoted field, which a CSV reader would unquote, is
+    refused.  Every float must be finite: a nan cost would make the winner
+    depend on row order, and a nan alpha would label its instance "a=nan".
+    The columns of a parameter set, an instance, the replication and the
+    seed repeat a few texts, so each reads through a `_Pool` that lives for
+    this call: each distinct text is parsed and checked once, and a string
+    column's equal values are one object.  A bad line is refused by a
+    `ValueError` that names its line and column."""
     parsers = [_Pool(parse).__getitem__ if column in _POOLED else parse
                for column, parse in zip(RESULT_COLUMNS, _PARSERS)]
     summary = ResultRows()
@@ -697,38 +682,22 @@ class BestCell:
 
 
 def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
-    """Pick the cheapest parameter set per (instance, mode).
-
-    Groups rank by (mean cost, sst, plt, policy, value, comp lot), so an
-    exact tie in cost goes to the smaller parameters; each mean cost is
-    summed in replication order, whatever the order of the rows.  Only the
-    winner of each (instance, mode) is averaged over its other KPIs, also
-    summed in replication order.  Every parameter set must carry the same
-    distinct replication numbers; anything else indicates a broken or
-    doubled results file.
-
-    `rows` is a `ResultRows` (what `read_results` returns), which is ranked
-    once and keeps the result, or row dicts, such as `run_grid`'s list,
-    which are reduced into one and ranked on every call.  Each call returns
-    a fresh dict.
-    """
+    """Pick the cheapest parameter set per (instance, mode), ranked as
+    `ResultRows` states.  `rows` is a `ResultRows`, ranked once and kept,
+    or row dicts such as `run_grid`'s, reduced and ranked on every call.
+    Each call returns a fresh dict."""
     if not isinstance(rows, ResultRows):
         rows = ResultRows(rows)
     return dict(rows._winners)
 
 
 def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
-    """The checks and ranking behind `best_per_instance`, and each winner
-    built from its group, in one walk over the groups that builds no list
-    per set.  The first group's replications, sorted, are the reference,
-    which may not repeat one; a group whose replications read otherwise is
-    put into replication order as it is ranked, here and nowhere else: its
-    rows' offsets in the array are sorted by the replication at each, and
-    it must then read as the reference.  So each rank, each winner's costs
-    and every mean are read from the groups' arrays in replication order (a
-    column is `values[i::_STRIDE]`, the replications are column 0) and
-    summed left to right: a reordered file ranks, ties and averages alike.
-    A `ResultRows` runs all of it once."""
+    """The checks and ranking that `ResultRows` states, in one walk over
+    the groups that builds no list per set.  The first group's
+    replications, sorted, are the reference, which may not repeat one; a
+    group whose replications read otherwise is put into replication order
+    here and nowhere else, and must then read as the reference.  A column
+    of a group is `values[i::_STRIDE]`, the replications column 0."""
     groups = rows._groups
     counts = set(map(len, groups.values()))
     if len(counts) > 1:

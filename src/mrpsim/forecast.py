@@ -26,21 +26,36 @@ drifts toward the true expectation as updates arrive.  beta is 1 exactly for
 the biased schedules and the unbiased schedule's b_j are 0, so the code
 draws around b_j * E and shifts by sum(b).
 
-A stream, one (replication, product, due date), is the unit of sampling:
-`advance` draws its updates in one pass from an RNG substream derived by
-hashing, so demand realizations are identical across planning parameters and
-netting modes (common random numbers) and independent of the order of the
-streams; at alpha = 0 no generator is seeded.  The key holds no part of the
-scenario, so every scenario of a replication reads the same standard normals:
-a `StreamNormals` store keeps them per (seed, replication), drawn once with
-`Random.gauss(0.0, 1.0)`, which each tape reads again, and it keeps the last
-tape built on them, and the shop substream's normals, which every run's
-setups read (`shopfloor`).  An update `mean + z * std` of a stream's normal
-z is the value `Random.gauss(mean, std)` returns, so a tape on the store
-equals one drawn on fresh generators.  Runs read every value from a
-forecast tape (`driver.build_tape`); `dump_tape` writes one and
-`load_replay` reads it back as epsilons to inject, with each stream's
-long-term value, which the replaying run's must equal.
+Stored normals.  A stream, one (replication, product, due date), draws its
+updates in one pass (`advance`) from a generator seeded by hashing (seed,
+replication, product, due) alone (`stream_rng`), so demand realizations are
+identical across utilizations, planning parameters and netting modes
+(common random numbers) and independent of the order of the streams; at
+alpha 0 nothing is drawn and no generator is seeded.  Setups draw from one
+more substream per (seed, replication), the shop's.  No key holds a part of
+the forecast scenario, so a `StreamNormals` store draws each standard
+normal of a (seed, replication) once: a stream's with `Random.gauss(0.0,
+1.0)`, replayed by every scenario's tape (`driver.build_tape`, whose last
+tape the store keeps), and the shop's with `Random.normalvariate(0.0,
+1.0)`, read by every run's setups (`shopfloor`).  A stored z is the
+`0.0 + z * 1.0` these calls return: z, but for the sign of a zero.
+
+Bit-equality.  `Random.gauss(mean, std)` returns `mean + z * std` for its
+standard normal z, so an update `mean + z * std` on a stored z is the one
+drawn afresh.  `Random.normalvariate(mu, sigma)` returns `mu + z * sigma`
+for its Kinderman-Monahan z and `lognormvariate` is `exp` of that, so a
+setup `exp(mu + z * sigma)` on a stored z is bit for bit `lognormvariate(mu,
+sigma)` on the shop's generator.  Tests in tests/test_forecast.py and
+tests/test_shopfloor.py:
+
+    test_replayed_gauss_equals_random_gauss_bit_for_bit
+    test_tapes_on_one_store_equal_tapes_on_fresh_generators
+    test_setup_draw_is_the_stdlib_lognormal_bit_for_bit
+    test_runs_sharing_a_store_give_the_rows_of_fresh_stores
+
+Tape replay.  Runs read every forecast value from a tape; `dump_tape`
+writes one as CSV and `load_replay` reads it back as epsilons to inject,
+with each stream's long-term value, which the replaying run's must equal.
 """
 
 from __future__ import annotations
@@ -100,12 +115,7 @@ class ScenarioParams:
 
 
 def long_term_forecast(scenario: ScenarioParams) -> int:
-    """Initial forecast value x_k = E * (1 - sum(b)).
-
-    Permanent bias schedules shift the long-term value so that the updates,
-    whose means sum to sum(b) * E, steer the forecast back to the true
-    expectation E.  Temporary schedules sum to zero and the unbiased
-    schedule's factors are 0, so both start at E."""
+    """Initial forecast value x_k = E * (1 - sum(b)) (module docstring)."""
     shift = float_sum(SCHEDULES[scenario.bias])
     return round(scenario.expected_amount * (1.0 - shift))
 
@@ -161,14 +171,11 @@ def stream_rng(base_seed: int, replication: int, product: int,
 
 
 class StreamNormals:
-    """What the runs of one (seed, replication) share, for both of its
-    random sources.  The standard normals drawn so far from its demand
-    streams, an `array('d')` per (product, due period), which every forecast
-    scenario's tape reads, and the last tape built on them with its `key`
-    (`driver.build_tape`); `replay` hands out a stream's normals, seeding
-    through `stream_rng`.  The standard normals drawn so far from its shop
-    substream, one `array('d')`, and the one generator that drew them, seeded
-    once per store; `shop` hands them out to every run's setups."""
+    """The standard normals one (seed, replication) has drawn so far, for
+    every run of it (module docstring): an `array('d')` per demand stream
+    (product, due period), which `replay` hands out; the last tape built on
+    them under its `key`; and the shop substream's, which `shop` hands
+    out."""
 
     def __init__(self, base_seed: int, replication: int):
         self.base_seed, self.replication = base_seed, replication
@@ -180,10 +187,9 @@ class StreamNormals:
 
     def replay(self, product: int, due: int,
                stream_rng) -> Iterator[float]:
-        """The stream's standard normals in order: the stored ones, then
-        each further `gauss(0.0, 1.0)` of its generator, which is seeded
-        once, at the first draw past the store, advanced past the stored
-        count and freed with the iterator; the new draws join the store."""
+        """The stream's standard normals: the stored ones, then fresh
+        draws of its generator, seeded at the first draw past the store and
+        advanced past the stored count; fresh draws join the store."""
         zs = self.streams.setdefault((product, due), array("d"))
         yield from zs
         gauss = stream_rng(self.base_seed, self.replication, product,
@@ -196,11 +202,9 @@ class StreamNormals:
             yield z
 
     def shop(self) -> Iterator[float]:
-        """The shop substream's standard normals from its start: the stored
-        ones, then each further `normalvariate(0.0, 1.0)` of the store's
-        generator, which joins the store.  Readers may interleave, so one
-        that reaches the end of the store reads on by index and draws only
-        when it is the first to pass what is stored."""
+        """The shop substream's standard normals from its start, stored,
+        then fresh draws that join the store.  Readers may interleave: only
+        the first to pass the store draws, so each reads the same run."""
         zs, normalvariate = self.shop_normals, self._shop_rng.normalvariate
         yield from zs
         i = len(zs)

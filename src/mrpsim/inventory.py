@@ -24,11 +24,9 @@ class CustomerDemand:
 
 
 def try_release(order, states: dict[int, MrpItemState], time: float) -> bool:
-    """Release an order if its component material is on hand.
-
-    Components have no material predecessors and always release.  A product
-    order withdraws its full component need atomically or stays blocked.
-    """
+    """Release an order if its component material is on hand: a product
+    order withdraws its full component need atomically or stays blocked;
+    components always release."""
     if order.component is not None:
         state = states[order.component]
         if state.on_hand < order.component_need:
@@ -41,13 +39,10 @@ def try_release(order, states: dict[int, MrpItemState], time: float) -> bool:
 def fulfill_due_demands(open_demands: dict[int, deque[CustomerDemand]],
                         states: dict[int, MrpItemState],
                         period: int) -> list[CustomerDemand]:
-    """Ship every due or backordered demand that stock fully covers.
-
-    Strict FIFO per product: an unfillable older demand blocks younger ones
-    of the same product (no overtaking), and demands ship complete or not at
-    all.  Products are served in `open_demands`' order (the driver's is
-    `config.FINAL_PRODUCTS`).  Returns the demands fulfilled this period.
-    """
+    """Ship every due or backordered demand that stock fully covers and
+    return them.  Strict FIFO per product: an unfillable older demand
+    blocks younger ones (no overtaking), and demands ship complete or not
+    at all.  Products are served in `open_demands`' order."""
     shipped: list[CustomerDemand] = []
     for product, queue in open_demands.items():
         state = states[product]

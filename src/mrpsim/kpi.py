@@ -2,10 +2,9 @@
 
 Inventory is priced from end-of-period snapshots taken after fulfillment:
 work in process (every released piece not yet in final-goods stock, plus
-component stock), final-goods stock and open due demand per piece and
-period, by default at 0.5, 1.0 and 19.0 CU (`costs.*` in
-`config._DEFAULT_OVERRIDES`, which `--config` overrides).  Reported cost
-figures are per-period averages over the measured periods (warmup excluded).
+component stock), final-goods stock and open due demand, per piece and
+period at the `costs.*` rates.  Reported costs are per-period averages over
+the measured periods (warmup excluded).
 """
 
 from __future__ import annotations

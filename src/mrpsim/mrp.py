@@ -1,72 +1,64 @@
 """Rolling-horizon MRP: netting, lot sizing, backward scheduling, explosion.
 
-Each period the planner rebuilds the material plan from scratch (planned
-orders are never carried over; only released production orders persist).  For
-every item the projected on-hand balance is rolled forward over the item's
-decision window (see `decision_windows`),
+Each period the planner rebuilds the material plan from scratch; only
+released production orders persist.  For every item the projected on-hand
+balance is rolled forward over the item's decision window
+(`decision_windows`),
 
     projected[t] = projected[t-1] - gross[t] + receipts[t] + planned lots[t],
 
-and whenever the projection at a demand period would fall below the netting
-threshold a net requirement arises and is covered by a lot sized per the
-active policy:
+and where the projection at a demand period would fall below the netting
+threshold a net requirement arises and is covered by a lot of the active
+policy:
 
     FOP P: the lot lands in the first uncovered requirement period and
            absorbs all net requirements of the following P-1 periods too.
     FOQ Q: the lot is the smallest multiple of Q covering the requirement;
            surplus raises the projection of later periods.
 
-Two netting modes differ only in the threshold.  Standard netting keeps the
-projection at or above the safety stock everywhere.  Extended netting splits
-the horizon at the newest due period already covered by a released order
-("covered_until"): inside that range the threshold drops to zero, so safety
-stock absorbs short-term forecast swings instead of triggering nervous
-re-orders, while beyond it the safety stock is planned as usual.  At a
-period t with demand,
+Netting.  The two modes differ only in the threshold.  Standard netting
+keeps the projection at or above the safety stock everywhere.  Extended
+netting splits the horizon at the newest due period already covered by a
+released order (`covered_until`): inside that range the threshold drops to
+zero, so safety stock absorbs short-term forecast swings instead of
+triggering nervous re-orders; beyond it the safety stock is planned as
+usual.  At a period t with demand,
 
     net[t] = max(threshold[t] - (projected[t-1] - gross[t] + receipts[t]), 0),
     threshold[t] = 0 if t <= covered_until else safety stock,
 
 and standard netting is the same rule with nothing covered.  `plan_item`
 applies it inline; tests/test_mrp.py states it as a function and checks
-`plan_item` against a dense scan of every period through it.
-The driver advances covered_until at every product release; components
-never carry safety stock, which makes both modes identical for them.
+`plan_item` against a dense scan through it.  The driver advances
+`covered_until` at every product release; components carry no safety
+stock, so both modes plan them alike.
 
-The modes can part only where that threshold matters: a demand bucket inside
-the covered range whose projection lies below a positive safety stock.
-`run_mrp` appends each product's first bucket where the other threshold
-would give another net to the `divergent` list it is handed, which the
-driver hands a standard run's plans until it fills.  Until one occurs, a
-standard run and its extended twin on the same random numbers plan, release
-and cost exactly alike, so the grid reuses a standard run that never met
-one as its twin's result.
+Netting twins.  A standard run and its extended twin (same instance,
+replication and parameter set) read the same random numbers, so they can
+part only where the thresholds differ: at a demand bucket inside the
+covered range whose projection lies below a positive safety stock.
+`plan_item` appends an item's first such bucket to the `divergent` list it
+is handed, which a standard run hands every MRP run until the list fills.
+Until then the twins plan, release and cost exactly alike, so a standard
+run that never met such a bucket is its twin's run too, and the grid takes
+its row for the twin.  Tests in tests/test_mrp.py and tests/test_driver.py:
 
-Lots are scheduled backward from their due period by the planned lead time,
-clamped to the current period (a late lot is simply released now and its
-receipt projected one planned lead time ahead).  `run_mrp`'s inputs are keyed
-by item and planned in `config`'s order, every final product, then every
-component.  A component's gross arrives holding the withdrawals of product
-orders blocked on material, and every product lot planned in the decision
-window adds component demand at its planned start: q * BOM quantity for a
-lot of q pieces.
+    test_divergent_bucket_is_where_extended_netting_first_nets_differently
+    test_divergence_period_marks_where_the_netting_twins_part
 
-Only lots that start in the current period are released; the rest are
-discarded and planned afresh next period.  The scan runs forward in time, so
-periods past the last one that can shape a released lot are never netted.
-
-Nor need a product lot open that cannot shape one.  A lot opens at its due
-period and starts plt periods earlier, or now; so a lot that opens past
-now + plt + component_plt starts after now + component_plt.  It is not
-released, its component gross lands past the component window and is never
-netted, and under forward netting it cannot change an earlier lot.  An
-untraced run therefore ends each product's scan at the first bucket past
-that limit which lies past the open FOP lot's window too (the lot still
-absorbs the nets of its window) and, when it is handed a `divergent`
-list, past `covered_until`.  Every bucket scanned is netted as over the
-whole window, so the run releases and reports divergence exactly as a
-whole-window plan does.  A run handed a trace list nets the whole window:
-its trace lists every bucket.
+The cut scan.  Lots are scheduled backward from their due period by the
+planned lead time, clamped to now.  Only lots that start now are released;
+the rest are discarded and planned afresh next period.  A product lot that
+opens past now + plt + component_plt starts after now + component_plt: it
+is not released, its component gross lands past the component window, and
+under forward netting it cannot change an earlier lot.  So an untraced run
+ends each product's scan at the first bucket past that limit that also
+lies past the open FOP lot's window (the lot still absorbs its window's
+nets) and, with a `divergent` list, past `covered_until`.  Every bucket
+scanned nets as over the whole window, so the run releases and reports
+divergence exactly as a whole-window plan does
+(test_cut_scan_equals_whole_window_plan).  A run handed a trace list nets
+and traces the whole window.
 """
 
 from __future__ import annotations
@@ -141,15 +133,10 @@ class MrpItemState:
 
 def decision_windows(params: PlanningParams, system) -> tuple[int, int]:
     """Look-ahead (products, components) in periods past the current one
-    that can change a lot released now.
-
-    A component lot releases only if due within component_plt periods.  The
-    component gross it nets comes from product lots starting by then, i.e.
-    due at most plt periods later, and an FOP product lot absorbs the
-    requirements of its P-1 following periods too.  That P-1 tail matters
-    only to an FOP lot already open and to a `divergent` list; an untraced
-    `run_mrp` scans it for nothing else (see the module docstring).
-    """
+    that can change a lot released now.  A component lot releases only if
+    due within component_plt periods; the gross it nets comes from product
+    lots due at most plt periods later, and an FOP product lot absorbs the
+    requirements of its P-1 following periods too."""
     lot_window = params.policy_param - 1 if params.policy == "FOP" else 0
     component = system.component_plt
     return params.plt + component + lot_window, component
@@ -161,24 +148,14 @@ def plan_item(state: MrpItemState, gross: dict[int, int], item: int,
               trace: list | None = None,
               divergent: list | None = None,
               opens: int | None = None) -> list[PlannedLot]:
-    """Net one item over `horizon` periods past `current_period`, size the
-    covering lots and schedule each plt periods before its due period, but
-    never before now.
-
-    Only periods with demand or scheduled receipts can change the projection,
-    so the scan touches just those.  A demand period nets the shortfall of
-    its projection below the threshold: zero up to `state.covered_until`
-    when `extended`, the safety stock elsewhere (the module docstring states
-    the rule).  A `trace` list receives one row per scanned bucket, led by
-    `current_period`.  A `divergent` list receives the first demand bucket,
-    if any, where the other netting mode would net differently: one up to
-    `state.covered_until` whose projection lies below a positive safety stock.
-
-    With `opens`, the scan ends at the first bucket past `current_period +
-    opens`, past the open FOP lot's window and, with a `divergent` list,
-    past `state.covered_until`; it nets every bucket it scans as over the
-    whole horizon, the default (the module docstring argues the cut).
-    """
+    """Net one item over `horizon` periods past `current_period` by the
+    module's rule, size the covering lots and schedule each plt periods
+    before its due period, but never before now; `state` is left as it is.
+    Only periods with demand or scheduled receipts are scanned.  A `trace`
+    list receives one row per scanned bucket, led by `current_period`; a
+    `divergent` list, the first bucket where the netting twins part.  With
+    `opens`, the scan is cut past `current_period + opens` as the module
+    docstring's cut scan states."""
     safety = state.safety_stock
     covered_until = state.covered_until if extended else -1
     watch_until = (state.covered_until if divergent is not None and safety > 0
@@ -259,26 +236,15 @@ def run_mrp(states: dict[int, MrpItemState], gross: dict[int, dict[int, int]],
             params: PlanningParams, current_period: int, system,
             trace: list | None = None,
             divergent: list | None = None) -> MrpResult:
-    """Plan `config.FINAL_PRODUCTS`, then `config.COMPONENTS`, in that order,
-    over the decision windows; each product lot adds its component demand,
-    and each lot that starts now is released, as it is planned.  Lots due
-    past the windows are never planned.
-
-    `states` and `gross` hold every item, keyed by item id.  A product's
-    gross is its demand; a component's arrives holding the withdrawals of
-    product orders blocked on material, which the fresh product plan does
-    not show, and `run_mrp` adds each product lot's component demand to it:
-    a caller hands it dicts it will not read again.
-
-    A `trace` list receives every bucket of the whole window.  Without one,
-    `plan_item`'s `opens` for products is plt + component_plt: the last
-    bucket whose new lot starts by now + component_plt.  A `divergent` list,
-    which a standard run hands in while it watches, receives each product's
-    first bucket where the other netting mode would net differently, if any;
-    `plan_item` fills it.  Every component lot starts now, as its window is
-    its planned lead time, so `release_components` is `component_lots`, the
-    same list.
-    """
+    """Plan `config.FINAL_PRODUCTS`, then `config.COMPONENTS`, over their
+    decision windows, and release the lots that start now.  `states` and
+    `gross` hold every item by id.  A component's gross arrives holding the
+    withdrawals of product orders blocked on material, and each product
+    lot adds q * BOM quantity to it at the lot's start, so a caller hands
+    in dicts it will not read again.  `trace` and `divergent` go to
+    `plan_item`; an untraced run cuts the product scans.  Every component
+    lot starts now, its window being its lead time, so `release_components`
+    is `component_lots`, the same list."""
     policy, policy_param, plt = params.policy, params.policy_param, params.plt
     extended = params.mode == "extended"
     product_window, component_window = decision_windows(params, system)

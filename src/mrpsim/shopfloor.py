@@ -1,22 +1,14 @@
 """Event-driven job shop processing released production orders.
 
 Machines serve one lot at a time from a FIFO queue.  Each operation takes a
-lognormally distributed setup around the machine's mean, by default with
-coefficient of variation 0.2 (`setup.cv` in `config._DEFAULT_OVERRIDES`,
-which `--config` overrides; cv 0 gives fixed setups), plus deterministic
-per-piece processing time, and lots move to the next routing stage only as
-a whole.  Time is continuous in minutes; the driver advances the floor
-period by period.
+lognormal setup around the machine's mean (coefficient of variation
+`setup.cv`; 0 gives fixed setups) plus deterministic per-piece processing
+time, and lots move to the next routing stage only as a whole.  Time is
+continuous in minutes; the driver advances the floor period by period.
 
-A setup is `exp(mu + z * sigma)` of the next standard normal z of the run's
-shop substream, which every run of one (seed, replication) reads from its
-`forecast.StreamNormals` store, where each z is a `normalvariate(0.0, 1.0)`
-of the substream's generator (`0.0 + z * 1.0`: z, but for the sign of a
-zero, which `mu + z * sigma` does not see).  `random.normalvariate(mu,
-sigma)` returns `mu + z * sigma` for its Kinderman-Monahan z, and
-`random.lognormvariate` is `exp` of that, so a setup is bit for bit the
-value `lognormvariate(mu, sigma)` returns on that generator, whether its z
-was stored or drawn fresh.
+A setup is `exp(mu + z * sigma)` of the next standard normal z of the
+run's shop substream: bit for bit `random.lognormvariate(mu, sigma)`, as
+the `forecast` module docstring argues.
 
 The floor also keeps the bookkeeping the KPIs need: setup+processing busy
 minutes per machine clipped to the measurement window, and the count of

@@ -1,10 +1,8 @@
 """Plain-text and CSV renderers for the study's summary tables.
 
-Each renderer takes result rows, a `read_results` summary or row dicts
-shaped like experiment.RESULT_COLUMNS, and returns a string; the CSV
-variants return comma-separated lines with the same content so results can
-be diffed or loaded elsewhere.  The tables of best cells all go through
-`_best_table`: each names its title, header, filter, sort key and row.
+Each renderer takes a `read_results` summary or row dicts and returns a
+string, the CSV variant with the same content.  The tables of best cells
+all go through `_best_table`.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@
 
 ROOT defaults to the `src/` directory beside `tools/`.  The first line is
 the total of newlines in every `.py` file under ROOT, which is what
-`wc -l` prints.  The next gives each line one kind:
+`wc -l` prints.  The next gives each line one kind, and a table follows
+with the same counts for each module, by its path under ROOT:
 
 - docstring: any line of a module's, class's or function's docstring,
   blank lines inside it included;
@@ -60,12 +61,17 @@ def main() -> None:
     parser.add_argument("root", nargs="?", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src")
     args = parser.parse_args()
-    totals = dict.fromkeys(("wc", *KINDS), 0)
-    for path in sorted(args.root.rglob("*.py")):
-        for kind, lines in count(path.read_text(encoding="utf-8")).items():
-            totals[kind] += lines
+    columns = ("wc", *KINDS)
+    modules = {path.relative_to(args.root).as_posix():
+               count(path.read_text(encoding="utf-8"))
+               for path in sorted(args.root.rglob("*.py"))}
+    totals = {kind: sum(m[kind] for m in modules.values()) for kind in columns}
     print(f"wc -l: {totals['wc']:,}")
     print(", ".join(f"{kind} {totals[kind]:,}" for kind in KINDS))
+    width = max(map(len, ("module", *modules)))
+    print("module".ljust(width), *(f"{kind:>9}" for kind in columns))
+    for name, counts in modules.items():
+        print(name.ljust(width), *(f"{counts[kind]:>9,}" for kind in columns))
 
 
 if __name__ == "__main__":
