@@ -135,7 +135,6 @@ class SystemConfig:
     machines: dict[int, Machine]
     cost_rates: CostRates
     demand: DemandPattern
-    bom_quantity: int
     component_plt: int
     period_minutes: float
 
@@ -175,7 +174,7 @@ def build_system(utilization: str = "low",
                       backorder=o["costs"]["backorder"])
 
     return SystemConfig(items=items, machines=machines, cost_rates=rates,
-                        demand=demand, bom_quantity=bom_qty,
+                        demand=demand,
                         component_plt=o["planning"]["component_plt"],
                         period_minutes=o["capacity"]["period_minutes"])
 
@@ -255,7 +254,8 @@ def planned_utilization_table(overrides: dict | None = None) -> list[tuple[str, 
             rows.append((f"M{mid}", level,
                          planned_utilization(system, mid, 1.0, amount)))
     system = build_system("low", overrides)
-    comp_demand = system.demand.expected_amount * system.bom_quantity
+    comp_demand = (system.demand.expected_amount
+                   * system.items[FINAL_PRODUCTS[0]].component_qty)
     for lot in (800, 1600):
         lots = comp_demand / lot
         for mid in _COMPONENT_MACHINES:

@@ -428,9 +428,10 @@ _POOLED = _STR_COLUMNS | {"alpha", "beta", "sst_factor", "plt",
                           "policy_param", "comp_lot", "replication", "seed"}
 _UNPOOLED_AT = tuple(i for i in _FLOAT_AT
                      if RESULT_COLUMNS[i] not in _POOLED)
-_KEY_AT = tuple(map(RESULT_COLUMNS.index, (
-    "instance_id", "mode", "sst_factor", "plt", "policy", "policy_param",
-    "comp_lot")))
+# a summary's groups are keyed by (instance, mode), then by parameters
+_CELL_AT = tuple(map(RESULT_COLUMNS.index, ("instance_id", "mode")))
+_PARAMETERS_AT = tuple(map(RESULT_COLUMNS.index, (
+    "sst_factor", "plt", "policy", "policy_param", "comp_lot")))
 # an instance's id, then its identity fields in `BestCell`'s order
 _INSTANCE_AT = tuple(map(RESULT_COLUMNS.index, (
     "instance_id", "utilization", "alpha", "beta", "bias")))
@@ -463,12 +464,14 @@ def write_results(rows: list[dict], path: str) -> None:
 
 class ResultRows:
     """The summary of some result rows that `best_per_instance` ranks: per
-    parameter set (instance, mode, sst, plt, policy, value, comp lot), one
-    `array('d')` of `_STRIDE` values per row, its replication number, then
-    the six values a winner averages (cost, wip, fgi, backorder, service,
-    lead time); per instance, the identity fields (utilization, alpha,
-    beta, bias) all its rows must repeat.  `len()` is the number of rows.
-    Rows from dicts and from `read_results` alike go through `_add`.
+    (instance, mode), a dict from each parameter set (sst, plt, policy,
+    value, comp lot) to one `array('d')` of `_STRIDE` values per row, its
+    replication number, then the six values a winner averages (cost, wip,
+    fgi, backorder, service, lead time); per instance, the identity fields
+    (utilization, alpha, beta, bias) all its rows must repeat.  Equal
+    parameter tuples are one object, shared by every (instance, mode)
+    through `_parameters`.  `len()` is the number of rows.  Rows from
+    dicts and from `read_results` alike go through `_add`.
 
     Ranking runs once, on first use, and is kept for every table drawn
     from the summary.  Every parameter set must carry the same distinct
@@ -479,12 +482,13 @@ class ResultRows:
     file `run_grid` wrote (test_row_order_does_not_change_the_analysis)."""
 
     def __init__(self, rows=()) -> None:
-        self._groups: dict[tuple, array] = {}
+        self._groups: dict[tuple[str, str], dict[tuple, array]] = {}
+        self._parameters: dict[tuple, tuple] = {}
         self._instances: dict[str, tuple] = {}
         self._add(list(zip(*map(_ROW_VALUES, rows))))
 
     def __len__(self) -> int:
-        return sum(map(len, self._groups.values())) // _STRIDE
+        return sum(map(len, _arrays(self._groups))) // _STRIDE
 
     def _add(self, columns: list) -> None:
         """Reduce rows given as columns, one per `RESULT_COLUMNS` entry; no
@@ -506,13 +510,18 @@ class ResultRows:
                 raise ValueError(f"instance {instance[0]} has rows of two "
                                  f"identities (utilization, alpha, beta, "
                                  f"bias): {known} and {instance[1:]}")
-        groups = self._groups
-        for key, values in zip(
-                zip(*map(columns.__getitem__, _KEY_AT)),
+        groups, shared = self._groups, self._parameters
+        for cell, parameters, values in zip(
+                zip(*map(columns.__getitem__, _CELL_AT)),
+                zip(*map(columns.__getitem__, _PARAMETERS_AT)),
                 zip(reps, *map(columns.__getitem__, _AVERAGED_AT))):
-            group = groups.get(key)
+            sets = groups.get(cell)
+            if sets is None:
+                sets = groups[cell] = {}
+            group = sets.get(parameters)
             if group is None:
-                group = groups[key] = array("d")
+                parameters = shared.setdefault(parameters, parameters)
+                group = sets[parameters] = array("d")
             group.extend(values)
 
     @cached_property
@@ -693,52 +702,57 @@ def best_per_instance(rows) -> dict[tuple[str, str], BestCell]:
 
 def _best_cells(rows: ResultRows) -> dict[tuple[str, str], BestCell]:
     """The checks and ranking that `ResultRows` states, in one walk over
-    the groups that builds no list per set.  The first group's
+    each (instance, mode)'s parameter sets that builds no list per set and
+    ends on that (instance, mode)'s `BestCell`.  The first group's
     replications, sorted, are the reference, which may not repeat one; a
     group whose replications read otherwise is put into replication order
     here and nowhere else, and must then read as the reference.  A column
     of a group is `values[i::_STRIDE]`, the replications column 0."""
     groups = rows._groups
-    counts = set(map(len, groups.values()))
+    counts = set(map(len, _arrays(groups)))
     if len(counts) > 1:
         raise ValueError(f"unbalanced replication counts per parameter set: "
                          f"{sorted(c // _STRIDE for c in counts)}")
-    in_order = sorted(next(iter(groups.values()), array("d"))[::_STRIDE])
+    in_order = sorted(next(_arrays(groups), array("d"))[::_STRIDE])
     n, ordered = len(in_order), array("d", in_order).tobytes()
     if len(set(in_order)) < n:
         raise _differing(groups)
 
-    # a rank is (mean cost, key): its (instance, mode) ties, so the
-    # parameters, in key order, break a tie in cost
-    winners: dict[tuple, tuple[float, tuple]] = {}
-    for key, values in groups.items():
-        if values[::_STRIDE].tobytes() != ordered:
-            at = sorted(range(0, len(values), _STRIDE),
-                        key=values.__getitem__)
-            if [values[i] for i in at] != in_order:
-                raise _differing(groups)
-            values = groups[key] = array("d", chain.from_iterable(
-                values[i:i + _STRIDE] for i in at))
-        rank = (float_sum(values[1::_STRIDE]) / n, key)
-        held = winners.get(key[:2])
-        if held is None or not held <= rank:
-            winners[key[:2]] = rank
     cells = {}
-    for (instance_id, mode), (mean_cost, key) in winners.items():
-        values = groups[key]
+    for (instance_id, mode), sets in groups.items():
+        # a rank is (mean cost, parameters), so the parameters break a tie
+        best = None
+        for parameters, values in sets.items():
+            if values[::_STRIDE].tobytes() != ordered:
+                at = sorted(range(0, len(values), _STRIDE),
+                            key=values.__getitem__)
+                if [values[i] for i in at] != in_order:
+                    raise _differing(groups)
+                values = sets[parameters] = array("d", chain.from_iterable(
+                    values[i:i + _STRIDE] for i in at))
+            rank = (float_sum(values[1::_STRIDE]) / n, parameters)
+            if best is None or not best <= rank:
+                best = rank
+        mean_cost, parameters = best
+        values = sets[parameters]
         # positional, in field order: the instance's identity, the
         # parameters, then the costs and the means in `_AVERAGED_AT` order
         cells[instance_id, mode] = BestCell(
-            instance_id, *rows._instances[instance_id], mode, *key[2:], n,
+            instance_id, *rows._instances[instance_id], mode, *parameters, n,
             tuple(values[1::_STRIDE]), mean_cost,
             *[float_sum(values[i::_STRIDE]) / n for i in range(2, _STRIDE)])
     return cells
 
 
-def _differing(groups: dict[tuple, array]) -> ValueError:
+def _arrays(groups: dict[tuple, dict[tuple, array]]):
+    """Every group's array, (instance, mode) by (instance, mode)."""
+    return chain.from_iterable(map(dict.values, groups.values()))
+
+
+def _differing(groups: dict[tuple, dict[tuple, array]]) -> ValueError:
     """The refusal of groups whose replications differ or repeat: the first
     two of their distinct orders, sorted, as ints."""
-    orders = sorted({tuple(sorted(v[::_STRIDE])) for v in groups.values()})
+    orders = sorted({tuple(sorted(v[::_STRIDE])) for v in _arrays(groups)})
     return ValueError(f"replications differ or repeat across parameter "
                       f"sets: {[tuple(map(int, r)) for r in orders[:2]]}")
 

@@ -186,7 +186,7 @@ def _frozen_forecast_cost_level(system, component_lot: int) -> float:
     product = system.items[FINAL_PRODUCTS[0]]
     lots_per_period = len(FINAL_PRODUCTS) / demand.interval             # 2
     final_pieces = lots_per_period * demand.expected_amount             # 1,600
-    component_pieces = final_pieces * system.bom_quantity               # 3,200
+    component_pieces = final_pieces * product.component_qty            # 3,200
     flow_min = sum(system.machines[m].setup_mean_min
                    + demand.expected_amount * product.processing_min
                    for m in product.routing)                            # 2,592

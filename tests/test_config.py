@@ -156,7 +156,7 @@ def test_overrides_accept_bounds_and_integral_floats():
     assert system.component_plt == 0
     assert system.demand.first_delay == 0
     assert system.demand.interval == 4 and type(system.demand.interval) is int
-    assert system.bom_quantity == 1
+    assert {system.items[pid].component_qty for pid in FINAL_PRODUCTS} == {1}
 
 
 def test_load_overrides(tmp_path):
