@@ -223,7 +223,7 @@ def cmd_simulate(args) -> int:
                   f"shipped {shipped}")
         print()
     if args.dump_forecasts:
-        dump_tape(sim.tape, config.scenario, args.dump_forecasts)
+        dump_tape(sim.tape, sim.x, args.dump_forecasts)
     if args.mrp_trace:
         write_csv(args.mrp_trace,
                   ("period", "item", "bucket", "gross", "receipts",

@@ -244,8 +244,9 @@ def planned_utilization(system: SystemConfig, machine_id: int,
 
 def planned_utilization_table(overrides: dict | None = None) -> list[tuple[str, str, float]]:
     """Reference utilization table: one 800-piece product lot per machine and
-    day, and component lots of 800 or 1600 pieces covering the exploded
-    component demand of 1600 pieces per day."""
+    day, and component lots of each `mrp.COMPONENT_LOTS` size covering the
+    exploded component demand of 1600 pieces per day."""
+    from .mrp import COMPONENT_LOTS   # mrp imports this module
     rows: list[tuple[str, str, float]] = []
     for level in UTILIZATION_LEVELS:
         system = build_system(level, overrides)
@@ -256,7 +257,7 @@ def planned_utilization_table(overrides: dict | None = None) -> list[tuple[str, 
     system = build_system("low", overrides)
     comp_demand = (system.demand.expected_amount
                    * system.items[FINAL_PRODUCTS[0]].component_qty)
-    for lot in (800, 1600):
+    for lot in COMPONENT_LOTS:
         lots = comp_demand / lot
         for mid in _COMPONENT_MACHINES:
             rows.append((f"M{mid}", f"foq{lot}",

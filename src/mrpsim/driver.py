@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .config import COMPONENTS, FINAL_PRODUCTS, SystemConfig
 from .forecast import (HORIZON, ScenarioParams, StreamNormals, advance,
-                       long_term_forecast, stream_rng)
+                       forecast_terms, stream_rng)
 from .inventory import CustomerDemand, fulfill_due_demands, try_release
 from .kpi import KpiTracker, RunSummary
 from .mrp import MrpItemState, PlanningParams, decision_windows, run_mrp
@@ -71,24 +71,24 @@ def build_tape(config: RunConfig, replay: dict | None = None,
     """Every forecast value a run of `config` reads: per product a list
     indexed by due period, None where no order is due, each entry one
     stream's values from j = max(0, due - run_length) up to min(H, due - 1).
-    Only the scenario, the demand pattern, the seed, the replication and
-    the run length enter.  A sampled tape replays and extends `normals`
-    (see `_store`), which keeps the one tape it last built for its key.  A
+    Only the scenario, the demand pattern (E among it), the seed, the
+    replication and the run length enter.  A sampled tape replays and
+    extends `normals` (see `_store`), which keeps the one tape it last
+    built for its key (scenario, demand pattern, run length).  A
     `replay` (`forecast.load_replay`) must hold each update and each
     stream's long-term value (j = H + 1), equal to this run's."""
-    scenario, last = config.scenario, config.run_length
+    demand, last = config.system.demand, config.run_length
     if replay is None:
         normals = _store(config, normals)
-        key = (scenario, config.system.demand, last)
+        key = (config.scenario, demand, last)
         if normals.key == key:
             return normals.tape
         normals.key = normals.tape = None
-    start, std = long_term_forecast(scenario), scenario.update_std
-    means = tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
+    start, means, std = forecast_terms(config.scenario, demand.expected_amount)
     tape = {}
     for product in FINAL_PRODUCTS:
         column = tape[product] = [None] * (last + HORIZON + 1)
-        for due in config.system.demand.due_dates(product, 1, last + HORIZON):
+        for due in demand.due_dates(product, 1, last + HORIZON):
             js = range(min(HORIZON, due - 1), max(0, due - last) - 1, -1)
             if replay is None:   # a stream with std 0 draws nothing
                 column[due] = advance(start, js, means, std, normals.replay(
@@ -127,8 +127,9 @@ class SimulationRun:
         self.config = config
         self.system = system = config.system
         self.pm = system.period_minutes
-        self.x = long_term_forecast(config.scenario)
-        self.safety = config.params.safety_stock(system.demand.expected_amount)
+        amount = system.demand.expected_amount
+        self.x = forecast_terms(config.scenario, amount)[0]
+        self.safety = config.params.safety_stock(amount)
         self.product_window = decision_windows(config.params, system)[0]
 
         normals = _store(config, normals)

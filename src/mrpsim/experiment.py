@@ -31,7 +31,8 @@ from itertools import chain, islice, repeat
 from operator import index as as_index, itemgetter
 
 from . import __version__
-from .forecast import BIASED_SCHEDULES, ScenarioParams, StreamNormals
+from .forecast import (BIASED_SCHEDULES, ScenarioParams, StreamNormals,
+                       forecast_terms)
 from .config import RUN_LENGTH, UTILIZATION_LEVELS, WARMUP, build_system
 from .driver import RunConfig, SimulationRun
 from .kpi import check_window, float_sum
@@ -81,8 +82,8 @@ def make_config(utilization: str = "low", alpha: float = 0.0,
     if replication < 0:
         raise ValueError(f"replication must be at least 0, got {replication}")
     system = build_system(utilization, overrides)
-    scenario = ScenarioParams(alpha=alpha, bias=bias,
-                              expected_amount=system.demand.expected_amount)
+    scenario = ScenarioParams(alpha=alpha, bias=bias)
+    forecast_terms(scenario, system.demand.expected_amount)   # refuses overflow
     if params is None:
         params = PlanningParams(sst_factor=0.0, plt=1, policy="FOP",
                                 policy_param=1)
@@ -125,8 +126,10 @@ class GridSpec:
                 if value not in allowed:
                     raise ValueError(f"{name} must be in {allowed}, "
                                      f"got {value!r}")
+        for alpha in self.alphas:   # at the default plant, once per alpha
+            make_config(alpha=alpha)
         named = {f.name: getattr(self, f.name) for f in fields(self)}
-        # each Instance checks its alpha; alphas alike under :g share an id
+        # alphas alike under :g share an instance id
         named["instance_id"] = tuple(i.instance_id for i in self.instances())
         for name, values in named.items():
             if isinstance(values, tuple):

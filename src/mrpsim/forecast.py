@@ -10,7 +10,8 @@ With j periods left until delivery the forecast value is
 
 so the firmed customer order is the final forecast D[k,i,0].  Update terms are
 drawn from a normal distribution with mean beta * b_j * E and standard
-deviation alpha * E (E = expected order amount, 800 pieces), truncated to
+deviation alpha * E (E = expected order amount, the plant's
+`demand.expected_amount`), truncated to
 
     [-D[k,i,j+1],  D[k,i,j+1] + 2 * mean]
 
@@ -68,7 +69,6 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .config import _DEFAULT_OVERRIDES
 from .kpi import float_sum
 
 HORIZON = 10  # forecast updates start H periods before delivery
@@ -92,7 +92,6 @@ class ScenarioParams:
 
     alpha: float = 0.0
     bias: str = "unbiased"
-    expected_amount: int = _DEFAULT_OVERRIDES["demand"]["expected_amount"]
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
@@ -100,24 +99,21 @@ class ScenarioParams:
                              f"got {self.alpha}")
         if self.bias not in SCHEDULES:
             raise ValueError(f"unknown bias schedule {self.bias!r}")
-        if not math.isfinite(self.update_std):
-            raise ValueError(f"alpha times the expected amount must be "
-                             f"finite, got {self.alpha:g} x "
-                             f"{self.expected_amount}")
-
-    def update_mean(self, j: int) -> float:
-        b = SCHEDULES[self.bias]
-        return b[j - 1] * self.expected_amount if 1 <= j <= HORIZON else 0.0
-
-    @property
-    def update_std(self) -> float:
-        return self.alpha * self.expected_amount
 
 
-def long_term_forecast(scenario: ScenarioParams) -> int:
-    """Initial forecast value x_k = E * (1 - sum(b)) (module docstring)."""
-    shift = float_sum(SCHEDULES[scenario.bias])
-    return round(scenario.expected_amount * (1.0 - shift))
+def forecast_terms(scenario: ScenarioParams, expected_amount: int
+                   ) -> tuple[int, tuple[float, ...], float]:
+    """The scenario at expected order amount E: the long-term value
+    round(E * (1 - sum(b))), the update means b_j * E for j = 0..H (0.0 at
+    j = 0) and the deviation alpha * E, which must be finite."""
+    std = scenario.alpha * expected_amount
+    if not math.isfinite(std):
+        raise ValueError(f"alpha times the expected amount must be "
+                         f"finite, got {scenario.alpha:g} x "
+                         f"{expected_amount}")
+    b = SCHEDULES[scenario.bias]
+    start = round(expected_amount * (1.0 - float_sum(b)))
+    return start, (0.0, *(b_j * expected_amount for b_j in b)), std
 
 
 def advance(value: int, js: range, means: tuple[float, ...], std: float,
@@ -218,13 +214,12 @@ class StreamNormals:
 DUMP_HEADER = ("product", "due_date", "j", "epsilon", "value")
 
 
-def dump_tape(tape: dict, scenario: ScenarioParams, path: str) -> None:
+def dump_tape(tape: dict, start: int, path: str) -> None:
     """Write a forecast tape (`driver.build_tape`, indexed by due period) as
-    CSV by product and due date: per stream the long-term starting value at
+    CSV by product and due date: per stream the long-term value `start` at
     j = H + 1, then one row per update."""
     streams = [(product, due, values) for product, column in sorted(tape.items())
                for due, values in enumerate(column) if values is not None]
-    start = long_term_forecast(scenario)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(DUMP_HEADER)

@@ -37,10 +37,9 @@ from mrpsim.experiment import (
     write_results,
 )
 from mrpsim.forecast import (
-    HORIZON,
     ScenarioParams,
     advance,
-    long_term_forecast,
+    forecast_terms,
 )
 from mrpsim.mrp import (
     COMPONENT_LOTS,
@@ -80,18 +79,16 @@ def test_c01_forecast_replay_bit_exact():
     start_time = time.perf_counter()
     checked = 0
     for bias, start, eps, values in REPLAY_TRAJECTORIES:
-        scenario = ScenarioParams(alpha=0.04, bias=bias)
-        assert long_term_forecast(scenario) == start
+        x, means, std = forecast_terms(ScenarioParams(0.04, bias), 800)
+        assert x == start
         checked += 1
-        means = tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
-        got = advance(start, range(10, 0, -1), means, scenario.update_std,
-                      None, eps)
+        got = advance(start, range(10, 0, -1), means, std, None, eps)
         for value, expected in zip(got[::-1], values, strict=True):
             assert value == expected
             checked += 1
         # j = 0 draws nothing and firms the order at its last value
         rng = random.Random(0)
-        assert advance(got[0], range(0, -1, -1), means, scenario.update_std,
+        assert advance(got[0], range(0, -1, -1), means, std,
                        normals(rng)) == (739,)
         checked += 1
     assert checked == 36
@@ -451,11 +448,9 @@ def test_c10_sampler_moments():
     assert statistics.stdev(eps) == pytest.approx(32.0, rel=0.02)
     assert all(-800 <= e <= 864 for e in eps)
 
-    scenario = ScenarioParams(alpha=0.12)
-    means = tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
+    _, means, std = forecast_terms(ScenarioParams(0.12), 800)
     rng = random.Random(79)
     for _ in range(2000):
-        values = advance(800, range(10, -1, -1), means, scenario.update_std,
-                         normals(rng))
+        values = advance(800, range(10, -1, -1), means, std, normals(rng))
         assert min(values) >= 0
     assert time.perf_counter() - start_time < 10.0

@@ -12,13 +12,13 @@ from mrpsim.experiment import FULL_ALPHAS, make_config
 from mrpsim.config import (_DEFAULT_OVERRIDES, COMPONENTS, DEMAND_OFFSETS,
                            FINAL_PRODUCTS)
 from mrpsim.forecast import (HORIZON, SCHEDULES, StreamNormals, advance,
-                             dump_tape, load_replay, long_term_forecast,
+                             dump_tape, forecast_terms, load_replay,
                              stream_rng)
 from mrpsim.mrp import (FOP_PERIODS, FOQ_QUANTITIES, MODES, PLT_VALUES,
                         SST_FACTORS, PlannedLot, PlanningParams,
                         decision_windows)
 from mrpsim.shopfloor import ProductionOrder
-from test_forecast import normals
+from test_forecast import long_term, normals
 
 FOP1 = PlanningParams(0.0, 1, "FOP", 1)
 
@@ -136,26 +136,25 @@ def _keyed(tape):
             for due, values in enumerate(column) if values is not None}
 
 
-def _update(value, j, scenario, rng):
+def _update(value, j, means, std, rng):
     """`value` after its one update j periods before delivery: a stream of
     one update through `advance`."""
-    means = tuple(scenario.update_mean(k) for k in range(HORIZON + 1))
-    return advance(value, range(j, j - 1, -1), means, scenario.update_std,
-                   normals(rng))[0]
+    return advance(value, range(j, j - 1, -1), means, std, normals(rng))[0]
 
 
 def _keyed_tape(cfg):
     """The forecast tape keyed (product, due), built stream by stream over
     `DemandPattern.due_dates`, one `advance` call per update."""
-    scenario, last = cfg.scenario, cfg.run_length
+    demand, last = cfg.system.demand, cfg.run_length
+    start, means, std = forecast_terms(cfg.scenario, demand.expected_amount)
     tape = {}
     for product in FINAL_PRODUCTS:
-        for due in cfg.system.demand.due_dates(product, 1, last + HORIZON):
-            value = long_term_forecast(scenario)
+        for due in demand.due_dates(product, 1, last + HORIZON):
+            value = start
             rng = stream_rng(cfg.base_seed, cfg.replication, product, due)
             values = []
             for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
-                value = _update(value, j, scenario, rng)
+                value = _update(value, j, means, std, rng)
                 values.append(value)
             tape[product, due] = tuple(reversed(values))
     return tape
@@ -165,8 +164,8 @@ def _reference_tape(cfg):
     """Forecast values by (product, due, j) as a period-by-period loop that
     opens each stream when its due date enters the forecast range and
     advances every open stream once per period."""
-    demand, scenario = cfg.system.demand, cfg.scenario
-    long_term = long_term_forecast(scenario)
+    demand = cfg.system.demand
+    start, means, std = forecast_terms(cfg.scenario, demand.expected_amount)
     current, rngs, values = {}, {}, {}
     for t in range(1, cfg.run_length + 1):
         for product in sorted(DEMAND_OFFSETS):
@@ -176,10 +175,10 @@ def _reference_tape(cfg):
                     continue
                 key = (product, due)
                 if key not in current:
-                    current[key] = long_term
+                    current[key] = start
                     rngs[key] = stream_rng(cfg.base_seed, cfg.replication,
                                            product, due)
-                current[key] = _update(current[key], due - t, scenario,
+                current[key] = _update(current[key], due - t, means, std,
                                        rngs[key])
                 values[product, due, due - t] = current[key]
     return values
@@ -325,7 +324,7 @@ def test_replay_reproduces_run_without_sampling(tmp_path):
     original = SimulationRun(cfg)
     summary_a = original.run()
     path = tmp_path / "streams.csv"
-    dump_tape(original.tape, cfg.scenario, str(path))
+    dump_tape(original.tape, original.x, str(path))
 
     # alpha=0 would normally freeze all forecasts; the replay file re-injects
     # the recorded updates, so the original run comes back exactly
@@ -470,9 +469,9 @@ def test_planner_inputs_equal_per_period_rebuild(utilization, alpha, bias,
     cfg = make_config(utilization=utilization, alpha=alpha, bias=bias,
                       params=params, run_length=run_length, warmup=0,
                       overrides={"demand": {"first_delay": first_delay}})
-    system, scenario = cfg.system, cfg.scenario
+    system = cfg.system
     keyed = _keyed_tape(cfg)
-    x = long_term_forecast(scenario)
+    x = long_term(cfg)
     window = decision_windows(params, system)[0]
     safety = params.safety_stock(system.demand.expected_amount)
     run = SimulationRun(cfg)

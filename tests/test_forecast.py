@@ -26,8 +26,8 @@ from mrpsim.forecast import (
     StreamNormals,
     advance,
     dump_tape,
+    forecast_terms,
     load_replay,
-    long_term_forecast,
     stream_rng,
     substream_seed,
 )
@@ -49,9 +49,17 @@ REPLAY_CASES = [
 ]
 
 
-def _means(scenario):
-    """The per-j update means a tape works out once, indexed j = 0..H."""
-    return tuple(scenario.update_mean(j) for j in range(HORIZON + 1))
+E = 800   # the default plant's expected order amount
+
+
+def _terms(alpha=0.0, bias="unbiased"):
+    """A scenario's (long-term value, means j = 0..H, deviation) at E."""
+    return forecast_terms(ScenarioParams(alpha, bias), E)
+
+
+def long_term(cfg):
+    """The long-term value of the runs of `cfg`."""
+    return forecast_terms(cfg.scenario, cfg.system.demand.expected_amount)[0]
 
 
 def normals(rng):
@@ -69,10 +77,9 @@ def one_update(prev, mean, std, rng):
 def test_replay_trajectories(bias, beta, start, eps, values):
     # the paper's beta of each scenario is the results column's derivation
     assert Instance("low", 0.04, bias).beta == beta
-    scenario = ScenarioParams(alpha=0.04, bias=bias)
-    assert long_term_forecast(scenario) == start
+    x, means, std = _terms(0.04, bias)
+    assert x == start
 
-    means, std = _means(scenario), scenario.update_std
     got = advance(start, range(10, 0, -1), means, std, None, eps)
     assert got == values[::-1]
     # the j = 0 update draws nothing: the order firms at its last value
@@ -84,13 +91,10 @@ def test_replay_trajectories(bias, beta, start, eps, values):
 
 
 def test_long_term_forecast_values():
-    under = ScenarioParams(bias="permanent_underbooking")
-    over = ScenarioParams(bias="permanent_overbooking")
-    assert long_term_forecast(under) == 480
-    assert long_term_forecast(over) == 1120
+    assert _terms(bias="permanent_underbooking")[0] == 480
+    assert _terms(bias="permanent_overbooking")[0] == 1120
     for name in ("unbiased", "temporary_overbooking", "temporary_underbooking"):
-        scen = ScenarioParams(bias=name)
-        assert long_term_forecast(scen) == 800
+        assert _terms(bias=name)[0] == 800
 
 
 def test_schedule_shapes():
@@ -100,10 +104,9 @@ def test_schedule_shapes():
     assert SCHEDULES["permanent_overbooking"] == (-0.04,) * 10
     assert SCHEDULES["permanent_underbooking"] == (0.04,) * 10
     assert set(BIASED_SCHEDULES) == set(SCHEDULES) - {"unbiased"}
-    # factors outside the update range contribute nothing
-    under = ScenarioParams(bias="permanent_underbooking")
-    assert under.update_mean(0) == 0.0
-    assert under.update_mean(11) == 0.0
+    # the firming step j = 0 has no factor and no mean
+    means = _terms(bias="permanent_underbooking")[1]
+    assert len(means) == HORIZON + 1 and means[0] == 0.0
     assert SCHEDULES["permanent_underbooking"][10 - 1] == 0.04
     # temporary overbooking inflates mid-range forecasts and deflates late ones
     tover = SCHEDULES["temporary_overbooking"]
@@ -146,7 +149,7 @@ def test_schedule_tapes_are_pinned():
     assert tuple(SCHEDULE_TAPES) == tuple(SCHEDULES)
     for name, (digest, start) in SCHEDULE_TAPES.items():
         config = make_config(alpha=0.06, bias=name, run_length=60, warmup=10)
-        assert long_term_forecast(config.scenario) == start
+        assert long_term(config) == start
         tape = repr(build_tape(config)).encode()
         assert hashlib.sha256(tape).hexdigest() == digest, name
     for (alpha, bias), digest in ALPHA_TAPES.items():
@@ -161,10 +164,9 @@ def test_scenario_validation():
             ScenarioParams(alpha=alpha)
     with pytest.raises(ValueError, match="unknown bias schedule 'sinusoidal'"):
         ScenarioParams(bias="sinusoidal")
-    scen = ScenarioParams(alpha=0.06, bias="permanent_underbooking")
-    assert scen.update_std == pytest.approx(48.0)
-    assert scen.update_mean(5) == pytest.approx(32.0)
-    assert scen.update_mean(11) == 0.0
+    _, means, std = _terms(0.06, "permanent_underbooking")
+    assert std == pytest.approx(48.0)
+    assert means[5] == pytest.approx(32.0)
 
 
 def test_degenerate_update_is_zero():
@@ -243,15 +245,13 @@ def test_rounded_draw_stays_inside_the_interval():
 
 
 def test_advance_final_update_is_zero():
-    scen = ScenarioParams(alpha=0.1)
+    _, means, std = _terms(0.1)
     rng = random.Random(2)
     state = rng.getstate()
-    assert advance(800, range(0, -1, -1), _means(scen), scen.update_std,
-                   normals(rng)) == (800,)
+    assert advance(800, range(0, -1, -1), means, std, normals(rng)) == (800,)
     assert rng.getstate() == state
     # a stream that firms in the run repeats its j = 1 value at j = 0
-    values = advance(800, range(3, -1, -1), _means(scen), scen.update_std,
-                     normals(rng))
+    values = advance(800, range(3, -1, -1), means, std, normals(rng))
     assert len(values) == 4 and values[0] == values[1]
 
 
@@ -260,7 +260,7 @@ def test_negative_forecast_rejected(tmp_path, capsys):
     # through the CLI; sampled updates truncate at zero and never can
     cfg = make_config(alpha=0.06, run_length=30, warmup=5)
     path = tmp_path / "tape.csv"
-    dump_tape(build_tape(cfg), cfg.scenario, str(path))
+    dump_tape(build_tape(cfg), long_term(cfg), str(path))
     replay = load_replay(str(path))
     replay[11, 14, 4] = -5000
     with pytest.raises(ValueError, match="forecast of product 11 due 14 "
@@ -304,9 +304,8 @@ def test_a_replay_file_that_repeats_an_update_is_refused(tmp_path, capsys):
 
 
 def test_alpha_zero_unbiased_never_moves():
-    scen = ScenarioParams(alpha=0.0)
-    assert advance(800, range(10, -1, -1), _means(scen), scen.update_std,
-                   None) == (800,) * 11
+    _, means, std = _terms(0.0)
+    assert advance(800, range(10, -1, -1), means, std, None) == (800,) * 11
 
 
 def test_alpha_zero_tape_seeds_no_generator(monkeypatch):
@@ -322,8 +321,7 @@ def test_alpha_zero_tape_seeds_no_generator(monkeypatch):
 
 
 def test_unbiased_streams_average_to_expectation():
-    scen = ScenarioParams(alpha=0.06)
-    means, std = _means(scen), scen.update_std
+    _, means, std = _terms(0.06)
     finals = []
     for rep in range(2500):
         values = advance(800, range(10, -1, -1), means, std,
@@ -336,8 +334,7 @@ def test_unbiased_streams_average_to_expectation():
 
 
 def test_substream_independence_of_generation_order():
-    scen = ScenarioParams(alpha=0.10)
-    means, std = _means(scen), scen.update_std
+    _, means, std = _terms(0.10)
     keys = [(p, due) for p in (10, 11, 14) for due in (21, 25, 29)]
 
     def run(order):
@@ -362,7 +359,7 @@ def test_dump_and_replay_roundtrip(tmp_path):
                       overrides={"demand": {"first_delay": 3}})
     tape = build_tape(cfg)
     path = tmp_path / "tape.csv"
-    dump_tape(tape, cfg.scenario, str(path))
+    dump_tape(tape, long_term(cfg), str(path))
     replay = load_replay(str(path))
 
     frozen = make_config(alpha=0.0, run_length=30, warmup=5,
@@ -416,10 +413,19 @@ def test_an_alpha_whose_update_deviation_overflows_is_refused(capsys):
     # alpha is finite, but alpha x 800 is not: every update would spend
     # 10,000 draws on an infinite deviation and keep the forecast at 800
     with pytest.raises(ValueError, match="must be finite, got 1e[+]308 x 800"):
-        ScenarioParams(alpha=1e308)
+        _terms(1e308)
     with pytest.raises(ValueError, match="must be finite"):
         GridSpec(name="overflow", alphas=(1e308,))
-    assert ScenarioParams(alpha=1e300).update_std == 1e300 * 800
+    assert _terms(1e300)[2] == 1e300 * 800
+    # make_config checks the deviation at the plant it builds: alpha 1e306
+    # overflows at 800 pieces, not at an overridden 100
+    with pytest.raises(ValueError, match="must be finite, got 1e[+]306 x 800"):
+        make_config(alpha=1e306)
+    small = make_config(alpha=1e306,
+                        overrides={"demand": {"expected_amount": 100}})
+    assert long_term(small) == 100
+    with pytest.raises(ValueError, match="must be finite, got 1e[+]306 x 800"):
+        GridSpec(name="overflow", alphas=(1e306,))
     code = main(["simulate", "--alpha", "1e308", "--periods", "30",
                  "--warmup", "5"])
     assert code == 2
@@ -495,8 +501,9 @@ def fresh_tape(cfg):
     until it falls in [-prev, prev + 2 * mean] (10,000 draws at most, then
     the clamped mean), rounded and clamped to the interval's integer bounds;
     none at j = 0, at a collapsed interval or at std 0."""
-    scenario, last = cfg.scenario, cfg.run_length
-    start, std = long_term_forecast(scenario), scenario.update_std
+    last = cfg.run_length
+    start, means, std = forecast_terms(cfg.scenario,
+                                       cfg.system.demand.expected_amount)
     tape = {}
     for product in FINAL_PRODUCTS:
         column = tape[product] = [None] * (last + HORIZON + 1)
@@ -504,7 +511,7 @@ def fresh_tape(cfg):
             rng = stream_rng(cfg.base_seed, cfg.replication, product, due)
             value, values = start, []
             for j in range(min(HORIZON, due - 1), max(0, due - last) - 1, -1):
-                mean = scenario.update_mean(j)
+                mean = means[j]
                 lo, hi = -value, value + 2 * mean
                 if j and (lo < hi or mean >= 0):
                     x = mean
@@ -545,8 +552,8 @@ def test_tapes_on_one_store_equal_tapes_on_fresh_generators(
 
 def test_a_store_hands_back_its_tape_only_to_configs_of_its_key():
     # a store keeps the last tape built on it; a config that differs from
-    # that tape's only in the run length, the demand pattern or the
-    # expected amount (which moves the scenario) must get a tape of its own
+    # that tape's only in the run length or the demand pattern (its
+    # interval, first delay or expected amount) must get a tape of its own
     def config(run_length=60, **demand):
         return make_config(alpha=0.06, bias="permanent_underbooking",
                            run_length=run_length, warmup=10,
